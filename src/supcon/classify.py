@@ -307,7 +307,10 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                                          rank_one=rank_one):
         used += len(xi)
         mid = lam[:, None, None] * xi + (1.0 - lam[:, None, None]) * eta
-        gaps = f(mid) - np.maximum(f(xi), f(eta))
+        with np.errstate(invalid="ignore"):  # inf - inf outside the box
+            gaps = f(mid) - np.maximum(f(xi), f(eta))
+        # a non-finite gap cannot be replayed; it must not hide the others
+        gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
         worst = int(np.argmax(gaps))
         if gaps[worst] > tol:
             witness = _segment_witness(xi[worst], eta[worst], float(lam[worst]), f)
@@ -407,7 +410,10 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
                                          rank_one=not trivial_minors):
         used += len(xi)
         mid = lam[:, None, None] * xi + (1.0 - lam[:, None, None]) * eta
-        gaps = f(mid) - np.maximum(f(xi), f(eta))
+        with np.errstate(invalid="ignore"):  # inf - inf outside the box
+            gaps = f(mid) - np.maximum(f(xi), f(eta))
+        # a non-finite gap cannot be replayed; it must not hide the others
+        gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
         worst = int(np.argmax(gaps))
         if gaps[worst] > tol:
             w = _segment_witness(xi[worst], eta[worst], float(lam[worst]), f)

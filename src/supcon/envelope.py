@@ -6,15 +6,22 @@ Five operators, all pointwise infima over the grid:
   box (the exact lower hull of the lifted point set).
 * ``level_convex_lsc_envelope`` -- at each node, the smallest sampled
   threshold t such that the node lies in the convex hull of the sublevel
-  nodes; its sublevel sets are convex by construction.
+  nodes; its sublevel sets are convex by construction.  In d >= 2 one Qhull
+  hull per threshold serves all nodes; a threshold whose new nodes lie
+  strictly inside the current hull is skipped, and degenerate sublevel sets
+  reject queries more than 1e-6 off their affine hull before any LP.
 * ``pasch_hausdorff`` -- the sup-norm Lipschitz regularization
   ``f_lam(x) = min_y max(f(y), lam |x - y|)``.
 * ``lamination_hull`` -- fixpoint of one-dimensional convexification sweeps
   along rank-one grid lines; an upper bracket for the quasiconvexification,
-  squeezed between the convex envelope and f.
+  squeezed between the convex envelope and f.  The disjoint lines of one
+  direction are convexified together by a batched monotone chain.
 * ``power_law_envelope`` -- the bracket family ``(E(f^p))^{1/p}`` for an
   increasing schedule of exponents, whose pointwise limit estimates the
   power-law (sup-of-roots) envelope.
+
+The batched d >= 2 paths reproduce the plain per-line and per-threshold
+loops bit for bit (``tests/oracles.py`` keeps those loops as references).
 
 Domain truncation is the central compromise: envelopes are computed on the
 box only.  For samples extended by ``plus-infinity`` the result is the exact
@@ -163,44 +170,80 @@ def convex_envelope(f: SampledFunction) -> SampledFunction:
 # level-convex lsc envelope
 # ---------------------------------------------------------------------------
 
-def _points_in_hull(points: np.ndarray, queries: np.ndarray,
-                    tol: float = 1e-9) -> np.ndarray:
-    """Boolean mask: which queries lie in conv(points)."""
-    if len(points) == 0:
-        return np.zeros(len(queries), dtype=bool)
-    if len(points) == 1:
-        return np.linalg.norm(queries - points[0], axis=1) <= tol
-    d = points.shape[1]
-    if len(points) > d:
-        try:
-            hull = ConvexHull(points)
-            eq = hull.equations
-            vals = queries @ eq[:, :-1].T + eq[:, -1]
-            return np.all(vals <= tol, axis=1)
-        except QhullError:
-            pass
-    # degenerate or tiny set: LP feasibility per query
+def _inside_facets(eq: np.ndarray, queries: np.ndarray,
+                   tol: float) -> np.ndarray:
+    return np.all(queries @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
+
+
+def _points_in_flat_hull(points: np.ndarray,
+                         queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hull membership for a degenerate or tiny point set (at least two points).
+
+    Queries more than 1e-6 off the affine hull of the points cannot be convex
+    combinations of them and are rejected outright; the others each get an LP
+    feasibility solve.  Returns the mask and the number of LPs run.
+    """
+    centre = points.mean(axis=0)
+    _, s, vt = np.linalg.svd(points - centre, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(points.shape) * np.finfo(float).eps))
+    basis = vt[:rank]
+    rel = queries - centre
+    off = rel - (rel @ basis.T) @ basis
+    near = np.flatnonzero(np.linalg.norm(off, axis=1) <= 1e-6)
     m = len(points)
     A_eq = np.vstack([points.T, np.ones(m)])
     out = np.zeros(len(queries), dtype=bool)
-    for i, q in enumerate(queries):
-        res = linprog(np.zeros(m), A_eq=A_eq, b_eq=np.append(q, 1.0),
+    for i in near:
+        res = linprog(np.zeros(m), A_eq=A_eq, b_eq=np.append(queries[i], 1.0),
                       bounds=(0.0, None), method="highs")
         out[i] = bool(res.success)
-    return out
+    return out, len(near)
 
 
-def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
+def _points_in_hull(points: np.ndarray, queries: np.ndarray,
+                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Which queries lie in conv(points): the boolean mask, the facet
+    equations (rows: normal | offset, normal . z + offset <= 0 inside) when
+    the hull is full-dimensional, else None, and the number of LPs run."""
+    if len(points) == 0:
+        return np.zeros(len(queries), dtype=bool), None, 0
+    if len(points) == 1:
+        return np.linalg.norm(queries - points[0], axis=1) <= tol, None, 0
+    if len(points) > points.shape[1]:
+        try:
+            eq = ConvexHull(points).equations
+        except QhullError:  # flat point set: take the affine-hull path
+            pass
+        else:
+            return _inside_facets(eq, queries, tol), eq, 0
+    inside, lps = _points_in_flat_hull(points, queries)
+    return inside, None, lps
+
+
+def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
     """Smallest-threshold sublevel-hull envelope.
 
     At each node the result is the smallest sampled value t such that the
     node lies in the convex hull of the nodes with value <= t.  Thresholds
     are the sorted distinct sampled values; no continuous search.
+
+    On grids of dimension >= 2 each threshold costs at most one Qhull
+    build, whose facet equations serve both the membership test of the
+    unassigned nodes and the next threshold's skip test: when every node that joins the
+    sublevel set lies strictly inside the current full-dimensional hull
+    (all facet distances <= -1e-9), the polytope is unchanged, no node can
+    change, and no hull is built.  Sublevel sets with at most d points or
+    of lower affine rank have no full-dimensional hull; there the queries
+    more than 1e-6 off the affine hull are rejected outright and only the
+    rest get an LP feasibility solve.  With ``full_output=True`` the return
+    value is ``(result, info)`` with the counts ``hull_builds``,
+    ``thresholds_skipped`` and ``lp_queries``.
     """
     g = f.grid
     flat = f.values.ravel()
     order = np.argsort(flat, kind="stable")
     svals = flat[order]
+    info = {"hull_builds": 0, "thresholds_skipped": 0, "lp_queries": 0}
     if g.ndim == 1:
         pos = g.axis()
         spos = pos[order]
@@ -211,24 +254,28 @@ def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
         k_min = np.searchsorted(-prefix_min, -pos, side="left")
         k = np.maximum(k_max, k_min)
         out = svals[np.minimum(k, len(svals) - 1)]
-        out = np.minimum(out, flat)
-        return f.with_values(out.reshape(g.shape))
-
-    coords = g.node_coords()
-    out = flat.copy()
-    assigned = np.zeros(len(flat), dtype=bool)
-    thresholds = np.unique(svals)
-    for t in thresholds:
-        todo = ~assigned
-        if not todo.any():
-            break
-        pts = coords[flat <= t]
-        inside = _points_in_hull(pts, coords[todo])
-        idx = np.flatnonzero(todo)[inside]
-        out[idx] = t
-        assigned[idx] = True
-    out = np.minimum(out, flat)
-    return f.with_values(out.reshape(g.shape))
+    else:
+        coords = g.node_coords()
+        out = flat.copy()
+        assigned = np.zeros(len(flat), dtype=bool)
+        eq = None  # facets of the current sublevel hull, if full-dimensional
+        for t in np.unique(svals):
+            todo = ~assigned
+            if not todo.any():
+                break
+            if eq is not None and _inside_facets(eq, coords[flat == t], -1e-9).all():
+                info["thresholds_skipped"] += 1
+                continue
+            inside, eq, lps = _points_in_hull(coords[flat <= t], coords[todo])
+            info["hull_builds"] += int(eq is not None)
+            info["lp_queries"] += lps
+            idx = np.flatnonzero(todo)[inside]
+            out[idx] = t
+            assigned[idx] = True
+    result = f.with_values(np.minimum(out, flat).reshape(g.shape))
+    if full_output:
+        return result, info
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +344,10 @@ def rank_one_grid_directions(dims: tuple[int, int], span: int = 2) -> np.ndarray
     return np.array(dirs, dtype=int)
 
 
-def _sweep_lines(shape: tuple[int, ...], step: np.ndarray):
-    """Yield flat-index arrays of the maximal grid lines with index step ``step``."""
+def _direction_lines(shape: tuple[int, ...], step: np.ndarray) -> list[np.ndarray]:
+    """The maximal grid lines with index step ``step`` and at least three
+    nodes, as flat-index arrays stacked by line length, one (L, m) array per
+    length m."""
     P = shape[0]
     d = len(shape)
     strides = np.array([P ** (d - 1 - i) for i in range(d)], dtype=int)
@@ -316,9 +365,52 @@ def _sweep_lines(shape: tuple[int, ...], step: np.ndarray):
             caps = np.minimum(caps, starts[:, a] // (-s))
     flat_step = int(step @ strides)
     flat_starts = starts @ strides
-    for f0, cap in zip(flat_starts, caps):
-        if cap >= 2:  # need at least 3 points for a nontrivial hull
-            yield f0 + flat_step * np.arange(cap + 1)
+    # need at least 3 points for a nontrivial hull
+    return [flat_starts[caps == cap][:, None] + flat_step * np.arange(cap + 1)
+            for cap in np.unique(caps[caps >= 2])]
+
+
+def _lower_hull_lines(v: np.ndarray) -> np.ndarray:
+    """``lower_hull_1d`` at positions 0..m-1 applied to every row of an
+    (L, m) array at once.
+
+    One monotone chain runs over all rows, popping only in the rows whose
+    pop test holds; the test and the interpolation use the same float ops
+    as the 1-d kernel and ``np.interp`` (hull vertices copied, the rest
+    ``slope * (x - x_j) + v_j``), so every row matches it bit for bit.
+    """
+    L, m = v.shape
+    pos = np.arange(m)
+    x = pos.astype(float)
+    rows = np.arange(L)
+    stack = np.empty((L, m), dtype=np.intp)
+    top = np.zeros(L, dtype=np.intp)  # stack height per row
+    for i in range(m):
+        live = rows[top >= 2]
+        while live.size:
+            j = stack[live, top[live] - 2]
+            k = stack[live, top[live] - 1]
+            vj = v[live, j]
+            # pop k when it lies on or above chord (j, i)
+            pop = (x[k] - x[j]) * (v[live, i] - vj) - (x[i] - x[j]) * (v[live, k] - vj) <= 0.0
+            live = live[pop]
+            top[live] -= 1
+            live = live[top[live] >= 2]
+        stack[rows, top] = i
+        top += 1
+    vertex = np.zeros((L, m), dtype=bool)
+    vertex[np.repeat(rows, top), stack[pos < top[:, None]]] = True
+    # bracketing vertices of every node (the end nodes are always vertices)
+    left = np.maximum.accumulate(np.where(vertex, pos, 0), axis=1)
+    right = np.minimum.accumulate(np.where(vertex, pos, m - 1)[:, ::-1], axis=1)[:, ::-1]
+    r, c = np.nonzero(~vertex)
+    lo = left[r, c]
+    hi = right[r, c]
+    vlo = v[r, lo]
+    slope = (v[r, hi] - vlo) / (x[hi] - x[lo])
+    out = v.copy()
+    out[r, c] = slope * (x[c] - x[lo]) + vlo
+    return out
 
 
 def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
@@ -331,21 +423,26 @@ def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
     their 1-d convex envelope.  Stops when a full sweep changes nothing by
     more than tol, or after max_sweeps (the last iterate is then returned
     with ``converged=False`` in the info dict).
+
+    The directions are swept one after another (Gauss-Seidel).  Within one
+    direction the lines are disjoint, so all lines of equal length are
+    stacked and convexified by one batched monotone chain; the values equal
+    those of ``lower_hull_1d`` applied line by line, bit for bit.
     """
     g = f.grid
     vals = f.values.ravel().copy()
     dirs = rank_one_grid_directions(g.dims, span)
-    lines = [list(_sweep_lines(g.shape, d)) for d in dirs]
+    lines = [_direction_lines(g.shape, d) for d in dirs]
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
         delta = 0.0
         for dir_lines in lines:
-            for line in dir_lines:
-                old = vals[line]
-                new = lower_hull_1d(np.arange(len(line), dtype=float), old)
+            for block in dir_lines:
+                old = vals[block]
+                new = _lower_hull_lines(old)
                 delta = max(delta, float(np.max(old - new)))
-                vals[line] = new
+                vals[block] = new
         if delta <= tol:
             converged = True
             break

@@ -185,7 +185,10 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=100_000,
         used += m
         bary = np.einsum("bm,bmij->bij", wts, atoms)
         sup = np.max(f(atoms.reshape(-1, N, n)).reshape(m, -1), axis=1)
-        gaps = f(bary) - sup
+        with np.errstate(invalid="ignore"):  # inf - inf outside the box
+            gaps = f(bary) - sup
+        # a non-finite gap cannot be replayed; it must not hide the others
+        gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
         i = int(np.argmax(gaps))
         if gaps[i] > tol:
             witness = measure_witness(atoms[i], wts[i], float(gaps[i]))

@@ -1,0 +1,119 @@
+"""Reference implementations the batched envelope operators must reproduce.
+
+These are the straightforward loops the d >= 2 branches of
+``lamination_hull`` and ``level_convex_lsc_envelope`` were first written as:
+one Python monotone chain per grid line, and one Qhull hull (or one LP per
+query) per sublevel threshold.  They are slow but easy to audit; the tests
+require the production operators to agree with them bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
+
+from supcon.envelope import lower_hull_1d, rank_one_grid_directions
+from supcon.funcspace import SampledFunction
+
+
+def sweep_lines(shape: tuple[int, ...], step: np.ndarray):
+    """Yield flat-index arrays of the maximal grid lines with index step ``step``."""
+    P = shape[0]
+    d = len(shape)
+    strides = np.array([P ** (d - 1 - i) for i in range(d)], dtype=int)
+    idx = np.indices(shape).reshape(d, -1).T  # (M, d)
+    prev = idx - step
+    is_start = np.any((prev < 0) | (prev >= P), axis=1)
+    starts = idx[is_start]
+    # steps available along each axis before leaving the box
+    caps = np.full(len(starts), np.iinfo(np.int64).max, dtype=np.int64)
+    for a in range(d):
+        s = step[a]
+        if s > 0:
+            caps = np.minimum(caps, (P - 1 - starts[:, a]) // s)
+        elif s < 0:
+            caps = np.minimum(caps, starts[:, a] // (-s))
+    flat_step = int(step @ strides)
+    flat_starts = starts @ strides
+    for f0, cap in zip(flat_starts, caps):
+        if cap >= 2:  # need at least 3 points for a nontrivial hull
+            yield f0 + flat_step * np.arange(cap + 1)
+
+
+def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
+                    tol: float = 1e-7, span: int = 2,
+                    full_output: bool = False):
+    """Per-line Gauss-Seidel sweeps with ``lower_hull_1d`` on every line."""
+    g = f.grid
+    vals = f.values.ravel().copy()
+    dirs = rank_one_grid_directions(g.dims, span)
+    lines = [list(sweep_lines(g.shape, d)) for d in dirs]
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        delta = 0.0
+        for dir_lines in lines:
+            for line in dir_lines:
+                old = vals[line]
+                new = lower_hull_1d(np.arange(len(line), dtype=float), old)
+                delta = max(delta, float(np.max(old - new)))
+                vals[line] = new
+        if delta <= tol:
+            converged = True
+            break
+    result = f.with_values(vals.reshape(g.shape))
+    if full_output:
+        return result, {"sweeps": sweeps, "converged": converged}
+    return result
+
+
+def points_in_hull(points: np.ndarray, queries: np.ndarray,
+                   tol: float = 1e-9) -> np.ndarray:
+    """Boolean mask: which queries lie in conv(points)."""
+    if len(points) == 0:
+        return np.zeros(len(queries), dtype=bool)
+    if len(points) == 1:
+        return np.linalg.norm(queries - points[0], axis=1) <= tol
+    d = points.shape[1]
+    if len(points) > d:
+        try:
+            hull = ConvexHull(points)
+            eq = hull.equations
+            vals = queries @ eq[:, :-1].T + eq[:, -1]
+            return np.all(vals <= tol, axis=1)
+        except QhullError:
+            pass
+    # degenerate or tiny set: LP feasibility per query
+    m = len(points)
+    A_eq = np.vstack([points.T, np.ones(m)])
+    out = np.zeros(len(queries), dtype=bool)
+    for i, q in enumerate(queries):
+        res = linprog(np.zeros(m), A_eq=A_eq, b_eq=np.append(q, 1.0),
+                      bounds=(0.0, None), method="highs")
+        out[i] = bool(res.success)
+    return out
+
+
+def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
+    """One hull per distinct sampled threshold, for grids of dimension >= 2."""
+    g = f.grid
+    assert g.ndim >= 2, "the 1-d branch is unchanged; call the operator directly"
+    flat = f.values.ravel()
+    order = np.argsort(flat, kind="stable")
+    svals = flat[order]
+    coords = g.node_coords()
+    out = flat.copy()
+    assigned = np.zeros(len(flat), dtype=bool)
+    thresholds = np.unique(svals)
+    for t in thresholds:
+        todo = ~assigned
+        if not todo.any():
+            break
+        pts = coords[flat <= t]
+        inside = points_in_hull(pts, coords[todo])
+        idx = np.flatnonzero(todo)[inside]
+        out[idx] = t
+        assigned[idx] = True
+    out = np.minimum(out, flat)
+    return f.with_values(out.reshape(g.shape))

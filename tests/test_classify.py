@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from supcon.classify import (ClassifyConfig, DiscreteMeasure,
                              classify_report, replay_witness,
                              search_weak_morrey_violation, two_atom_measures,
                              verdict_inconsistencies)
-from supcon.funcspace import corpus_entry
+from supcon.funcspace import (GridSpec, corpus_entry, interpolating_evaluator,
+                              sample)
 
 SEED = 42
 
@@ -53,6 +55,20 @@ def test_level_convex_double_well_violated():
     # the canonical witness exists regardless of which one the search hit
     assert entry.value(np.array([[0.0]])) == 1.0
     assert entry.value(np.array([[1.0]])) == 0.0
+
+
+def test_level_convex_non_finite_gaps_do_not_mask_violations():
+    # segments with both endpoints and the midpoint outside the sampled box
+    # give inf - inf = NaN gaps; they must not hide the gap-1/4 witnesses
+    # inside the box in the same batch
+    coarse = sample(corpus_entry("double_well_1d"), GridSpec((1, 1), 1.0, 61))
+    ev = interpolating_evaluator(coarse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = check_level_convex(ev, (1, 1), tol=1e-6, budget=2000, radius=2.0)
+    assert v.violated
+    assert v.witness["gap"] == 0.25
+    assert replay_witness(ev, v.witness) == v.witness["gap"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,87 @@
+"""The batched d >= 2 envelope operators against their per-line and
+per-threshold reference loops in ``oracles.py``: equal bit for bit."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from supcon.envelope import lamination_hull, level_convex_lsc_envelope
+from supcon.funcspace import GridSpec, SampledFunction
+
+KINDS = ("normal", "ties", "constant", "affine", "flat-sublevel")
+
+
+def _values(kind: str, grid: GridSpec, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    M = grid.node_count
+    if kind == "normal":
+        return rng.standard_normal(M)
+    if kind == "ties":
+        return rng.integers(0, 4, size=M).astype(float)
+    if kind == "constant":
+        return np.full(M, float(rng.integers(-3, 4)))
+    coords = grid.node_coords()
+    if kind == "affine":
+        return coords @ rng.integers(-2, 3, size=grid.ndim) + float(rng.integers(-3, 4))
+    # flat-sublevel: the lowest values sit on a grid line or plane, so the
+    # first sublevel sets are collinear or coplanar (no full-dimensional hull)
+    idx = np.indices(grid.shape).reshape(grid.ndim, -1).T
+    on_flat = np.ones(M, dtype=bool)
+    flat_dim = int(rng.integers(1, min(grid.ndim - 1, 2) + 1))  # line or plane
+    for _ in range(grid.ndim - flat_dim):
+        a, b = rng.choice(grid.ndim, size=2, replace=False)
+        if rng.random() < 0.5:
+            on_flat &= idx[:, a] == idx[:, b]
+        else:
+            on_flat &= idx[:, a] == rng.integers(0, grid.points_per_axis)
+    low = rng.integers(0, 3, size=M).astype(float)
+    high = 3.0 + rng.standard_normal(M) ** 2
+    return np.where(on_flat, low, high)
+
+
+def _sample(dims, points, kind, seed) -> SampledFunction:
+    grid = GridSpec(dims, 1.0, points)
+    return SampledFunction(grid, _values(kind, grid, seed))
+
+
+# every dimension at P = 3 and 5; the 2x2 grids at P = 5 are drawn less often
+# because the reference loops take seconds there
+GRIDS = st.sampled_from([((1, 2), 3), ((1, 2), 5), ((1, 2), 7),
+                         ((2, 1), 3), ((2, 1), 5), ((2, 1), 7),
+                         ((2, 2), 3), ((2, 2), 3), ((2, 2), 5)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(GRIDS, st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+def test_lamination_hull_matches_per_line_oracle(grid, kind, seed):
+    f = _sample(*grid, kind, seed)
+    new, info = lamination_hull(f, full_output=True)
+    ref, ref_info = oracles.lamination_hull(f, full_output=True)
+    assert np.array_equal(new.values, ref.values)
+    assert info == ref_info
+
+
+@settings(max_examples=30, deadline=None)
+@given(GRIDS, st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+def test_lslc_envelope_matches_per_threshold_oracle(grid, kind, seed):
+    f = _sample(*grid, kind, seed)
+    new = level_convex_lsc_envelope(f)
+    ref = oracles.level_convex_lsc_envelope(f)
+    assert np.array_equal(new.values, ref.values)
+
+
+def test_lslc_full_output_counts_the_paths():
+    # on the random 2x2 grid every path runs: hull builds, skipped
+    # thresholds, and LPs for the tiny first sublevel sets
+    f = _sample((2, 2), 5, "normal", 20240817)
+    out, info = level_convex_lsc_envelope(f, full_output=True)
+    assert np.array_equal(out.values, level_convex_lsc_envelope(f).values)
+    assert info["hull_builds"] > 0
+    assert info["thresholds_skipped"] > 0
+    assert info["lp_queries"] > 0
+    assert info["hull_builds"] + info["thresholds_skipped"] <= len(np.unique(f.values))
+    # 1-d grids take the prefix-interval path: no hulls, no LPs
+    f1 = SampledFunction(GridSpec((1, 1), 1.0, 9), np.arange(9.0) % 3)
+    assert level_convex_lsc_envelope(f1, full_output=True)[1] == {
+        "hull_builds": 0, "thresholds_skipped": 0, "lp_queries": 0}

@@ -49,7 +49,7 @@ def test_lslc_sublevel_sets_hull_consistent_2d():
         from supcon.envelope import _points_in_hull
         for t in np.unique(L):
             members = L <= t + 1e-12
-            inside = _points_in_hull(coords[members], coords)
+            inside = _points_in_hull(coords[members], coords)[0]
             # no grid point strictly inside the hull may sit above the level
             assert not np.any(inside & ~members)
 
