@@ -530,15 +530,14 @@ def _cutoff_values(xi, Mp, Mm, theta):
     K = np.maximum(theta, 1.0 - theta) * wn
     # direction a from w's row space: w = a (x) nu with |a (x) nu| = |a|
     # recover a as the dominant left factor
+    U, S, _ = np.linalg.svd(w)
+    a_vec = U[:, :, 0] * (S[:, 0] / np.maximum(wn, 1e-300))[:, None] * K[:, None]
     extras = np.empty((len(w), 2 * n, N, n))
-    for i, Wi in enumerate(w):
-        U, S, Vt = np.linalg.svd(Wi)
-        a_vec = U[:, 0] * (S[0] / max(wn[i], 1e-300)) * K[i]
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            extras[i, 2 * j] = xi + np.outer(a_vec, e)
-            extras[i, 2 * j + 1] = xi - np.outer(a_vec, e)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        extras[:, 2 * j] = xi + a_vec[:, :, None] * e
+        extras[:, 2 * j + 1] = xi - a_vec[:, :, None] * e
     return extras
 
 
@@ -571,6 +570,8 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
         if n >= 2:
             extras = _cutoff_values(xi, Mp, Mm, theta)
             ess = np.maximum(ess, f(extras).max(axis=1))
+        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
+        ess = np.where(np.isnan(ess), np.inf, ess)
         i = int(np.argmin(ess))
         if ess[i] < best:
             best = float(ess[i])
@@ -626,19 +627,17 @@ def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
         # nodal: values on the (depth+1)^n lattice, shape (*(depth+1 per axis), N)
         if n == 1:
             return (nodal[1:] - nodal[:-1])[:, :, None] / h  # (cells, N, 1)
-        cells = []
-        for i in range(depth):
-            for j in range(depth):
-                v00, v10 = nodal[i, j], nodal[i + 1, j]
-                v01, v11 = nodal[i, j + 1], nodal[i + 1, j + 1]
-                # lower-left and upper-right triangles of the square
-                cells.append(np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=1))
-                cells.append(np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=1))
-        return np.array(cells)
+        # lower-left then upper-right triangle of each square, square-major
+        v00, v10 = nodal[:-1, :-1], nodal[1:, :-1]
+        v01, v11 = nodal[:-1, 1:], nodal[1:, 1:]
+        lower = np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=-1)
+        upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
+        return np.stack([lower, upper], axis=2).reshape(2 * depth * depth, N, 2)
 
     def objective(nodal):
         g = gradients(nodal)
-        return float(np.max(f(xi[None] + g))), g
+        val = float(np.max(f(xi[None] + g)))
+        return (np.inf if np.isnan(val) else val), g
 
     best = np.inf
     best_values = []
@@ -700,7 +699,6 @@ class ClassifyConfig:
     field_budget: int | None = None
     max_probe_points: int = 6
     mesh_depth: int = 4
-    threads: int = 1
 
     def resolved_field_budget(self) -> int:
         return self.field_budget if self.field_budget else max(1000, self.budget // 10)
@@ -781,44 +779,37 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
                 return v
         return Verdict(notion, HOLDS, None, used, cfg.tol, cfg.seed)
 
-    tasks = {
-        "level_convex": lambda: check_level_convex(
+    verdicts = {
+        "level_convex": check_level_convex(
             f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
             radius=cfg.radius, special_points=sp),
-        "rank_one": lambda: check_rank_one_qcx(
+        "rank_one": check_rank_one_qcx(
             f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
             radius=cfg.radius, special_points=sp),
-        "polyquasiconvex": lambda: check_polyquasiconvex_necessary(
+        "polyquasiconvex": check_polyquasiconvex_necessary(
             f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
             radius=cfg.radius, special_points=sp),
-        "weak_morrey": lambda: field_verdict(
+        "weak_morrey": field_verdict(
             "weak_morrey",
             lambda p, b: search_weak_morrey_violation(
                 f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
                 radius=cfg.radius, special_points=sp,
                 mesh_depth=cfg.mesh_depth)),
-        "periodic_weak_morrey": lambda: field_verdict(
+        "periodic_weak_morrey": field_verdict(
             "periodic_weak_morrey",
             lambda p, b: laminate.check_periodic_weak_morrey(
                 f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
                 radius=cfg.radius, special_points=sp)),
-        "strong_morrey": lambda: field_verdict(
+        "strong_morrey": field_verdict(
             "strong_morrey",
             lambda p, b: laminate.search_strong_morrey_violation(
                 f, p, dims, K=cfg.K, delta_schedule=cfg.delta_schedule,
                 tol=cfg.tol, budget=b, seed=cfg.seed, radius=cfg.radius,
                 special_points=sp)),
-        "curl_young_laminates": lambda: laminate.check_curl_young_on_laminates(
+        "curl_young_laminates": laminate.check_curl_young_on_laminates(
             f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
             radius=cfg.radius, special_points=sp),
     }
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {name: pool.submit(fn) for name, fn in tasks.items()}
-            verdicts = {name: fut.result() for name, fut in futures.items()}
-    else:
-        verdicts = {name: fn() for name, fn in tasks.items()}
     inconsistencies = verdict_inconsistencies(verdicts)
 
     mismatches = []

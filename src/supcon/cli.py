@@ -156,7 +156,6 @@ def cmd_classify(args) -> int:
         tol=float(_setting(args, cfg, "tol", 1e-9)),
         seed=int(_setting(args, cfg, "seed", DEFAULT_SEED)),
         radius=float(_setting(args, cfg, "radius", 2.0)),
-        threads=int(_setting(args, cfg, "threads", 1)),
     )
     report = clf.classify_report(entry, config)
     doc = report.to_dict()
@@ -286,7 +285,6 @@ def build_parser() -> Parser:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", help="output directory for reports")
         p.add_argument("--expect", choices=("holds", "violated"),
                        help="exit 2 if the verdicts contradict this")

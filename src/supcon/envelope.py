@@ -140,9 +140,10 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
         return _envelope_values_lp(coords, values)
     # facet plane: y = (normal_space . x + offset) / (-normal_last);
     # the envelope is the max over the lower facets, accumulated in chunks
-    # so the nodes-by-facets product never materializes at once
+    # of 4M floats (32 MB) so the nodes-by-facets product never materializes
+    # at once; a max over blocks is exact, so the chunk size cannot move it
     est = np.full(len(coords), -np.inf)
-    chunk = max(1, 50_000_000 // max(1, len(coords)))
+    chunk = max(1, 4_000_000 // max(1, len(coords)))
     for lo in range(0, len(lower), chunk):
         block = lower[lo:lo + chunk]
         vals = (coords @ block[:, :-2].T + block[:, -1]) / (-block[:, -2])

@@ -399,6 +399,8 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
                                               special_points=special_points):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
+        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
+        ess = np.where(np.isnan(ess), np.inf, ess)
         i = int(np.argmin(ess))
         if ess[i] < f_xi - tol:
             witness = _two_gradient_witness(f, xi, Mp[i], Mm[i], theta[i], ess[i])
@@ -442,6 +444,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
                                               grad_cap=K):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
+        ess = np.where(np.isnan(ess), np.inf, ess)
         i = int(np.argmin(ess))
         if f_xi - ess[i] > lam_gap:
             lam_gap = f_xi - float(ess[i])
@@ -463,6 +466,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
         for mag in (m0, m0 / 2.0, m0 / 4.0):
             probes = xi[None] + mag * D
             vals = f(probes)
+            vals = np.where(np.isnan(vals), np.inf, vals)
             used += len(D)
             i = int(np.argmin(vals))
             if f_xi - float(vals[i]) > best_gap:

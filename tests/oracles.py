@@ -1,10 +1,13 @@
-"""Reference implementations the batched envelope operators must reproduce.
+"""Reference implementations the batched operators must reproduce.
 
 These are the straightforward loops the d >= 2 branches of
 ``lamination_hull`` and ``level_convex_lsc_envelope`` were first written as:
 one Python monotone chain per grid line, and one Qhull hull (or one LP per
-query) per sublevel threshold.  They are slow but easy to audit; the tests
-require the production operators to agree with them bit for bit.
+query) per sublevel threshold.  The weak-Morrey search layer has two more:
+one SVD per candidate for the cutoff-layer values, and one ``np.stack`` per
+triangle for the gradients of the simplicial fields.  They are slow but easy
+to audit; the tests require the production code to agree with them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -117,3 +120,80 @@ def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
         assigned[idx] = True
     out = np.minimum(out, flat)
     return f.with_values(out.reshape(g.shape))
+
+
+def cutoff_values(xi, Mp, Mm, theta):
+    """Cutoff-layer gradient values, one SVD per laminate candidate."""
+    N, n = xi.shape
+    w = (Mp - Mm)  # = t * a (x) nu per candidate
+    # slope bound of the profile: max(theta, 1-theta) * |w|
+    wn = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+    K = np.maximum(theta, 1.0 - theta) * wn
+    # direction a from w's row space: w = a (x) nu with |a (x) nu| = |a|
+    # recover a as the dominant left factor
+    extras = np.empty((len(w), 2 * n, N, n))
+    for i, Wi in enumerate(w):
+        U, S, Vt = np.linalg.svd(Wi)
+        a_vec = U[:, 0] * (S[0] / max(wn[i], 1e-300)) * K[i]
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            extras[i, 2 * j] = xi + np.outer(a_vec, e)
+            extras[i, 2 * j + 1] = xi - np.outer(a_vec, e)
+    return extras
+
+
+def simplicial_search(f, xi, dims, *, seed, depth, restarts):
+    """Coordinate descent on simplicial fields, gradients built per triangle."""
+    N, n = dims
+    rng = np.random.default_rng(seed + 7)
+    h = 1.0 / depth
+    evaluations = 0
+
+    def gradients(nodal):
+        # nodal: values on the (depth+1)^n lattice, shape (*(depth+1 per axis), N)
+        if n == 1:
+            return (nodal[1:] - nodal[:-1])[:, :, None] / h  # (cells, N, 1)
+        cells = []
+        for i in range(depth):
+            for j in range(depth):
+                v00, v10 = nodal[i, j], nodal[i + 1, j]
+                v01, v11 = nodal[i, j + 1], nodal[i + 1, j + 1]
+                # lower-left and upper-right triangles of the square
+                cells.append(np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=1))
+                cells.append(np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=1))
+        return np.array(cells)
+
+    def objective(nodal):
+        g = gradients(nodal)
+        return float(np.max(f(xi[None] + g))), g
+
+    best = np.inf
+    best_values = []
+    shape = (depth + 1,) * n + (N,)
+    interior = tuple(slice(1, -1) for _ in range(n))
+    for _ in range(restarts):
+        nodal = np.zeros(shape)
+        nodal[interior] = rng.normal(scale=0.3 * h, size=nodal[interior].shape)
+        val, g = objective(nodal)
+        evaluations += 1
+        for _ in range(3):  # coordinate-descent sweeps
+            improved = False
+            it = np.ndindex(*nodal[interior].shape)
+            for idx in it:
+                full = tuple(i + 1 for i in idx[:n]) + idx[n:]
+                for step in (h, -h, h / 4, -h / 4):
+                    nodal[full] += step
+                    cand, g2 = objective(nodal)
+                    evaluations += 1
+                    if cand < val - 1e-15:
+                        val, g = cand, g2
+                        improved = True
+                    else:
+                        nodal[full] -= step
+            if not improved:
+                break
+        if val < best:
+            best = val
+            best_values = [xi + gi for gi in g]
+    return best, best_values, evaluations

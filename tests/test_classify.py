@@ -71,6 +71,45 @@ def test_level_convex_non_finite_gaps_do_not_mask_violations():
     assert replay_witness(ev, v.witness) == v.witness["gap"]
 
 
+@pytest.mark.parametrize("search", ["weak", "periodic", "strong"])
+def test_field_searches_nan_values_do_not_mask_violations(search):
+    # a double well left undefined (NaN) for t > 1.9: the NaN in a batch of
+    # field values must not hide the oscillation between the wells at xi = 0
+    from supcon import laminate
+    entry = corpus_entry("double_well_1d")
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.where(arr[..., 0, 0] > 1.9, np.nan, entry(arr))
+
+    run = {"weak": search_weak_morrey_violation,
+           "periodic": laminate.check_periodic_weak_morrey,
+           "strong": laminate.search_strong_morrey_violation}[search]
+    v = run(f, np.zeros((1, 1)), (1, 1), tol=1e-9, budget=2000, seed=20240817,
+            radius=2.0, special_points=entry.special_points)
+    assert v.violated
+    assert v.witness["gap"] == 1.0
+    assert replay_witness(f, v.witness) == 1.0
+    if search != "strong":
+        assert v.budget == 2
+
+
+def test_simplicial_search_leaves_an_undefined_start():
+    # the random start has a gradient above 0.3, where f is NaN; a NaN ess
+    # sup compares false with everything, so unmasked it froze the descent
+    from supcon.classify import _simplicial_search
+    entry = corpus_entry("double_well_1d")
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.where(arr[..., 0, 0] > 0.3, np.nan, entry(arr))
+
+    best, values, _ = _simplicial_search(f, np.zeros((1, 1)), (1, 1),
+                                         seed=20240817, depth=4, restarts=1)
+    assert np.isfinite(best)
+    assert best == max(float(f(v)) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # rank-one quasiconvexity
 # ---------------------------------------------------------------------------
@@ -273,7 +312,7 @@ def test_classify_report_pair():
 
 def test_classify_report_json_serializable_and_threaded():
     rep = classify_report(corpus_entry("double_well_1d"),
-                          ClassifyConfig(budget=2_000, seed=SEED, threads=4))
+                          ClassifyConfig(budget=2_000, seed=SEED))
     doc = rep.to_dict()
     text = json.dumps(doc, sort_keys=True)
     assert "level_convex" in text

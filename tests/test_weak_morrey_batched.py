@@ -1,0 +1,91 @@
+"""The array form of the weak-Morrey search layer against the per-candidate
+and per-triangle reference loops in ``oracles.py``: equal bit for bit."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from supcon.classify import _cutoff_values, _simplicial_search, _zigzag_candidates
+from supcon.funcspace import corpus_entry
+
+CORPUS_2x2 = ("arctan_det", "W_sup", "exampleD", "chi_det", "one_minus_chi_pair")
+CORPUS_1x1 = ("double_well_1d", "abs", "clamp1d", "exampleD_scalar")
+
+
+def _rank_one_pairs(rng, xi, count):
+    """Special points in rank-one pairs A, B through xi; every other pair
+    lies along the coordinate axes with an integer jump and theta = 1/2."""
+    N, n = xi.shape
+    pts = []
+    for k in range(count):
+        if k % 2:
+            a = np.zeros(N)
+            a[rng.integers(N)] = 1.0
+            nu = np.zeros(n)
+            nu[rng.integers(n)] = float(rng.choice([-1.0, 1.0]))
+            t = float(rng.integers(1, 4))
+        else:
+            a, nu = rng.normal(size=N), rng.normal(size=n)
+            t = float(rng.uniform(0.1, 3.0))
+        w = t * np.outer(a, nu)
+        theta = 0.5 if k % 2 else float(rng.uniform(0.1, 0.9))
+        pts += [xi + (1.0 - theta) * w, xi - theta * w]
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3)]),
+       st.sampled_from(["halton", "pairs", "corpus"]),
+       st.integers(0, 2**32 - 1))
+def test_cutoff_values_match_per_candidate_oracle(dims, kind, seed):
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=dims) * float(rng.choice([0.0, 0.5, 2.0]))
+    special = ()
+    if kind == "pairs":
+        special = _rank_one_pairs(rng, xi, 6)
+    elif kind == "corpus" and dims == (2, 2):
+        entry = corpus_entry(CORPUS_2x2[seed % len(CORPUS_2x2)])
+        special = entry.special_points
+        xi = np.asarray(special[seed % len(special)], dtype=float)
+    batches = list(_zigzag_candidates(dims, seed=seed % 1000, count=300,
+                                      radius=float(rng.uniform(0.5, 3.0)),
+                                      special_points=special, xi=xi))
+    for Mp, Mm, theta in batches:
+        new = _cutoff_values(xi, Mp, Mm, theta)
+        ref = oracles.cutoff_values(xi, Mp, Mm, theta)
+        assert np.array_equal(new, ref)
+
+
+def _smooth(dims, seed):
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(size=dims), rng.normal(size=dims)
+    c = float(rng.uniform(-0.5, 0.5))
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        return (np.sum(np.sin(A * arr + B), axis=(-2, -1))
+                + c * np.sum(arr ** 2, axis=(-2, -1)))
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+       st.booleans(),
+       st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_simplicial_search_matches_per_triangle_oracle(dims, use_corpus, depth,
+                                                       restarts, seed):
+    rng = np.random.default_rng(seed)
+    if use_corpus and dims in ((1, 1), (2, 2)):
+        names = CORPUS_1x1 if dims == (1, 1) else CORPUS_2x2
+        f = corpus_entry(names[seed % len(names)])
+    else:
+        f = _smooth(dims, seed)
+    xi = rng.normal(size=dims)
+    kw = dict(seed=seed % 100_000, depth=depth, restarts=restarts)
+    best, values, its = _simplicial_search(f, xi, dims, **kw)
+    ref_best, ref_values, ref_its = oracles.simplicial_search(f, xi, dims, **kw)
+    assert best == ref_best
+    assert its == ref_its
+    assert np.array_equal(np.array(values), np.array(ref_values))
