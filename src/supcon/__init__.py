@@ -6,9 +6,7 @@ supremal variational problems, finite laminates with their test-field
 realizations, and a 1-d finite-element power-law experiment.
 """
 
-from .matspace import (MatrixPoint, MinorVector, RankOneDirection,
-                       is_rank_one_connected, minors, minors_array,
-                       minors_batch, rank_one_matrix, tau)
+from .matspace import is_rank_one_connected, minors_batch, tau
 from .funcspace import (NOTIONS, CorpusEntry, GridSpec, SampledFunction,
                         corpus_entry, corpus_names, eval_corpus, interpolate,
                         load_csv, sample, save_csv)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import datetime
 import itertools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.stats import qmc
 
-from .funcspace import CorpusEntry
+from .funcspace import DEFAULT_SEED, HIERARCHY_IMPLIES, CorpusEntry
 from .matspace import is_rank_one_connected, minors_batch, tau
 
 __all__ = [
@@ -39,10 +40,11 @@ __all__ = [
     "check_supremal_jensen",
     "check_polyquasiconvex_necessary",
     "search_weak_morrey_violation",
+    "probe_verdict",
     "classify_report",
     "two_atom_measures",
     "replay_witness",
-    "VERDICT_IMPLICATIONS",
+    "DEFAULT_DELTA_SCHEDULE",
 ]
 
 HOLDS = "holds-within-budget"
@@ -50,6 +52,12 @@ VIOLATED = "violated"
 
 #: Deterministic midpoint weights probed before random ones.
 LAMBDA_GRID = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75)
+
+#: Boundary budgets delta of the small-boundary (strong Morrey) search.
+DEFAULT_DELTA_SCHEDULE = tuple(2.0 ** -k for k in range(1, 13))
+
+#: Field-based notions are probed at no more than this many points per entry.
+MAX_PROBE_POINTS = 6
 
 #: What each checker actually tests, embedded in every verdict and report.
 NOTION_STATEMENTS = {
@@ -97,15 +105,7 @@ class Verdict:
         return self.outcome == VIOLATED
 
     def to_dict(self) -> dict:
-        return {
-            "notion": self.notion,
-            "outcome": self.outcome,
-            "witness": self.witness,
-            "budget": self.budget,
-            "tol": self.tol,
-            "seed": self.seed,
-            "statement": self.statement,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,19 @@ def _segment_witness(xi, eta, lam, f) -> dict:
         "xi": _aslist(xi), "eta": _aslist(eta), "lam": float(lam),
         "f_xi": fx, "f_eta": fe, "f_mid": fm,
         "gap": fm - max(fx, fe),
+    }
+
+
+def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
+    """A test field through xi: its gradient values and their ess sup."""
+    return {
+        "kind": kind,
+        "xi": _aslist(xi),
+        "field_values": [_aslist(v) for v in values],
+        "ess_sup": ess_sup,
+        "f_xi": f_xi,
+        "gap": f_xi - ess_sup,
+        **extra,
     }
 
 
@@ -390,7 +403,6 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     N, n = dims
     d = N * n
     trivial_minors = tau(N, n) == d  # min(N, n) == 1: every combination valid
-    used = 0
 
     def combo_verdict(pts, ws, resid, fibers, gaps, i):
         return Verdict(notion, VIOLATED, {
@@ -404,26 +416,19 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
 
     # rank-one stream: 60% of the budget (battery included), always valid
     ro_budget = budget if trivial_minors else (budget * 6) // 10
-    for xi, eta, lam in _segment_batches(dims, seed=seed, budget=ro_budget,
-                                         radius=radius,
-                                         special_points=special_points,
-                                         rank_one=not trivial_minors):
-        used += len(xi)
-        mid = lam[:, None, None] * xi + (1.0 - lam[:, None, None]) * eta
-        with np.errstate(invalid="ignore"):  # inf - inf outside the box
-            gaps = f(mid) - np.maximum(f(xi), f(eta))
-        # a non-finite gap cannot be replayed; it must not hide the others
-        gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
-        worst = int(np.argmax(gaps))
-        if gaps[worst] > tol:
-            w = _segment_witness(xi[worst], eta[worst], float(lam[worst]), f)
-            w["kind"] = "minor-combination"
-            w["points"] = [w.pop("xi"), w.pop("eta")]
-            w["weights"] = [w["lam"], 1.0 - w.pop("lam")]
-            w["minor_residual"] = 0.0
-            return Verdict(notion, VIOLATED, w, used, tol, seed)
-    if trivial_minors:
-        return Verdict(notion, HOLDS, None, used, tol, seed)
+    v = _run_segment_checker(notion, f, dims, tol=tol, budget=ro_budget,
+                             seed=seed, radius=radius,
+                             special_points=special_points,
+                             rank_one=not trivial_minors)
+    if v.violated:
+        w = v.witness
+        w["kind"] = "minor-combination"
+        w["points"] = [w.pop("xi"), w.pop("eta")]
+        w["weights"] = [w["lam"], 1.0 - w.pop("lam")]
+        w["minor_residual"] = 0.0
+    if v.violated or trivial_minors:
+        return v
+    used = v.budget
 
     rng = np.random.default_rng(seed + 1)
     halton_seed = seed + 1
@@ -467,18 +472,22 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
 # weak Morrey disproof search (zero-boundary fields)
 # ---------------------------------------------------------------------------
 
-def _zigzag_candidates(dims, *, seed, count, radius, special_points, xi):
-    """Mean-zero two-gradient candidates (g_plus, g_minus, theta).
+def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
+                             rank_one, grad_cap=None):
+    """Mean-zero two-gradient candidates (M_plus, M_minus, theta) through xi.
 
-    Yields batches (M_plus, M_minus, theta) of absolute gradient values
-    xi + g; for special-point pairs the absolute values are the points
-    themselves, exactly.
+    Yields batches of absolute gradient values xi + (1 - theta) w and
+    xi - theta w, w = t a (x) nu.  Special-point pairs whose segment passes
+    through xi come first, with the points themselves as exact values
+    (``rank_one`` restricts them to rank-one pairs); then seeded Halton
+    batches.  With ``grad_cap`` only fields whose slope bound
+    max(theta, 1 - theta) |w| stays within the cap are kept; a Halton block
+    that keeps nothing still counts one toward ``count``.
     """
     N, n = dims
-    d = N * n
     xi = np.asarray(xi, dtype=float)
     battery_p, battery_m, battery_t = [], [], []
-    for a, b in _special_pairs(special_points, rank_one=False):
+    for a, b in _special_pairs(special_points, rank_one=rank_one):
         diff = (a - b).ravel()
         nrm2 = float(diff @ diff)
         if nrm2 == 0.0:
@@ -487,6 +496,8 @@ def _zigzag_candidates(dims, *, seed, count, radius, special_points, xi):
         if not 1e-9 < theta < 1.0 - 1e-9:
             continue
         if np.max(np.abs(theta * a + (1.0 - theta) * b - xi)) > 1e-12 * (1 + np.max(np.abs(xi))):
+            continue
+        if grad_cap is not None and max(theta, 1.0 - theta) * math.sqrt(nrm2) > grad_cap:
             continue
         battery_p.append(a)
         battery_m.append(b)
@@ -512,6 +523,13 @@ def _zigzag_candidates(dims, *, seed, count, radius, special_points, xi):
         w = t[:, None, None] * (a[:, :, None] * nu[:, None, :])
         Mp = xi[None] + (1.0 - theta)[:, None, None] * w
         Mm = xi[None] - theta[:, None, None] * w
+        if grad_cap is not None:
+            wn = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+            keep = np.maximum(1.0 - theta, theta) * wn <= grad_cap
+            Mp, Mm, theta = Mp[keep], Mm[keep], theta[keep]
+            if len(Mp) == 0:
+                done += 1
+                continue
         done += len(Mp)
         yield Mp, Mm, theta
 
@@ -561,10 +579,10 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     best_witness = None
 
     zig_budget = budget if n >= 3 else max(1, budget - mesh_depth ** n * restarts)
-    for Mp, Mm, theta in _zigzag_candidates(dims, seed=seed, count=zig_budget,
-                                            radius=radius,
-                                            special_points=special_points,
-                                            xi=xi):
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
+                                                  count=zig_budget, radius=radius,
+                                                  special_points=special_points,
+                                                  rank_one=False):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         if n >= 2:
@@ -580,15 +598,8 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
             if n >= 2:
                 values += list(extras[i])
                 kind = "cutoff-field"
-            best_witness = {
-                "kind": kind,
-                "xi": _aslist(xi),
-                "theta": float(theta[i]),
-                "field_values": [_aslist(v) for v in values],
-                "ess_sup": best,
-                "f_xi": f_xi,
-                "gap": f_xi - best,
-            }
+            best_witness = _field_witness(kind, xi, f_xi, values, best,
+                                          theta=float(theta[i]))
         if best < f_xi - tol:
             return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
 
@@ -599,14 +610,8 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
         used += its
         if ess < best:
             best = ess
-            best_witness = {
-                "kind": "simplicial-field",
-                "xi": _aslist(xi),
-                "field_values": [_aslist(v) for v in values],
-                "ess_sup": best,
-                "f_xi": f_xi,
-                "gap": f_xi - best,
-            }
+            best_witness = _field_witness("simplicial-field", xi, f_xi,
+                                          values, best)
     if best < f_xi - tol:
         return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
     return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
@@ -674,39 +679,14 @@ def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-#: Implications used to cross-validate verdicts: if the key notion holds
-#: within budget, a violation of any listed notion is an internal
-#: inconsistency (some search missed a witness the other found).
-VERDICT_IMPLICATIONS = {
-    "level_convex": ("polyquasiconvex", "rank_one", "weak_morrey",
-                     "periodic_weak_morrey", "curl_young_laminates"),
-    "polyquasiconvex": ("rank_one", "weak_morrey", "periodic_weak_morrey",
-                        "curl_young_laminates"),
-    "strong_morrey": ("periodic_weak_morrey", "weak_morrey", "rank_one"),
-    "periodic_weak_morrey": ("weak_morrey", "rank_one"),
-    "curl_young_laminates": ("rank_one",),
-}
-
-
 @dataclass
 class ClassifyConfig:
     budget: int = 100_000
     tol: float = 1e-9
-    seed: int = 20240817
+    seed: int = DEFAULT_SEED
     radius: float = 2.0
     K: float = 8.0
-    delta_schedule: tuple = tuple(2.0 ** -k for k in range(1, 13))
-    field_budget: int | None = None
-    max_probe_points: int = 6
-    mesh_depth: int = 4
-
-    def resolved_field_budget(self) -> int:
-        return self.field_budget if self.field_budget else max(1000, self.budget // 10)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["delta_schedule"] = list(self.delta_schedule)
-        return d
+    delta_schedule: tuple = DEFAULT_DELTA_SCHEDULE
 
 
 @dataclass
@@ -720,28 +700,35 @@ class Report:
     timestamp: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dims": list(self.dims),
-            "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
-            "inconsistencies": self.inconsistencies,
-            "documented_mismatches": self.documented_mismatches,
-            "config": self.config,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
 
-def _probe_points(entry_points, dims, max_points) -> list[np.ndarray]:
+def _probe_points(entry_points, dims) -> list[np.ndarray]:
     pts = [np.asarray(p, dtype=float) for p in entry_points]
     zero = np.zeros(dims)
     if not any(np.array_equal(p, zero) for p in pts):
         pts.append(zero)
-    return pts[:max_points]
+    return pts[:MAX_PROBE_POINTS]
+
+
+def probe_verdict(notion, probes, budget, search, *, tol, seed) -> Verdict:
+    """Run ``search(point, per_probe_budget)`` at each probe point in turn,
+    splitting the budget evenly.  Violated at the first violated probe; the
+    verdict's budget is every sample spent up to there."""
+    per_probe = max(1, budget // max(1, len(probes)))
+    used = 0
+    for p in probes:
+        v = search(p, per_probe)
+        used += v.budget
+        if v.violated:
+            v.budget = used
+            return v
+    return Verdict(notion, HOLDS, None, used, tol, seed)
 
 
 def verdict_inconsistencies(verdicts: dict) -> list[str]:
     out = []
-    for strong, weaker in VERDICT_IMPLICATIONS.items():
+    for strong, weaker in HIERARCHY_IMPLIES.items():
         v = verdicts.get(strong)
         if v is not None and not v.violated:
             for wk in weaker:
@@ -765,19 +752,11 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
     f = entry
     dims = entry.dims
     sp = entry.special_points
-    fb = cfg.resolved_field_budget()
-    probes = _probe_points(sp, dims, cfg.max_probe_points)
+    probes = _probe_points(sp, dims)
 
     def field_verdict(notion, search):
-        per_probe = max(1, fb // max(1, len(probes)))
-        used = 0
-        for p in probes:
-            v = search(p, per_probe)
-            used += v.budget
-            if v.violated:
-                v.budget = used
-                return v
-        return Verdict(notion, HOLDS, None, used, cfg.tol, cfg.seed)
+        return probe_verdict(notion, probes, max(1000, cfg.budget // 10), search,
+                             tol=cfg.tol, seed=cfg.seed)
 
     verdicts = {
         "level_convex": check_level_convex(
@@ -793,8 +772,7 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
             "weak_morrey",
             lambda p, b: search_weak_morrey_violation(
                 f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp,
-                mesh_depth=cfg.mesh_depth)),
+                radius=cfg.radius, special_points=sp)),
         "periodic_weak_morrey": field_verdict(
             "periodic_weak_morrey",
             lambda p, b: laminate.check_periodic_weak_morrey(
@@ -825,6 +803,6 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
     return Report(
         name=entry.name, dims=dims, verdicts=verdicts,
         inconsistencies=inconsistencies, documented_mismatches=mismatches,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

@@ -25,7 +25,7 @@ from . import fem1d
 from . import funcspace as fs
 from . import laminate as lam
 
-DEFAULT_SEED = 20240817
+DEFAULT_P_SCHEDULE = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 class Parser(argparse.ArgumentParser):
@@ -44,20 +44,23 @@ def _json_dump(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _entry_from_args(args) -> fs.CorpusEntry:
-    return fs.corpus_entry(args.corpus)
-
-
 def _default_points(entry) -> int:
     # fine axis resolution is only affordable on scalar grids
     return 2001 if entry.dims == (1, 1) else 9
 
 
 def _load_config_file(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return json.load(fh)
-    return {}
+    """The --config object; every key must be a setting of this command."""
+    if not getattr(args, "config", None):
+        return {}
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config}: the config must be a JSON object")
+    unknown = sorted(set(cfg) - set(vars(args)))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown {args.command} settings {unknown}")
+    return cfg
 
 
 def _setting(args, cfg: dict, key: str, default):
@@ -70,8 +73,12 @@ def _setting(args, cfg: dict, key: str, default):
     return default
 
 
-def _parse_schedule(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(","))
+def _schedule(args, cfg: dict):
+    """--p-schedule as comma-separated text, a config list, or the default."""
+    schedule = _setting(args, cfg, "p_schedule", None)
+    if isinstance(schedule, str):
+        return tuple(float(p) for p in schedule.split(","))
+    return schedule or DEFAULT_P_SCHEDULE
 
 
 def _parse_xi(text: str, dims) -> np.ndarray:
@@ -124,7 +131,7 @@ def cmd_envelope(args) -> int:
         sf = fs.load_csv(args.input)
         name = Path(args.input).stem
     else:
-        entry = _entry_from_args(args)
+        entry = fs.corpus_entry(args.corpus)
         radius = float(_setting(args, cfg, "radius", 2.0))
         points = int(_setting(args, cfg, "points",
                               min(41, _default_points(entry))))
@@ -150,11 +157,11 @@ def cmd_envelope(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load_config_file(args)
-    entry = _entry_from_args(args)
+    entry = fs.corpus_entry(args.corpus)
     config = clf.ClassifyConfig(
         budget=int(_setting(args, cfg, "budget", 100_000)),
         tol=float(_setting(args, cfg, "tol", 1e-9)),
-        seed=int(_setting(args, cfg, "seed", DEFAULT_SEED)),
+        seed=int(_setting(args, cfg, "seed", fs.DEFAULT_SEED)),
         radius=float(_setting(args, cfg, "radius", 2.0)),
     )
     report = clf.classify_report(entry, config)
@@ -176,12 +183,10 @@ def cmd_powerlaw(args) -> int:
     if not args.out:
         print("error: --out is required for powerlaw", file=sys.stderr)
         return 1
-    entry = _entry_from_args(args)
+    entry = fs.corpus_entry(args.corpus)
     radius = float(_setting(args, cfg, "radius", 10.0))
     points = int(_setting(args, cfg, "points", _default_points(entry)))
-    schedule = _setting(args, cfg, "p_schedule", None)
-    schedule = _parse_schedule(schedule) if isinstance(schedule, str) else \
-        (schedule or (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
+    schedule = _schedule(args, cfg)
     sf = fs.sample(entry, fs.GridSpec(entry.dims, radius, points))
     report = env.power_law_envelope(sf, schedule, mode=args.mode)
     outdir = Path(args.out)
@@ -193,17 +198,15 @@ def cmd_powerlaw(args) -> int:
 
 def cmd_gamma1d(args) -> int:
     cfg = _load_config_file(args)
-    entry = _entry_from_args(args)
+    entry = fs.corpus_entry(args.corpus)
     if entry.dims != (1, 1):
         print("gamma1d only applies to scalar (1x1) corpus entries",
               file=sys.stderr)
         return 1
-    schedule = _setting(args, cfg, "p_schedule", None)
-    schedule = _parse_schedule(schedule) if isinstance(schedule, str) else \
-        (schedule or (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
+    schedule = _schedule(args, cfg)
     opts = fem1d.FeOptions(
         restarts=int(_setting(args, cfg, "restarts", 16)),
-        seed=int(_setting(args, cfg, "seed", DEFAULT_SEED)),
+        seed=int(_setting(args, cfg, "seed", fs.DEFAULT_SEED)),
         slope_bound=float(_setting(args, cfg, "slope_bound", 10.0)),
     )
     mesh = fem1d.Mesh1D(cells=int(_setting(args, cfg, "cells", 64)), xi=args.xi)
@@ -218,12 +221,12 @@ def cmd_gamma1d(args) -> int:
 
 def cmd_laminate_check(args) -> int:
     cfg = _load_config_file(args)
-    entry = _entry_from_args(args)
+    entry = fs.corpus_entry(args.corpus)
     verdict = lam.check_curl_young_on_laminates(
         entry, entry.dims,
         tol=float(_setting(args, cfg, "tol", 1e-9)),
         budget=int(_setting(args, cfg, "budget", 20_000)),
-        seed=int(_setting(args, cfg, "seed", DEFAULT_SEED)),
+        seed=int(_setting(args, cfg, "seed", fs.DEFAULT_SEED)),
         radius=float(_setting(args, cfg, "radius", 2.0)),
         special_points=entry.special_points)
     if args.out:
@@ -235,10 +238,10 @@ def cmd_laminate_check(args) -> int:
 
 def cmd_morrey_search(args) -> int:
     cfg = _load_config_file(args)
-    entry = _entry_from_args(args)
+    entry = fs.corpus_entry(args.corpus)
     budget = int(_setting(args, cfg, "budget", 20_000))
     tol = float(_setting(args, cfg, "tol", 1e-9))
-    seed = int(_setting(args, cfg, "seed", DEFAULT_SEED))
+    seed = int(_setting(args, cfg, "seed", fs.DEFAULT_SEED))
     radius = float(_setting(args, cfg, "radius", 2.0))
     if args.xi:
         probes = [_parse_xi(args.xi, entry.dims)]
@@ -246,23 +249,16 @@ def cmd_morrey_search(args) -> int:
         probes = [np.asarray(p, dtype=float) for p in entry.special_points] \
             or [np.zeros(entry.dims)]
 
-    verdict = None
-    per_probe = max(1, budget // len(probes))
-    for p in probes:
-        if args.notion == "weak":
-            verdict = clf.search_weak_morrey_violation(
-                entry, p, entry.dims, tol=tol, budget=per_probe, seed=seed,
-                radius=radius, special_points=entry.special_points)
-        elif args.notion == "periodic":
-            verdict = lam.check_periodic_weak_morrey(
-                entry, p, entry.dims, tol=tol, budget=per_probe, seed=seed,
-                radius=radius, special_points=entry.special_points)
-        else:
-            verdict = lam.search_strong_morrey_violation(
-                entry, p, entry.dims, tol=tol, budget=per_probe, seed=seed,
-                radius=radius, special_points=entry.special_points)
-        if verdict.violated:
-            break
+    notion, search = {
+        "weak": ("weak_morrey", clf.search_weak_morrey_violation),
+        "periodic": ("periodic_weak_morrey", lam.check_periodic_weak_morrey),
+        "strong": ("strong_morrey", lam.search_strong_morrey_violation),
+    }[args.notion]
+    verdict = clf.probe_verdict(
+        notion, probes, budget,
+        lambda p, b: search(entry, p, entry.dims, tol=tol, budget=b, seed=seed,
+                            radius=radius, special_points=entry.special_points),
+        tol=tol, seed=seed)
     if args.out:
         _json_dump(verdict.to_dict(),
                    Path(args.out) / f"morrey_{args.notion}_{entry.name}.json")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .envelope import level_convex_lsc_envelope, lower_hull_1d
-from .funcspace import MODE_PLUS_INFINITY, GridSpec, SampledFunction
+from .funcspace import DEFAULT_SEED, MODE_PLUS_INFINITY, GridSpec, SampledFunction
 
 __all__ = [
     "Mesh1D",
@@ -65,7 +65,7 @@ class Mesh1D:
 @dataclass
 class FeOptions:
     restarts: int = 16
-    seed: int = 20240817
+    seed: int = DEFAULT_SEED
     slope_bound: float = 10.0
     scan_points: int = 161
     polish_rounds: int = 40

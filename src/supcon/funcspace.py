@@ -30,8 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from .matspace import MatrixPoint
-
 __all__ = [
     "GridSpec",
     "SampledFunction",
@@ -46,10 +44,15 @@ __all__ = [
     "load_csv",
     "documented_inconsistencies",
     "NOTIONS",
+    "HIERARCHY_IMPLIES",
+    "DEFAULT_SEED",
 ]
 
 MODE_PLUS_INFINITY = "plus-infinity"
 MODE_CLAMP = "clamp-to-boundary"
+
+#: Seed of every seeded search and experiment unless the caller sets one.
+DEFAULT_SEED = 20240817
 
 #: Convexity notions tracked on corpus entries and reported by the classifier,
 #: ordered from the strongest to the weakest end of the implication chain.
@@ -67,11 +70,16 @@ NOTIONS = (
 #: Implications valid for every Borel-measurable supremand: if the key notion
 #: holds, each listed notion holds as well.  (Implications needing extra
 #: hypotheses, e.g. lower or upper semicontinuity, are deliberately absent.)
+#: The same table checks the documented flags of the corpus and, with the
+#: classifier's verdicts, flags a search that missed a witness another found.
 HIERARCHY_IMPLIES = {
-    "level_convex": ("polyquasiconvex", "rank_one", "weak_morrey", "periodic_weak_morrey"),
-    "polyquasiconvex": ("rank_one", "weak_morrey", "periodic_weak_morrey"),
+    "level_convex": ("polyquasiconvex", "rank_one", "weak_morrey",
+                     "periodic_weak_morrey", "curl_young_laminates"),
+    "polyquasiconvex": ("rank_one", "weak_morrey", "periodic_weak_morrey",
+                        "curl_young_laminates"),
     "strong_morrey": ("periodic_weak_morrey", "weak_morrey", "rank_one"),
     "periodic_weak_morrey": ("weak_morrey", "rank_one"),
+    "curl_young_laminates": ("rank_one",),
     "curl_infinity": ("strong_morrey", "periodic_weak_morrey", "weak_morrey", "rank_one"),
 }
 
@@ -185,8 +193,7 @@ class CorpusEntry:
         return self.evaluator(arr)
 
     def value(self, xi) -> float:
-        arr = xi.to_array() if isinstance(xi, MatrixPoint) else np.asarray(xi, dtype=float)
-        return float(self(arr.reshape(self.dims)))
+        return float(self(np.asarray(xi, dtype=float).reshape(self.dims)))
 
 
 def documented_inconsistencies(entry: CorpusEntry) -> list[str]:
@@ -541,8 +548,7 @@ def interpolate(f: SampledFunction, xi) -> float:
     Outside the box the outside_mode applies: +inf sentinel, or evaluation at
     the clamped coordinates.
     """
-    arr = xi.to_array() if isinstance(xi, MatrixPoint) else np.asarray(xi, dtype=float)
-    x = arr.reshape(-1)
+    x = np.asarray(xi, dtype=float).reshape(-1)
     g = f.grid
     if x.size != g.ndim:
         raise ValueError("query point has wrong dimension")
@@ -600,12 +606,15 @@ def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
 
 
 def load_csv(csv_path, sidecar_path=None) -> SampledFunction:
+    """Read a ``save_csv`` file back; the axis columns must be the sidecar
+    grid's nodes in row-major order (within 1e-9 * radius)."""
     csv_path = Path(csv_path)
     sidecar = Path(sidecar_path) if sidecar_path else _sidecar_path(csv_path)
     with open(sidecar) as fh:
         meta = json.load(fh)
     grid = GridSpec(tuple(meta["dims"]), float(meta["radius"]),
                     int(meta["points_per_axis"]))
+    coords = np.empty((grid.node_count, grid.ndim))
     vals = np.empty(grid.node_count)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -616,8 +625,11 @@ def load_csv(csv_path, sidecar_path=None) -> SampledFunction:
         for row in reader:
             if count >= grid.node_count:
                 raise ValueError("CSV row count exceeds grid node count")
+            coords[count] = [float(c) for c in row[:-1]]
             vals[count] = float(row[-1])
             count += 1
         if count != grid.node_count:
             raise ValueError("CSV row count does not match grid node count")
+    if not np.all(np.abs(coords - grid.node_coords()) <= 1e-9 * grid.radius):
+        raise ValueError("CSV axis columns do not match the sidecar grid nodes")
     return SampledFunction(grid, vals, meta["outside_mode"])

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (HOLDS, LAMBDA_GRID, VIOLATED, Verdict, _aslist,
-                       _halton, _random_rank_one, _special_pairs,
-                       _tree_atoms_batch)
+from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
+                       Verdict, _aslist, _field_witness, _random_rank_one,
+                       _special_pairs, _tree_atoms_batch,
+                       _two_gradient_candidates)
 from .matspace import is_rank_one_connected, second_singular_ratio
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "search_strong_morrey_violation",
     "DEFAULT_DELTA_SCHEDULE",
 ]
-
-DEFAULT_DELTA_SCHEDULE = tuple(2.0 ** -k for k in range(1, 13))
 
 
 @dataclass(frozen=True)
@@ -316,74 +315,6 @@ def realize_simple_laminate(xi, eta, lam: float, layers: int = 1,
 # periodic-weak checker
 # ---------------------------------------------------------------------------
 
-def _laminate_candidates(f, xi, dims, *, seed, count, radius, special_points,
-                         grad_cap=None):
-    """Yield (M_plus, M_minus, theta, ess) batches of two-value periodic
-    fields centered at xi.  Special-point pairs through xi come first with
-    exact values; then seeded rank-one batches."""
-    N, n = dims
-    xi = np.asarray(xi, dtype=float)
-    bp, bm, bt = [], [], []
-    for A, B in _special_pairs(special_points, rank_one=True):
-        diff = (A - B).ravel()
-        nrm2 = float(diff @ diff)
-        theta = float((xi - B).ravel() @ diff / nrm2)
-        if not 1e-9 < theta < 1.0 - 1e-9:
-            continue
-        if np.max(np.abs(theta * A + (1.0 - theta) * B - xi)) > 1e-12 * (1 + np.max(np.abs(xi))):
-            continue
-        if grad_cap is not None and max(theta, 1.0 - theta) * math.sqrt(nrm2) > grad_cap:
-            continue
-        bp.append(A)
-        bm.append(B)
-        bt.append(theta)
-    if bp:
-        yield np.array(bp), np.array(bm), np.array(bt)
-
-    halton_seed = seed
-    done = len(bp)
-    block = 4096
-    while done < count:
-        m = min(block, count - done)
-        H = _halton(N + n + 2, m, halton_seed)
-        halton_seed += 1
-        a = 2.0 * H[:, :N] - 1.0
-        nu = 2.0 * H[:, N:N + n] - 1.0
-        na = np.linalg.norm(a, axis=1)
-        nn = np.linalg.norm(nu, axis=1)
-        ok = (na > 1e-8) & (nn > 1e-8)
-        a, nu = a[ok] / na[ok, None], nu[ok] / nn[ok, None]
-        t = (H[:, -2][ok] * 2.0 + 1e-3) * radius
-        theta = 0.05 + 0.9 * H[:, -1][ok]
-        w = t[:, None, None] * (a[:, :, None] * nu[:, None, :])
-        Mp = xi[None] + (1.0 - theta)[:, None, None] * w
-        Mm = xi[None] - theta[:, None, None] * w
-        if grad_cap is not None:
-            wn = np.linalg.norm(w.reshape(len(w), -1), axis=1)
-            keep = np.maximum(1.0 - theta, theta) * wn <= grad_cap
-            Mp, Mm, theta = Mp[keep], Mm[keep], theta[keep]
-            if len(Mp) == 0:
-                done += 1
-                continue
-        done += len(Mp)
-        yield Mp, Mm, theta
-
-
-def _two_gradient_witness(f, xi, Mp, Mm, theta, ess, extra=None) -> dict:
-    w = {
-        "kind": "two-gradient-field",
-        "xi": _aslist(xi),
-        "theta": float(theta),
-        "field_values": [_aslist(Mp), _aslist(Mm)],
-        "ess_sup": float(ess),
-        "f_xi": float(f(np.asarray(xi, dtype=float))),
-        "gap": float(f(np.asarray(xi, dtype=float))) - float(ess),
-    }
-    if extra:
-        w.update(extra)
-    return w
-
-
 def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
                                seed=0, radius=2.0, special_points=()) -> Verdict:
     """Violated iff a periodic sawtooth achieves ess-sup f(xi + D phi) below
@@ -394,16 +325,19 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
     used = 0
-    for Mp, Mm, theta in _laminate_candidates(f, xi, dims, seed=seed,
-                                              count=budget, radius=radius,
-                                              special_points=special_points):
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
+                                                  count=budget, radius=radius,
+                                                  special_points=special_points,
+                                                  rank_one=True):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         # an undefined ess sup (NaN) cannot be a witness; it must not hide one
         ess = np.where(np.isnan(ess), np.inf, ess)
         i = int(np.argmin(ess))
         if ess[i] < f_xi - tol:
-            witness = _two_gradient_witness(f, xi, Mp[i], Mm[i], theta[i], ess[i])
+            witness = _field_witness("two-gradient-field", xi, f_xi,
+                                     [Mp[i], Mm[i]], float(ess[i]),
+                                     theta=float(theta[i]))
             return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
@@ -438,10 +372,10 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
     lam_gap = -np.inf
     lam_best = None
     lam_budget = budget // 2
-    for Mp, Mm, theta in _laminate_candidates(f, xi, dims, seed=seed,
-                                              count=lam_budget, radius=radius,
-                                              special_points=special_points,
-                                              grad_cap=K):
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
+                                                  count=lam_budget, radius=radius,
+                                                  special_points=special_points,
+                                                  rank_one=True, grad_cap=K):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         ess = np.where(np.isnan(ess), np.inf, ess)
@@ -488,16 +422,13 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
             w = Mp - Mm
             c = theta * (1.0 - theta) * float(np.linalg.norm(w.ravel()))
             layers = [max(1, math.ceil(c / d)) for d in deltas]
-            witness = _two_gradient_witness(
-                f, xi, Mp, Mm, theta,
-                max(float(f(Mp)), float(f(Mm))),
-                extra={
-                    "family": "scaled-periodic-laminate",
-                    "layers_per_delta": layers,
-                    "per_delta": [{"delta": d, "gap": g}
-                                  for d, g in zip(deltas, per_delta)],
-                    "epsilon": min(per_delta) - tol,
-                })
+            witness = _field_witness(
+                "two-gradient-field", xi, f_xi, [Mp, Mm],
+                max(float(f(Mp)), float(f(Mm))), theta=theta,
+                family="scaled-periodic-laminate", layers_per_delta=layers,
+                per_delta=[{"delta": d, "gap": g}
+                           for d, g in zip(deltas, per_delta)],
+                epsilon=min(per_delta) - tol)
         else:
             witness = {
                 "kind": "affine-field",

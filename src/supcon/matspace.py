@@ -17,103 +17,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "MatrixPoint",
-    "MinorVector",
-    "RankOneDirection",
     "tau",
-    "minors",
-    "minors_array",
     "minors_batch",
     "is_rank_one_connected",
-    "rank_one_matrix",
     "second_singular_ratio",
 ]
 
 #: Default relative tolerance for the singular-value rank test.
 RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MatrixPoint:
-    """A point xi of R^{N x n}, stored dense row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        if not all(math.isfinite(e) for e in self.entries):
-            raise ValueError("matrix entries must be finite")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "MatrixPoint":
-        a = np.asarray(arr, dtype=float)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls(a.shape[0], a.shape[1], tuple(float(x) for x in a.ravel()))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float).reshape(self.rows, self.cols)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-
-@dataclass(frozen=True)
-class MinorVector:
-    """All minors of a matrix, ordered by size then lexicographic index sets."""
-
-    dims: tuple[int, int]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        expected = tau(self.dims[0], self.dims[1])
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} minors, got {len(self.values)}")
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
-class RankOneDirection:
-    """A rank-one matrix direction a (x) nu with |nu| = 1 and a != 0."""
-
-    a: tuple[float, ...]
-    nu: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(nu)):
-            raise ValueError("direction components must be finite")
-        if np.linalg.norm(a) == 0.0:
-            raise ValueError("left vector a must be nonzero")
-        if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-            raise ValueError("nu must be a unit vector (within 1e-12)")
-
-    @classmethod
-    def from_vectors(cls, a, nu) -> "RankOneDirection":
-        nu = np.asarray(nu, dtype=float)
-        nrm = np.linalg.norm(nu)
-        if nrm == 0.0:
-            raise ValueError("nu must be nonzero")
-        return cls(tuple(float(x) for x in np.asarray(a, dtype=float)),
-                   tuple(float(x) for x in nu / nrm))
 
 
 def tau(N: int, n: int) -> int:
@@ -129,30 +44,6 @@ def _index_sets(N: int, n: int):
         for rows in itertools.combinations(range(N), s):
             for cols in itertools.combinations(range(n), s):
                 yield s, rows, cols
-
-
-def minors_array(mat: np.ndarray) -> np.ndarray:
-    """Minors vector of a 2-d array, canonical ordering, as a flat array."""
-    mat = np.asarray(mat, dtype=float)
-    N, n = mat.shape
-    out = np.empty(tau(N, n))
-    k = 0
-    for s, rows, cols in _index_sets(N, n):
-        sub = mat[np.ix_(rows, cols)]
-        if s == 1:
-            out[k] = sub[0, 0]
-        elif s == 2:  # exact 2x2 determinant, no LU roundoff
-            out[k] = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-        else:
-            out[k] = float(np.linalg.det(sub))
-        k += 1
-    return out
-
-
-def minors(xi: MatrixPoint) -> MinorVector:
-    """All s x s minors of xi for s = 1..min(N, n); see module docstring for ordering."""
-    vals = minors_array(xi.to_array())
-    return MinorVector(dims=xi.dims, values=tuple(float(v) for v in vals))
 
 
 def minors_batch(arr: np.ndarray) -> np.ndarray:
@@ -183,25 +74,16 @@ def second_singular_ratio(diff: np.ndarray) -> tuple[float, float]:
     return s1, s2 / s1
 
 
-def is_rank_one_connected(xi: MatrixPoint | np.ndarray,
-                          eta: MatrixPoint | np.ndarray,
-                          tol: float = RANK_TOL) -> bool:
+def is_rank_one_connected(xi, eta, tol: float = RANK_TOL) -> bool:
     """True iff xi - eta has numerical rank exactly one.
 
     The test is relative: the second singular value of the difference must not
     exceed ``tol`` times the first, and the first must exceed ``tol`` (so the
     zero difference is rank zero, not rank one).
     """
-    a = xi.to_array() if isinstance(xi, MatrixPoint) else np.asarray(xi, dtype=float)
-    b = eta.to_array() if isinstance(eta, MatrixPoint) else np.asarray(eta, dtype=float)
+    a = np.asarray(xi, dtype=float)
+    b = np.asarray(eta, dtype=float)
     if a.shape != b.shape:
         raise ValueError("matrices must have the same dimensions")
     s1, ratio = second_singular_ratio(a - b)
     return s1 > tol and ratio <= tol
-
-
-def rank_one_matrix(d: RankOneDirection) -> MatrixPoint:
-    """The outer product a (x) nu as a matrix point, (a x nu)_{ij} = a_i nu_j."""
-    a = np.asarray(d.a, dtype=float)
-    nu = np.asarray(d.nu, dtype=float)
-    return MatrixPoint.from_array(np.outer(a, nu))

@@ -7,17 +7,24 @@ query) per sublevel threshold.  The weak-Morrey search layer has two more:
 one SVD per candidate for the cutoff-layer values, and one ``np.stack`` per
 triangle for the gradients of the simplicial fields.  They are slow but easy
 to audit; the tests require the production code to agree with them bit for
-bit.
+bit.  Two more references are the generators the production code replaced:
+the per-matrix minors vector that ``minors_batch`` must match, and the
+laminate-side two-gradient candidate stream that
+``classify._two_gradient_candidates`` took over.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
+from supcon.classify import _halton, _special_pairs
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
 from supcon.funcspace import SampledFunction
+from supcon.matspace import _index_sets, tau
 
 
 def sweep_lines(shape: tuple[int, ...], step: np.ndarray):
@@ -197,3 +204,74 @@ def simplicial_search(f, xi, dims, *, seed, depth, restarts):
             best = val
             best_values = [xi + gi for gi in g]
     return best, best_values, evaluations
+
+
+def minors_array(mat: np.ndarray) -> np.ndarray:
+    """Minors vector of a 2-d array, canonical ordering, as a flat array."""
+    mat = np.asarray(mat, dtype=float)
+    N, n = mat.shape
+    out = np.empty(tau(N, n))
+    k = 0
+    for s, rows, cols in _index_sets(N, n):
+        sub = mat[np.ix_(rows, cols)]
+        if s == 1:
+            out[k] = sub[0, 0]
+        elif s == 2:  # exact 2x2 determinant, no LU roundoff
+            out[k] = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
+        else:
+            out[k] = float(np.linalg.det(sub))
+        k += 1
+    return out
+
+
+def laminate_candidates(f, xi, dims, *, seed, count, radius, special_points,
+                        grad_cap=None):
+    """Yield (M_plus, M_minus, theta, ess) batches of two-value periodic
+    fields centered at xi.  Special-point pairs through xi come first with
+    exact values; then seeded rank-one batches."""
+    N, n = dims
+    xi = np.asarray(xi, dtype=float)
+    bp, bm, bt = [], [], []
+    for A, B in _special_pairs(special_points, rank_one=True):
+        diff = (A - B).ravel()
+        nrm2 = float(diff @ diff)
+        theta = float((xi - B).ravel() @ diff / nrm2)
+        if not 1e-9 < theta < 1.0 - 1e-9:
+            continue
+        if np.max(np.abs(theta * A + (1.0 - theta) * B - xi)) > 1e-12 * (1 + np.max(np.abs(xi))):
+            continue
+        if grad_cap is not None and max(theta, 1.0 - theta) * math.sqrt(nrm2) > grad_cap:
+            continue
+        bp.append(A)
+        bm.append(B)
+        bt.append(theta)
+    if bp:
+        yield np.array(bp), np.array(bm), np.array(bt)
+
+    halton_seed = seed
+    done = len(bp)
+    block = 4096
+    while done < count:
+        m = min(block, count - done)
+        H = _halton(N + n + 2, m, halton_seed)
+        halton_seed += 1
+        a = 2.0 * H[:, :N] - 1.0
+        nu = 2.0 * H[:, N:N + n] - 1.0
+        na = np.linalg.norm(a, axis=1)
+        nn = np.linalg.norm(nu, axis=1)
+        ok = (na > 1e-8) & (nn > 1e-8)
+        a, nu = a[ok] / na[ok, None], nu[ok] / nn[ok, None]
+        t = (H[:, -2][ok] * 2.0 + 1e-3) * radius
+        theta = 0.05 + 0.9 * H[:, -1][ok]
+        w = t[:, None, None] * (a[:, :, None] * nu[:, None, :])
+        Mp = xi[None] + (1.0 - theta)[:, None, None] * w
+        Mm = xi[None] - theta[:, None, None] * w
+        if grad_cap is not None:
+            wn = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+            keep = np.maximum(1.0 - theta, theta) * wn <= grad_cap
+            Mp, Mm, theta = Mp[keep], Mm[keep], theta[keep]
+            if len(Mp) == 0:
+                done += 1
+                continue
+        done += len(Mp)
+        yield Mp, Mm, theta

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from supcon.cli import main
 from supcon.envelope import convex_envelope
@@ -142,6 +143,23 @@ def test_config_file_with_flag_override(tmp_path):
                    "--budget", "1500", "--out", str(out2)) == 0
     doc2 = json.loads((out2 / "classify_clamp1d.json").read_text())
     assert doc2["config"]["budget"] == 1500
+
+
+@pytest.mark.parametrize("content", ['{"budgte": 10}', '{"budget": 10, "threads": 4}',
+                                     '[1000]'])
+def test_config_file_rejects_unknown_keys_and_non_objects(tmp_path, content, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert run_cli("classify", "--corpus", "clamp1d", "--config", str(cfg)) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_morrey_search_reports_the_budget_of_every_probe(tmp_path):
+    assert run_cli("morrey-search", "--corpus", "arctan_det", "--notion",
+                   "periodic", "--budget", "3000", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "morrey_periodic_arctan_det.json").read_text())
+    assert doc["outcome"] == "holds-within-budget"
+    assert doc["budget"] == 3000  # 8 probes of 375 samples each
 
 
 def test_unknown_corpus_exits_one():

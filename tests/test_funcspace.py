@@ -200,3 +200,28 @@ def test_csv_sidecar_contents(tmp_path):
     meta = json.loads((tmp_path / "c.json").read_text())
     assert meta == {"dims": [1, 1], "radius": 2.0, "points_per_axis": 5,
                     "outside_mode": "clamp-to-boundary"}
+
+
+def _random_grid_csv(tmp_path, radius):
+    rng = np.random.default_rng(5)
+    f = SampledFunction(GridSpec((2, 2), radius, 3), rng.normal(size=3 ** 4))
+    path = tmp_path / "r.csv"
+    save_csv(f, path)
+    return path
+
+
+def test_load_csv_rejects_reordered_rows(tmp_path):
+    path = _random_grid_csv(tmp_path, 2.0)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + rows[::-1]) + "\n")
+    with pytest.raises(ValueError, match="axis columns"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_axes_of_another_radius(tmp_path):
+    path = _random_grid_csv(tmp_path, 1.0)
+    meta = json.loads((tmp_path / "r.json").read_text())
+    meta["radius"] = 2.0
+    (tmp_path / "r.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="axis columns"):
+        load_csv(path)

@@ -1,12 +1,15 @@
 """The array form of the weak-Morrey search layer against the per-candidate
-and per-triangle reference loops in ``oracles.py``: equal bit for bit."""
+and per-triangle reference loops in ``oracles.py``, and the shared
+two-gradient candidate stream against the laminate generator it replaced:
+equal bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from supcon.classify import _cutoff_values, _simplicial_search, _zigzag_candidates
+from supcon.classify import (_cutoff_values, _simplicial_search,
+                             _two_gradient_candidates)
 from supcon.funcspace import corpus_entry
 
 CORPUS_2x2 = ("arctan_det", "W_sup", "exampleD", "chi_det", "one_minus_chi_pair")
@@ -48,13 +51,39 @@ def test_cutoff_values_match_per_candidate_oracle(dims, kind, seed):
         entry = corpus_entry(CORPUS_2x2[seed % len(CORPUS_2x2)])
         special = entry.special_points
         xi = np.asarray(special[seed % len(special)], dtype=float)
-    batches = list(_zigzag_candidates(dims, seed=seed % 1000, count=300,
-                                      radius=float(rng.uniform(0.5, 3.0)),
-                                      special_points=special, xi=xi))
+    batches = list(_two_gradient_candidates(xi, dims, seed=seed % 1000, count=300,
+                                            radius=float(rng.uniform(0.5, 3.0)),
+                                            special_points=special, rank_one=False))
     for Mp, Mm, theta in batches:
         new = _cutoff_values(xi, Mp, Mm, theta)
         ref = oracles.cutoff_values(xi, Mp, Mm, theta)
         assert np.array_equal(new, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 2), (2, 3)]),
+       st.sampled_from(["halton", "pairs", "corpus"]),
+       st.sampled_from([None, 0.5, 2.0, 8.0]),
+       st.integers(0, 2**32 - 1))
+def test_rank_one_stream_matches_laminate_oracle(dims, kind, grad_cap, seed):
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=dims) * float(rng.choice([0.0, 0.5, 2.0]))
+    special = ()
+    if kind == "pairs":
+        special = _rank_one_pairs(rng, xi, 6)
+    elif kind == "corpus" and dims != (2, 3):
+        names = CORPUS_1x1 if dims == (1, 1) else CORPUS_2x2
+        special = corpus_entry(names[seed % len(names)]).special_points
+        xi = np.asarray(special[seed % len(special)], dtype=float)
+    kw = dict(seed=seed % 1000, count=int(rng.integers(1, 600)),
+              radius=float(rng.uniform(0.5, 3.0)), special_points=special,
+              grad_cap=grad_cap)
+    new = list(_two_gradient_candidates(xi, dims, rank_one=True, **kw))
+    ref = list(oracles.laminate_candidates(None, xi, dims, **kw))
+    assert len(new) == len(ref)
+    for got, want in zip(new, ref):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def _smooth(dims, seed):
