@@ -1,7 +1,10 @@
 """Command-line front door.
 
 Commands: ``corpus list``, ``envelope``, ``classify``, ``powerlaw``,
-``gamma1d``, ``laminate-check``, ``morrey-search``.  Every run is seeded
+``gamma1d``, ``laminate-check``, ``morrey-search``.  Each command takes only
+the flags it reads.  ``--config FILE`` holds a JSON object of that command's
+flags (key ``p_schedule`` is ``--p-schedule``, a list is comma-joined); they
+go through the same parser, and the command line wins.  Every run is seeded
 (fixed default), echoes its effective configuration into the report, and
 writes deterministic JSON (sorted keys; the classify report's timestamp is
 the only run-dependent field).
@@ -37,48 +40,49 @@ class Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _json_dump(obj, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def integer(text: str) -> int:
+    """An integer, also written as an integral float such as ``1e5`` (the
+    form a JSON config may hold it in)."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+def floats(text: str) -> tuple[float, ...]:
+    """Comma-separated floats."""
+    return tuple(float(p) for p in text.split(","))
+
+
+#: The argparse keywords of each flag that several commands take.  A flag
+#: without a default is None unless set, and the library's default applies.
+FLAGS = {
+    "corpus": dict(required=True, help="corpus entry name (see `supcon corpus list`)"),
+    "budget": dict(type=integer),
+    "tol": dict(type=float),
+    "seed": dict(type=integer),
+    "radius": dict(type=float),
+    "points": dict(type=integer, help="grid points per axis"),
+    "p_schedule": dict(type=floats, default=DEFAULT_P_SCHEDULE,
+                       help="comma-separated increasing exponents p > 1"),
+    "out": dict(help="output directory"),
+    "expect": dict(choices=("holds", "violated"),
+                   help="exit 2 if the verdicts contradict this"),
+    "config": dict(help="JSON object of this command's flags; the command line wins"),
+}
+
+
+def _given(args, *names) -> dict:
+    """The named settings that were set; the library's defaults stand for the rest."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def _default_points(entry) -> int:
     # fine axis resolution is only affordable on scalar grids
     return 2001 if entry.dims == (1, 1) else 9
-
-
-def _load_config_file(args) -> dict:
-    """The --config object; every key must be a setting of this command."""
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{args.config}: the config must be a JSON object")
-    unknown = sorted(set(cfg) - set(vars(args)))
-    if unknown:
-        raise ValueError(f"{args.config}: unknown {args.command} settings {unknown}")
-    return cfg
-
-
-def _setting(args, cfg: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _schedule(args, cfg: dict):
-    """--p-schedule as comma-separated text, a config list, or the default."""
-    schedule = _setting(args, cfg, "p_schedule", None)
-    if isinstance(schedule, str):
-        return tuple(float(p) for p in schedule.split(","))
-    return schedule or DEFAULT_P_SCHEDULE
 
 
 def _parse_xi(text: str, dims) -> np.ndarray:
@@ -118,23 +122,23 @@ def cmd_corpus(args) -> int:
                           for k, v in sorted(entry.documented_properties.items()))
         print(f"{name:22s} {entry.dims}  {flags}")
     if args.json:
-        _json_dump(rows, Path(args.json))
+        fs.write_json(rows, Path(args.json))
     return 0
 
 
 def cmd_envelope(args) -> int:
-    cfg = _load_config_file(args)
     if not args.out:
-        print("error: --out is required for envelope", file=sys.stderr)
-        return 1
+        raise ValueError("--out is required for envelope")
     if args.input:
+        if args.radius is not None or args.points is not None:
+            raise ValueError("--radius and --points apply to --corpus; "
+                             "the --input sidecar fixes the grid")
         sf = fs.load_csv(args.input)
         name = Path(args.input).stem
     else:
         entry = fs.corpus_entry(args.corpus)
-        radius = float(_setting(args, cfg, "radius", 2.0))
-        points = int(_setting(args, cfg, "points",
-                              min(41, _default_points(entry))))
+        radius = 2.0 if args.radius is None else args.radius
+        points = min(41, _default_points(entry)) if args.points is None else args.points
         sf = fs.sample(entry, fs.GridSpec(entry.dims, radius, points))
         name = args.corpus
     kind = args.kind
@@ -144,10 +148,8 @@ def cmd_envelope(args) -> int:
         out = env.level_convex_lsc_envelope(sf)
     elif kind == "lamination":
         out = env.lamination_hull(sf)
-    elif kind == "pasch-hausdorff":
+    else:
         out = env.pasch_hausdorff(sf, args.lam)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fs.save_csv(out, outdir / f"{name}_{kind}.csv")
@@ -156,18 +158,11 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config_file(args)
     entry = fs.corpus_entry(args.corpus)
-    config = clf.ClassifyConfig(
-        budget=int(_setting(args, cfg, "budget", 100_000)),
-        tol=float(_setting(args, cfg, "tol", 1e-9)),
-        seed=int(_setting(args, cfg, "seed", fs.DEFAULT_SEED)),
-        radius=float(_setting(args, cfg, "radius", 2.0)),
-    )
+    config = clf.ClassifyConfig(**_given(args, "budget", "tol", "seed", "radius"))
     report = clf.classify_report(entry, config)
-    doc = report.to_dict()
     if args.out:
-        _json_dump(doc, Path(args.out) / f"classify_{entry.name}.json")
+        fs.write_json(report.to_dict(), Path(args.out) / f"classify_{entry.name}.json")
     for notion, v in report.verdicts.items():
         print(f"{entry.name}: {notion:24s} {v.outcome}")
     for line in report.inconsistencies:
@@ -179,16 +174,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_powerlaw(args) -> int:
-    cfg = _load_config_file(args)
     if not args.out:
-        print("error: --out is required for powerlaw", file=sys.stderr)
-        return 1
+        raise ValueError("--out is required for powerlaw")
     entry = fs.corpus_entry(args.corpus)
-    radius = float(_setting(args, cfg, "radius", 10.0))
-    points = int(_setting(args, cfg, "points", _default_points(entry)))
-    schedule = _schedule(args, cfg)
-    sf = fs.sample(entry, fs.GridSpec(entry.dims, radius, points))
-    report = env.power_law_envelope(sf, schedule, mode=args.mode)
+    points = _default_points(entry) if args.points is None else args.points
+    sf = fs.sample(entry, fs.GridSpec(entry.dims, args.radius, points))
+    report = env.power_law_envelope(sf, args.p_schedule, **_given(args, "mode"))
     outdir = Path(args.out)
     doc = report.save(outdir, basename=f"powerlaw_{entry.name}")
     print(f"wrote {outdir / ('powerlaw_' + entry.name + '.json')}"
@@ -197,20 +188,12 @@ def cmd_powerlaw(args) -> int:
 
 
 def cmd_gamma1d(args) -> int:
-    cfg = _load_config_file(args)
     entry = fs.corpus_entry(args.corpus)
     if entry.dims != (1, 1):
-        print("gamma1d only applies to scalar (1x1) corpus entries",
-              file=sys.stderr)
-        return 1
-    schedule = _schedule(args, cfg)
-    opts = fem1d.FeOptions(
-        restarts=int(_setting(args, cfg, "restarts", 16)),
-        seed=int(_setting(args, cfg, "seed", fs.DEFAULT_SEED)),
-        slope_bound=float(_setting(args, cfg, "slope_bound", 10.0)),
-    )
-    mesh = fem1d.Mesh1D(cells=int(_setting(args, cfg, "cells", 64)), xi=args.xi)
-    report = fem1d.gamma_limit_experiment(entry, args.xi, schedule, mesh, opts,
+        raise ValueError("gamma1d only applies to scalar (1x1) corpus entries")
+    opts = fem1d.FeOptions(**_given(args, "restarts", "seed", "slope_bound"))
+    mesh = fem1d.Mesh1D(**_given(args, "cells"))
+    report = fem1d.gamma_limit_experiment(entry, args.xi, args.p_schedule, mesh, opts,
                                           name=entry.name)
     if args.out:
         report.save(Path(args.out), basename=f"gamma1d_{entry.name}")
@@ -220,29 +203,18 @@ def cmd_gamma1d(args) -> int:
 
 
 def cmd_laminate_check(args) -> int:
-    cfg = _load_config_file(args)
     entry = fs.corpus_entry(args.corpus)
     verdict = lam.check_curl_young_on_laminates(
-        entry, entry.dims,
-        tol=float(_setting(args, cfg, "tol", 1e-9)),
-        budget=int(_setting(args, cfg, "budget", 20_000)),
-        seed=int(_setting(args, cfg, "seed", fs.DEFAULT_SEED)),
-        radius=float(_setting(args, cfg, "radius", 2.0)),
-        special_points=entry.special_points)
+        entry, entry.dims, budget=args.budget, seed=args.seed,
+        special_points=entry.special_points, **_given(args, "tol", "radius"))
     if args.out:
-        _json_dump(verdict.to_dict(),
-                   Path(args.out) / f"laminate_{entry.name}.json")
+        fs.write_json(verdict.to_dict(), Path(args.out) / f"laminate_{entry.name}.json")
     print(f"{entry.name}: curl_young_laminates {verdict.outcome}")
     return _expect_exit(args.expect, verdict.violated)
 
 
 def cmd_morrey_search(args) -> int:
-    cfg = _load_config_file(args)
     entry = fs.corpus_entry(args.corpus)
-    budget = int(_setting(args, cfg, "budget", 20_000))
-    tol = float(_setting(args, cfg, "tol", 1e-9))
-    seed = int(_setting(args, cfg, "seed", fs.DEFAULT_SEED))
-    radius = float(_setting(args, cfg, "radius", 2.0))
     if args.xi:
         probes = [_parse_xi(args.xi, entry.dims)]
     else:
@@ -255,13 +227,13 @@ def cmd_morrey_search(args) -> int:
         "strong": ("strong_morrey", lam.search_strong_morrey_violation),
     }[args.notion]
     verdict = clf.probe_verdict(
-        notion, probes, budget,
-        lambda p, b: search(entry, p, entry.dims, tol=tol, budget=b, seed=seed,
-                            radius=radius, special_points=entry.special_points),
-        tol=tol, seed=seed)
+        notion, probes, args.budget,
+        lambda p, b: search(entry, p, entry.dims, tol=args.tol, budget=b, seed=args.seed,
+                            special_points=entry.special_points, **_given(args, "radius")),
+        tol=args.tol, seed=args.seed)
     if args.out:
-        _json_dump(verdict.to_dict(),
-                   Path(args.out) / f"morrey_{args.notion}_{entry.name}.json")
+        fs.write_json(verdict.to_dict(),
+                      Path(args.out) / f"morrey_{args.notion}_{entry.name}.json")
     print(f"{entry.name}: {verdict.notion} {verdict.outcome}")
     return _expect_exit(args.expect, verdict.violated)
 
@@ -269,80 +241,102 @@ def cmd_morrey_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> Parser:
+    """The ``supcon`` parser; ``parser.commands`` maps each command name to
+    its subparser."""
     parser = Parser(prog="supcon",
                     description="supremal-convexity numerical laboratory")
     sub = parser.add_subparsers(dest="command", parser_class=Parser)
+    parser.commands = sub.choices
 
-    def common(p, corpus_required=True):
-        p.add_argument("--corpus", required=corpus_required,
-                       help="corpus entry name (see `supcon corpus list`)")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--out", help="output directory for reports")
-        p.add_argument("--expect", choices=("holds", "violated"),
-                       help="exit 2 if the verdicts contradict this")
+    def command(name, func, summary, *flags, **defaults):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("corpus", help="list the supremand corpus")
+    p = command("corpus", cmd_corpus, "list the supremand corpus")
     p.add_argument("action", choices=("list",))
     p.add_argument("--json", help="also dump the table as JSON")
-    p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("envelope", help="compute an envelope, write CSV")
-    common(p, corpus_required=False)
-    p.add_argument("--input", help="SampledFunction CSV (with JSON sidecar)")
+    p = command("envelope", cmd_envelope, "compute an envelope, write CSV",
+                "radius", "points", "out", "config")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--corpus", help=FLAGS["corpus"]["help"])
+    source.add_argument("--input", help="SampledFunction CSV (with JSON sidecar)")
     p.add_argument("--kind", required=True,
                    choices=("convex", "lslc", "lamination", "pasch-hausdorff"))
     p.add_argument("--lam", type=float, default=1.0,
                    help="Lipschitz constant for pasch-hausdorff")
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(func=cmd_envelope)
 
-    p = sub.add_parser("classify", help="run every checker on an entry")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    verdict_flags = ("corpus", "budget", "tol", "seed", "radius", "out", "expect",
+                     "config")
+    command("classify", cmd_classify, "run every checker on an entry", *verdict_flags)
 
-    p = sub.add_parser("powerlaw", help="power-law envelope bracket family")
-    common(p)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--p-schedule", dest="p_schedule", default=None)
-    p.add_argument("--mode", default="convex-lower",
-                   choices=("convex-lower", "lamination-upper"))
-    p.set_defaults(func=cmd_powerlaw)
+    p = command("powerlaw", cmd_powerlaw, "power-law envelope bracket family",
+                "corpus", "radius", "points", "p_schedule", "out", "config",
+                radius=10.0)
+    p.add_argument("--mode", choices=("convex-lower", "lamination-upper"))
 
-    p = sub.add_parser("gamma1d", help="1-d finite-element power-law experiment")
-    common(p)
+    p = command("gamma1d", cmd_gamma1d, "1-d finite-element power-law experiment",
+                "corpus", "seed", "p_schedule", "out", "config")
     p.add_argument("--xi", type=float, required=True, help="boundary slope")
-    p.add_argument("--p-schedule", dest="p_schedule", default=None)
-    p.add_argument("--cells", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--slope-bound", dest="slope_bound", type=float, default=None)
-    p.set_defaults(func=cmd_gamma1d)
+    p.add_argument("--cells", type=integer)
+    p.add_argument("--restarts", type=integer)
+    p.add_argument("--slope-bound", type=float)
 
-    p = sub.add_parser("laminate-check", help="laminate-side inequality check")
-    common(p)
-    p.set_defaults(func=cmd_laminate_check)
+    command("laminate-check", cmd_laminate_check, "laminate-side inequality check",
+            *verdict_flags, budget=20_000, seed=fs.DEFAULT_SEED)
 
-    p = sub.add_parser("morrey-search", help="zero-boundary / periodic / "
-                       "small-boundary disproof search")
-    common(p)
-    p.add_argument("--notion", required=True,
-                   choices=("weak", "periodic", "strong"))
+    p = command("morrey-search", cmd_morrey_search,
+                "zero-boundary / periodic / small-boundary disproof search",
+                *verdict_flags, budget=20_000, tol=1e-9, seed=fs.DEFAULT_SEED)
+    p.add_argument("--notion", required=True, choices=("weak", "periodic", "strong"))
     p.add_argument("--xi", help="comma-separated matrix entries (row-major)")
-    p.set_defaults(func=cmd_morrey_search)
 
     return parser
 
 
+def _with_config(parser: Parser, argv: list[str]) -> list[str]:
+    """``argv`` with the settings of its ``--config`` file put right after the
+    command name as that command's flags, ``--key=value``: the command's
+    parser checks them like any flag, and the command line, read after them,
+    wins."""
+    command = parser.commands.get(argv[0]) if argv else None
+    # argparse keeps a parser's flags only in this mapping
+    flags = command._option_string_actions if command else {}
+    if "--config" not in flags:
+        return argv
+    pre = Parser(prog=command.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    settings = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags or flag in ("--config", "--help"):
+            raise ValueError(f"{path}: {key!r} is not a flag of {command.prog}")
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                   for v in items):
+            raise ValueError(f"{path}: {key!r} must be a string, a number or a list")
+        settings.append(flag + "=" + ",".join(map(str, items)))
+    return [argv[0], *settings, *argv[1:]]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_help()
-        return 1
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(_with_config(parser, argv))
+        if not args.command:
+            parser.print_help()
+            return 1
         return args.func(args)
     except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

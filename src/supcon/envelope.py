@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from .funcspace import MODE_CLAMP, SampledFunction, save_csv
+from .funcspace import MODE_CLAMP, SampledFunction, save_csv, write_json
 
 __all__ = [
     "convex_envelope",
@@ -283,8 +284,7 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
 # Pasch-Hausdorff (sup-norm Lipschitz regularization)
 # ---------------------------------------------------------------------------
 
-def pasch_hausdorff(f: SampledFunction, lam: float,
-                    chunk: int = 512) -> SampledFunction:
+def pasch_hausdorff(f: SampledFunction, lam: float) -> SampledFunction:
     """f_lam(x) = min over grid nodes y of max(f(y), lam |x - y|).
 
     The result is lam-Lipschitz (Euclidean distance, sup combination),
@@ -300,6 +300,9 @@ def pasch_hausdorff(f: SampledFunction, lam: float,
     coords = g.node_coords()
     flat = f.values.ravel()
     out = np.empty_like(flat)
+    # rows of at most 4M difference floats (32 MB); rows are independent, so
+    # the block size cannot move the output
+    chunk = max(1, 4_000_000 // coords.size)
     for lo in range(0, len(flat), chunk):
         hi = min(lo + chunk, len(flat))
         diff = coords[lo:hi, None, :] - coords[None, :, :]
@@ -482,7 +485,6 @@ class PowerLawReport:
         return self.sup_gap_to_f > tol
 
     def save(self, outdir, basename: str = "powerlaw") -> dict:
-        from pathlib import Path
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         refs = []
@@ -504,10 +506,7 @@ class PowerLawReport:
             "sup_gap_to_f": self.sup_gap_to_f,
             "gap_detected": self.gap_detected(),
         }
-        import json
-        with open(outdir / f"{basename}.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, outdir / f"{basename}.json")
         return doc
 
 

@@ -18,14 +18,15 @@ same box so both sides see the same relaxation.
 
 from __future__ import annotations
 
-import json
+import csv
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .envelope import level_convex_lsc_envelope, lower_hull_1d
-from .funcspace import DEFAULT_SEED, MODE_PLUS_INFINITY, GridSpec, SampledFunction
+from .funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, GridSpec, SampledFunction,
+                        write_json)
 
 __all__ = [
     "Mesh1D",
@@ -324,13 +325,9 @@ class GammaReport:
 
     def save(self, outdir, basename: str = "gamma1d") -> None:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / f"{basename}.json", "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        import csv as _csv
+        write_json(self.to_dict(), outdir / f"{basename}.json")
         with open(outdir / f"{basename}_gradients.csv", "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["p", "cell", "slope"])
             for row in self.rows:
                 for i, s in enumerate(row["gradient_per_cell"]):

@@ -42,6 +42,7 @@ __all__ = [
     "interpolating_evaluator",
     "save_csv",
     "load_csv",
+    "write_json",
     "documented_inconsistencies",
     "NOTIONS",
     "HIERARCHY_IMPLIES",
@@ -528,55 +529,62 @@ def sample(entry: CorpusEntry, grid: GridSpec) -> SampledFunction:
 
 def interpolating_evaluator(f: SampledFunction):
     """Batch evaluator backed by multilinear interpolation of a sampled
-    function, suitable for the checkers.
+    function, suitable for the checkers: each (N, n) query of a (..., N, n)
+    batch takes the values of its 2^d surrounding nodes.  Outside the box the
+    outside_mode applies: +inf sentinel, or evaluation at the clamped
+    coordinates.
 
     Interpolation error dominates analytic roundoff, so run checkers against
     such evaluators with tol around 1e-6 rather than the analytic 1e-9.
     """
+    g = f.grid
+    R = g.radius
+
     def ev(arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr, dtype=float)
-        lead = arr.shape[:-2]
-        flat = arr.reshape(-1, *arr.shape[-2:])
-        out = np.array([interpolate(f, m) for m in flat])
-        return out.reshape(lead)
+        x = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
+        if x.shape[1] != g.ndim:
+            raise ValueError("query point has wrong dimension")
+        outside = np.any(np.abs(x) > R, axis=1)
+        x = np.clip(x, -R, R)
+        pos = (x + R) / g.spacing
+        i0 = np.minimum(np.floor(pos).astype(int), g.points_per_axis - 2)
+        frac = pos - i0
+        val = np.zeros(len(x))
+        for corner in range(2 ** g.ndim):
+            w = np.ones(len(x))
+            idx = []
+            for d in range(g.ndim):
+                bit = (corner >> d) & 1
+                idx.append(i0[:, d] + bit)
+                w *= frac[:, d] if bit else (1.0 - frac[:, d])
+            # the values are finite, so a zero weight adds +-0.0 to a sum that
+            # starts at +0.0, which leaves it as skipping the corner would
+            val += w * f.values[tuple(idx)]
+        if f.outside_mode == MODE_PLUS_INFINITY:
+            val[outside] = math.inf
+        return val.reshape(arr.shape[:-2])
     return ev
 
 
 def interpolate(f: SampledFunction, xi) -> float:
-    """Multilinear interpolation among the 2^d surrounding nodes.
-
-    Outside the box the outside_mode applies: +inf sentinel, or evaluation at
-    the clamped coordinates.
-    """
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    g = f.grid
-    if x.size != g.ndim:
-        raise ValueError("query point has wrong dimension")
-    R = g.radius
-    if np.any(np.abs(x) > R):
-        if f.outside_mode == MODE_PLUS_INFINITY:
-            return math.inf
-        x = np.clip(x, -R, R)
-    h = g.spacing
-    pos = (x + R) / h
-    i0 = np.minimum(np.floor(pos).astype(int), g.points_per_axis - 2)
-    frac = pos - i0
-    val = 0.0
-    for corner in range(2 ** g.ndim):
-        w = 1.0
-        idx = []
-        for d in range(g.ndim):
-            bit = (corner >> d) & 1
-            idx.append(i0[d] + bit)
-            w *= frac[d] if bit else (1.0 - frac[d])
-        if w != 0.0:
-            val += w * float(f.values[tuple(idx)])
-    return val
+    """Multilinear interpolation at the one point ``xi``."""
+    return float(interpolating_evaluator(f)(np.reshape(xi, (1, -1))))
 
 
 # ---------------------------------------------------------------------------
 # CSV + sidecar persistence
 # ---------------------------------------------------------------------------
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented, key-sorted JSON with a trailing newline,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
 
 def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
@@ -600,9 +608,7 @@ def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
         "points_per_axis": f.grid.points_per_axis,
         "outside_mode": f.outside_mode,
     }
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, sidecar)
 
 
 def load_csv(csv_path, sidecar_path=None) -> SampledFunction:

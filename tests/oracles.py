@@ -10,7 +10,9 @@ to audit; the tests require the production code to agree with them bit for
 bit.  Two more references are the generators the production code replaced:
 the per-matrix minors vector that ``minors_batch`` must match, and the
 laminate-side two-gradient candidate stream that
-``classify._two_gradient_candidates`` took over.
+``classify._two_gradient_candidates`` took over.  The last is the one-point
+multilinear interpolation that ``interpolating_evaluator`` once called per
+query.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from supcon.classify import _halton, _special_pairs
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
-from supcon.funcspace import SampledFunction
+from supcon.funcspace import MODE_PLUS_INFINITY, SampledFunction
 from supcon.matspace import _index_sets, tau
 
 
@@ -275,3 +277,35 @@ def laminate_candidates(f, xi, dims, *, seed, count, radius, special_points,
                 continue
         done += len(Mp)
         yield Mp, Mm, theta
+
+
+def interpolate(f: SampledFunction, xi) -> float:
+    """Multilinear interpolation among the 2^d surrounding nodes.
+
+    Outside the box the outside_mode applies: +inf sentinel, or evaluation at
+    the clamped coordinates.
+    """
+    x = np.asarray(xi, dtype=float).reshape(-1)
+    g = f.grid
+    if x.size != g.ndim:
+        raise ValueError("query point has wrong dimension")
+    R = g.radius
+    if np.any(np.abs(x) > R):
+        if f.outside_mode == MODE_PLUS_INFINITY:
+            return math.inf
+        x = np.clip(x, -R, R)
+    h = g.spacing
+    pos = (x + R) / h
+    i0 = np.minimum(np.floor(pos).astype(int), g.points_per_axis - 2)
+    frac = pos - i0
+    val = 0.0
+    for corner in range(2 ** g.ndim):
+        w = 1.0
+        idx = []
+        for d in range(g.ndim):
+            bit = (corner >> d) & 1
+            idx.append(i0[d] + bit)
+            w *= frac[d] if bit else (1.0 - frac[d])
+        if w != 0.0:
+            val += w * float(f.values[tuple(idx)])
+    return val

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from supcon.cli import main
-from supcon.envelope import convex_envelope
+from supcon.envelope import convex_envelope, pasch_hausdorff
 from supcon.funcspace import GridSpec, corpus_entry, load_csv, sample
 
 
@@ -180,3 +180,94 @@ def test_usage_errors_exit_one():
 
 def test_no_command_prints_help():
     assert run_cli() == 1
+
+
+def status(*argv):
+    """main's exit status, also when argparse exits with it."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+GAMMA1D = ("gamma1d", "--corpus", "clamp1d", "--xi", "1.0", "--p-schedule", "2,8",
+           "--cells", "8")
+ENVELOPE = ("envelope", "--corpus", "clamp1d", "--kind", "convex", "--points", "21")
+POWERLAW = ("powerlaw", "--corpus", "clamp1d", "--points", "21", "--p-schedule", "2,8")
+
+
+UNREAD = [(base, flag) for base, flags in (
+    (GAMMA1D, ("--budget", "--radius", "--tol", "--expect")),
+    (ENVELOPE, ("--seed", "--tol", "--budget", "--expect")),
+    (POWERLAW, ("--seed", "--tol", "--budget", "--expect"))) for flag in flags]
+
+
+@pytest.mark.parametrize("base, flag", UNREAD, ids=[f"{b[0]}{f}" for b, f in UNREAD])
+def test_flags_a_command_does_not_read_exit_one(tmp_path, base, flag, capsys):
+    value = "holds" if flag == "--expect" else "5"
+    assert status(*base, flag, value, "--out", str(tmp_path)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_keys_reach_the_command_as_its_flags(tmp_path):
+    def config(name, **settings):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(settings))
+        return str(path)
+
+    out = tmp_path / "classify"
+    assert run_cli("classify", "--corpus", "double_well_1d", "--budget", "2000",
+                   "--config", config("c", out=str(out), expect="holds")) == 2
+    assert (out / "classify_double_well_1d.json").exists()
+
+    sf = sample(corpus_entry("double_well_1d"), GridSpec((1, 1), 3.0, 31))
+    assert run_cli("envelope", "--corpus", "double_well_1d", "--kind", "pasch-hausdorff",
+                   "--radius", "3", "--points", "31", "--out", str(tmp_path),
+                   "--config", config("lam", lam=5)) == 0
+    out = load_csv(tmp_path / "double_well_1d_pasch-hausdorff.csv")
+    assert np.array_equal(out.values, pasch_hausdorff(sf, 5.0).values)
+
+    for schedule in ([2, 8], "2,8"):
+        out = tmp_path / f"gamma1d_{type(schedule).__name__}"
+        assert run_cli("gamma1d", "--corpus", "clamp1d", "--xi", "1.0", "--cells", "8",
+                       "--config", config("p", p_schedule=schedule, out=str(out))) == 0
+        doc = json.loads((out / "gamma1d_clamp1d.json").read_text())
+        assert doc["p_schedule"] == [2.0, 8.0]
+
+    # the command line wins over the config, here for kind
+    out = tmp_path / "kind"
+    assert run_cli("envelope", "--kind", "convex", "--config",
+                   config("k", kind="lslc", corpus="clamp1d", points=21,
+                          out=str(out))) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["clamp1d_convex.csv",
+                                                      "clamp1d_convex.json"]
+
+
+@pytest.mark.parametrize("content, message", [('{"func": 1}', "'func' is not a flag"),
+                                              ('{"config": "x"}', "'config' is not a flag"),
+                                              ('{"budget": "abc"}', "argument --budget")])
+def test_config_keys_are_checked_as_flags(tmp_path, content, message, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert status("classify", "--corpus", "clamp1d", "--budget", "10",
+                  "--config", str(cfg)) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_config_budget_may_be_an_integral_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 1e5, "out": str(tmp_path)}))
+    assert run_cli("laminate-check", "--corpus", "clamp1d", "--config", str(cfg)) == 0
+    doc = json.loads((tmp_path / "laminate_clamp1d.json").read_text())
+    assert doc["budget"] == 100_000
+
+
+def test_envelope_takes_one_source_and_no_grid_with_input(tmp_path):
+    assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
+                   "--points", "21", "--out", str(tmp_path)) == 0
+    csv_path = str(tmp_path / "clamp1d_lslc.csv")
+    assert status("envelope", "--corpus", "clamp1d", "--input", csv_path,
+                  "--kind", "convex", "--out", str(tmp_path)) == 1
+    assert run_cli("envelope", "--input", csv_path, "--radius", "2",
+                   "--kind", "convex", "--out", str(tmp_path)) == 1
+    assert not (tmp_path / "clamp1d_lslc_convex.csv").exists()

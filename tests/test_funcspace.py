@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from supcon.funcspace import (GridSpec, SampledFunction, corpus_entry,
                               corpus_names, documented_inconsistencies,
-                              eval_corpus, interpolate, load_csv, sample,
-                              save_csv)
+                              eval_corpus, interpolate, interpolating_evaluator,
+                              load_csv, sample, save_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,28 @@ def test_interpolation_monotone_2d():
     q = np.array([[0.3, -0.2]])
     v = interpolate(f, q)
     assert f.values.min() - 1e-12 <= v <= f.values.max() + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([((1, 1), 3), ((1, 1), 7), ((2, 2), 3), ((2, 2), 5)]),
+       st.sampled_from(["plus-infinity", "clamp-to-boundary"]),
+       st.sampled_from([1.0, 2.0, 0.7]), st.integers(0, 2**32 - 1))
+def test_interpolation_matches_per_point_oracle(grid, mode, radius, seed):
+    # each coordinate is a node, a point between nodes, a box face or a point
+    # outside the box, so queries mix all of these within one batch
+    (dims, points), rng = grid, np.random.default_rng(seed)
+    g = GridSpec(dims, radius, points)
+    f = SampledFunction(g, rng.normal(size=g.node_count), mode)
+    shape = (3, 4, *dims)
+    choices = np.stack([rng.choice(g.axis(), size=shape),
+                        rng.uniform(-radius, radius, size=shape),
+                        rng.choice([-radius, radius], size=shape),
+                        rng.choice([-1.0, 1.0], size=shape)
+                        * radius * rng.uniform(1.0 + 1e-12, 2.0, size=shape)])
+    queries = np.take_along_axis(choices, rng.integers(0, 4, size=(1, *shape)), 0)[0]
+    ref = np.array([oracles.interpolate(f, m) for m in queries.reshape(-1, *dims)])
+    assert np.array_equal(interpolating_evaluator(f)(queries), ref.reshape(3, 4))
+    assert np.array_equal([interpolate(f, m) for m in queries.reshape(-1, *dims)], ref)
 
 
 def test_values_must_be_finite():
