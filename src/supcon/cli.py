@@ -129,6 +129,8 @@ def cmd_corpus(args) -> int:
 def cmd_envelope(args) -> int:
     if not args.out:
         raise ValueError("--out is required for envelope")
+    if args.lam is not None and args.kind != "pasch-hausdorff":
+        raise ValueError("--lam applies to --kind pasch-hausdorff only")
     if args.input:
         if args.radius is not None or args.points is not None:
             raise ValueError("--radius and --points apply to --corpus; "
@@ -149,7 +151,7 @@ def cmd_envelope(args) -> int:
     elif kind == "lamination":
         out = env.lamination_hull(sf)
     else:
-        out = env.pasch_hausdorff(sf, args.lam)
+        out = env.pasch_hausdorff(sf, 1.0 if args.lam is None else args.lam)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fs.save_csv(out, outdir / f"{name}_{kind}.csv")
@@ -266,8 +268,8 @@ def build_parser() -> Parser:
     source.add_argument("--input", help="SampledFunction CSV (with JSON sidecar)")
     p.add_argument("--kind", required=True,
                    choices=("convex", "lslc", "lamination", "pasch-hausdorff"))
-    p.add_argument("--lam", type=float, default=1.0,
-                   help="Lipschitz constant for pasch-hausdorff")
+    p.add_argument("--lam", type=float,
+                   help="Lipschitz constant for pasch-hausdorff (default 1)")
 
     verdict_flags = ("corpus", "budget", "tol", "seed", "radius", "out", "expect",
                      "config")

@@ -14,6 +14,13 @@ adjustment cell, a pattern-search polish of the two slopes, and seeded
 random-restart pairwise-exchange descent as a safety net.  Slopes live in
 the box [-slope_bound, slope_bound]; the oracle envelope is computed on the
 same box so both sides see the same relaxation.
+
+The scan evaluates f once per table: once on the scan grid, once at the
+adjustment slopes of every (a, b) pair.  The polish walks advance in
+lockstep, one f call per step.  The powered terms (f/scale)^p and the 1/p
+root stay Python-float pows, because numpy's array ``**`` differs from them
+in the last ulp for some inputs, and a near-tie would then pick another
+profile; the results are bit-identical to the per-pair loop.
 """
 
 from __future__ import annotations
@@ -104,9 +111,7 @@ def _scalar_eval(f):
 
 
 def _objective(fs, g, p, h, scale):
-    vals = fs(g)
-    if np.any(vals < 0):
-        raise ValueError("f must be nonnegative on the explored slope range")
+    vals = _nonnegative(fs(g))
     mean_p = float(np.mean((vals / scale) ** p))
     return scale * (h * len(g) * mean_p) ** (1.0 / p)
 
@@ -129,30 +134,89 @@ def _hull_support_slopes(fs, xi, G, p, scale, points=2001):
     return a, b
 
 
-def _two_slope_value(fs, a, b, xi, m, G, p, scale):
-    """Best k-cells-at-a / rest-at-b / one-adjustment-cell profile, or None."""
-    if not (min(a, b) - 1e-12 <= xi <= max(a, b) + 1e-12):
-        return None
-    if a == b:
-        theta = 1.0
-    else:
-        theta = (b - xi) / (b - a)
-    best = None
-    for k in sorted({int(np.floor(theta * m)), int(np.ceil(theta * m))}):
-        k = min(max(k, 0), m - 1)
-        c = m * xi - k * a - (m - k - 1) * b
-        if abs(c) > G + 1e-12:
-            continue
-        fa, fb, fc = (float(fs(np.array([a]))[0]), float(fs(np.array([b]))[0]),
-                      float(fs(np.array([c]))[0]))
-        if min(fa, fb, fc) < 0:
-            raise ValueError("f must be nonnegative on the explored slope range")
-        mean_p = (k * (fa / scale) ** p + (m - k - 1) * (fb / scale) ** p
-                  + (fc / scale) ** p) / m
-        val = scale * mean_p ** (1.0 / p)
-        if best is None or val < best[0]:
-            best = (val, k, c)
-    return best
+def _nonnegative(vals):
+    """``vals``, once checked nonnegative; a NaN fails the check too."""
+    if not np.all(vals >= 0):
+        raise ValueError("f must be nonnegative on the explored slope range")
+    return vals
+
+
+def _powers(vals, p, scale):
+    """(v/scale)^p per value, as Python-float pows: numpy's array ``**`` can
+    differ from them in the last ulp, and the FE minima would move with it."""
+    return np.array([(v / scale) ** p for v in vals.tolist()])
+
+
+def _two_slope_values(fs, a, b, xi, m, G, p, scale, qa=None, qb=None):
+    """Best k-cells-at-a / rest-at-b / one-adjustment-cell profile of each
+    slope pair (a[i], b[i]), a[i] <= xi <= b[i].
+
+    k is the floor or the ceiling of theta*m clamped to [0, m-1], theta the
+    weight of a in xi; the adjustment slope c meets the mean exactly, and a k
+    whose c leaves the slope box is skipped.  Returns arrays (val, k, c, ok):
+    the better k per pair (the floor on a tie), ok False where both are
+    skipped.  f is evaluated in one call, at the c of every k kept, and at
+    its a and b too unless their (f/scale)^p come in as ``qa``, ``qb``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # a == b is masked
+        theta = np.where(a == b, 1.0, (b - xi) / (b - a))
+    tm = (theta * m)[:, None]
+    k = np.concatenate([np.floor(tm), np.ceil(tm)], axis=1)
+    k = np.minimum(np.maximum(k, 0), m - 1).astype(int)
+    c = m * xi - k * a[:, None] - (m - k - 1) * b[:, None]
+    ok = np.abs(c) <= G + 1e-12
+    val = np.where(ok, 0.0, np.nan)
+    pair = np.nonzero(ok)[0]
+    if pair.size:
+        if qa is None:
+            nodes = np.concatenate([a[pair], b[pair], c[ok]])
+            qa, qb, qc = _powers(_nonnegative(fs(nodes)), p, scale).reshape(3, -1)
+        else:
+            qa, qb = qa[pair], qb[pair]
+            qc = _powers(_nonnegative(fs(c[ok])), p, scale)
+        kk = k[ok]
+        mean_p = (kk * qa + (m - kk - 1) * qb + qc) / m
+        root = 1.0 / p
+        val[ok] = [scale * mp ** root for mp in mean_p.tolist()]
+    second = ok[:, 1] & (~ok[:, 0] | (val[:, 1] < val[:, 0]))
+    rows, j = np.arange(len(k)), second.astype(int)
+    return val[rows, j], k[rows, j], c[rows, j], ok.any(axis=1)
+
+
+def _polish(a, b, xi, G, step, rounds, tol):
+    """Pattern search of the slope pair (a, b) from one start.
+
+    A generator: it yields each pair to evaluate and is sent back its
+    (value, k, c), or None when no k is feasible.  Returns the accepted
+    (value, profile) in order, the number of neighbor evaluations and
+    whether the step fell below 1e-9.
+    """
+    accepted = []
+    cur = None
+    got = yield a, b
+    if got is not None:
+        cur = got[0]
+        accepted.append((cur, ("pair", a, b, got[1], got[2])))
+    evaluations = 0
+    for _ in range(rounds):
+        improved = False
+        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
+                       (step, step), (-step, -step)):
+            na = min(max(a + da, -G), G)
+            nb = min(max(b + db, -G), G)
+            if na > xi or nb < xi:
+                continue
+            got = yield na, nb
+            evaluations += 1
+            if got is not None and (cur is None or got[0] < cur - tol):
+                cur, a, b = got[0], na, nb
+                improved = True
+                accepted.append((cur, ("pair", a, b, got[1], got[2])))
+        if not improved:
+            step *= 0.5
+            if step < 1e-9:
+                return accepted, evaluations, True
+    return accepted, evaluations, False
 
 
 def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeMinimizeResult:
@@ -173,9 +237,7 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
 
     S = np.linspace(-G, G, opts.scan_points)
     S = np.unique(np.append(S, xi))
-    vals = fs(S)
-    if np.any(vals < 0):
-        raise ValueError("f must be nonnegative on the explored slope range")
+    vals = _nonnegative(fs(S))
     scale = max(float(vals.max()), float(fs(np.array([xi]))[0]), 1e-300)
 
     iterations = 0
@@ -184,61 +246,56 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
     best_val = _objective(fs, np.full(m, xi), p, h, scale)
     best_profile = ("pair", xi, xi, m - 1, xi)
 
-    # two-slope scan with adjustment cell; keep several starts for the polish
+    # two-slope scan with adjustment cell over every pair a <= xi <= b of scan
+    # nodes, a-major; keep several starts for the polish
+    lo = np.flatnonzero(S <= xi)
+    hi = np.flatnonzero(S >= xi)
+    ia, ib = np.repeat(lo, len(hi)), np.tile(hi, len(lo))
+    iterations += len(ia)
+    q = _powers(vals, p, scale)
+    val, k, c, ok = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale,
+                                      q[ia], q[ib])
+    val, k, c, a, b = val[ok] * length_factor, k[ok], c[ok], S[ia[ok]], S[ib[ok]]
     starts = [(best_val, xi, xi)]
-    lo = S[S <= xi]
-    hi = S[S >= xi]
-    for a in lo:
-        for b in hi:
-            iterations += 1
-            got = _two_slope_value(fs, float(a), float(b), xi, m, G, p, scale)
-            if got is not None:
-                val = got[0] * length_factor
-                starts.append((val, float(a), float(b)))
-                if val < best_val:
-                    best_val = val
-                    best_profile = ("pair", float(a), float(b), got[1], got[2])
+    starts += zip(val.tolist(), a.tolist(), b.tolist())
+    # the first strict minimum in scan order
+    below = np.where(val < best_val, val, np.inf)
+    if below.size and below.min() < best_val:
+        i = int(np.argmin(below))
+        best_val = float(val[i])
+        best_profile = ("pair", float(a[i]), float(b[i]), int(k[i]), float(c[i]))
     starts.sort(key=lambda t: t[0])
     polish_starts = [(a, b) for _, a, b in starts[:8]]
     # the envelope's supporting segment of f^p at xi is the continuum optimum
     polish_starts.append(_hull_support_slopes(fs, xi, G, p, scale))
 
-    # pattern-search polish of the two slopes, from every start
-    converged = False
+    # pattern-search polish of the two slopes from every start; the walks do
+    # not depend on one another, so they advance in lockstep, one batched
+    # evaluation per step, and their accepted values are replayed in start
+    # order to pick the first strict minimum
     base_step = float(S[1] - S[0]) if len(S) > 1 else 0.1
-    for a0, b0 in polish_starts:
-        a, b = a0, b0
-        cur = None
-        got = _two_slope_value(fs, a, b, xi, m, G, p, scale)
-        if got is not None:
-            cur = got[0] * length_factor
-            if cur < best_val:
-                best_val = cur
-                best_profile = ("pair", a, b, got[1], got[2])
-        step = base_step
-        for _ in range(opts.polish_rounds):
-            improved = False
-            for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
-                           (step, step), (-step, -step)):
-                na = min(max(a + da, -G), G)
-                nb = min(max(b + db, -G), G)
-                if na > xi or nb < xi:
-                    continue
-                got = _two_slope_value(fs, na, nb, xi, m, G, p, scale)
-                iterations += 1
-                if got is not None:
-                    val = got[0] * length_factor
-                    if cur is None or val < cur - opts.tol * scale:
-                        cur, a, b = val, na, nb
-                        improved = True
-                        if val < best_val:
-                            best_val = val
-                            best_profile = ("pair", a, b, got[1], got[2])
-            if not improved:
-                step *= 0.5
-                if step < 1e-9:
-                    converged = True
-                    break
+    walks = [_polish(a, b, xi, G, base_step, opts.polish_rounds, opts.tol * scale)
+             for a, b in polish_starts]
+    results = [None] * len(walks)
+    todo = [(i, w, next(w)) for i, w in enumerate(walks)]
+    while todo:
+        a, b = np.array([t[2] for t in todo]).T
+        val, k, c, ok = _two_slope_values(fs, a, b, xi, m, G, p, scale)
+        got = zip((val * length_factor).tolist(), k.tolist(), c.tolist(), ok.tolist())
+        advanced = []
+        for (i, w, _), (v, kk, cc, feasible) in zip(todo, got):
+            try:
+                advanced.append((i, w, w.send((v, kk, cc) if feasible else None)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        todo = advanced
+    converged = False
+    for accepted, evaluations, small_step in results:
+        iterations += evaluations
+        converged = converged or small_step
+        for val, profile in accepted:
+            if val < best_val:
+                best_val, best_profile = val, profile
 
     # seeded random-restart pairwise-exchange descent (safety net)
     rng = np.random.default_rng(opts.seed)
@@ -294,7 +351,7 @@ def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float,
     x = np.linspace(-slope_bound, slope_bound, points)
     fs = _scalar_eval(f)
     vals = fs(x)
-    if np.any(vals < 0):
+    if not np.all(vals >= 0):  # NaN fails too
         raise ValueError("f must be nonnegative on the slope box")
     scale = max(float(vals.max()), 1e-300)
     hull = lower_hull_1d(x, (vals / scale) ** p)

@@ -532,7 +532,7 @@ def interpolating_evaluator(f: SampledFunction):
     function, suitable for the checkers: each (N, n) query of a (..., N, n)
     batch takes the values of its 2^d surrounding nodes.  Outside the box the
     outside_mode applies: +inf sentinel, or evaluation at the clamped
-    coordinates.
+    coordinates.  A query with a NaN coordinate gives NaN.
 
     Interpolation error dominates analytic roundoff, so run checkers against
     such evaluators with tol around 1e-6 rather than the analytic 1e-9.
@@ -546,7 +546,10 @@ def interpolating_evaluator(f: SampledFunction):
         if x.shape[1] != g.ndim:
             raise ValueError("query point has wrong dimension")
         outside = np.any(np.abs(x) > R, axis=1)
-        x = np.clip(x, -R, R)
+        # a query with a NaN coordinate is interpolated at the corner -R, so
+        # its node indices stay in range, and then set to NaN
+        undefined = np.any(np.isnan(x), axis=1)
+        x = np.clip(np.where(undefined[:, None], -R, x), -R, R)
         pos = (x + R) / g.spacing
         i0 = np.minimum(np.floor(pos).astype(int), g.points_per_axis - 2)
         frac = pos - i0
@@ -563,6 +566,7 @@ def interpolating_evaluator(f: SampledFunction):
             val += w * f.values[tuple(idx)]
         if f.outside_mode == MODE_PLUS_INFINITY:
             val[outside] = math.inf
+        val[undefined] = math.nan
         return val.reshape(arr.shape[:-2])
     return ev
 

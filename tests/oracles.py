@@ -12,7 +12,9 @@ the per-matrix minors vector that ``minors_batch`` must match, and the
 laminate-side two-gradient candidate stream that
 ``classify._two_gradient_candidates`` took over.  The last is the one-point
 multilinear interpolation that ``interpolating_evaluator`` once called per
-query.
+query.  The last pair is ``minimize_Fp`` as it was before its two-slope scan
+was batched: one ``_two_slope_value`` call per slope pair, each evaluating f
+one point at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from supcon.classify import _halton, _special_pairs
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
+from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _hull_support_slopes,
+                          _objective, _profile_to_slopes, _scalar_eval)
 from supcon.funcspace import MODE_PLUS_INFINITY, SampledFunction
 from supcon.matspace import _index_sets, tau
 
@@ -309,3 +313,155 @@ def interpolate(f: SampledFunction, xi) -> float:
         if w != 0.0:
             val += w * float(f.values[tuple(idx)])
     return val
+
+
+def _two_slope_value(fs, a, b, xi, m, G, p, scale):
+    """Best k-cells-at-a / rest-at-b / one-adjustment-cell profile, or None."""
+    if not (min(a, b) - 1e-12 <= xi <= max(a, b) + 1e-12):
+        return None
+    if a == b:
+        theta = 1.0
+    else:
+        theta = (b - xi) / (b - a)
+    best = None
+    for k in sorted({int(np.floor(theta * m)), int(np.ceil(theta * m))}):
+        k = min(max(k, 0), m - 1)
+        c = m * xi - k * a - (m - k - 1) * b
+        if abs(c) > G + 1e-12:
+            continue
+        fa, fb, fc = (float(fs(np.array([a]))[0]), float(fs(np.array([b]))[0]),
+                      float(fs(np.array([c]))[0]))
+        if min(fa, fb, fc) < 0:
+            raise ValueError("f must be nonnegative on the explored slope range")
+        mean_p = (k * (fa / scale) ** p + (m - k - 1) * (fb / scale) ** p
+                  + (fc / scale) ** p) / m
+        val = scale * mean_p ** (1.0 / p)
+        if best is None or val < best[0]:
+            best = (val, k, c)
+    return best
+
+
+def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeMinimizeResult:
+    """Minimize (sum_i h f^p(g_i))^{1/p} over slopes g with mean(g) = xi.
+
+    Slopes are confined to [-slope_bound, slope_bound].  Requires p >= 1 and
+    f nonnegative on that range.  If neither the scan/polish nor the restart
+    descent improves below the options tolerance the result is still
+    returned, flagged converged=False.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    opts = opts or FeOptions()
+    fs = _scalar_eval(f)
+    m, h, xi, G = mesh.cells, mesh.h, mesh.xi, opts.slope_bound
+    if abs(xi) > G:
+        raise ValueError("boundary slope lies outside the slope box")
+
+    S = np.linspace(-G, G, opts.scan_points)
+    S = np.unique(np.append(S, xi))
+    vals = fs(S)
+    if np.any(vals < 0):
+        raise ValueError("f must be nonnegative on the explored slope range")
+    scale = max(float(vals.max()), float(fs(np.array([xi]))[0]), 1e-300)
+
+    iterations = 0
+    length_factor = (h * m) ** (1.0 / p)
+    # constant profile is always feasible
+    best_val = _objective(fs, np.full(m, xi), p, h, scale)
+    best_profile = ("pair", xi, xi, m - 1, xi)
+
+    # two-slope scan with adjustment cell; keep several starts for the polish
+    starts = [(best_val, xi, xi)]
+    lo = S[S <= xi]
+    hi = S[S >= xi]
+    for a in lo:
+        for b in hi:
+            iterations += 1
+            got = _two_slope_value(fs, float(a), float(b), xi, m, G, p, scale)
+            if got is not None:
+                val = got[0] * length_factor
+                starts.append((val, float(a), float(b)))
+                if val < best_val:
+                    best_val = val
+                    best_profile = ("pair", float(a), float(b), got[1], got[2])
+    starts.sort(key=lambda t: t[0])
+    polish_starts = [(a, b) for _, a, b in starts[:8]]
+    # the envelope's supporting segment of f^p at xi is the continuum optimum
+    polish_starts.append(_hull_support_slopes(fs, xi, G, p, scale))
+
+    # pattern-search polish of the two slopes, from every start
+    converged = False
+    base_step = float(S[1] - S[0]) if len(S) > 1 else 0.1
+    for a0, b0 in polish_starts:
+        a, b = a0, b0
+        cur = None
+        got = _two_slope_value(fs, a, b, xi, m, G, p, scale)
+        if got is not None:
+            cur = got[0] * length_factor
+            if cur < best_val:
+                best_val = cur
+                best_profile = ("pair", a, b, got[1], got[2])
+        step = base_step
+        for _ in range(opts.polish_rounds):
+            improved = False
+            for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
+                           (step, step), (-step, -step)):
+                na = min(max(a + da, -G), G)
+                nb = min(max(b + db, -G), G)
+                if na > xi or nb < xi:
+                    continue
+                got = _two_slope_value(fs, na, nb, xi, m, G, p, scale)
+                iterations += 1
+                if got is not None:
+                    val = got[0] * length_factor
+                    if cur is None or val < cur - opts.tol * scale:
+                        cur, a, b = val, na, nb
+                        improved = True
+                        if val < best_val:
+                            best_val = val
+                            best_profile = ("pair", a, b, got[1], got[2])
+            if not improved:
+                step *= 0.5
+                if step < 1e-9:
+                    converged = True
+                    break
+
+    # seeded random-restart pairwise-exchange descent (safety net)
+    rng = np.random.default_rng(opts.seed)
+    g_best = _profile_to_slopes(best_profile, m)
+    for _ in range(opts.restarts):
+        g = rng.uniform(-G, G, size=m)
+        g += xi - g.mean()
+        np.clip(g, -G, G, out=g)
+        g += xi - g.mean()
+        if np.max(np.abs(g)) > G:
+            continue
+        val = _objective(fs, g, p, h, scale)
+        iterations += 1
+        for _ in range(3):
+            i, j = rng.integers(0, m, size=2)
+            if i == j:
+                continue
+            for t in (0.5, -0.5, 0.1, -0.1):
+                cand = g.copy()
+                cand[i] += t
+                cand[j] -= t
+                if np.max(np.abs(cand)) > G:
+                    continue
+                v = _objective(fs, cand, p, h, scale)
+                iterations += 1
+                if v < val:
+                    g, val = cand, v
+        if val < best_val - opts.tol * scale:
+            best_val = val
+            g_best = g
+            best_profile = None
+
+    if best_profile is not None:
+        g_best = _profile_to_slopes(best_profile, m)
+    # exact mean projection, then the reported value matches the profile
+    g_best = g_best + (xi - g_best.mean())
+    best_val = _objective(fs, g_best, p, h, scale)
+    return FeMinimizeResult(p=float(p), min_value=best_val,
+                            gradient_per_cell=g_best, iterations=iterations,
+                            converged=converged, target_mean=xi)

@@ -262,6 +262,19 @@ def test_config_budget_may_be_an_integral_float(tmp_path):
     assert doc["budget"] == 100_000
 
 
+def test_envelope_lam_only_with_pasch_hausdorff(tmp_path, capsys):
+    for kind in ("convex", "lslc", "lamination"):
+        assert status("envelope", "--corpus", "clamp1d", "--kind", kind, "--lam", "5",
+                      "--points", "21", "--out", str(tmp_path)) == 1
+        assert "--lam applies to --kind pasch-hausdorff only" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert status("envelope", "--corpus", "clamp1d", "--kind", "pasch-hausdorff",
+                  "--points", "21", "--out", str(tmp_path)) == 0
+    out = load_csv(tmp_path / "clamp1d_pasch-hausdorff.csv")
+    sf = sample(corpus_entry("clamp1d"), GridSpec((1, 1), 2.0, 21))
+    assert np.array_equal(out.values, pasch_hausdorff(sf, 1.0).values)
+
+
 def test_envelope_takes_one_source_and_no_grid_with_input(tmp_path):
     assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
                    "--points", "21", "--out", str(tmp_path)) == 0

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from supcon.envelope import level_convex_lsc_envelope
-from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D,
-                          envelope_oracle_1d, gamma_limit_experiment,
+from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _objective,
+                          _scalar_eval, envelope_oracle_1d, gamma_limit_experiment,
                           minimize_Fp)
 from supcon.funcspace import GridSpec, corpus_entry, sample
 
@@ -91,6 +94,75 @@ def test_negative_supremand_rejected():
         envelope_oracle_1d(signed, 0.0, 2.0, slope_bound=1.0)
     with pytest.raises(ValueError):
         minimize_Fp(signed, 2.0, Mesh1D(cells=8, xi=0.0), OPTS)
+
+
+def test_nan_supremand_rejected():
+    def nan_well(arr):
+        t = np.asarray(arr)[..., 0, 0]
+        return np.where(np.abs(t) > 1.9, np.nan, np.minimum((t - 1) ** 2, (t + 1) ** 2))
+
+    def nan_gap(arr):
+        # NaN only strictly between the scan nodes 0 and 0.125 of the default
+        # options, so only an adjustment slope c can land on it
+        t = np.asarray(arr)[..., 0, 0]
+        return np.where((t > 0.01) & (t < 0.11), np.nan, np.abs(t))
+
+    with pytest.raises(ValueError):
+        envelope_oracle_1d(nan_well, 0.0, 8.0, slope_bound=10.0)
+    with pytest.raises(ValueError):
+        minimize_Fp(nan_well, 8.0, Mesh1D(cells=64, xi=0.0), OPTS)
+    with pytest.raises(ValueError):
+        minimize_Fp(nan_gap, 8.0, Mesh1D(cells=64, xi=0.3), FeOptions(restarts=0))
+    with pytest.raises(ValueError):
+        _objective(_scalar_eval(nan_gap), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
+
+
+SCALAR_ENTRIES = ("abs", "clamp1d", "double_well_1d", "exampleD_scalar")
+
+
+def _piecewise_linear(seed, G):
+    rng = np.random.default_rng(seed)
+    knots = np.sort(rng.uniform(-1.2 * G, 1.2 * G, size=rng.integers(2, 8)))
+    values = rng.uniform(0.0, 3.0, size=len(knots)) * (rng.random(len(knots)) < 0.8)
+    return lambda arr: np.interp(np.asarray(arr)[..., 0, 0], knots, values)
+
+
+def _outcome(minimize, f, p, mesh, opts):
+    try:
+        return minimize(f, p, mesh, opts)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SCALAR_ENTRIES + ("piecewise-linear",)), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 2.5, 10.0]), st.integers(3, 41),
+       st.sampled_from(["node", "midpoint", "uniform", "bound"]), st.floats(0.0, 1.0),
+       st.integers(2, 64), st.sampled_from([1.0, 2.0, 3.3, 8.0, 128.0]))
+@example("clamp1d", 0, 10.0, 161, "node", 0.5535, 64, 8.0)  # the default scan, xi = 1
+# near-ties that an array ``**`` in place of the Python-float pows breaks: the
+# powers (first) and the root (second and third) move the FE minimum
+@example("exampleD_scalar", 455413639, 1.0, 19, "midpoint", 0.9462603322237104, 26, 3.3)
+@example("exampleD_scalar", 2222323601, 1.0, 25, "midpoint", 0.7430379600974436, 43, 128.0)
+@example("piecewise-linear", 1719417155, 10.0, 28, "node", 0.7192468659160054, 52, 3.3)
+def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, p):
+    # xi on a scan node, halfway between two, anywhere, or at -G or G
+    step = 2.0 * G / (P - 1)
+    i = round(u * (P - 2))
+    xi = {"node": np.linspace(-G, G, P)[i], "midpoint": -G + (i + 0.5) * step,
+          "uniform": -G + 2.0 * G * u, "bound": G if u < 0.5 else -G}[where]
+    f = (_piecewise_linear(seed, G) if name == "piecewise-linear"
+         else corpus_entry(name))
+    mesh = Mesh1D(cells=cells, xi=float(xi))
+    opts = FeOptions(seed=seed, slope_bound=G, scan_points=P)
+    got = _outcome(minimize_Fp, f, p, mesh, opts)
+    ref = _outcome(oracles.minimize_Fp, f, p, mesh, opts)
+    if isinstance(ref, type) or isinstance(got, type):
+        assert got == ref
+        return
+    assert got.min_value == ref.min_value
+    assert np.array_equal(got.gradient_per_cell, ref.gradient_per_cell)
+    assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
 
 
 def test_gamma_exampleD_consistent():

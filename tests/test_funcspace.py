@@ -188,6 +188,24 @@ def test_interpolation_matches_per_point_oracle(grid, mode, radius, seed):
     assert np.array_equal([interpolate(f, m) for m in queries.reshape(-1, *dims)], ref)
 
 
+def test_interpolation_nan_query_gives_nan():
+    clamp = sample(corpus_entry("clamp1d"), GridSpec((1, 1), 2.0, 5))
+    ev = interpolating_evaluator(clamp)
+    out = ev(np.array([[[np.nan]], [[0.5]]]))
+    assert np.isnan(out[0]) and out[1] == ev(np.array([[[0.5]]]))[0]
+    assert math.isnan(interpolate(clamp, [np.nan]))
+    # NaN wins over the +inf of a query that also leaves the box
+    rng = np.random.default_rng(3)
+    f = SampledFunction(GridSpec((2, 2), 1.0, 5), rng.normal(size=625), "plus-infinity")
+    q = rng.uniform(-1.5, 1.5, size=(6, 2, 2))
+    q[1, 0, 1] = q[4, 1, 1] = np.nan
+    q[4, 0, 0] = 3.0
+    out = interpolating_evaluator(f)(q)
+    assert np.isnan(out[[1, 4]]).all()
+    rest = [0, 2, 3, 5]
+    assert np.array_equal(out[rest], interpolating_evaluator(f)(q[rest]))
+
+
 def test_values_must_be_finite():
     with pytest.raises(ValueError):
         SampledFunction(GridSpec((1, 1), 1.0, 3), np.array([0.0, math.inf, 0.0]))
