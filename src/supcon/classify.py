@@ -335,16 +335,18 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
 # the four pointwise checkers
 # ---------------------------------------------------------------------------
 
-def check_level_convex(f, dims, *, tol=1e-9, budget=100_000, seed=0,
-                       radius=2.0, special_points=()) -> Verdict:
+def check_level_convex(f, dims, *, tol=1e-9, budget=100_000,
+                       seed=DEFAULT_SEED, radius=2.0,
+                       special_points=()) -> Verdict:
     """Search for a midpoint above the endpoint maximum on arbitrary segments."""
     return _run_segment_checker("level_convex", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=False)
 
 
-def check_rank_one_qcx(f, dims, *, tol=1e-9, budget=100_000, seed=0,
-                       radius=2.0, special_points=()) -> Verdict:
+def check_rank_one_qcx(f, dims, *, tol=1e-9, budget=100_000,
+                       seed=DEFAULT_SEED, radius=2.0,
+                       special_points=()) -> Verdict:
     """Same search restricted to rank-one connected pairs."""
     return _run_segment_checker("rank_one", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
@@ -364,7 +366,8 @@ def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
     return out
 
 
-def check_supremal_jensen(f, measures, *, tol=1e-9, seed=0) -> Verdict:
+def check_supremal_jensen(f, measures, *, tol=1e-9,
+                          seed=DEFAULT_SEED) -> Verdict:
     """Violated iff some measure has f(barycenter) > max over its support."""
     used = 0
     for mu in measures:
@@ -386,7 +389,8 @@ def check_supremal_jensen(f, measures, *, tol=1e-9, seed=0) -> Verdict:
 
 
 def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
-                                    seed=0, radius=2.0, special_points=(),
+                                    seed=DEFAULT_SEED, radius=2.0,
+                                    special_points=(),
                                     rejection_tol=1e-8) -> Verdict:
     """Midpoint test on combinations whose minors vectors are consistent.
 
@@ -560,8 +564,9 @@ def _cutoff_values(xi, Mp, Mm, theta):
 
 
 def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
-                                 seed=0, radius=2.0, special_points=(),
-                                 mesh_depth=4, restarts=4) -> Verdict:
+                                 seed=DEFAULT_SEED, radius=2.0,
+                                 special_points=(), mesh_depth=4,
+                                 restarts=4) -> Verdict:
     """Minimize the essential supremum of f(xi + D phi) over zero-boundary fields.
 
     Families searched: exact two-slope zigzags when n = 1 (every mean-zero
@@ -711,7 +716,8 @@ def _probe_points(entry_points, dims) -> list[np.ndarray]:
     return pts[:MAX_PROBE_POINTS]
 
 
-def probe_verdict(notion, probes, budget, search, *, tol, seed) -> Verdict:
+def probe_verdict(notion, probes, budget, search, *, tol,
+                  seed=DEFAULT_SEED) -> Verdict:
     """Run ``search(point, per_probe_budget)`` at each probe point in turn,
     splitting the budget evenly.  Violated at the first violated probe; the
     verdict's budget is every sample spent up to there."""

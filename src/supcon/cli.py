@@ -207,8 +207,8 @@ def cmd_gamma1d(args) -> int:
 def cmd_laminate_check(args) -> int:
     entry = fs.corpus_entry(args.corpus)
     verdict = lam.check_curl_young_on_laminates(
-        entry, entry.dims, budget=args.budget, seed=args.seed,
-        special_points=entry.special_points, **_given(args, "tol", "radius"))
+        entry, entry.dims, budget=args.budget, special_points=entry.special_points,
+        **_given(args, "seed", "tol", "radius"))
     if args.out:
         fs.write_json(verdict.to_dict(), Path(args.out) / f"laminate_{entry.name}.json")
     print(f"{entry.name}: curl_young_laminates {verdict.outcome}")
@@ -230,9 +230,10 @@ def cmd_morrey_search(args) -> int:
     }[args.notion]
     verdict = clf.probe_verdict(
         notion, probes, args.budget,
-        lambda p, b: search(entry, p, entry.dims, tol=args.tol, budget=b, seed=args.seed,
-                            special_points=entry.special_points, **_given(args, "radius")),
-        tol=args.tol, seed=args.seed)
+        lambda p, b: search(entry, p, entry.dims, tol=args.tol, budget=b,
+                            special_points=entry.special_points,
+                            **_given(args, "seed", "radius")),
+        tol=args.tol, **_given(args, "seed"))
     if args.out:
         fs.write_json(verdict.to_dict(),
                       Path(args.out) / f"morrey_{args.notion}_{entry.name}.json")
@@ -288,11 +289,11 @@ def build_parser() -> Parser:
     p.add_argument("--slope-bound", type=float)
 
     command("laminate-check", cmd_laminate_check, "laminate-side inequality check",
-            *verdict_flags, budget=20_000, seed=fs.DEFAULT_SEED)
+            *verdict_flags, budget=20_000)
 
     p = command("morrey-search", cmd_morrey_search,
                 "zero-boundary / periodic / small-boundary disproof search",
-                *verdict_flags, budget=20_000, tol=1e-9, seed=fs.DEFAULT_SEED)
+                *verdict_flags, budget=20_000, tol=1e-9)
     p.add_argument("--notion", required=True, choices=("weak", "periodic", "strong"))
     p.add_argument("--xi", help="comma-separated matrix entries (row-major)")
 

@@ -8,10 +8,12 @@ Five operators, all pointwise infima over the grid:
   threshold t such that the node lies in the convex hull of the sublevel
   nodes; its sublevel sets are convex by construction.  In d >= 2 one Qhull
   hull per threshold serves all nodes; a threshold whose new nodes lie
-  strictly inside the current hull is skipped, and degenerate sublevel sets
+  strictly inside the current hull is skipped, each hull is built from the
+  last hull's vertices and the new nodes, and degenerate sublevel sets
   reject queries more than 1e-6 off their affine hull before any LP.
 * ``pasch_hausdorff`` -- the sup-norm Lipschitz regularization
-  ``f_lam(x) = min_y max(f(y), lam |x - y|)``.
+  ``f_lam(x) = min_y max(f(y), lam |x - y|)``, taken over index offsets in
+  order of length and stopped once no farther node can lower a value.
 * ``lamination_hull`` -- fixpoint of one-dimensional convexification sweeps
   along rank-one grid lines; an upper bracket for the quasiconvexification,
   squeezed between the convex envelope and f.  The disjoint lines of one
@@ -21,7 +23,8 @@ Five operators, all pointwise infima over the grid:
   power-law (sup-of-roots) envelope.
 
 The batched d >= 2 paths reproduce the plain per-line and per-threshold
-loops bit for bit (``tests/oracles.py`` keeps those loops as references).
+loops, and the offset search the dense all-pairs minimum, bit for bit
+(``tests/oracles.py`` keeps those loops as references).
 
 Domain truncation is the central compromise: envelopes are computed on the
 box only.  For samples extended by ``plus-infinity`` the result is the exact
@@ -102,21 +105,6 @@ def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
 # convex envelope on the box
 # ---------------------------------------------------------------------------
 
-def _envelope_values_lp(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-node LP: min sum w_i v_i over convex weights reproducing the node."""
-    m, d = coords.shape
-    A_eq = np.vstack([coords.T, np.ones(m)])
-    out = np.empty(m)
-    for i in range(m):
-        b_eq = np.append(coords[i], 1.0)
-        res = linprog(values, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None),
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"envelope LP failed at node {i}: {res.message}")
-        out[i] = res.fun
-    return np.minimum(out, values)
-
-
 def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     if np.ptp(values) == 0.0:
         return values.copy()
@@ -125,20 +113,22 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     sol, *_ = np.linalg.lstsq(A, values, rcond=None)
     if np.max(np.abs(A @ sol - values)) <= 1e-12 * max(1.0, np.max(np.abs(values))):
         return values.copy()
+    # past the affine return the lifted set is full-dimensional, so Qhull
+    # succeeds and lower facets exist; a failure is a fault, not a case
     lifted = np.hstack([coords, values[:, None]])
     hull = None
     for opts in ("Qt", "QJ"):
         try:
             hull = ConvexHull(lifted, qhull_options=opts)
             break
-        except QhullError:
-            continue
+        except QhullError as exc:
+            error = exc
     if hull is None:
-        return _envelope_values_lp(coords, values)
+        raise RuntimeError(f"convex envelope: Qhull failed with Qt and QJ: {error}")
     eq = hull.equations  # rows: normal | offset, normal . z + offset <= 0
     lower = eq[eq[:, -2] < -1e-12]
     if len(lower) == 0:
-        return _envelope_values_lp(coords, values)
+        raise RuntimeError("convex envelope: the lifted hull has no lower facets")
     # facet plane: y = (normal_space . x + offset) / (-normal_last);
     # the envelope is the max over the lower facets, accumulated in chunks
     # of 4M floats (32 MB) so the nodes-by-facets product never materializes
@@ -202,24 +192,26 @@ def _points_in_flat_hull(points: np.ndarray,
     return out, len(near)
 
 
-def _points_in_hull(points: np.ndarray, queries: np.ndarray,
-                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Which queries lie in conv(points): the boolean mask, the facet
-    equations (rows: normal | offset, normal . z + offset <= 0 inside) when
-    the hull is full-dimensional, else None, and the number of LPs run."""
+def _points_in_hull(points: np.ndarray, queries: np.ndarray, tol: float = 1e-9):
+    """Which queries lie in conv(points).
+
+    Returns the boolean mask; the facet equations (rows: normal | offset,
+    normal . z + offset <= 0 inside) and the vertex points when the hull is
+    full-dimensional, else None and None; and the number of LPs run."""
     if len(points) == 0:
-        return np.zeros(len(queries), dtype=bool), None, 0
+        return np.zeros(len(queries), dtype=bool), None, None, 0
     if len(points) == 1:
-        return np.linalg.norm(queries - points[0], axis=1) <= tol, None, 0
+        return np.linalg.norm(queries - points[0], axis=1) <= tol, None, None, 0
     if len(points) > points.shape[1]:
         try:
-            eq = ConvexHull(points).equations
+            hull = ConvexHull(points)
         except QhullError:  # flat point set: take the affine-hull path
             pass
         else:
-            return _inside_facets(eq, queries, tol), eq, 0
+            eq = hull.equations
+            return _inside_facets(eq, queries, tol), eq, points[hull.vertices], 0
     inside, lps = _points_in_flat_hull(points, queries)
-    return inside, None, lps
+    return inside, None, None, lps
 
 
 def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
@@ -231,21 +223,25 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
 
     On grids of dimension >= 2 each threshold costs at most one Qhull
     build, whose facet equations serve both the membership test of the
-    unassigned nodes and the next threshold's skip test: when every node that joins the
-    sublevel set lies strictly inside the current full-dimensional hull
-    (all facet distances <= -1e-9), the polytope is unchanged, no node can
-    change, and no hull is built.  Sublevel sets with at most d points or
-    of lower affine rank have no full-dimensional hull; there the queries
-    more than 1e-6 off the affine hull are rejected outright and only the
-    rest get an LP feasibility solve.  With ``full_output=True`` the return
-    value is ``(result, info)`` with the counts ``hull_builds``,
-    ``thresholds_skipped`` and ``lp_queries``.
+    unassigned nodes and the next threshold's skip test: when every node
+    that joins the sublevel set lies strictly inside the current
+    full-dimensional hull (all facet distances <= -1e-9), the polytope is
+    unchanged, no node can change, and no hull is built.  Once a hull is
+    full-dimensional, the next one is built from its vertices and the nodes
+    at the new threshold only, which span the same polytope.  Sublevel sets
+    with at most d points or of lower affine rank have no full-dimensional
+    hull; there the queries more than 1e-6 off the affine hull are rejected
+    outright and only the rest get an LP feasibility solve.  With
+    ``full_output=True`` the return value is ``(result, info)`` with the
+    counts ``hull_builds``, ``hull_points`` (the points given to those
+    builds), ``thresholds_skipped`` and ``lp_queries``.
     """
     g = f.grid
     flat = f.values.ravel()
     order = np.argsort(flat, kind="stable")
     svals = flat[order]
-    info = {"hull_builds": 0, "thresholds_skipped": 0, "lp_queries": 0}
+    info = {"hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0,
+            "lp_queries": 0}
     if g.ndim == 1:
         pos = g.axis()
         spos = pos[order]
@@ -260,16 +256,23 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
         coords = g.node_coords()
         out = flat.copy()
         assigned = np.zeros(len(flat), dtype=bool)
-        eq = None  # facets of the current sublevel hull, if full-dimensional
+        # facets and vertices of the last sublevel hull, if full-dimensional
+        eq = verts = None
         for t in np.unique(svals):
             todo = ~assigned
             if not todo.any():
                 break
-            if eq is not None and _inside_facets(eq, coords[flat == t], -1e-9).all():
+            new = coords[flat == t]
+            if eq is not None and _inside_facets(eq, new, -1e-9).all():
                 info["thresholds_skipped"] += 1
                 continue
-            inside, eq, lps = _points_in_hull(coords[flat <= t], coords[todo])
-            info["hull_builds"] += int(eq is not None)
+            # the nodes of the skipped thresholds lie inside the last hull, so
+            # its vertices and the new nodes span the whole sublevel set's hull
+            pts = coords[flat <= t] if verts is None else np.vstack([verts, new])
+            inside, eq, verts, lps = _points_in_hull(pts, coords[todo])
+            if eq is not None:
+                info["hull_builds"] += 1
+                info["hull_points"] += len(pts)
             info["lp_queries"] += lps
             idx = np.flatnonzero(todo)[inside]
             out[idx] = t
@@ -284,6 +287,30 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
 # Pasch-Hausdorff (sup-norm Lipschitz regularization)
 # ---------------------------------------------------------------------------
 
+def _offsets_by_length(d: int, cap: int,
+                       radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """One of each pair of integer offsets +-o in Z^d with every |o_k| <= cap
+    and 0 < |o| <= radius (the one whose first nonzero entry is positive),
+    in stable order of |o|, and their squared lengths.
+
+    Built one axis at a time, dropping the partial offsets already outside
+    the ball, so the cube (2 cap + 1)^d never materializes."""
+    r = int(min(cap, radius))
+    span = np.arange(-r, r + 1)
+    offsets = np.zeros((1, 0), dtype=np.intp)
+    norm2 = np.zeros(1, dtype=np.intp)
+    for _ in range(d):
+        offsets = np.hstack([np.repeat(offsets, len(span), axis=0),
+                             np.tile(span, len(offsets))[:, None]])
+        norm2 = np.repeat(norm2, len(span)) + np.tile(span * span, len(norm2))
+        keep = norm2 <= radius * radius
+        offsets, norm2 = offsets[keep], norm2[keep]
+    lead = offsets[np.arange(len(offsets)), np.argmax(offsets != 0, axis=1)]
+    offsets, norm2 = offsets[lead > 0], norm2[lead > 0]
+    order = np.argsort(norm2, kind="stable")
+    return offsets[order], norm2[order]
+
+
 def pasch_hausdorff(f: SampledFunction, lam: float) -> SampledFunction:
     """f_lam(x) = min over grid nodes y of max(f(y), lam |x - y|).
 
@@ -293,22 +320,46 @@ def pasch_hausdorff(f: SampledFunction, lam: float) -> SampledFunction:
     zero from below, so in general f_lam <= max(f, 0) and the transform is a
     minorant of f only where f >= 0; shift negative samples first if the
     minorant property matters.
+
+    The minimum runs over the index offsets o = x - y, starting from the zero
+    offset max(f, 0) and visiting the others in order of their nominal
+    length h |o|, each pair +-o as one min/max over shifted slices of the
+    grid.  Every value at offset o is at least max(min f, lam h |o|) (less a
+    relative 1e-9 for the rounding of the coordinates); once that reaches
+    the largest current value, no farther node can lower any value and the
+    search stops.  Distances are summed from the node coordinates exactly as
+    a dense distance matrix sums them, so the result is the minimum over all
+    node pairs, bit for bit.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ValueError("lam must be positive and finite")
     g = f.grid
-    coords = g.node_coords()
-    flat = f.values.ravel()
-    out = np.empty_like(flat)
-    # rows of at most 4M difference floats (32 MB); rows are independent, so
-    # the block size cannot move the output
-    chunk = max(1, 4_000_000 // coords.size)
-    for lo in range(0, len(flat), chunk):
-        hi = min(lo + chunk, len(flat))
-        diff = coords[lo:hi, None, :] - coords[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        out[lo:hi] = np.min(np.maximum(flat[None, :], lam * dist), axis=1)
-    return f.with_values(out.reshape(g.shape))
+    P, d = g.points_per_axis, g.ndim
+    ax = g.axis()
+    vals = f.values
+    out = np.maximum(vals, 0.0)  # the zero offset: max(f(x), lam * 0)
+    unit = lam * g.spacing * (1.0 - 1e-9)  # lam |x - y| >= unit |o|
+    fmin = vals.min()
+    offsets, norm2 = _offsets_by_length(d, P - 1, out.max() / unit)
+    # squared coordinate differences at axis offset k, shaped for axis a
+    kmax = int(np.abs(offsets).max(initial=0))
+    diffs = [ax[k:] - ax[:P - k] for k in range(kmax + 1)]
+    sq = [[(df * df).reshape((-1,) + (1,) * (d - 1 - a)) for df in diffs]
+          for a in range(d)]
+    shell = 0
+    for o, n2 in zip(offsets.tolist(), norm2.tolist()):
+        if n2 != shell:
+            shell = n2
+            if max(fmin, unit * np.sqrt(n2)) >= out.max():
+                break
+        xs = tuple(slice(k, P) if k >= 0 else slice(0, P + k) for k in o)
+        ys = tuple(slice(0, P - k) if k >= 0 else slice(-k, P) for k in o)
+        terms = np.broadcast_arrays(*(sq[a][abs(k)] for a, k in enumerate(o)))
+        lam_dist = lam * np.sqrt(np.sum(np.stack(terms, axis=-1), axis=-1))
+        for x, y in ((xs, ys), (ys, xs)):
+            view = out[x]
+            np.minimum(view, np.maximum(vals[y], lam_dist), out=view)
+    return f.with_values(out)
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,10 @@ def _hull_support_slopes(fs, xi, G, p, scale, points=2001):
 
 
 def _nonnegative(vals):
-    """``vals``, once checked nonnegative; a NaN fails the check too."""
-    if not np.all(vals >= 0):
-        raise ValueError("f must be nonnegative on the explored slope range")
+    """``vals``, once checked nonnegative and finite: an infinite value would
+    make the scale infinite and every powered value NaN."""
+    if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails too
+        raise ValueError("f must be nonnegative and finite on the explored slope range")
     return vals
 
 
@@ -223,9 +224,9 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
     """Minimize (sum_i h f^p(g_i))^{1/p} over slopes g with mean(g) = xi.
 
     Slopes are confined to [-slope_bound, slope_bound].  Requires p >= 1 and
-    f nonnegative on that range.  If neither the scan/polish nor the restart
-    descent improves below the options tolerance the result is still
-    returned, flagged converged=False.
+    f nonnegative and finite on that range.  If neither the scan/polish nor
+    the restart descent improves below the options tolerance the result is
+    still returned, flagged converged=False.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -351,8 +352,8 @@ def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float,
     x = np.linspace(-slope_bound, slope_bound, points)
     fs = _scalar_eval(f)
     vals = fs(x)
-    if not np.all(vals >= 0):  # NaN fails too
-        raise ValueError("f must be nonnegative on the slope box")
+    if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails too
+        raise ValueError("f must be nonnegative and finite on the slope box")
     scale = max(float(vals.max()), 1e-300)
     hull = lower_hull_1d(x, (vals / scale) ** p)
     return scale * float(np.interp(xi, x, hull)) ** (1.0 / p)

@@ -21,6 +21,7 @@ Functions restricted to a grid (``SampledFunction``) carry an
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -598,14 +599,15 @@ def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
     """One row per node (row-major): axis_0,...,axis_{d-1},value; grid in a JSON sidecar."""
     csv_path = Path(csv_path)
     sidecar = Path(sidecar_path) if sidecar_path else _sidecar_path(csv_path)
-    coords = f.grid.node_coords()
-    vals = f.values.ravel()
     d = f.grid.ndim
+    # the bytes of csv.writer's default dialect: no field needs quoting,
+    # lines end in \r\n
+    axis = [repr(c) for c in f.grid.axis().tolist()]
+    rows = itertools.product(axis, repeat=d)
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"axis_{k}" for k in range(d)] + ["value"])
-        for row, v in zip(coords, vals):
-            writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+        fh.write(",".join([f"axis_{k}" for k in range(d)] + ["value"]) + "\r\n")
+        fh.writelines(",".join((*row, v)) + "\r\n"
+                      for row, v in zip(rows, map(repr, f.values.ravel().tolist())))
     meta = {
         "dims": list(f.grid.dims),
         "radius": f.grid.radius,

@@ -31,6 +31,7 @@ from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
                        Verdict, _aslist, _field_witness, _random_rank_one,
                        _special_pairs, _tree_atoms_batch,
                        _two_gradient_candidates)
+from .funcspace import DEFAULT_SEED
 from .matspace import is_rank_one_connected, second_singular_ratio
 
 __all__ = [
@@ -137,8 +138,8 @@ def sample_laminates(dims, *, seed, count, radius=2.0, max_order=3,
 
 
 def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=100_000,
-                                  seed=0, radius=2.0, special_points=(),
-                                  max_order=3) -> Verdict:
+                                  seed=DEFAULT_SEED, radius=2.0,
+                                  special_points=(), max_order=3) -> Verdict:
     """Violated iff some laminate of order <= max_order has
     f(barycenter) > ess-sup of f over its atoms (plus tol).
 
@@ -316,7 +317,8 @@ def realize_simple_laminate(xi, eta, lam: float, layers: int = 1,
 # ---------------------------------------------------------------------------
 
 def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
-                               seed=0, radius=2.0, special_points=()) -> Verdict:
+                               seed=DEFAULT_SEED, radius=2.0,
+                               special_points=()) -> Verdict:
     """Violated iff a periodic sawtooth achieves ess-sup f(xi + D phi) below
     f(xi) - tol.  The family is the realize_simple_laminate one, built in the
     cube rotated to the lamination normal; compressing layers changes nothing
@@ -348,7 +350,7 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
 
 def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
                                    delta_schedule=DEFAULT_DELTA_SCHEDULE,
-                                   tol=1e-9, budget=20_000, seed=0,
+                                   tol=1e-9, budget=20_000, seed=DEFAULT_SEED,
                                    radius=2.0, special_points=()) -> Verdict:
     """Look for a gap below f(xi) that persists as the boundary budget
     delta shrinks, under the gradient bound K.

@@ -14,12 +14,16 @@ laminate-side two-gradient candidate stream that
 multilinear interpolation that ``interpolating_evaluator`` once called per
 query.  The last pair is ``minimize_Fp`` as it was before its two-slope scan
 was batched: one ``_two_slope_value`` call per slope pair, each evaluating f
-one point at a time.
+one point at a time.  After it come the dense Pasch-Hausdorff transform,
+which takes the minimum over every node pair in blocks of the full distance
+matrix, and the ``csv.writer`` loop that ``save_csv`` once ran per node.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -29,7 +33,7 @@ from supcon.classify import _halton, _special_pairs
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
 from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _hull_support_slopes,
                           _objective, _profile_to_slopes, _scalar_eval)
-from supcon.funcspace import MODE_PLUS_INFINITY, SampledFunction
+from supcon.funcspace import MODE_PLUS_INFINITY, SampledFunction, _sidecar_path, write_json
 from supcon.matspace import _index_sets, tau
 
 
@@ -465,3 +469,44 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
     return FeMinimizeResult(p=float(p), min_value=best_val,
                             gradient_per_cell=g_best, iterations=iterations,
                             converged=converged, target_mean=xi)
+
+
+def pasch_hausdorff(f: SampledFunction, lam: float) -> SampledFunction:
+    """f_lam(x) = min over grid nodes y of max(f(y), lam |x - y|), one block
+    of rows of the dense distance matrix at a time."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    g = f.grid
+    coords = g.node_coords()
+    flat = f.values.ravel()
+    out = np.empty_like(flat)
+    # rows of at most 4M difference floats (32 MB); rows are independent, so
+    # the block size cannot move the output
+    chunk = max(1, 4_000_000 // coords.size)
+    for lo in range(0, len(flat), chunk):
+        hi = min(lo + chunk, len(flat))
+        diff = coords[lo:hi, None, :] - coords[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        out[lo:hi] = np.min(np.maximum(flat[None, :], lam * dist), axis=1)
+    return f.with_values(out.reshape(g.shape))
+
+
+def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
+    """One row per node (row-major): axis_0,...,axis_{d-1},value; grid in a JSON sidecar."""
+    csv_path = Path(csv_path)
+    sidecar = Path(sidecar_path) if sidecar_path else _sidecar_path(csv_path)
+    coords = f.grid.node_coords()
+    vals = f.values.ravel()
+    d = f.grid.ndim
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"axis_{k}" for k in range(d)] + ["value"])
+        for row, v in zip(coords, vals):
+            writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+    meta = {
+        "dims": list(f.grid.dims),
+        "radius": f.grid.radius,
+        "points_per_axis": f.grid.points_per_axis,
+        "outside_mode": f.outside_mode,
+    }
+    write_json(meta, sidecar)

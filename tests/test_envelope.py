@@ -116,6 +116,34 @@ def test_convex_envelope_affine_input_unchanged():
     assert np.max(np.abs(E.values.ravel() - vals)) <= 1e-12
 
 
+def test_convex_envelope_raises_when_qhull_fails(monkeypatch):
+    # no silent fallback: a Qhull failure under both Qt and QJ, or a lifted
+    # hull without lower facets, is an error
+    from scipy.spatial import QhullError
+
+    from supcon import envelope
+
+    f = SampledFunction(GridSpec((1, 2), 1.0, 5), np.random.default_rng(3).normal(size=25))
+    calls = []
+
+    def failing(points, qhull_options=None):
+        calls.append(qhull_options)
+        raise QhullError("QH6154 simulated failure")
+
+    monkeypatch.setattr(envelope, "ConvexHull", failing)
+    with pytest.raises(RuntimeError, match="Qt and QJ"):
+        convex_envelope(f)
+    assert calls == ["Qt", "QJ"]
+
+    class UpperOnly:
+        def __init__(self, points, qhull_options=None):
+            self.equations = np.array([[0.0, 0.0, 1.0, -1.0]])
+
+    monkeypatch.setattr(envelope, "ConvexHull", UpperOnly)
+    with pytest.raises(RuntimeError, match="no lower facets"):
+        convex_envelope(f)
+
+
 def test_convex_envelope_idempotent():
     f = sample(corpus_entry("double_well_1d"), GridSpec((1, 1), 3.0, 61))
     E1 = convex_envelope(f)
@@ -220,6 +248,14 @@ def test_ph_rejects_nonpositive_lam():
     f = sample(corpus_entry("abs"), GridSpec((1, 1), 1.0, 5))
     with pytest.raises(ValueError):
         pasch_hausdorff(f, 0.0)
+
+
+def test_ph_rejects_non_finite_lam():
+    # lam = inf used to give NaN at every node (inf * 0 at the zero offset)
+    f = sample(corpus_entry("abs"), GridSpec((1, 1), 1.0, 5))
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            pasch_hausdorff(f, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The batched d >= 2 envelope operators against their per-line and
-per-threshold reference loops in ``oracles.py``: equal bit for bit."""
+per-threshold reference loops in ``oracles.py``, and the offset search of
+the Pasch-Hausdorff transform against the dense all-pairs minimum: equal bit
+for bit."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from supcon.envelope import lamination_hull, level_convex_lsc_envelope
+from supcon import envelope
+from supcon.envelope import lamination_hull, level_convex_lsc_envelope, pasch_hausdorff
 from supcon.funcspace import GridSpec, SampledFunction
 
 KINDS = ("normal", "ties", "constant", "affine", "flat-sublevel")
@@ -84,4 +87,57 @@ def test_lslc_full_output_counts_the_paths():
     # 1-d grids take the prefix-interval path: no hulls, no LPs
     f1 = SampledFunction(GridSpec((1, 1), 1.0, 9), np.arange(9.0) % 3)
     assert level_convex_lsc_envelope(f1, full_output=True)[1] == {
-        "hull_builds": 0, "thresholds_skipped": 0, "lp_queries": 0}
+        "hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0, "lp_queries": 0}
+
+
+def test_lslc_hulls_are_built_from_the_last_vertices(monkeypatch):
+    # every successful Qhull call is recorded with the threshold it serves
+    # (the largest value among its input nodes, since the new nodes are
+    # always given); rebuilding each hull from the whole sublevel set would
+    # have given Qhull sum(#{f <= t}) points over the same thresholds
+    f = _sample((2, 2), 5, "normal", 20240817)
+    coords = f.grid.node_coords()
+    flat = f.values.ravel()
+    node = {c.tobytes(): i for i, c in enumerate(coords)}
+    sizes = []
+
+    def recording(points, *args, **kwargs):
+        hull = real(points, *args, **kwargs)
+        t = max(flat[node[p.tobytes()]] for p in points)
+        sizes.append((len(points), int(np.sum(flat <= t))))
+        return hull
+
+    real = envelope.ConvexHull
+    monkeypatch.setattr(envelope, "ConvexHull", recording)
+    out, info = level_convex_lsc_envelope(f, full_output=True)
+    monkeypatch.undo()
+    assert len(sizes) == info["hull_builds"]
+    assert info["hull_points"] == sum(given for given, _ in sizes)
+    assert info["hull_points"] < sum(whole for _, whole in sizes)
+
+
+def _ph_values(kind: str, grid: GridSpec, seed: int) -> np.ndarray:
+    if kind == "negative":
+        # at most zero, with signed zeros among them
+        rng = np.random.default_rng(seed)
+        v = -np.abs(rng.standard_normal(grid.node_count))
+        v[rng.random(grid.node_count) < 0.2] = -0.0
+        return v
+    return _values(kind, grid, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([((1, 1), 3), ((1, 1), 11), ((1, 1), 41), ((1, 1), 201),
+                        ((2, 2), 3), ((2, 2), 5), ((2, 2), 7)]),
+       st.sampled_from(("normal", "ties", "constant", "negative")),
+       st.sampled_from((0.05, 0.3, 1.0, 5.0, 64.0)),
+       st.sampled_from((0.5, 2.0)),
+       st.integers(0, 2**32 - 1))
+def test_pasch_hausdorff_matches_dense_oracle(grid, kind, lam, radius, seed):
+    dims, points = grid
+    g = GridSpec(dims, radius, points)
+    f = SampledFunction(g, _ph_values(kind, g, seed))
+    new = pasch_hausdorff(f, lam).values
+    ref = oracles.pasch_hausdorff(f, lam).values
+    assert np.array_equal(new, ref)
+    assert np.array_equal(np.signbit(new), np.signbit(ref))

@@ -8,7 +8,7 @@ from supcon.envelope import level_convex_lsc_envelope
 from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _objective,
                           _scalar_eval, envelope_oracle_1d, gamma_limit_experiment,
                           minimize_Fp)
-from supcon.funcspace import GridSpec, corpus_entry, sample
+from supcon.funcspace import GridSpec, corpus_entry, interpolating_evaluator, sample
 
 OPTS = FeOptions(seed=123)
 
@@ -115,6 +115,16 @@ def test_nan_supremand_rejected():
         minimize_Fp(nan_gap, 8.0, Mesh1D(cells=64, xi=0.3), FeOptions(restarts=0))
     with pytest.raises(ValueError):
         _objective(_scalar_eval(nan_gap), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
+
+
+def test_infinite_supremand_rejected():
+    # a plus-infinity sample queried past its radius is +inf on part of the
+    # slope box; the scale would be inf and every powered value NaN
+    f = interpolating_evaluator(sample(corpus_entry("abs"), GridSpec((1, 1), 5.0, 11)))
+    with pytest.raises(ValueError, match="finite"):
+        minimize_Fp(f, 8.0, Mesh1D(cells=16, xi=1.0))
+    with pytest.raises(ValueError, match="finite"):
+        envelope_oracle_1d(f, 1.0, 8.0, slope_bound=10.0)
 
 
 SCALAR_ENTRIES = ("abs", "clamp1d", "double_well_1d", "exampleD_scalar")

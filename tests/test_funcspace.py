@@ -243,6 +243,22 @@ def test_csv_sidecar_contents(tmp_path):
                     "outside_mode": "clamp-to-boundary"}
 
 
+@pytest.mark.parametrize("dims,points,radius", [((1, 1), 2001, 3.0), ((2, 2), 5, 2.0),
+                                                ((2, 2), 7, 0.7)])
+def test_save_csv_bytes_match_the_csv_writer(tmp_path, dims, points, radius):
+    # the old csv.writer loop in oracles.py is the reference, byte for byte,
+    # with signed zero, huge, subnormal and long-repr values among the rows
+    g = GridSpec(dims, radius, points)
+    rng = np.random.default_rng(points)
+    vals = rng.standard_normal(g.node_count) * 10.0 ** rng.integers(-300, 300, g.node_count)
+    vals[:5] = [-0.0, 0.0, 1e300, 5e-324, 1 / 3]
+    f = SampledFunction(g, vals, "clamp-to-boundary")
+    save_csv(f, tmp_path / "new.csv")
+    oracles.save_csv(f, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
 def _random_grid_csv(tmp_path, radius):
     rng = np.random.default_rng(5)
     f = SampledFunction(GridSpec((2, 2), radius, 3), rng.normal(size=3 ** 4))
