@@ -13,7 +13,11 @@ cross-validates the verdicts against the implication hierarchy.
 
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
-batches until the budget is exhausted.
+batches until the budget is exhausted.  Every search scores its batches by
+one of two shared rules: ``_worst_gap`` takes the largest finite gap of
+segments and laminates, and ``_best_field`` the least ess sup over the
+gradient values of two-gradient test fields, an undefined (NaN) ess sup
+counting as +inf.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ DEFAULT_DELTA_SCHEDULE = tuple(2.0 ** -k for k in range(1, 13))
 
 #: Field-based notions are probed at no more than this many points per entry.
 MAX_PROBE_POINTS = 6
+
+#: Lattice cells per axis and random restarts of the weak-Morrey simplicial search.
+MESH_DEPTH = 4
+MESH_RESTARTS = 4
+
+#: Relative minors residual up to which a splitting-tree combination counts as valid.
+REJECTION_TOL = 1e-8
 
 #: What each checker actually tests, embedded in every verdict and report.
 NOTION_STATEMENTS = {
@@ -311,6 +322,16 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
             used += take
 
 
+def _worst_gap(top, sup) -> tuple[int, float]:
+    """Index and value of the largest finite gap ``top - sup`` of a batch."""
+    with np.errstate(invalid="ignore"):  # inf - inf outside the box
+        gaps = top - sup
+    # a non-finite gap cannot be replayed; it must not hide the others
+    gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
+    i = int(np.argmax(gaps))
+    return i, float(gaps[i])
+
+
 def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                          special_points, rank_one) -> Verdict:
     used = 0
@@ -320,13 +341,9 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                                          rank_one=rank_one):
         used += len(xi)
         mid = lam[:, None, None] * xi + (1.0 - lam[:, None, None]) * eta
-        with np.errstate(invalid="ignore"):  # inf - inf outside the box
-            gaps = f(mid) - np.maximum(f(xi), f(eta))
-        # a non-finite gap cannot be replayed; it must not hide the others
-        gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
-        worst = int(np.argmax(gaps))
-        if gaps[worst] > tol:
-            witness = _segment_witness(xi[worst], eta[worst], float(lam[worst]), f)
+        i, gap = _worst_gap(f(mid), np.maximum(f(xi), f(eta)))
+        if gap > tol:
+            witness = _segment_witness(xi[i], eta[i], float(lam[i]), f)
             return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
@@ -390,23 +407,20 @@ def check_supremal_jensen(f, measures, *, tol=1e-9,
 
 def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
                                     seed=DEFAULT_SEED, radius=2.0,
-                                    special_points=(),
-                                    rejection_tol=1e-8) -> Verdict:
+                                    special_points=()) -> Verdict:
     """Midpoint test on combinations whose minors vectors are consistent.
 
-    Three combination streams: rank-one pairs (always valid: minors are
-    affine along rank-one segments), atoms of random rank-one splitting
-    trees (valid by construction, which is what makes tuples of more than
-    two points reachable at all in matrix dimensions), and blind random
-    tuples accepted only when the minors of the weighted point match the
-    weighted minors within ``rejection_tol`` (relative).  For accepted
-    near-miss tuples the violation threshold is inflated by the residual so
-    they cannot fake a violation.
+    Two combination streams: rank-one pairs (always valid: minors are affine
+    along rank-one segments), then the four atoms of random rank-one
+    splitting trees (valid by construction, which is what makes tuples of
+    more than two points reachable at all in matrix dimensions).  A tree
+    counts only when the minors of its barycenter match the weighted minors
+    within ``REJECTION_TOL`` (relative), and its violation threshold is
+    inflated by that rounding residual so it cannot fake a violation.
     """
     notion = "polyquasiconvex"
     N, n = dims
-    d = N * n
-    trivial_minors = tau(N, n) == d  # min(N, n) == 1: every combination valid
+    trivial_minors = tau(N, n) == N * n  # min(N, n) == 1: every combination valid
 
     def combo_verdict(pts, ws, resid, fibers, gaps, i):
         return Verdict(notion, VIOLATED, {
@@ -435,34 +449,21 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     used = v.budget
 
     rng = np.random.default_rng(seed + 1)
-    halton_seed = seed + 1
     block = 2048
-    mode = 0
     while used < budget:
         count = min(block, budget - used)
         used += count
-        if mode % 2 == 0:
-            # splitting-tree atoms: a structurally valid 4-point combination
-            bar = rng.uniform(-radius, radius, size=(count, N, n))
-            pts, ws = _tree_atoms_batch(bar, 2, rng, radius)
-        else:
-            # blind tuples, kept only if the minors happen to be consistent
-            m_pts = int(rng.integers(2, 4))
-            H = _halton(m_pts * d, count, halton_seed)
-            halton_seed += 1
-            pts = ((2.0 * H - 1.0) * radius).reshape(count, m_pts, N, n)
-            ws = rng.dirichlet(np.ones(m_pts), size=count)
-        mode += 1
+        bar = rng.uniform(-radius, radius, size=(count, N, n))
+        pts, ws = _tree_atoms_batch(bar, 2, rng, radius)
         combined = np.einsum("bm,bmij->bij", ws, pts)
         T_combined = minors_batch(combined)
         T_weighted = np.einsum("bm,bmt->bt", ws, minors_batch(pts))
         scale = 1.0 + np.max(np.abs(T_weighted), axis=1)
         resid = np.max(np.abs(T_combined - T_weighted), axis=1)
-        valid = resid <= rejection_tol * scale
-        if not valid.any():
-            continue
+        valid = resid <= REJECTION_TOL * scale
         fibers = f(pts.reshape(-1, N, n)).reshape(count, -1)
-        gaps = f(combined) - fibers.max(axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf outside the box
+            gaps = f(combined) - fibers.max(axis=1)
         # inflate the pass bar by the accepted residual (Lipschitz slack)
         bar_tol = tol + 10.0 * resid * scale
         bad = valid & (gaps > bar_tol)
@@ -563,10 +564,38 @@ def _cutoff_values(xi, Mp, Mm, theta):
     return extras
 
 
+def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
+    """The two-gradient field of ``_two_gradient_candidates(xi, dims,
+    **stream)`` with the least essential supremum of f over its gradient
+    values (with ``cutoff``, also over the cutoff layer's).
+
+    A NaN ess sup counts as +inf; the first strict minimum is kept.  With
+    ``stop`` the search ends after the first batch whose minimum is below
+    ``f_xi - tol``.  Returns (samples, least ess sup, its gradient values,
+    its theta); the values are None when no ess sup is below +inf.
+    """
+    used, best, best_values, best_theta = 0, np.inf, None, None
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream):
+        used += len(Mp)
+        ess = np.maximum(f(Mp), f(Mm))
+        if cutoff:
+            extras = _cutoff_values(xi, Mp, Mm, theta)
+            ess = np.maximum(ess, f(extras).max(axis=1))
+        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
+        ess = np.where(np.isnan(ess), np.inf, ess)
+        i = int(np.argmin(ess))
+        if ess[i] < best:
+            best = float(ess[i])
+            best_values = [Mp[i], Mm[i]] + (list(extras[i]) if cutoff else [])
+            best_theta = float(theta[i])
+        if stop and best < f_xi - tol:
+            break
+    return used, best, best_values, best_theta
+
+
 def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
                                  seed=DEFAULT_SEED, radius=2.0,
-                                 special_points=(), mesh_depth=4,
-                                 restarts=4) -> Verdict:
+                                 special_points=()) -> Verdict:
     """Minimize the essential supremum of f(xi + D phi) over zero-boundary fields.
 
     Families searched: exact two-slope zigzags when n = 1 (every mean-zero
@@ -579,46 +608,23 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     N, n = dims
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
-    used = 0
-    best = np.inf
-    best_witness = None
-
-    zig_budget = budget if n >= 3 else max(1, budget - mesh_depth ** n * restarts)
-    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
-                                                  count=zig_budget, radius=radius,
-                                                  special_points=special_points,
-                                                  rank_one=False):
-        used += len(Mp)
-        ess = np.maximum(f(Mp), f(Mm))
-        if n >= 2:
-            extras = _cutoff_values(xi, Mp, Mm, theta)
-            ess = np.maximum(ess, f(extras).max(axis=1))
-        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
-        ess = np.where(np.isnan(ess), np.inf, ess)
-        i = int(np.argmin(ess))
-        if ess[i] < best:
-            best = float(ess[i])
-            values = [Mp[i], Mm[i]]
-            kind = "two-gradient-field"
-            if n >= 2:
-                values += list(extras[i])
-                kind = "cutoff-field"
-            best_witness = _field_witness(kind, xi, f_xi, values, best,
-                                          theta=float(theta[i]))
-        if best < f_xi - tol:
-            return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
-
-    if n <= 2:
-        ess, values, its = _simplicial_search(f, xi, dims, seed=seed,
-                                              depth=mesh_depth,
-                                              restarts=restarts)
+    zig_budget = budget if n >= 3 else max(1, budget - MESH_DEPTH ** n * MESH_RESTARTS)
+    used, best, values, theta = _best_field(
+        f, xi, f_xi, dims, tol=tol, stop=True, cutoff=n >= 2, seed=seed,
+        count=zig_budget, radius=radius, special_points=special_points,
+        rank_one=False)
+    kind = "cutoff-field" if n >= 2 else "two-gradient-field"
+    extra = {"theta": theta}
+    if n <= 2 and not best < f_xi - tol:
+        ess, field, its = _simplicial_search(f, xi, dims, seed=seed,
+                                             depth=MESH_DEPTH,
+                                             restarts=MESH_RESTARTS)
         used += its
         if ess < best:
-            best = ess
-            best_witness = _field_witness("simplicial-field", xi, f_xi,
-                                          values, best)
+            best, values, kind, extra = ess, field, "simplicial-field", {}
     if best < f_xi - tol:
-        return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
+        witness = _field_witness(kind, xi, f_xi, values, best, **extra)
+        return Verdict("weak_morrey", VIOLATED, witness, used, tol, seed)
     return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
 
 

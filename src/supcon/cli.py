@@ -207,8 +207,8 @@ def cmd_gamma1d(args) -> int:
 def cmd_laminate_check(args) -> int:
     entry = fs.corpus_entry(args.corpus)
     verdict = lam.check_curl_young_on_laminates(
-        entry, entry.dims, budget=args.budget, special_points=entry.special_points,
-        **_given(args, "seed", "tol", "radius"))
+        entry, entry.dims, special_points=entry.special_points,
+        **_given(args, "budget", "seed", "tol", "radius"))
     if args.out:
         fs.write_json(verdict.to_dict(), Path(args.out) / f"laminate_{entry.name}.json")
     print(f"{entry.name}: curl_young_laminates {verdict.outcome}")
@@ -289,7 +289,7 @@ def build_parser() -> Parser:
     p.add_argument("--slope-bound", type=float)
 
     command("laminate-check", cmd_laminate_check, "laminate-side inequality check",
-            *verdict_flags, budget=20_000)
+            *verdict_flags)
 
     p = command("morrey-search", cmd_morrey_search,
                 "zero-boundary / periodic / small-boundary disproof search",

@@ -86,9 +86,15 @@ HIERARCHY_IMPLIES = {
 }
 
 
-def _memory_cap_bytes() -> int:
-    cap_mb = float(os.environ.get("SUPCON_MEM_CAP_MB", "512"))
-    return int(cap_mb * 1024 * 1024)
+def _memory_cap_bytes() -> float:
+    text = os.environ.get("SUPCON_MEM_CAP_MB", "512")
+    try:
+        cap_mb = float(text)
+    except ValueError:
+        cap_mb = math.nan
+    if not 0.0 < cap_mb < math.inf:
+        raise ValueError(f"SUPCON_MEM_CAP_MB must be a finite number > 0, got {text!r}")
+    return cap_mb * 1024 * 1024
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ Young measures, and the workhorse behind three checkers:
   statistics while their boundary values decay like 1/layers, and small
   affine probes expose lower-semicontinuity failures.
 
-The searches only ever report a violation with a replayable witness; a clean
+The sawtooth candidates of the last two are scored by the classify module's
+shared field scorer, and the laminate gaps by its shared gap rule.  The
+searches only ever report a violation with a replayable witness; a clean
 pass means nothing more than "no counterexample within budget".
 """
 
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                       Verdict, _aslist, _field_witness, _random_rank_one,
-                       _special_pairs, _tree_atoms_batch,
-                       _two_gradient_candidates)
+                       Verdict, _aslist, _best_field, _field_witness,
+                       _random_rank_one, _special_pairs, _tree_atoms_batch,
+                       _worst_gap)
 from .funcspace import DEFAULT_SEED
 from .matspace import is_rank_one_connected, second_singular_ratio
 
@@ -112,9 +114,9 @@ def nu_ess_sup(L: Laminate, f) -> float:
     return max(vals)
 
 
-def sample_laminates(dims, *, seed, count, radius=2.0, max_order=3,
-                     barycenters=None) -> list[Laminate]:
-    """Seeded random laminates of order up to max_order around given barycenters."""
+def sample_laminates(dims, *, seed, count, radius=2.0,
+                     max_order=3) -> list[Laminate]:
+    """Seeded random laminates of order up to max_order around random barycenters."""
     N, n = dims
     rng = np.random.default_rng(seed)
 
@@ -129,22 +131,19 @@ def sample_laminates(dims, *, seed, count, radius=2.0, max_order=3,
 
     out = []
     for i in range(count):
-        if barycenters is not None:
-            bar = np.asarray(barycenters[i % len(barycenters)], dtype=float)
-        else:
-            bar = rng.uniform(-radius, radius, size=(N, n))
+        bar = rng.uniform(-radius, radius, size=(N, n))
         out.append(build(bar, int(rng.integers(1, max_order + 1))))
     return out
 
 
-def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=100_000,
+def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
                                   seed=DEFAULT_SEED, radius=2.0,
-                                  special_points=(), max_order=3) -> Verdict:
-    """Violated iff some laminate of order <= max_order has
+                                  special_points=()) -> Verdict:
+    """Violated iff some laminate of order at most three has
     f(barycenter) > ess-sup of f over its atoms (plus tol).
 
     Simple laminates on special rank-one pairs run first (exact atoms), then
-    seeded random simple laminates, then random order-2 and order-3 trees.
+    blocks of seeded random laminates of order 1, 1, 1, 2, 2, 3 in turn.
     """
     notion = "curl_young_laminates"
     N, n = dims
@@ -185,13 +184,9 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=100_000,
         used += m
         bary = np.einsum("bm,bmij->bij", wts, atoms)
         sup = np.max(f(atoms.reshape(-1, N, n)).reshape(m, -1), axis=1)
-        with np.errstate(invalid="ignore"):  # inf - inf outside the box
-            gaps = f(bary) - sup
-        # a non-finite gap cannot be replayed; it must not hide the others
-        gaps = np.where(np.isfinite(gaps), gaps, -np.inf)
-        i = int(np.argmax(gaps))
-        if gaps[i] > tol:
-            witness = measure_witness(atoms[i], wts[i], float(gaps[i]))
+        i, gap = _worst_gap(f(bary), sup)
+        if gap > tol:
+            witness = measure_witness(atoms[i], wts[i], gap)
             return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
@@ -326,21 +321,13 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     notion = "periodic_weak_morrey"
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
-    used = 0
-    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
-                                                  count=budget, radius=radius,
-                                                  special_points=special_points,
-                                                  rank_one=True):
-        used += len(Mp)
-        ess = np.maximum(f(Mp), f(Mm))
-        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
-        ess = np.where(np.isnan(ess), np.inf, ess)
-        i = int(np.argmin(ess))
-        if ess[i] < f_xi - tol:
-            witness = _field_witness("two-gradient-field", xi, f_xi,
-                                     [Mp[i], Mm[i]], float(ess[i]),
-                                     theta=float(theta[i]))
-            return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    used, ess, values, theta = _best_field(
+        f, xi, f_xi, dims, tol=tol, stop=True, seed=seed, count=budget,
+        radius=radius, special_points=special_points, rank_one=True)
+    if ess < f_xi - tol:
+        witness = _field_witness("two-gradient-field", xi, f_xi, values, ess,
+                                 theta=theta)
+        return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
 
@@ -368,23 +355,13 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
     deltas = tuple(sorted(delta_schedule, reverse=True))
-    used = 0
 
     # laminate family: delta-independent gap
-    lam_gap = -np.inf
-    lam_best = None
-    lam_budget = budget // 2
-    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
-                                                  count=lam_budget, radius=radius,
-                                                  special_points=special_points,
-                                                  rank_one=True, grad_cap=K):
-        used += len(Mp)
-        ess = np.maximum(f(Mp), f(Mm))
-        ess = np.where(np.isnan(ess), np.inf, ess)
-        i = int(np.argmin(ess))
-        if f_xi - ess[i] > lam_gap:
-            lam_gap = f_xi - float(ess[i])
-            lam_best = (Mp[i], Mm[i], float(theta[i]))
+    used, lam_ess, lam_values, theta = _best_field(
+        f, xi, f_xi, dims, tol=tol, stop=False, seed=seed, count=budget // 2,
+        radius=radius, special_points=special_points, rank_one=True,
+        grad_cap=K)
+    lam_gap = f_xi - lam_ess
 
     # affine family: probe magnitudes tied to each delta
     rng = np.random.default_rng(seed + 3)
@@ -420,7 +397,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
 
     if laminate_persists or affine_persists:
         if laminate_persists and lam_gap >= affine_gaps[-1]:
-            Mp, Mm, theta = lam_best
+            Mp, Mm = lam_values
             w = Mp - Mm
             c = theta * (1.0 - theta) * float(np.linalg.norm(w.ravel()))
             layers = [max(1, math.ceil(c / d)) for d in deltas]

@@ -17,6 +17,8 @@ was batched: one ``_two_slope_value`` call per slope pair, each evaluating f
 one point at a time.  After it come the dense Pasch-Hausdorff transform,
 which takes the minimum over every node pair in blocks of the full distance
 matrix, and the ``csv.writer`` loop that ``save_csv`` once ran per node.
+Last come the three field searches as they were when each scored its own
+two-gradient batches, before ``classify._best_field`` took that over.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from supcon.classify import _halton, _special_pairs
+from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, VIOLATED, Verdict, _aslist,
+                             _cutoff_values, _field_witness, _halton, _simplicial_search,
+                             _special_pairs, _two_gradient_candidates)
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
 from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _hull_support_slopes,
                           _objective, _profile_to_slopes, _scalar_eval)
-from supcon.funcspace import MODE_PLUS_INFINITY, SampledFunction, _sidecar_path, write_json
+from supcon.funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, SampledFunction, _sidecar_path,
+                              write_json)
 from supcon.matspace import _index_sets, tau
 
 
@@ -510,3 +515,190 @@ def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
         "outside_mode": f.outside_mode,
     }
     write_json(meta, sidecar)
+
+
+def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
+                                 seed=DEFAULT_SEED, radius=2.0,
+                                 special_points=(), mesh_depth=4,
+                                 restarts=4) -> Verdict:
+    """Minimize the essential supremum of f(xi + D phi) over zero-boundary fields.
+
+    Families searched: exact two-slope zigzags when n = 1 (every mean-zero
+    two-slope profile is realizable with zero boundary there), laminates cut
+    off by the boundary-distance pyramid for n >= 2 (the cutoff layer's
+    gradients join the supremum, as two-gradient rigidity demands), and random
+    continuous piecewise-affine fields on a simplicial mesh with interior
+    nodal degrees of freedom, improved by coordinate descent.
+    """
+    N, n = dims
+    xi = np.asarray(xi, dtype=float).reshape(dims)
+    f_xi = float(f(xi))
+    used = 0
+    best = np.inf
+    best_witness = None
+
+    zig_budget = budget if n >= 3 else max(1, budget - mesh_depth ** n * restarts)
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
+                                                  count=zig_budget, radius=radius,
+                                                  special_points=special_points,
+                                                  rank_one=False):
+        used += len(Mp)
+        ess = np.maximum(f(Mp), f(Mm))
+        if n >= 2:
+            extras = _cutoff_values(xi, Mp, Mm, theta)
+            ess = np.maximum(ess, f(extras).max(axis=1))
+        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
+        ess = np.where(np.isnan(ess), np.inf, ess)
+        i = int(np.argmin(ess))
+        if ess[i] < best:
+            best = float(ess[i])
+            values = [Mp[i], Mm[i]]
+            kind = "two-gradient-field"
+            if n >= 2:
+                values += list(extras[i])
+                kind = "cutoff-field"
+            best_witness = _field_witness(kind, xi, f_xi, values, best,
+                                          theta=float(theta[i]))
+        if best < f_xi - tol:
+            return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
+
+    if n <= 2:
+        ess, values, its = _simplicial_search(f, xi, dims, seed=seed,
+                                              depth=mesh_depth,
+                                              restarts=restarts)
+        used += its
+        if ess < best:
+            best = ess
+            best_witness = _field_witness("simplicial-field", xi, f_xi,
+                                          values, best)
+    if best < f_xi - tol:
+        return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
+    return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
+
+
+def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
+                               seed=DEFAULT_SEED, radius=2.0,
+                               special_points=()) -> Verdict:
+    """Violated iff a periodic sawtooth achieves ess-sup f(xi + D phi) below
+    f(xi) - tol.  The family is the realize_simple_laminate one, built in the
+    cube rotated to the lamination normal; compressing layers changes nothing
+    here because the gradient statistics are scale-invariant."""
+    notion = "periodic_weak_morrey"
+    xi = np.asarray(xi, dtype=float).reshape(dims)
+    f_xi = float(f(xi))
+    used = 0
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
+                                                  count=budget, radius=radius,
+                                                  special_points=special_points,
+                                                  rank_one=True):
+        used += len(Mp)
+        ess = np.maximum(f(Mp), f(Mm))
+        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
+        ess = np.where(np.isnan(ess), np.inf, ess)
+        i = int(np.argmin(ess))
+        if ess[i] < f_xi - tol:
+            witness = _field_witness("two-gradient-field", xi, f_xi,
+                                     [Mp[i], Mm[i]], float(ess[i]),
+                                     theta=float(theta[i]))
+            return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    return Verdict(notion, HOLDS, None, used, tol, seed)
+
+
+def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
+                                   delta_schedule=DEFAULT_DELTA_SCHEDULE,
+                                   tol=1e-9, budget=20_000, seed=DEFAULT_SEED,
+                                   radius=2.0, special_points=()) -> Verdict:
+    """Look for a gap below f(xi) that persists as the boundary budget
+    delta shrinks, under the gradient bound K.
+
+    Two families: scaled sawtooth laminates (their gap is delta-independent,
+    since compressing layers shrinks the boundary values but not the gradient
+    statistics) and affine probes phi = eta x with |eta| shrinking along the
+    schedule (these expose lower-semicontinuity failures; for a continuous
+    supremand their gap decays with delta and is filtered out by the
+    persistence rule: the gap at the smallest delta must be at least half the
+    gap at the largest).
+    """
+    notion = "strong_morrey"
+    N, n = dims
+    xi = np.asarray(xi, dtype=float).reshape(dims)
+    f_xi = float(f(xi))
+    deltas = tuple(sorted(delta_schedule, reverse=True))
+    used = 0
+
+    # laminate family: delta-independent gap
+    lam_gap = -np.inf
+    lam_best = None
+    lam_budget = budget // 2
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
+                                                  count=lam_budget, radius=radius,
+                                                  special_points=special_points,
+                                                  rank_one=True, grad_cap=K):
+        used += len(Mp)
+        ess = np.maximum(f(Mp), f(Mm))
+        ess = np.where(np.isnan(ess), np.inf, ess)
+        i = int(np.argmin(ess))
+        if f_xi - ess[i] > lam_gap:
+            lam_gap = f_xi - float(ess[i])
+            lam_best = (Mp[i], Mm[i], float(theta[i]))
+
+    # affine family: probe magnitudes tied to each delta
+    rng = np.random.default_rng(seed + 3)
+    n_dirs = max(8, (budget - used) // max(1, 3 * len(deltas)))
+    dirs = [np.asarray(p, dtype=float) - xi for p in special_points]
+    dirs = [d for d in dirs if np.linalg.norm(d) > 1e-12]
+    extra = rng.normal(size=(n_dirs, N, n))
+    dirs += [e for e in extra]
+    D = np.array([d / np.linalg.norm(d.ravel()) for d in dirs])
+    affine_gaps = []
+    affine_args = []
+    for delta in deltas:
+        m0 = min(K, 2.0 * delta / math.sqrt(n))
+        best_gap, best_arg = -np.inf, None
+        for mag in (m0, m0 / 2.0, m0 / 4.0):
+            probes = xi[None] + mag * D
+            vals = f(probes)
+            vals = np.where(np.isnan(vals), np.inf, vals)
+            used += len(D)
+            i = int(np.argmin(vals))
+            if f_xi - float(vals[i]) > best_gap:
+                best_gap = f_xi - float(vals[i])
+                best_arg = probes[i]
+        affine_gaps.append(best_gap)
+        affine_args.append(best_arg)
+
+    per_delta = [max(lam_gap, ag) for ag in affine_gaps]
+    # a genuine lower-semicontinuity failure keeps its gap as delta shrinks;
+    # the dents mere continuity produces decay linearly and are filtered here
+    affine_persists = (affine_gaps[-1] > tol
+                       and affine_gaps[-1] >= 0.5 * max(affine_gaps))
+    laminate_persists = lam_gap > tol
+
+    if laminate_persists or affine_persists:
+        if laminate_persists and lam_gap >= affine_gaps[-1]:
+            Mp, Mm, theta = lam_best
+            w = Mp - Mm
+            c = theta * (1.0 - theta) * float(np.linalg.norm(w.ravel()))
+            layers = [max(1, math.ceil(c / d)) for d in deltas]
+            witness = _field_witness(
+                "two-gradient-field", xi, f_xi, [Mp, Mm],
+                max(float(f(Mp)), float(f(Mm))), theta=theta,
+                family="scaled-periodic-laminate", layers_per_delta=layers,
+                per_delta=[{"delta": d, "gap": g}
+                           for d, g in zip(deltas, per_delta)],
+                epsilon=min(per_delta) - tol)
+        else:
+            witness = {
+                "kind": "affine-field",
+                "xi": _aslist(xi),
+                "family": "affine-probe",
+                "field_values": [_aslist(affine_args[-1])],
+                "ess_sup": f_xi - affine_gaps[-1],
+                "f_xi": f_xi,
+                "gap": affine_gaps[-1],
+                "per_delta": [{"delta": d, "gap": g}
+                              for d, g in zip(deltas, per_delta)],
+                "epsilon": min(per_delta) - tol,
+            }
+        return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    return Verdict(notion, HOLDS, None, used, tol, seed)

@@ -104,8 +104,7 @@ def test_criterion_3_arctan_det():
         ro = check_rank_one_qcx(entry, entry.dims, budget=10_000, **args)
         assert not ro.violated and ro.budget >= 10_000
 
-        cy = check_curl_young_on_laminates(entry, entry.dims, budget=10_000,
-                                           max_order=3, **args)
+        cy = check_curl_young_on_laminates(entry, entry.dims, budget=10_000, **args)
         assert not cy.violated and cy.budget >= 10_000
 
 

@@ -239,6 +239,35 @@ def test_polyqcx_negative_abs_det_violated():
         v.witness["gap"], abs=1e-12)
 
 
+def test_polyqcx_every_counted_sample_reaches_f():
+    # three matrices per rank-one segment sample (60% of the budget), then
+    # four atoms and their combination per splitting-tree sample
+    entry = corpus_entry("abs", dims=(2, 2))
+    seen = 0
+
+    def f(arr):
+        nonlocal seen
+        arr = np.asarray(arr, dtype=float)
+        seen += arr.size // 4
+        return entry(arr)
+
+    v = check_polyquasiconvex_necessary(f, (2, 2), budget=20_000)
+    assert not v.violated and v.budget == 20_000
+    assert seen == 3 * 12_000 + 5 * 8_000
+
+
+def test_polyqcx_trees_outside_the_box_raise_no_warning():
+    # a tree whose barycenter leaves the sampled box has an atom outside it
+    # too, so its gap is inf - inf: undefined, skipped, and not a warning
+    coarse = sample(corpus_entry("abs", dims=(2, 2)), GridSpec((2, 2), 1.0, 5))
+    ev = interpolating_evaluator(coarse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = check_polyquasiconvex_necessary(ev, (2, 2), tol=1e-6, budget=20_000,
+                                            radius=2.0)
+    assert not v.violated and v.budget == 20_000
+
+
 # ---------------------------------------------------------------------------
 # weak Morrey search
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ def test_memory_cap(monkeypatch):
         GridSpec((2, 2), 1.0, 9)
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf", "0", "-5", "abc"])
+def test_memory_cap_rejects_bad_values(monkeypatch, cap):
+    monkeypatch.setenv("SUPCON_MEM_CAP_MB", cap)
+    with pytest.raises(ValueError, match="SUPCON_MEM_CAP_MB"):
+        GridSpec((1, 1), 1.0, 41)
+
+
 def test_sample_abs_three_points():
     f = sample(corpus_entry("abs"), GridSpec((1, 1), 1.0, 3))
     assert f.values.tolist() == [1.0, 0.0, 1.0]

@@ -1,6 +1,7 @@
 """The array form of the weak-Morrey search layer against the per-candidate
-and per-triangle reference loops in ``oracles.py``, and the shared
-two-gradient candidate stream against the laminate generator it replaced:
+and per-triangle reference loops in ``oracles.py``, the shared two-gradient
+candidate stream against the laminate generator it replaced, and the three
+field searches against their copies from before the shared field scorer:
 equal bit for bit."""
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from supcon import laminate
 from supcon.classify import (_cutoff_values, _simplicial_search,
-                             _two_gradient_candidates)
+                             _two_gradient_candidates,
+                             search_weak_morrey_violation)
 from supcon.funcspace import corpus_entry
 
 CORPUS_2x2 = ("arctan_det", "W_sup", "exampleD", "chi_det", "one_minus_chi_pair")
@@ -118,3 +121,50 @@ def test_simplicial_search_matches_per_triangle_oracle(dims, use_corpus, depth,
     assert best == ref_best
     assert its == ref_its
     assert np.array_equal(np.array(values), np.array(ref_values))
+
+
+def _nan_double_well():
+    # undefined (NaN) for t > 1.9, as in the NaN-masking test of test_classify
+    entry = corpus_entry("double_well_1d")
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.where(arr[..., 0, 0] > 1.9, np.nan, entry(arr))
+    return f, entry.special_points
+
+
+FIELD_SEARCHES = {
+    "weak": (search_weak_morrey_violation, oracles.search_weak_morrey_violation),
+    "periodic": (laminate.check_periodic_weak_morrey,
+                 oracles.check_periodic_weak_morrey),
+    "strong": (laminate.search_strong_morrey_violation,
+               oracles.search_strong_morrey_violation),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FIELD_SEARCHES)),
+       st.sampled_from(CORPUS_1x1 + CORPUS_2x2 + ("nan_double_well",)),
+       st.booleans(),
+       st.integers(1, 3000),
+       st.sampled_from([0.5, 2.0, 8.0]),
+       st.integers(0, 2**32 - 1))
+def test_field_searches_match_their_own_loops(search, name, at_special, budget,
+                                              K, seed):
+    if name == "nan_double_well":
+        f, special = _nan_double_well()
+        dims = (1, 1)
+    else:
+        f = corpus_entry(name)
+        special, dims = f.special_points, f.dims
+    rng = np.random.default_rng(seed)
+    if at_special:
+        xi = np.asarray(special[seed % len(special)], dtype=float)
+    else:
+        xi = rng.normal(size=dims) * float(rng.choice([0.5, 1.0, 2.0]))
+    kw = dict(tol=1e-9, budget=budget, seed=seed % 100_000,
+              radius=float(rng.choice([1.0, 2.0, 3.0])), special_points=special)
+    if search == "strong":
+        kw["K"] = K
+    new, ref = FIELD_SEARCHES[search]
+    assert new(f, xi, dims, **kw).to_dict() == ref(f, xi, dims, **kw).to_dict()
