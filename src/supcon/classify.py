@@ -603,7 +603,10 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     off by the boundary-distance pyramid for n >= 2 (the cutoff layer's
     gradients join the supremum, as two-gradient rigidity demands), and random
     continuous piecewise-affine fields on a simplicial mesh with interior
-    nodal degrees of freedom, improved by coordinate descent.
+    nodal degrees of freedom, improved by coordinate descent.  The descent
+    calls f once per speculated batch of trials, so f must score each matrix
+    of a batch independently of the others; the samples it adds to the
+    verdict's budget are the trials the descent used.
     """
     N, n = dims
     xi = np.asarray(xi, dtype=float).reshape(dims)
@@ -629,55 +632,67 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
 
 
 def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
-    """Random piecewise-affine zero-boundary fields on a simplicial mesh of Q.
-
-    Returns (best ess-sup, shifted gradient values of the best field, cost).
-    Supports n in {1, 2}; interior nodal values are the unknowns.
+    """Random piecewise-affine zero-boundary fields on a simplicial mesh of Q,
+    improved by up to three coordinate-descent sweeps over the interior nodal
+    values (steps h, -h, h/4, -h/4; a trial is kept when it lowers the ess
+    sup, NaN counting as +inf, by more than 1e-15).  f is called once per
+    speculated batch: the rest of the sweep, each trial as if every earlier
+    one were rejected (a rejection leaves ``(x + s) - s``); the next batch
+    starts after the first accepted trial, so f must score each matrix of a
+    batch independently of the others.  Returns (best ess sup, shifted
+    gradient values of the best field, samples), the samples being the trials
+    the descent used.  Supports n in {1, 2}.
     """
     N, n = dims
     rng = np.random.default_rng(seed + 7)
     h = 1.0 / depth
-    evaluations = 0
+    C = (depth - 1) ** n * N   # interior nodal values
 
-    def gradients(nodal):
-        # nodal: values on the (depth+1)^n lattice, shape (*(depth+1 per axis), N)
+    def objective(x):
+        # x: (K, C) interior nodal values -> ess sups (K,), gradients (K, cells, N, n)
+        nodal = np.zeros((len(x),) + (depth + 1,) * n + (N,))
+        nodal[(slice(None),) + (slice(1, -1),) * n] = x.reshape(len(x), *(depth - 1,) * n, N)
         if n == 1:
-            return (nodal[1:] - nodal[:-1])[:, :, None] / h  # (cells, N, 1)
-        # lower-left then upper-right triangle of each square, square-major
-        v00, v10 = nodal[:-1, :-1], nodal[1:, :-1]
-        v01, v11 = nodal[:-1, 1:], nodal[1:, 1:]
-        lower = np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=-1)
-        upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
-        return np.stack([lower, upper], axis=2).reshape(2 * depth * depth, N, 2)
+            g = (nodal[:, 1:] - nodal[:, :-1])[..., None] / h
+        else:
+            # lower-left then upper-right triangle of each square, square-major
+            v00, v10 = nodal[:, :-1, :-1], nodal[:, 1:, :-1]
+            v01, v11 = nodal[:, :-1, 1:], nodal[:, 1:, 1:]
+            lower = np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=-1)
+            upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
+            g = np.stack([lower, upper], axis=3).reshape(len(x), -1, N, 2)
+        val = np.max(f(xi + g), axis=1)
+        return np.where(np.isnan(val), np.inf, val), g
 
-    def objective(nodal):
-        g = gradients(nodal)
-        val = float(np.max(f(xi[None] + g)))
-        return (np.inf if np.isnan(val) else val), g
-
-    best = np.inf
-    best_values = []
-    shape = (depth + 1,) * n + (N,)
-    interior = tuple(slice(1, -1) for _ in range(n))
+    best, best_values, evaluations = np.inf, [], 0
     for _ in range(restarts):
-        nodal = np.zeros(shape)
-        nodal[interior] = rng.normal(scale=0.3 * h, size=nodal[interior].shape)
-        val, g = objective(nodal)
-        evaluations += 1
+        x = rng.normal(scale=0.3 * h, size=(1, C))
+        (val,), (g,) = objective(x)
+        x, val, evaluations = x[0], float(val), evaluations + 1
         for _ in range(3):  # coordinate-descent sweeps
-            improved = False
-            it = np.ndindex(*nodal[interior].shape)
-            for idx in it:
-                full = tuple(i + 1 for i in idx[:n]) + idx[n:]
-                for step in (h, -h, h / 4, -h / 4):
-                    nodal[full] += step
-                    cand, g2 = objective(nodal)
-                    evaluations += 1
-                    if cand < val - 1e-15:
-                        val, g = cand, g2
-                        improved = True
-                    else:
-                        nodal[full] -= step
+            improved, t = False, 0
+            while t < 4 * C:
+                # trial t steps coordinate t // 4 by the (t % 4)-th step; trial[c, j] is
+                # coordinate c in its j-th trial, v the state once every trial is rejected
+                trial, v = np.empty((C, 4)), x.copy()
+                for j, step in enumerate((h, -h, h / 4, -h / 4)):
+                    if j == t % 4:
+                        v[t // 4] = x[t // 4]
+                    trial[:, j] = v + step
+                    v = trial[:, j] - step
+                v[:t // 4] = x[:t // 4]
+                cs, js = np.divmod(np.arange(t, 4 * C), 4)
+                X = np.where(np.arange(C) < cs[:, None], v, x)
+                X[np.arange(len(cs)), cs] = trial[cs, js]
+                cand, G = objective(X)
+                hit = np.flatnonzero(cand < val - 1e-15)
+                if len(hit) == 0:
+                    evaluations += len(cs)
+                    x = v
+                    break
+                k = int(hit[0])
+                evaluations += k + 1
+                x, val, g, improved, t = X[k], float(cand[k]), G[k], True, t + k + 1
             if not improved:
                 break
         if val < best:

@@ -3,9 +3,10 @@
 These are the straightforward loops the d >= 2 branches of
 ``lamination_hull`` and ``level_convex_lsc_envelope`` were first written as:
 one Python monotone chain per grid line, and one Qhull hull (or one LP per
-query) per sublevel threshold.  The weak-Morrey search layer has two more:
-one SVD per candidate for the cutoff-layer values, and one ``np.stack`` per
-triangle for the gradients of the simplicial fields.  They are slow but easy
+query) per sublevel threshold.  The weak-Morrey search layer has three more:
+one SVD per candidate for the cutoff-layer values, one ``np.stack`` per
+triangle for the gradients of the simplicial fields, and one f call per
+coordinate-descent trial of the simplicial search.  They are slow but easy
 to audit; the tests require the production code to agree with them bit for
 bit.  Two more references are the generators the production code replaced:
 the per-matrix minors vector that ``minors_batch`` must match, and the
@@ -32,7 +33,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, VIOLATED, Verdict, _aslist,
-                             _cutoff_values, _field_witness, _halton, _simplicial_search,
+                             _cutoff_values, _field_witness, _halton,
                              _special_pairs, _two_gradient_candidates)
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
 from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _hull_support_slopes,
@@ -189,6 +190,61 @@ def simplicial_search(f, xi, dims, *, seed, depth, restarts):
     def objective(nodal):
         g = gradients(nodal)
         return float(np.max(f(xi[None] + g))), g
+
+    best = np.inf
+    best_values = []
+    shape = (depth + 1,) * n + (N,)
+    interior = tuple(slice(1, -1) for _ in range(n))
+    for _ in range(restarts):
+        nodal = np.zeros(shape)
+        nodal[interior] = rng.normal(scale=0.3 * h, size=nodal[interior].shape)
+        val, g = objective(nodal)
+        evaluations += 1
+        for _ in range(3):  # coordinate-descent sweeps
+            improved = False
+            it = np.ndindex(*nodal[interior].shape)
+            for idx in it:
+                full = tuple(i + 1 for i in idx[:n]) + idx[n:]
+                for step in (h, -h, h / 4, -h / 4):
+                    nodal[full] += step
+                    cand, g2 = objective(nodal)
+                    evaluations += 1
+                    if cand < val - 1e-15:
+                        val, g = cand, g2
+                        improved = True
+                    else:
+                        nodal[full] -= step
+            if not improved:
+                break
+        if val < best:
+            best = val
+            best_values = [xi + gi for gi in g]
+    return best, best_values, evaluations
+
+
+def simplicial_search_per_trial(f, xi, dims, *, seed, depth, restarts):
+    """Coordinate descent on simplicial fields, one f call per trial: the
+    loop ``classify._simplicial_search`` batches, NaN ess sup as +inf."""
+    N, n = dims
+    rng = np.random.default_rng(seed + 7)
+    h = 1.0 / depth
+    evaluations = 0
+
+    def gradients(nodal):
+        # nodal: values on the (depth+1)^n lattice, shape (*(depth+1 per axis), N)
+        if n == 1:
+            return (nodal[1:] - nodal[:-1])[:, :, None] / h  # (cells, N, 1)
+        # lower-left then upper-right triangle of each square, square-major
+        v00, v10 = nodal[:-1, :-1], nodal[1:, :-1]
+        v01, v11 = nodal[:-1, 1:], nodal[1:, 1:]
+        lower = np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=-1)
+        upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
+        return np.stack([lower, upper], axis=2).reshape(2 * depth * depth, N, 2)
+
+    def objective(nodal):
+        g = gradients(nodal)
+        val = float(np.max(f(xi[None] + g)))
+        return (np.inf if np.isnan(val) else val), g
 
     best = np.inf
     best_values = []
@@ -563,9 +619,9 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
             return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
 
     if n <= 2:
-        ess, values, its = _simplicial_search(f, xi, dims, seed=seed,
-                                              depth=mesh_depth,
-                                              restarts=restarts)
+        ess, values, its = simplicial_search_per_trial(f, xi, dims, seed=seed,
+                                                       depth=mesh_depth,
+                                                       restarts=restarts)
         used += its
         if ess < best:
             best = ess

@@ -1,10 +1,11 @@
-"""The array form of the weak-Morrey search layer against the per-candidate
-and per-triangle reference loops in ``oracles.py``, the shared two-gradient
-candidate stream against the laminate generator it replaced, and the three
-field searches against their copies from before the shared field scorer:
-equal bit for bit."""
+"""The array form of the weak-Morrey search layer against the per-candidate,
+per-triangle and per-trial reference loops in ``oracles.py``, the shared
+two-gradient candidate stream against the laminate generator it replaced, and
+the three field searches against their copies from before the shared field
+scorer: equal bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +102,13 @@ def _smooth(dims, seed):
     return f
 
 
+def _corpus_or_smooth(dims, use_corpus, seed):
+    if use_corpus and dims in ((1, 1), (2, 2)):
+        names = CORPUS_1x1 if dims == (1, 1) else CORPUS_2x2
+        return corpus_entry(names[seed % len(names)])
+    return _smooth(dims, seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
        st.booleans(),
@@ -109,11 +117,7 @@ def _smooth(dims, seed):
 def test_simplicial_search_matches_per_triangle_oracle(dims, use_corpus, depth,
                                                        restarts, seed):
     rng = np.random.default_rng(seed)
-    if use_corpus and dims in ((1, 1), (2, 2)):
-        names = CORPUS_1x1 if dims == (1, 1) else CORPUS_2x2
-        f = corpus_entry(names[seed % len(names)])
-    else:
-        f = _smooth(dims, seed)
+    f = _corpus_or_smooth(dims, use_corpus, seed)
     xi = rng.normal(size=dims)
     kw = dict(seed=seed % 100_000, depth=depth, restarts=restarts)
     best, values, its = _simplicial_search(f, xi, dims, **kw)
@@ -123,14 +127,57 @@ def test_simplicial_search_matches_per_triangle_oracle(dims, use_corpus, depth,
     assert np.array_equal(np.array(values), np.array(ref_values))
 
 
+def _nan_where_a00_above(f, c):
+    def g(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.where(arr[..., 0, 0] > c, np.nan, f(arr))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+       st.booleans(),
+       st.sampled_from([None, 0.3, 1.0, 1.9]),
+       st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_simplicial_search_matches_per_trial_oracle(dims, use_corpus, nan_above,
+                                                    depth, restarts, seed):
+    # one f call per speculated batch must pick the same trials, states and
+    # sample count as one f call per trial, NaN ess sups included
+    rng = np.random.default_rng(seed)
+    f = _corpus_or_smooth(dims, use_corpus, seed)
+    if nan_above is not None:
+        f = _nan_where_a00_above(f, nan_above)
+    xi = rng.normal(size=dims) * float(rng.choice([0.0, 0.5, 1.0]))
+    kw = dict(seed=seed % 100_000, depth=depth, restarts=restarts)
+    best, values, its = _simplicial_search(f, xi, dims, **kw)
+    ref_best, ref_values, ref_its = oracles.simplicial_search_per_trial(f, xi, dims, **kw)
+    assert best == ref_best
+    assert its == ref_its
+    assert np.array_equal(np.array(values), np.array(ref_values))
+
+
+@pytest.mark.parametrize("name", ["arctan_det", "W_sup"])
+def test_simplicial_search_calls_f_once_per_batch(name):
+    f = corpus_entry(name)
+    calls = []
+
+    def spy(arr):
+        calls.append(1)
+        return f(arr)
+
+    kw = dict(seed=20240817, depth=4, restarts=4)
+    xi = np.zeros((2, 2))
+    best, _, its = _simplicial_search(spy, xi, (2, 2), **kw)
+    ref_best, _, trials = oracles.simplicial_search_per_trial(f, xi, (2, 2), **kw)
+    assert (best, its) == (ref_best, trials)
+    assert len(calls) <= trials / 10
+
+
 def _nan_double_well():
     # undefined (NaN) for t > 1.9, as in the NaN-masking test of test_classify
     entry = corpus_entry("double_well_1d")
-
-    def f(arr):
-        arr = np.asarray(arr, dtype=float)
-        return np.where(arr[..., 0, 0] > 1.9, np.nan, entry(arr))
-    return f, entry.special_points
+    return _nan_where_a00_above(entry, 1.9), entry.special_points
 
 
 FIELD_SEARCHES = {
