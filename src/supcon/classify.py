@@ -13,8 +13,9 @@ cross-validates the verdicts against the implication hierarchy.
 
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
-batches until the budget is exhausted.  Every search scores its batches by
-one of two shared rules: ``_worst_gap`` takes the largest finite gap of
+batches until the budget is exhausted; the checkers of one ``classify_report``
+share each Halton draw.  Every search scores its batches by one of two
+shared rules: ``_worst_gap`` takes the largest finite gap of
 segments and laminates, and ``_best_field`` the least ess sup over the
 gradient values of two-gradient test fields, an undefined (NaN) ess sup
 counting as +inf.
@@ -25,6 +26,8 @@ from __future__ import annotations
 import datetime
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -153,6 +156,12 @@ def _aslist(x) -> list:
     return np.asarray(x, dtype=float).tolist()
 
 
+def _ess_sup(values) -> float:
+    """The largest of the values; an undefined one (NaN) makes it +inf."""
+    v = np.asarray(values, dtype=float)
+    return math.inf if np.isnan(v).any() else float(v.max())
+
+
 def replay_witness(f, witness: dict) -> float:
     """Recompute a witness gap from scratch; must match the stored gap to 1e-12."""
     kind = witness["kind"]
@@ -160,22 +169,21 @@ def replay_witness(f, witness: dict) -> float:
         xi, eta = _mat(witness["xi"]), _mat(witness["eta"])
         lam = witness["lam"]
         mid = lam * xi + (1.0 - lam) * eta
-        return float(f(mid) - max(f(xi), f(eta)))
+        return float(f(mid) - _ess_sup([f(xi), f(eta)]))
     if kind == "measure":
         atoms = [(_mat(m), w) for m, w in witness["atoms"]]
         bary = sum(w * m for m, w in atoms)
-        sup = max(float(f(m)) for m, w in atoms if w > 0)
+        sup = _ess_sup([f(m) for m, w in atoms if w > 0])
         return float(f(bary)) - sup
     if kind == "minor-combination":
         pts = [_mat(p) for p in witness["points"]]
         ws = witness["weights"]
         combined = sum(w * p for w, p in zip(ws, pts))
-        return float(f(combined)) - max(float(f(p)) for p in pts)
+        return float(f(combined)) - _ess_sup([f(p) for p in pts])
     if kind in ("two-gradient-field", "affine-field", "cutoff-field",
                 "simplicial-field"):
         xi = _mat(witness["xi"])
-        vals = [float(f(_mat(m))) for m in witness["field_values"]]
-        return float(f(xi)) - max(vals)
+        return float(f(xi)) - _ess_sup([f(_mat(m)) for m in witness["field_values"]])
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -207,9 +215,35 @@ def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
 # sampling streams
 # ---------------------------------------------------------------------------
 
+#: The Halton draws of the running ``classify_report``, by (dim, seed); None outside one.
+_halton_draws: ContextVar[dict | None] = ContextVar("_halton_draws", default=None)
+
+
+@contextmanager
+def _shared_halton():
+    """Share Halton draws among the calls inside the block, then drop them."""
+    token = _halton_draws.set({})
+    try:
+        yield
+    finally:
+        _halton_draws.reset(token)
+
+
 def _halton(dim: int, count: int, seed: int) -> np.ndarray:
-    engine = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return engine.random(count)
+    """The first ``count`` points of the scrambled Halton sequence of ``seed``.
+
+    Each point depends on its index alone, so a shorter draw is a prefix of a
+    longer one.  Inside ``_shared_halton`` each (dim, seed) is drawn once, to
+    the longest count asked for so far, and served as a read-only prefix.
+    """
+    draws = _halton_draws.get()
+    if draws is None:
+        return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+    pts = draws.get((dim, seed))
+    if pts is None or len(pts) < count:
+        pts = draws[dim, seed] = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+        pts.flags.writeable = False
+    return pts[:count]
 
 
 def _random_rank_one(rng, count, N, n, scale):
@@ -253,25 +287,33 @@ def _special_pairs(special_points, rank_one: bool, rank_tol: float = 1e-9):
 
 def _segment_batches(dims, *, seed, budget, radius, special_points=(),
                      rank_one=False, block=4096):
-    """Yield (xi, eta, lam) batches; total triple count stops at budget.
+    """Yield (xi, eta, takes) pair blocks; the total triple count stops at budget.
 
-    The deterministic battery of special-point pairs (times the lambda grid)
-    comes first, then Halton pair blocks, each pair probed at the lambda grid
-    plus one seeded-random lambda.
+    ``takes`` lists the block's probes in order, each a (lam, k): its first
+    k pairs at weight lam.  The deterministic battery of special-point pairs
+    (at the lambda grid) comes first, then Halton pair blocks, each pair
+    probed at the lambda grid plus one seeded-random lambda.
     """
     N, n = dims
     d = N * n
     used = 0
-    battery = list(_special_pairs(special_points, rank_one))
-    if battery:
-        xi = np.array([a for a, _ in battery])
-        eta = np.array([b for _, b in battery])
-        for lam in LAMBDA_GRID:
-            take = min(len(xi), budget - used)
+
+    def cut(count, lams):
+        nonlocal used
+        takes = []
+        for lam in lams:
+            take = min(count, budget - used)
             if take <= 0:
-                return
-            yield xi[:take], eta[:take], np.full(take, lam)
+                break
+            takes.append((lam, take))
             used += take
+        return takes
+
+    battery = list(_special_pairs(special_points, rank_one))
+    takes = cut(len(battery), LAMBDA_GRID)
+    if takes:
+        yield (np.array([a for a, _ in battery]),
+               np.array([b for _, b in battery]), takes)
 
     # exhaustive coarse-grid pairs when the budget affords them
     if not rank_one:
@@ -281,12 +323,7 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
         n_pairs = len(nodes) * (len(nodes) - 1) // 2
         if n_pairs * len(LAMBDA_GRID) <= budget - used:
             ii, jj = np.triu_indices(len(nodes), k=1)
-            for lam in LAMBDA_GRID:
-                take = min(len(ii), budget - used)
-                if take <= 0:
-                    return
-                yield nodes[ii[:take]], nodes[jj[:take]], np.full(take, lam)
-                used += take
+            yield nodes[ii], nodes[jj], cut(len(ii), LAMBDA_GRID)
 
     rng = np.random.default_rng(seed)
     halton_seed = seed
@@ -313,13 +350,8 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
             xi = ((2.0 * H[:, :d] - 1.0) * radius).reshape(-1, N, n)
             eta = ((2.0 * H[:, d:] - 1.0) * radius).reshape(-1, N, n)
         halton_seed += 1
-        lams = list(LAMBDA_GRID) + [float(rng.uniform(0.05, 0.95))]
-        for lam in lams:
-            take = min(len(xi), budget - used)
-            if take <= 0:
-                return
-            yield xi[:take], eta[:take], np.full(take, lam)
-            used += take
+        lams = LAMBDA_GRID + (float(rng.uniform(0.05, 0.95)),)
+        yield xi, eta, cut(len(xi), lams)
 
 
 def _worst_gap(top, sup) -> tuple[int, float]:
@@ -335,16 +367,21 @@ def _worst_gap(top, sup) -> tuple[int, float]:
 def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                          special_points, rank_one) -> Verdict:
     used = 0
-    for xi, eta, lam in _segment_batches(dims, seed=seed, budget=budget,
-                                         radius=radius,
-                                         special_points=special_points,
-                                         rank_one=rank_one):
-        used += len(xi)
-        mid = lam[:, None, None] * xi + (1.0 - lam[:, None, None]) * eta
-        i, gap = _worst_gap(f(mid), np.maximum(f(xi), f(eta)))
-        if gap > tol:
-            witness = _segment_witness(xi[i], eta[i], float(lam[i]), f)
-            return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    for xi, eta, takes in _segment_batches(dims, seed=seed, budget=budget,
+                                           radius=radius,
+                                           special_points=special_points,
+                                           rank_one=rank_one):
+        # every weight of a block shares its endpoints: f sees each pair once
+        k = takes[0][1]
+        xi, eta = xi[:k], eta[:k]
+        sup = np.maximum(f(xi), f(eta))
+        for lam, take in takes:
+            used += take
+            x, e = xi[:take], eta[:take]
+            i, gap = _worst_gap(f(lam * x + (1.0 - lam) * e), sup[:take])
+            if gap > tol:
+                witness = _segment_witness(x[i], e[i], lam, f)
+                return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
 
@@ -374,12 +411,13 @@ def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
     """Two-atom measures mirroring the level-convexity sample stream exactly,
     so the Jensen checker and the level-convexity checker see the same data."""
     out = []
-    for xi, eta, lam in _segment_batches(dims, seed=seed, budget=count,
-                                         radius=radius,
-                                         special_points=special_points,
-                                         rank_one=False):
-        for x, e, l in zip(xi, eta, lam):
-            out.append(DiscreteMeasure(((x, float(l)), (e, float(1.0 - l)))))
+    for xi, eta, takes in _segment_batches(dims, seed=seed, budget=count,
+                                           radius=radius,
+                                           special_points=special_points,
+                                           rank_one=False):
+        for lam, take in takes:
+            for x, e in zip(xi[:take], eta[:take]):
+                out.append(DiscreteMeasure(((x, lam), (e, 1.0 - lam))))
     return out
 
 
@@ -390,7 +428,7 @@ def check_supremal_jensen(f, measures, *, tol=1e-9,
     for mu in measures:
         used += 1
         bary = mu.barycenter()
-        sup = max(float(f(m)) for m in mu.support())
+        sup = _ess_sup([f(m) for m in mu.support()])
         gap = float(f(bary)) - sup
         if gap > tol:
             witness = {
@@ -785,36 +823,37 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
         return probe_verdict(notion, probes, max(1000, cfg.budget // 10), search,
                              tol=cfg.tol, seed=cfg.seed)
 
-    verdicts = {
-        "level_convex": check_level_convex(
-            f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-            radius=cfg.radius, special_points=sp),
-        "rank_one": check_rank_one_qcx(
-            f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-            radius=cfg.radius, special_points=sp),
-        "polyquasiconvex": check_polyquasiconvex_necessary(
-            f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-            radius=cfg.radius, special_points=sp),
-        "weak_morrey": field_verdict(
-            "weak_morrey",
-            lambda p, b: search_weak_morrey_violation(
-                f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp)),
-        "periodic_weak_morrey": field_verdict(
-            "periodic_weak_morrey",
-            lambda p, b: laminate.check_periodic_weak_morrey(
-                f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp)),
-        "strong_morrey": field_verdict(
-            "strong_morrey",
-            lambda p, b: laminate.search_strong_morrey_violation(
-                f, p, dims, K=cfg.K, delta_schedule=cfg.delta_schedule,
-                tol=cfg.tol, budget=b, seed=cfg.seed, radius=cfg.radius,
-                special_points=sp)),
-        "curl_young_laminates": laminate.check_curl_young_on_laminates(
-            f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-            radius=cfg.radius, special_points=sp),
-    }
+    with _shared_halton():  # one draw per (dim, seed) for this report
+        verdicts = {
+            "level_convex": check_level_convex(
+                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
+                radius=cfg.radius, special_points=sp),
+            "rank_one": check_rank_one_qcx(
+                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
+                radius=cfg.radius, special_points=sp),
+            "polyquasiconvex": check_polyquasiconvex_necessary(
+                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
+                radius=cfg.radius, special_points=sp),
+            "weak_morrey": field_verdict(
+                "weak_morrey",
+                lambda p, b: search_weak_morrey_violation(
+                    f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
+                    radius=cfg.radius, special_points=sp)),
+            "periodic_weak_morrey": field_verdict(
+                "periodic_weak_morrey",
+                lambda p, b: laminate.check_periodic_weak_morrey(
+                    f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
+                    radius=cfg.radius, special_points=sp)),
+            "strong_morrey": field_verdict(
+                "strong_morrey",
+                lambda p, b: laminate.search_strong_morrey_violation(
+                    f, p, dims, K=cfg.K, delta_schedule=cfg.delta_schedule,
+                    tol=cfg.tol, budget=b, seed=cfg.seed, radius=cfg.radius,
+                    special_points=sp)),
+            "curl_young_laminates": laminate.check_curl_young_on_laminates(
+                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
+                radius=cfg.radius, special_points=sp),
+        }
     inconsistencies = verdict_inconsistencies(verdicts)
 
     mismatches = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                       Verdict, _aslist, _best_field, _field_witness,
+                       Verdict, _aslist, _best_field, _ess_sup, _field_witness,
                        _random_rank_one, _special_pairs, _tree_atoms_batch,
                        _worst_gap)
 from .funcspace import DEFAULT_SEED
@@ -109,9 +109,8 @@ def laminate_barycenter(L: Laminate) -> np.ndarray:
 
 
 def nu_ess_sup(L: Laminate, f) -> float:
-    """max of f over the atoms carrying positive weight."""
-    vals = [float(f(m)) for m, w in L.atoms() if w > 0]
-    return max(vals)
+    """max of f over the atoms carrying positive weight; +inf if one is NaN."""
+    return _ess_sup([f(m) for m, w in L.atoms() if w > 0])
 
 
 def sample_laminates(dims, *, seed, count, radius=2.0,
@@ -162,10 +161,11 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
 
     # battery: simple laminates on special rank-one pairs, exact atoms
     for A, B in _special_pairs(special_points, rank_one=True):
+        sup = _ess_sup([f(A), f(B)])
         for lam in LAMBDA_GRID:
             used += 1
             bar = lam * A + (1.0 - lam) * B
-            gap = float(f(bar)) - max(float(f(A)), float(f(B)))
+            gap = float(f(bar)) - sup
             if gap > tol:
                 witness = measure_witness(np.stack([A, B]),
                                           np.array([lam, 1.0 - lam]), gap)
@@ -235,7 +235,7 @@ class TestField:
 
     def ess_sup(self, f, xi) -> float:
         xi = np.asarray(xi, dtype=float)
-        return max(float(f(xi + g)) for v, g in self.cells if v > 0)
+        return _ess_sup([f(xi + g) for v, g in self.cells if v > 0])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

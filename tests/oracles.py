@@ -18,8 +18,11 @@ was batched: one ``_two_slope_value`` call per slope pair, each evaluating f
 one point at a time.  After it come the dense Pasch-Hausdorff transform,
 which takes the minimum over every node pair in blocks of the full distance
 matrix, and the ``csv.writer`` loop that ``save_csv`` once ran per node.
-Last come the three field searches as they were when each scored its own
-two-gradient batches, before ``classify._best_field`` took that over.
+Then come the three field searches as they were when each scored its own
+two-gradient batches, before ``classify._best_field`` took that over.  Last
+are the segment checker and the two-atom measure stream as they were when
+the pair stream yielded each weight of a block on its own, and the checker
+called f at the endpoints once per weight.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, VIOLATED, Verdict, _aslist,
-                             _cutoff_values, _field_witness, _halton,
-                             _special_pairs, _two_gradient_candidates)
+from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
+                             DiscreteMeasure, Verdict, _aslist, _cutoff_values,
+                             _field_witness, _halton, _segment_witness, _special_pairs,
+                             _two_gradient_candidates, _worst_gap)
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
 from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _hull_support_slopes,
                           _objective, _profile_to_slopes, _scalar_eval)
@@ -757,4 +761,102 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
                 "epsilon": min(per_delta) - tol,
             }
         return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    return Verdict(notion, HOLDS, None, used, tol, seed)
+
+
+def segment_batches(dims, *, seed, budget, radius, special_points=(),
+                    rank_one=False, block=4096):
+    """Yield (xi, eta, lam) batches; total triple count stops at budget.
+
+    The deterministic battery of special-point pairs (times the lambda grid)
+    comes first, then Halton pair blocks, each pair probed at the lambda grid
+    plus one seeded-random lambda.
+    """
+    N, n = dims
+    d = N * n
+    used = 0
+    battery = list(_special_pairs(special_points, rank_one))
+    if battery:
+        xi = np.array([a for a, _ in battery])
+        eta = np.array([b for _, b in battery])
+        for lam in LAMBDA_GRID:
+            take = min(len(xi), budget - used)
+            if take <= 0:
+                return
+            yield xi[:take], eta[:take], np.full(take, lam)
+            used += take
+
+    # exhaustive coarse-grid pairs when the budget affords them
+    if not rank_one:
+        coarse = np.linspace(-radius, radius, 5)
+        grids = np.meshgrid(*([coarse] * d), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=-1).reshape(-1, N, n)
+        n_pairs = len(nodes) * (len(nodes) - 1) // 2
+        if n_pairs * len(LAMBDA_GRID) <= budget - used:
+            ii, jj = np.triu_indices(len(nodes), k=1)
+            for lam in LAMBDA_GRID:
+                take = min(len(ii), budget - used)
+                if take <= 0:
+                    return
+                yield nodes[ii[:take]], nodes[jj[:take]], np.full(take, lam)
+                used += take
+
+    rng = np.random.default_rng(seed)
+    halton_seed = seed
+    while used < budget:
+        m = min(block, max(1, (budget - used) // (len(LAMBDA_GRID) + 1)))
+        if rank_one:
+            H = _halton(d + N + n + 1, m, halton_seed)
+            xi = (2.0 * H[:, :d] - 1.0) * radius
+            a = 2.0 * H[:, d:d + N] - 1.0
+            nu = 2.0 * H[:, d + N:d + N + n] - 1.0
+            t = (2.0 * H[:, -1] - 1.0) * 2.0 * radius
+            na = np.linalg.norm(a, axis=1)
+            nn = np.linalg.norm(nu, axis=1)
+            ok = (na > 1e-8) & (nn > 1e-8) & (np.abs(t) > 1e-8)
+            xi, a, nu, t = xi[ok], a[ok], nu[ok], t[ok]
+            if len(xi) == 0:
+                halton_seed += 1
+                continue
+            w = (a / na[ok, None])[:, :, None] * (nu / nn[ok, None])[:, None, :]
+            xi = xi.reshape(-1, N, n)
+            eta = xi + t[:, None, None] * w
+        else:
+            H = _halton(2 * d, m, halton_seed)
+            xi = ((2.0 * H[:, :d] - 1.0) * radius).reshape(-1, N, n)
+            eta = ((2.0 * H[:, d:] - 1.0) * radius).reshape(-1, N, n)
+        halton_seed += 1
+        lams = list(LAMBDA_GRID) + [float(rng.uniform(0.05, 0.95))]
+        for lam in lams:
+            take = min(len(xi), budget - used)
+            if take <= 0:
+                return
+            yield xi[:take], eta[:take], np.full(take, lam)
+            used += take
+
+
+def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
+    out = []
+    for xi, eta, lam in segment_batches(dims, seed=seed, budget=count,
+                                        radius=radius,
+                                        special_points=special_points,
+                                        rank_one=False):
+        for x, e, l in zip(xi, eta, lam):
+            out.append(DiscreteMeasure(((x, float(l)), (e, float(1.0 - l)))))
+    return out
+
+
+def run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
+                        special_points, rank_one) -> Verdict:
+    used = 0
+    for xi, eta, lam in segment_batches(dims, seed=seed, budget=budget,
+                                        radius=radius,
+                                        special_points=special_points,
+                                        rank_one=rank_one):
+        used += len(xi)
+        mid = lam[:, None, None] * xi + (1.0 - lam[:, None, None]) * eta
+        i, gap = _worst_gap(f(mid), np.maximum(f(xi), f(eta)))
+        if gap > tol:
+            witness = _segment_witness(xi[i], eta[i], float(lam[i]), f)
+            return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from supcon.classify import (ClassifyConfig, DiscreteMeasure,
+from supcon.classify import (ClassifyConfig, DiscreteMeasure, _aslist,
                              check_level_convex,
                              check_polyquasiconvex_necessary,
                              check_rank_one_qcx, check_supremal_jensen,
@@ -189,6 +189,27 @@ def test_jensen_equivalent_to_level_convexity_matched_seeds():
         assert lv.violated == jn.violated, name
 
 
+def _nan_beyond_1_5(arr):
+    # undefined (NaN) for t > 1.5, a bump of height 1 on |t| < 0.3, else 0
+    t = np.asarray(arr, dtype=float)[..., 0, 0]
+    return np.where(t > 1.5, np.nan, np.where(np.abs(t) < 0.3, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_jensen_nan_atom_counts_as_inf_in_either_order(swap):
+    # the barycenter 0 sits on the bump, but the atom at 2 has no value: the
+    # ess sup is undefined, which counts as +inf, not as the other atom's 0
+    atoms = [(np.array([[-1.0]]), 2.0 / 3.0), (np.array([[2.0]]), 1.0 / 3.0)]
+    if swap:
+        atoms.reverse()
+    assert not check_supremal_jensen(_nan_beyond_1_5, [DiscreteMeasure(tuple(atoms))]).violated
+    forged = {"kind": "measure", "atoms": [[_aslist(m), w] for m, w in atoms]}
+    assert replay_witness(_nan_beyond_1_5, forged) == -math.inf
+    segment = {"kind": "segment", "xi": [[atoms[0][0][0, 0]]],
+               "eta": [[atoms[1][0][0, 0]]], "lam": atoms[0][1]}
+    assert replay_witness(_nan_beyond_1_5, segment) == -math.inf
+
+
 def test_discrete_measure_validation():
     with pytest.raises(ValueError):
         DiscreteMeasure(((np.eye(2), 0.6), (np.eye(2), 0.6)))
@@ -240,8 +261,11 @@ def test_polyqcx_negative_abs_det_violated():
 
 
 def test_polyqcx_every_counted_sample_reaches_f():
-    # three matrices per rank-one segment sample (60% of the budget), then
-    # four atoms and their combination per splitting-tree sample
+    # the rank-one stream (60% of the budget) is one Halton block of
+    # 12_000 // 6 = 2_000 pairs, each probed at the 5 grid weights and one
+    # random weight: one midpoint per sample, and the two endpoints once per
+    # pair, shared by its 6 weights; then four atoms and their combination
+    # per splitting-tree sample
     entry = corpus_entry("abs", dims=(2, 2))
     seen = 0
 
@@ -253,7 +277,7 @@ def test_polyqcx_every_counted_sample_reaches_f():
 
     v = check_polyquasiconvex_necessary(f, (2, 2), budget=20_000)
     assert not v.violated and v.budget == 20_000
-    assert seen == 3 * 12_000 + 5 * 8_000
+    assert seen == 12_000 + 2 * 2_000 + 5 * 8_000
 
 
 def test_polyqcx_trees_outside_the_box_raise_no_warning():

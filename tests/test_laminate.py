@@ -61,6 +61,29 @@ def test_nu_ess_sup():
     assert nu_ess_sup(Laminate(matrix=np.zeros((2, 2))), entry) == 1.0
 
 
+def _nan_beyond_1_5(arr):
+    # undefined (NaN) for t > 1.5, a bump of height 1 on |t| < 0.3, else 0
+    t = np.asarray(arr, dtype=float)[..., 0, 0]
+    return np.where(t > 1.5, np.nan, np.where(np.abs(t) < 0.3, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_nan_atom_counts_as_inf_in_either_order(swap):
+    # the laminate of -1 and 2 has its barycenter 0 on the bump at weight
+    # 2/3, but f is undefined at 2: its ess sup is +inf in either order, so
+    # the battery (one pair, five weights) has no witness
+    A, B = np.array([[-1.0]]), np.array([[2.0]])
+    pair = (B, A) if swap else (A, B)
+    v = check_curl_young_on_laminates(_nan_beyond_1_5, (1, 1), budget=5,
+                                      special_points=pair)
+    assert not v.violated and v.budget == 5
+    lam = 1.0 / 3.0 if swap else 2.0 / 3.0
+    L = Laminate(lam=lam, left=Laminate(matrix=pair[0]), right=Laminate(matrix=pair[1]))
+    assert nu_ess_sup(L, _nan_beyond_1_5) == np.inf
+    field = realize_simple_laminate(pair[0], pair[1], lam)
+    assert field.ess_sup(_nan_beyond_1_5, np.zeros((1, 1))) == np.inf
+
+
 def test_sample_laminates_valid():
     lams = sample_laminates((2, 2), seed=SEED, count=50, max_order=3)
     for L in lams:

@@ -1,0 +1,194 @@
+"""Samples computed once: the segment checkers and the two-atom measure
+stream against their per-weight loops in ``oracles.py``, equal bit for bit,
+and the Halton draws that the checkers of one ``classify_report`` share."""
+
+import contextlib
+from collections import defaultdict
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
+
+import oracles
+from supcon import classify
+from supcon.classify import (ClassifyConfig, check_level_convex,
+                             check_polyquasiconvex_necessary,
+                             check_rank_one_qcx, classify_report)
+from supcon.funcspace import corpus_entry
+
+CORPUS = {(1, 1): ("double_well_1d", "abs", "clamp1d", "exampleD_scalar"),
+          (2, 2): ("arctan_det", "W_sup", "exampleD", "chi_det", "one_minus_chi_pair")}
+
+
+def _supremand(dims, kind, rng, seed):
+    """A corpus entry, a convex quadratic (no violation: the budget runs
+    out) or a nonconvex smooth function."""
+    if kind == "corpus" and dims in CORPUS:
+        names = CORPUS[dims]
+        return corpus_entry(names[seed % len(names)])
+    C, A, B = rng.normal(size=dims), rng.normal(size=dims), rng.normal(size=dims)
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        if kind == "smooth":
+            return np.sum(np.sin(A * arr + B), axis=(-2, -1))
+        return np.sum((arr - C) ** 2, axis=(-2, -1))
+    return f
+
+
+def _with_nan(f, c):
+    def g(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.where(arr[..., 0, 0] > c, np.nan, f(arr))
+    return g
+
+
+def _special_points(dims, rng, count):
+    """Random points, every other one a rank-one step from the one before,
+    so the rank-one battery is not empty."""
+    N, n = dims
+    pts = []
+    for k in range(count):
+        if k % 2 and pts:
+            pts.append(pts[-1] + float(rng.uniform(0.2, 2.0))
+                       * np.outer(rng.normal(size=N), rng.normal(size=n)))
+        else:
+            pts.append(rng.uniform(-2.0, 2.0, size=dims))
+    return pts
+
+
+CHECKERS = {
+    "level_convex": (check_level_convex, False),
+    "rank_one": (check_rank_one_qcx, True),
+    "polyquasiconvex": (check_polyquasiconvex_necessary, None),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(CHECKERS)),
+       st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+       st.sampled_from(["corpus", "convex", "smooth"]),
+       st.sampled_from([None, 0.3, 1.5]),
+       st.integers(0, 8),
+       st.one_of(st.integers(1, 60), st.integers(60, 6000)),
+       st.integers(0, 2**32 - 1))
+def test_segment_checkers_match_per_weight_oracle(notion, dims, kind, nan_above,
+                                                  n_special, budget, seed):
+    # small budgets stop inside the battery or the coarse grid; the last
+    # Halton blocks of every budget run out in the middle of their weights
+    rng = np.random.default_rng(seed)
+    f = _supremand(dims, kind, rng, seed)
+    special = _special_points(dims, rng, n_special)
+    if nan_above is not None:
+        f = _with_nan(f, nan_above)
+    kw = dict(tol=1e-9, budget=budget, seed=seed % 100_000,
+              radius=float(rng.choice([1.0, 2.0, 3.0])), special_points=special)
+    checker, rank_one = CHECKERS[notion]
+    got = checker(f, dims, **kw).to_dict()
+    if rank_one is None:
+        with mock.patch.object(classify, "_run_segment_checker",
+                               oracles.run_segment_checker):
+            want = checker(f, dims, **kw).to_dict()
+    else:
+        want = oracles.run_segment_checker(notion, f, dims, rank_one=rank_one,
+                                           **kw).to_dict()
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+       st.integers(0, 8),
+       st.one_of(st.integers(0, 60), st.integers(60, 3000)),
+       st.integers(0, 2**32 - 1))
+def test_two_atom_measures_match_per_weight_oracle(dims, n_special, count, seed):
+    rng = np.random.default_rng(seed)
+    kw = dict(seed=seed % 100_000, count=count, radius=float(rng.choice([1.0, 2.0])),
+              special_points=_special_points(dims, rng, n_special))
+    got = classify.two_atom_measures(dims, **kw)
+    want = oracles.two_atom_measures(dims, **kw)
+    assert len(got) == len(want)
+    for mu, ref in zip(got, want):
+        for (m, w), (m_ref, w_ref) in zip(mu.atoms, ref.atoms, strict=True):
+            assert np.array_equal(m, m_ref) and w == w_ref
+
+
+def _fresh(dim, count, seed):
+    return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3000), st.integers(1, 3000),
+       st.integers(0, 2**32 - 1))
+def test_shared_halton_draws_equal_fresh_draws(dim, first, second, seed):
+    with classify._shared_halton():
+        for count in (first, second, first):
+            got = classify._halton(dim, count, seed)
+            assert np.array_equal(got, _fresh(dim, count, seed))
+            assert not got.flags.writeable
+    assert classify._halton_draws.get() is None
+    assert classify._halton(dim, first, seed).flags.writeable
+
+
+def _without_timestamp(rep):
+    doc = rep.to_dict()
+    doc.pop("timestamp")
+    return doc
+
+
+def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch):
+    calls, builds = defaultdict(list), defaultdict(list)
+    halton, engine = classify._halton, qmc.Halton
+
+    def counted_halton(dim, count, seed):
+        calls[dim, seed].append(count)
+        return halton(dim, count, seed)
+
+    def spy_engine(d, *, scramble, seed):
+        eng = engine(d=d, scramble=scramble, seed=seed)
+        draw = eng.random
+
+        def random(n=1):
+            builds[d, seed].append(n)
+            return draw(n)
+        eng.random = random
+        return eng
+
+    monkeypatch.setattr(classify, "_halton", counted_halton)
+    monkeypatch.setattr(qmc, "Halton", spy_engine)
+    entry, cfg = corpus_entry("arctan_det"), ClassifyConfig(budget=100_000)
+    shared = classify_report(entry, cfg)
+    assert builds.keys() == calls.keys()
+    for key, counts in calls.items():
+        growths = [c for i, c in enumerate(counts) if c > max(counts[:i], default=0)]
+        assert builds[key] == growths, key
+    n_calls = sum(map(len, calls.values()))
+    n_builds = sum(map(len, builds.values()))
+    assert n_builds < n_calls
+
+    # drawn afresh on every call, the report is the same
+    monkeypatch.setattr(classify, "_shared_halton", contextlib.nullcontext)
+    builds.clear()
+    fresh = classify_report(entry, cfg)
+    assert sum(map(len, builds.values())) == n_calls
+    assert _without_timestamp(fresh) == _without_timestamp(shared)
+
+
+def test_halton_draws_are_dropped_when_the_report_returns_or_raises(monkeypatch):
+    entry, cfg = corpus_entry("clamp1d"), ClassifyConfig(budget=2_000)
+    classify_report(entry, cfg)
+    assert classify._halton_draws.get() is None
+
+    held = {}
+
+    def fail(*args, **kwargs):
+        held.update(classify._halton_draws.get())
+        raise RuntimeError("checker failed")
+
+    monkeypatch.setattr(classify, "check_polyquasiconvex_necessary", fail)
+    with pytest.raises(RuntimeError, match="checker failed"):
+        classify_report(entry, cfg)
+    assert held  # the two checkers before it drew into the report's cache
+    assert classify._halton_draws.get() is None
