@@ -2,8 +2,9 @@
 
 Envelope operators (convex, level-convex lsc, lamination, Pasch-Hausdorff,
 power-law brackets), checker/disproof searches for the convexity notions of
-supremal variational problems, finite laminates with their test-field
-realizations, and a 1-d finite-element power-law experiment.
+supremal variational problems, the laminate-side inequality with the periodic
+and small-boundary test-field searches, and a 1-d finite-element power-law
+experiment.
 """
 
 from .matspace import is_rank_one_connected, minors_batch, tau
@@ -18,9 +19,8 @@ from .classify import (ClassifyConfig, DiscreteMeasure, Report, Verdict,
                        check_rank_one_qcx, check_supremal_jensen,
                        classify_report, replay_witness,
                        search_weak_morrey_violation, two_atom_measures)
-from .laminate import (Laminate, TestField, check_curl_young_on_laminates,
-                       check_periodic_weak_morrey, laminate_barycenter,
-                       nu_ess_sup, realize_simple_laminate, sample_laminates,
+from .laminate import (check_curl_young_on_laminates,
+                       check_periodic_weak_morrey,
                        search_strong_morrey_violation)
 from .fem1d import (FeMinimizeResult, FeOptions, GammaReport, Mesh1D,
                     envelope_oracle_1d, gamma_limit_experiment, minimize_Fp)

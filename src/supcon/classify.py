@@ -198,6 +198,21 @@ def _segment_witness(xi, eta, lam, f) -> dict:
     }
 
 
+def _measure_witness(f, atoms, weights, gap) -> dict:
+    """A measure by its atoms and weights: f at its barycenter and the ess
+    sup of f over its support (an undefined value counting as +inf)."""
+    atoms, weights = _mat(atoms), _mat(weights)
+    bary = np.einsum("m,mij->ij", weights, atoms)
+    return {
+        "kind": "measure",
+        "atoms": [[_aslist(m), float(w)] for m, w in zip(atoms, weights)],
+        "barycenter": _aslist(bary),
+        "f_barycenter": float(f(bary)),
+        "sup_support": _ess_sup(f(atoms[weights > 0])),
+        "gap": float(gap),
+    }
+
+
 def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
     """A test field through xi: its gradient values and their ess sup."""
     return {
@@ -431,14 +446,8 @@ def check_supremal_jensen(f, measures, *, tol=1e-9,
         sup = _ess_sup([f(m) for m in mu.support()])
         gap = float(f(bary)) - sup
         if gap > tol:
-            witness = {
-                "kind": "measure",
-                "atoms": [[_aslist(m), float(w)] for m, w in mu.atoms],
-                "barycenter": _aslist(bary),
-                "f_barycenter": float(f(bary)),
-                "sup_support": sup,
-                "gap": gap,
-            }
+            atoms, weights = zip(*mu.atoms)
+            witness = _measure_witness(f, atoms, weights, gap)
             return Verdict("supremal_jensen", VIOLATED, witness, used, tol, seed)
     return Verdict("supremal_jensen", HOLDS, None, used, tol, seed)
 

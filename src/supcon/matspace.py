@@ -24,7 +24,6 @@ __all__ = [
     "tau",
     "minors_batch",
     "is_rank_one_connected",
-    "second_singular_ratio",
 ]
 
 #: Default relative tolerance for the singular-value rank test.
@@ -63,17 +62,6 @@ def minors_batch(arr: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def second_singular_ratio(diff: np.ndarray) -> tuple[float, float]:
-    """Return (sigma_1, sigma_2 / sigma_1) of a matrix; sigma_2 = 0 for vectors."""
-    diff = np.asarray(diff, dtype=float)
-    s = np.linalg.svd(diff, compute_uv=False)
-    s1 = float(s[0])
-    if s1 == 0.0:
-        return 0.0, 0.0
-    s2 = float(s[1]) if len(s) > 1 else 0.0
-    return s1, s2 / s1
-
-
 def is_rank_one_connected(xi, eta, tol: float = RANK_TOL) -> bool:
     """True iff xi - eta has numerical rank exactly one.
 
@@ -85,5 +73,7 @@ def is_rank_one_connected(xi, eta, tol: float = RANK_TOL) -> bool:
     b = np.asarray(eta, dtype=float)
     if a.shape != b.shape:
         raise ValueError("matrices must have the same dimensions")
-    s1, ratio = second_singular_ratio(a - b)
-    return s1 > tol and ratio <= tol
+    s = np.linalg.svd(a - b, compute_uv=False)
+    s1 = float(s[0])
+    s2 = float(s[1]) if len(s) > 1 else 0.0
+    return s1 > 0.0 and s1 > tol and s2 / s1 <= tol

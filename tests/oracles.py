@@ -640,9 +640,11 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
                                seed=DEFAULT_SEED, radius=2.0,
                                special_points=()) -> Verdict:
     """Violated iff a periodic sawtooth achieves ess-sup f(xi + D phi) below
-    f(xi) - tol.  The family is the realize_simple_laminate one, built in the
-    cube rotated to the lamination normal; compressing layers changes nothing
-    here because the gradient statistics are scale-invariant."""
+    f(xi) - tol.  The sawtooth realizes a simple laminate: xi + D phi takes
+    the rank-one connected values M+ and M- on volume fractions theta and
+    1 - theta, in layers normal to M+ - M- (the cube is rotated to that
+    normal); the witness records both values and theta.  Compressing layers
+    changes nothing here because the gradient statistics are scale-invariant."""
     notion = "periodic_weak_morrey"
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
-Everything here drives the public API at the stated budgets and tolerances;
-oracles are recomputed, never hard-coded from the implementation under test.
+Everything here drives the public API at the stated budgets and tolerances,
+apart from criterion 9, which also checks the splitting-tree sampler and the
+witness builders that the checkers use; oracles are recomputed, never
+hard-coded from the implementation under test.
 """
 
 import time
@@ -11,7 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from supcon.classify import (ClassifyConfig, check_level_convex,
+from supcon.classify import (ClassifyConfig, _field_witness, _measure_witness,
+                             _tree_atoms_batch, check_level_convex,
                              check_rank_one_qcx, check_supremal_jensen,
                              classify_report, replay_witness,
                              search_weak_morrey_violation, two_atom_measures)
@@ -20,15 +23,14 @@ from supcon.envelope import (convex_envelope, lamination_hull,
                              power_law_envelope)
 from supcon.fem1d import FeOptions, Mesh1D, envelope_oracle_1d, minimize_Fp
 from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, sample
-from supcon.laminate import (Laminate,
-                             check_curl_young_on_laminates,
-                             check_periodic_weak_morrey, laminate_barycenter,
-                             nu_ess_sup, realize_simple_laminate,
-                             sample_laminates,
+from supcon.laminate import (check_curl_young_on_laminates,
+                             check_periodic_weak_morrey,
                              search_strong_morrey_violation)
+from supcon.matspace import is_rank_one_connected
 
 SEED = 20240817
 P_SCHEDULE = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+DELTAS = tuple(2.0 ** -k for k in range(1, 13))
 
 HIERARCHY_CORPUS = ("clamp1d", "exampleD_scalar", "arctan_det",
                     "one_minus_chi_pair", "double_well_1d", "chi_det")
@@ -81,11 +83,10 @@ def test_criterion_2_pair_triple_verdict():
         assert entry.value(mid) == 1.0
 
         strong = search_strong_morrey_violation(
-            entry, mid, entry.dims,
-            delta_schedule=tuple(2.0 ** -k for k in range(1, 13)), **args)
+            entry, mid, entry.dims, delta_schedule=DELTAS, **args)
         assert strong.violated
         rows = strong.witness["per_delta"]
-        assert [r["delta"] for r in rows] == [2.0 ** -k for k in range(1, 13)]
+        assert [r["delta"] for r in rows] == list(DELTAS)
         for row in rows:
             assert abs(row["gap"] - 1.0) <= 1e-12
 
@@ -236,7 +237,8 @@ def test_criterion_8_pasch_hausdorff():
 
 def test_criterion_9_invariant_suites():
     with criterion(9, "idempotence, ordering chain, barycenter consistency, "
-                      "field/measure duality, delta halving: 1e3 trials each"):
+                      "field/measure duality: 1e3 trials each; delta halving "
+                      "on every row of the strong witness"):
         rng = np.random.default_rng(SEED)
         trials = 1_000
 
@@ -268,12 +270,21 @@ def test_criterion_9_invariant_suites():
             assert np.all(E.values <= L.values + 1e-9)
             assert np.all(L.values <= f.values + 1e-9)
 
-        # barycenter consistency of random laminates
-        lams = sample_laminates((2, 2), seed=SEED, count=trials, max_order=3)
-        for L in lams:
-            assert np.max(np.abs(laminate_barycenter(L) - L.barycenter())) <= 1e-12
+        # barycenter consistency of the random splitting trees
+        for order in (1, 2, 3):
+            bar = rng.uniform(-2.0, 2.0, size=(trials, 2, 2))
+            atoms, wts = _tree_atoms_batch(bar, order, rng, 2.0)
+            assert np.all(wts > 0)
+            assert np.max(np.abs(wts.sum(axis=1) - 1.0)) <= 1e-12
+            assert np.max(np.abs(np.einsum("bm,bmij->bij", wts, atoms)
+                                 - bar)) <= 1e-12
+            half = atoms.shape[1] // 2  # sibling atoms sit half a row apart
+            for left, right in zip(atoms[:, :half].reshape(-1, 2, 2),
+                                   atoms[:, half:].reshape(-1, 2, 2)):
+                assert is_rank_one_connected(left, right)
 
-        # field/measure duality and delta halving on random rank-one pairs
+        # field/measure duality on random rank-one pairs: a sawtooth record
+        # and the record of its laminate replay to the same gap
         entry = corpus_entry("exampleD")
         for k in range(trials):
             a = rng.normal(size=2)
@@ -284,16 +295,29 @@ def test_criterion_9_invariant_suites():
             xi = rng.normal(size=(2, 2))
             eta = xi - w
             lam = float(rng.uniform(0.1, 0.9))
-            layers = int(rng.integers(1, 5))
-            fld = realize_simple_laminate(xi, eta, lam, layers=layers)
-            vols = sorted(v for v, _ in fld.gradient_distribution())
-            assert abs(vols[0] - min(lam, 1.0 - lam)) <= 1e-12
-            assert abs(vols[1] - max(lam, 1.0 - lam)) <= 1e-12
             mid = lam * xi + (1.0 - lam) * eta
-            tree = Laminate(lam=lam, left=Laminate(matrix=xi),
-                            right=Laminate(matrix=eta))
-            a_val = fld.ess_sup(entry, mid)   # evaluates f(mid + D phi)
-            b_val = nu_ess_sup(tree, entry)   # evaluates f at the atoms
-            assert abs(a_val - b_val) <= 1e-12 * (1.0 + abs(b_val))
-            doubled = realize_simple_laminate(xi, eta, lam, layers=2 * layers)
-            assert doubled.boundary_sup == fld.boundary_sup / 2.0
+            f_mid = float(entry(mid))
+            ess = max(float(entry(xi)), float(entry(eta)))
+            field = _field_witness("two-gradient-field", mid, f_mid, [xi, eta],
+                                   ess, theta=lam)
+            measure = _measure_witness(entry, [xi, eta], [lam, 1.0 - lam],
+                                       f_mid - ess)
+            a_gap = replay_witness(entry, field)    # f(mid) - ess sup f(mid + D phi)
+            b_gap = replay_witness(entry, measure)  # f(barycenter) - ess sup over atoms
+            assert abs(a_gap - b_gap) <= 1e-12 * (1.0 + abs(b_gap))
+
+        # delta halving: every scaled-laminate row of criterion 2's strong
+        # search keeps its boundary values theta(1-theta)|M+ - M-|/layers <= delta
+        entry = corpus_entry("one_minus_chi_pair")
+        mid = 0.5 * (entry.special_points[0] + entry.special_points[1])
+        strong = search_strong_morrey_violation(
+            entry, mid, entry.dims, delta_schedule=DELTAS, tol=1e-9,
+            budget=20_000, seed=SEED, radius=2.0,
+            special_points=entry.special_points)
+        wit = strong.witness
+        assert wit["family"] == "scaled-periodic-laminate"
+        Mp, Mm = (np.asarray(m) for m in wit["field_values"])
+        c = wit["theta"] * (1.0 - wit["theta"]) * np.linalg.norm(Mp - Mm)
+        assert len(wit["layers_per_delta"]) == len(DELTAS)
+        for row, layers in zip(wit["per_delta"], wit["layers_per_delta"]):
+            assert c / layers <= row["delta"]

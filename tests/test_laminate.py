@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from supcon.classify import replay_witness
-from supcon.funcspace import corpus_entry
-from supcon.laminate import (DEFAULT_DELTA_SCHEDULE, Laminate, TestField,
+from supcon.classify import (_field_witness, _measure_witness,
+                             _tree_atoms_batch, _two_gradient_candidates,
+                             replay_witness)
+from supcon.funcspace import corpus_entry, corpus_names
+from supcon.laminate import (DEFAULT_DELTA_SCHEDULE,
                              check_curl_young_on_laminates,
-                             check_periodic_weak_morrey, laminate_barycenter,
-                             nu_ess_sup, realize_simple_laminate,
-                             sample_laminates,
+                             check_periodic_weak_morrey,
                              search_strong_morrey_violation)
+from supcon.matspace import is_rank_one_connected
 
 SEED = 7
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -19,46 +20,65 @@ def _args(entry, budget=10_000):
                 special_points=entry.special_points)
 
 
+def _trees(order, count=50):
+    rng = np.random.default_rng(SEED)
+    bar = rng.uniform(-2.0, 2.0, size=(count, 2, 2))
+    atoms, wts = _tree_atoms_batch(bar, order, rng, 2.0)
+    return bar, atoms, wts
+
+
 # ---------------------------------------------------------------------------
-# laminate structure
+# laminate structure: the splitting trees and the measure records
 # ---------------------------------------------------------------------------
 
 def test_leaf_barycenter():
-    L = Laminate(matrix=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(laminate_barycenter(L), [[1.0, 2.0], [3.0, 4.0]])
+    # a tree of order zero is the Dirac mass at its barycenter
+    bar, atoms, wts = _trees(0)
+    assert np.array_equal(atoms[:, 0], bar)
+    assert np.array_equal(wts, np.ones((len(bar), 1)))
 
 
 def test_split_barycenter_midpoint():
-    L = Laminate(lam=0.5, left=Laminate(matrix=E11), right=Laminate(matrix=-E11))
-    assert np.array_equal(laminate_barycenter(L), np.zeros((2, 2)))
+    entry = corpus_entry("one_minus_chi_pair")
+    w = _measure_witness(entry, [E11, -E11], [0.5, 0.5], 1.0)
+    assert np.array_equal(w["barycenter"], np.zeros((2, 2)))
+    assert w["f_barycenter"] == 1.0 and w["sup_support"] == 0.0
+    assert replay_witness(entry, w) == 1.0
 
 
 def test_second_order_barycenter_two_ways():
-    inner = Laminate(lam=0.5, left=Laminate(matrix=2.0 * E11),
-                     right=Laminate(matrix=-E11))
-    outer = Laminate(lam=0.5, left=inner, right=Laminate(matrix=-0.5 * E11))
-    from_atoms = laminate_barycenter(outer)
-    recursive = outer.barycenter()
-    assert np.max(np.abs(from_atoms - recursive)) <= 1e-12
-    weights = [w for _, w in outer.atoms()]
-    assert abs(sum(weights) - 1.0) <= 1e-12
-    assert all(w > 0 for w in weights)
+    # the record's barycenter (one weighted sum) and the replay's (a running
+    # sum over the atoms) agree with the tree's
+    bar, atoms, wts = _trees(2)
+    entry = corpus_entry("arctan_det")
+    for b, a, w in zip(bar, atoms, wts):
+        rec = _measure_witness(entry, a, w, 0.0)
+        assert np.max(np.abs(np.asarray(rec["barycenter"]) - b)) <= 1e-12
+        running = sum(wt * np.asarray(m) for m, wt in rec["atoms"])
+        assert np.max(np.abs(running - b)) <= 1e-12
 
 
 def test_split_requires_rank_one_barycenters():
-    with pytest.raises(ValueError):
-        Laminate(lam=0.5, left=Laminate(matrix=np.eye(2)),
-                 right=Laminate(matrix=np.zeros((2, 2))))
-    with pytest.raises(ValueError):
-        Laminate(lam=1.5, left=Laminate(matrix=E11),
-                 right=Laminate(matrix=-E11))
+    # every split of a sampled tree, at every level, joins two barycenters
+    # that differ by a rank-one matrix
+    _, pts, wts = _trees(3)
+    while pts.shape[1] > 1:
+        half = pts.shape[1] // 2
+        for left, right in zip(pts[:, :half].reshape(-1, 2, 2),
+                               pts[:, half:].reshape(-1, 2, 2)):
+            assert is_rank_one_connected(left, right)
+        wl, wr = wts[:, :half, None, None], wts[:, half:, None, None]
+        pts = (wl * pts[:, :half] + wr * pts[:, half:]) / (wl + wr)
+        wts = wts[:, :half] + wts[:, half:]
 
 
 def test_nu_ess_sup():
     entry = corpus_entry("one_minus_chi_pair")
-    L = Laminate(lam=0.5, left=Laminate(matrix=E11), right=Laminate(matrix=-E11))
-    assert nu_ess_sup(L, entry) == 0.0
-    assert nu_ess_sup(Laminate(matrix=np.zeros((2, 2))), entry) == 1.0
+    assert _measure_witness(entry, [E11, -E11], [0.5, 0.5], 1.0)["sup_support"] == 0.0
+    assert _measure_witness(entry, [np.zeros((2, 2))], [1.0], 0.0)["sup_support"] == 1.0
+    # a zero-weight atom is outside the support
+    assert _measure_witness(entry, [E11, np.zeros((2, 2))], [1.0, 0.0],
+                            0.0)["sup_support"] == 0.0
 
 
 def _nan_beyond_1_5(arr):
@@ -78,19 +98,22 @@ def test_nan_atom_counts_as_inf_in_either_order(swap):
                                       special_points=pair)
     assert not v.violated and v.budget == 5
     lam = 1.0 / 3.0 if swap else 2.0 / 3.0
-    L = Laminate(lam=lam, left=Laminate(matrix=pair[0]), right=Laminate(matrix=pair[1]))
-    assert nu_ess_sup(L, _nan_beyond_1_5) == np.inf
-    field = realize_simple_laminate(pair[0], pair[1], lam)
-    assert field.ess_sup(_nan_beyond_1_5, np.zeros((1, 1))) == np.inf
+    measure = _measure_witness(_nan_beyond_1_5, pair, [lam, 1.0 - lam], 0.0)
+    assert measure["sup_support"] == np.inf
+    assert replay_witness(_nan_beyond_1_5, measure) == -np.inf
+    field = _field_witness("two-gradient-field", np.zeros((1, 1)), 1.0, pair,
+                           np.inf, theta=lam)
+    assert replay_witness(_nan_beyond_1_5, field) == -np.inf
 
 
 def test_sample_laminates_valid():
-    lams = sample_laminates((2, 2), seed=SEED, count=50, max_order=3)
-    for L in lams:
-        atoms = L.atoms()
-        assert abs(sum(w for _, w in atoms) - 1.0) <= 1e-12
-        assert L.order() <= 3
-        assert np.max(np.abs(laminate_barycenter(L) - L.barycenter())) <= 1e-12
+    for order in (1, 2, 3):
+        bar, atoms, wts = _trees(order)
+        assert atoms.shape == (50, 2 ** order, 2, 2)
+        assert np.all(wts > 0)
+        assert np.max(np.abs(wts.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.einsum("bm,bmij->bij", wts, atoms)
+                             - bar)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -124,89 +147,85 @@ def test_curl_young_chi_det_holds():
     assert not v.violated
 
 
+@pytest.mark.parametrize("budget", [1, 10, 40])
+def test_curl_young_stops_at_budget(budget):
+    # the special-pair battery is cut at the budget like the segment batteries
+    for name in corpus_names():
+        entry = corpus_entry(name)
+        v = check_curl_young_on_laminates(entry, entry.dims, **_args(entry, budget))
+        assert v.budget <= budget, name
+        assert v.violated or v.budget == budget, name
+
+
 # ---------------------------------------------------------------------------
-# field realization
+# test fields: the two-gradient witnesses
 # ---------------------------------------------------------------------------
 
 def test_realize_1d_hat():
-    fld = realize_simple_laminate(np.array([[1.0]]), np.array([[-1.0]]), 0.5)
-    dist = {g.item(): v for v, g in fld.gradient_distribution()}
-    assert dist == {1.0: 0.5, -1.0: 0.5}
-    assert fld.boundary_sup == 0.5  # |xi - eta| * lam(1-lam) = 2 * 0.25
-    assert fld.kind == "periodic"
+    # the periodic witness of the double well at 0 is the +-1 hat: slopes
+    # -1 and 1 on halves, boundary values at most theta(1-theta)|2| = 1/2
+    entry = corpus_entry("double_well_1d")
+    v = check_periodic_weak_morrey(entry, np.zeros((1, 1)), entry.dims,
+                                   **_args(entry, budget=2_000))
+    assert v.witness["field_values"] == [[[-1.0]], [[1.0]]]
+    assert v.witness["theta"] == 0.5
+    assert replay_witness(entry, v.witness) == 1.0
 
 
 def test_realize_degenerate_lambda_gives_zero_field():
-    fld = realize_simple_laminate(E11, -E11, 1.0)
-    assert fld.grad_bound == 0.0
-    assert all(np.all(g == 0.0) for _, g in fld.cells)
+    # xi at an end of a special pair: the laminate of weight 0 or 1 is the
+    # Dirac at xi, whose field is zero, so the stream does not emit it
+    A, B = E11, -E11
+    for xi in (A, B):
+        stream = _two_gradient_candidates(xi, (2, 2), seed=SEED, count=0,
+                                          radius=2.0, special_points=(A, B),
+                                          rank_one=True)
+        assert list(stream) == []
 
 
 def test_realize_rejects_non_rank_one():
-    with pytest.raises(ValueError):
-        realize_simple_laminate(np.eye(2), np.zeros((2, 2)), 0.5)
+    # I and 0 are not rank-one connected: the periodic search never realizes
+    # them as a sawtooth through their midpoint, so 1 - chi_{I, 0} holds there
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        hit = (np.all(arr == np.eye(2), axis=(-2, -1))
+               | np.all(arr == 0.0, axis=(-2, -1)))
+        return np.where(hit, 0.0, 1.0)
+    pts = (np.eye(2), np.zeros((2, 2)))
+    v = check_periodic_weak_morrey(f, 0.5 * np.eye(2), (2, 2), tol=1e-9,
+                                   budget=500, seed=SEED, special_points=pts)
+    assert not v.violated and v.budget == 500
 
 
 def test_doubling_layers_halves_boundary():
-    for layers in (1, 2, 4, 8):
-        f1 = realize_simple_laminate(E11, -E11, 0.3, layers=layers)
-        f2 = realize_simple_laminate(E11, -E11, 0.3, layers=2 * layers)
-        assert f2.boundary_sup == f1.boundary_sup / 2.0
-        assert f2.grad_bound == f1.grad_bound
+    # the scaled-laminate rows: boundary values theta(1-theta)|M+ - M-|/layers
+    # stay within each delta, and halve exactly where the layers double
+    entry = corpus_entry("one_minus_chi_pair")
+    mid = 0.5 * (entry.special_points[0] + entry.special_points[1])
+    w = search_strong_morrey_violation(entry, mid, entry.dims, **_args(entry)).witness
+    assert w["family"] == "scaled-periodic-laminate"
+    Mp, Mm = (np.asarray(m) for m in w["field_values"])
+    c = w["theta"] * (1.0 - w["theta"]) * np.linalg.norm(Mp - Mm)
+    layers = w["layers_per_delta"]
+    for k, row in enumerate(w["per_delta"]):
+        assert c / layers[k] <= row["delta"]
+        if k and layers[k] == 2 * layers[k - 1]:
+            assert c / layers[k] == (c / layers[k - 1]) / 2.0
 
 
 def test_field_measure_duality():
-    # the field's gradient statistics coincide with the laminate weights
+    # a sawtooth and its laminate replay to the same gap: the field's
+    # gradient values and volume fractions are the laminate's atoms and weights
     entry = corpus_entry("one_minus_chi_pair")
     lam = 0.25
-    fld = realize_simple_laminate(E11, -E11, lam, layers=4)
-    dist = fld.gradient_distribution()
-    vols = sorted(v for v, _ in dist)
-    assert vols == [lam, 1.0 - lam]
     mid = lam * E11 + (1.0 - lam) * (-E11)
-    L = Laminate(lam=lam, left=Laminate(matrix=E11), right=Laminate(matrix=-E11))
-    assert fld.ess_sup(entry, mid) == nu_ess_sup(L, entry)
-
-
-def test_transition_layer_breaks_two_value_structure():
-    # the smoothed variant inserts a zero-gradient band; the indicator pair
-    # then sees the barycenter itself and the gap closes
-    entry = corpus_entry("one_minus_chi_pair")
-    A, B = entry.special_points[0], entry.special_points[1]
-    mid = 0.5 * (A + B)
-    sharp = realize_simple_laminate(A, B, 0.5)
-    smooth = realize_simple_laminate(A, B, 0.5, transition_fraction=0.2)
-    assert sharp.ess_sup(entry, mid) == 0.0
-    assert smooth.ess_sup(entry, mid) == 1.0
-    vols = [v for v, _ in smooth.cells]
-    assert abs(sum(vols) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        realize_simple_laminate(A, B, 0.5, transition_fraction=0.5)
-
-
-def test_realize_rotated_normal():
-    # lamination normal along (1,1)/sqrt(2): the rotated-cube construction
-    a = np.array([1.0, 0.0])
-    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    xi = np.outer(a, nu)
-    fld = realize_simple_laminate(xi, -xi, 0.5)
-    assert fld.normal is not None
-    assert abs(np.linalg.norm(fld.normal) - 1.0) <= 1e-12
-    assert abs(abs(np.dot(fld.normal, nu)) - 1.0) <= 1e-12
-
-
-def test_testfield_validation_and_csv(tmp_path):
-    with pytest.raises(ValueError):
-        TestField(cells=((0.5, np.zeros((1, 1))),), boundary_sup=0.0,
-                  grad_bound=0.0, kind="periodic")  # volumes must sum to 1
-    with pytest.raises(ValueError):
-        TestField(cells=((1.0, np.zeros((1, 1))),), boundary_sup=0.1,
-                  grad_bound=0.0, kind="zero-boundary")
-    fld = realize_simple_laminate(E11, -E11, 0.5, layers=2)
-    fld.to_csv(tmp_path / "field.csv")
-    text = (tmp_path / "field.csv").read_text().splitlines()
-    assert text[0] == "cell,volume,grad_0,grad_1,grad_2,grad_3"
-    assert len(text) == 1 + len(fld.cells)
+    f_mid = float(entry(mid))
+    ess = max(float(entry(E11)), float(entry(-E11)))
+    field = _field_witness("two-gradient-field", mid, f_mid, [E11, -E11], ess,
+                           theta=lam)
+    measure = _measure_witness(entry, [E11, -E11], [lam, 1.0 - lam], f_mid - ess)
+    assert replay_witness(entry, field) == replay_witness(entry, measure) == 1.0
+    assert field["gap"] == measure["gap"] == 1.0
 
 
 # ---------------------------------------------------------------------------
