@@ -14,10 +14,9 @@ from .funcspace import (NOTIONS, CorpusEntry, GridSpec, SampledFunction,
 from .envelope import (PowerLawReport, convex_envelope, lamination_hull,
                        level_convex_lsc_envelope, pasch_hausdorff,
                        power_law_envelope)
-from .classify import (ClassifyConfig, DiscreteMeasure, Report, Verdict,
-                       check_level_convex, check_polyquasiconvex_necessary,
-                       check_rank_one_qcx, check_supremal_jensen,
-                       classify_report, replay_witness,
+from .classify import (ClassifyConfig, Report, Verdict, check_level_convex,
+                       check_polyquasiconvex_necessary, check_rank_one_qcx,
+                       check_supremal_jensen, classify_report, replay_witness,
                        search_weak_morrey_violation, two_atom_measures)
 from .laminate import (check_curl_young_on_laminates,
                        check_periodic_weak_morrey,

@@ -15,10 +15,12 @@ Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
 batches until the budget is exhausted; the checkers of one ``classify_report``
 share each Halton draw.  Every search scores its batches by one of two
-shared rules: ``_worst_gap`` takes the largest finite gap of
-segments and laminates, and ``_best_field`` the least ess sup over the
-gradient values of two-gradient test fields, an undefined (NaN) ess sup
-counting as +inf.
+shared rules: ``_worst_gap`` takes the largest finite gap of a batch of
+segments or measures, and ``_best_field`` the least ess sup over the
+gradient values of two-gradient test fields, an ess sup of NaN or -inf
+counting as +inf.  A measure is an (atoms, weights) pair of arrays, and
+``_measure_gaps`` scores a batch of them in two f calls.  In every checker a
+gap must be finite to back a violation: a non-finite one cannot be replayed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .matspace import is_rank_one_connected, minors_batch, tau
 
 __all__ = [
     "Verdict",
-    "DiscreteMeasure",
     "Report",
     "ClassifyConfig",
     "NOTION_STATEMENTS",
@@ -122,28 +123,6 @@ class Verdict:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finitely supported probability measure on matrix space."""
-
-    atoms: tuple
-
-    def __post_init__(self) -> None:
-        ws = np.array([w for _, w in self.atoms], dtype=float)
-        if np.any(ws < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(ws.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to one (within 1e-12)")
-        if not np.any(ws > 0):
-            raise ValueError("at least one weight must be strictly positive")
-
-    def barycenter(self) -> np.ndarray:
-        return sum(w * np.asarray(m, dtype=float) for m, w in self.atoms)
-
-    def support(self) -> list[np.ndarray]:
-        return [np.asarray(m, dtype=float) for m, w in self.atoms if w > 0]
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
@@ -162,24 +141,30 @@ def _ess_sup(values) -> float:
     return math.inf if np.isnan(v).any() else float(v.max())
 
 
+def _measure_gaps(f, atoms, weights):
+    """f at the barycenter and the ess sup of f over the support (the atoms
+    of positive weight) of each measure of a batch: atoms (B, M, N, n),
+    weights (B, M).  f is called twice, on every atom and on every
+    barycenter.  A NaN on the support makes that ess sup NaN, so
+    ``_worst_gap`` drops the measure's gap."""
+    vals = f(atoms.reshape(-1, *atoms.shape[2:])).reshape(weights.shape)
+    sup = np.where(weights > 0, vals, -np.inf).max(axis=1)
+    return f(np.einsum("bm,bmij->bij", weights, atoms)), sup
+
+
 def replay_witness(f, witness: dict) -> float:
     """Recompute a witness gap from scratch; must match the stored gap to 1e-12."""
     kind = witness["kind"]
-    if kind == "segment":
-        xi, eta = _mat(witness["xi"]), _mat(witness["eta"])
-        lam = witness["lam"]
-        mid = lam * xi + (1.0 - lam) * eta
-        return float(f(mid) - _ess_sup([f(xi), f(eta)]))
-    if kind == "measure":
-        atoms = [(_mat(m), w) for m, w in witness["atoms"]]
-        bary = sum(w * m for m, w in atoms)
-        sup = _ess_sup([f(m) for m, w in atoms if w > 0])
-        return float(f(bary)) - sup
-    if kind == "minor-combination":
-        pts = [_mat(p) for p in witness["points"]]
-        ws = witness["weights"]
-        combined = sum(w * p for w, p in zip(ws, pts))
-        return float(f(combined)) - _ess_sup([f(p) for p in pts])
+    if kind in ("segment", "measure", "minor-combination"):  # weighted points
+        if kind == "segment":
+            lam = witness["lam"]
+            points, weights = (witness["xi"], witness["eta"]), (lam, 1.0 - lam)
+        elif kind == "measure":
+            points, weights = zip(*witness["atoms"])
+        else:
+            points, weights = witness["points"], witness["weights"]
+        (f_bary,), (sup,) = _measure_gaps(f, _mat(points)[None], _mat(weights)[None])
+        return float(f_bary) - _ess_sup([sup])
     if kind in ("two-gradient-field", "affine-field", "cutoff-field",
                 "simplicial-field"):
         xi = _mat(witness["xi"])
@@ -198,18 +183,16 @@ def _segment_witness(xi, eta, lam, f) -> dict:
     }
 
 
-def _measure_witness(f, atoms, weights, gap) -> dict:
-    """A measure by its atoms and weights: f at its barycenter and the ess
-    sup of f over its support (an undefined value counting as +inf)."""
-    atoms, weights = _mat(atoms), _mat(weights)
-    bary = np.einsum("m,mij->ij", weights, atoms)
+def _measure_witness(atoms, weights, f_bary, sup) -> dict:
+    """A measure by its atoms and weights, with f at its barycenter and the
+    ess sup of f over its support."""
     return {
         "kind": "measure",
         "atoms": [[_aslist(m), float(w)] for m, w in zip(atoms, weights)],
-        "barycenter": _aslist(bary),
-        "f_barycenter": float(f(bary)),
-        "sup_support": _ess_sup(f(atoms[weights > 0])),
-        "gap": float(gap),
+        "barycenter": _aslist(np.einsum("m,mij->ij", weights, atoms)),
+        "f_barycenter": float(f_bary),
+        "sup_support": float(sup),
+        "gap": float(f_bary) - float(sup),
     }
 
 
@@ -379,6 +362,11 @@ def _worst_gap(top, sup) -> tuple[int, float]:
     return i, float(gaps[i])
 
 
+def _backs_violation(gap, tol) -> bool:
+    """Whether a gap backs a violation: above tol, and finite, so it replays."""
+    return math.isfinite(gap) and gap > tol
+
+
 def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                          special_points, rank_one) -> Verdict:
     used = 0
@@ -423,31 +411,37 @@ def check_rank_one_qcx(f, dims, *, tol=1e-9, budget=100_000,
 
 
 def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
-    """Two-atom measures mirroring the level-convexity sample stream exactly,
-    so the Jensen checker and the level-convexity checker see the same data."""
-    out = []
+    """The level-convexity sample stream as two-atom measures, so the Jensen
+    checker and the level-convexity checker see the same data: atoms
+    (count, 2, N, n) and weights (count, 2), one stack per take."""
+    atoms, weights = [np.empty((0, 2, *dims))], [np.empty((0, 2))]
     for xi, eta, takes in _segment_batches(dims, seed=seed, budget=count,
                                            radius=radius,
                                            special_points=special_points,
                                            rank_one=False):
         for lam, take in takes:
-            for x, e in zip(xi[:take], eta[:take]):
-                out.append(DiscreteMeasure(((x, lam), (e, 1.0 - lam))))
-    return out
+            atoms.append(np.stack([xi[:take], eta[:take]], axis=1))
+            weights.append(np.tile([lam, 1.0 - lam], (take, 1)))
+    return np.concatenate(atoms), np.concatenate(weights)
 
 
-def check_supremal_jensen(f, measures, *, tol=1e-9,
+def check_supremal_jensen(f, atoms, weights, *, tol=1e-9,
                           seed=DEFAULT_SEED) -> Verdict:
-    """Violated iff some measure has f(barycenter) > max over its support."""
-    used = 0
-    for mu in measures:
-        used += 1
-        bary = mu.barycenter()
-        sup = _ess_sup([f(m) for m in mu.support()])
-        gap = float(f(bary)) - sup
+    """Violated iff some measure has f(barycenter) above the ess sup of f
+    over its support by a finite gap above tol.  Measure b has atoms[b]
+    (M, N, n) and weights[b] (M,); all are scored in one batch, and the
+    witness is the worst one."""
+    atoms, weights = _mat(atoms), _mat(weights)
+    if atoms.ndim != 4 or atoms.shape[:2] != weights.shape:
+        raise ValueError("atoms must be (B, M, N, n) and weights (B, M)")
+    if not (np.all(weights >= 0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)):
+        raise ValueError("weights must be nonnegative, each row summing to one within 1e-12")
+    used = len(weights)
+    if used:
+        f_bary, sup = _measure_gaps(f, atoms, weights)
+        i, gap = _worst_gap(f_bary, sup)
         if gap > tol:
-            atoms, weights = zip(*mu.atoms)
-            witness = _measure_witness(f, atoms, weights, gap)
+            witness = _measure_witness(atoms[i], weights[i], f_bary[i], sup[i])
             return Verdict("supremal_jensen", VIOLATED, witness, used, tol, seed)
     return Verdict("supremal_jensen", HOLDS, None, used, tol, seed)
 
@@ -469,16 +463,6 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     N, n = dims
     trivial_minors = tau(N, n) == N * n  # min(N, n) == 1: every combination valid
 
-    def combo_verdict(pts, ws, resid, fibers, gaps, i):
-        return Verdict(notion, VIOLATED, {
-            "kind": "minor-combination",
-            "points": [_aslist(p) for p in pts[i]],
-            "weights": [float(w) for w in ws[i]],
-            "minor_residual": float(resid[i]),
-            "max_f_points": float(fibers[i].max()),
-            "gap": float(gaps[i]),
-        }, used, tol, seed)
-
     # rank-one stream: 60% of the budget (battery included), always valid
     ro_budget = budget if trivial_minors else (budget * 6) // 10
     v = _run_segment_checker(notion, f, dims, tol=tol, budget=ro_budget,
@@ -496,27 +480,32 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     used = v.budget
 
     rng = np.random.default_rng(seed + 1)
-    block = 2048
     while used < budget:
-        count = min(block, budget - used)
+        count = min(2048, budget - used)
         used += count
         bar = rng.uniform(-radius, radius, size=(count, N, n))
         pts, ws = _tree_atoms_batch(bar, 2, rng, radius)
-        combined = np.einsum("bm,bmij->bij", ws, pts)
-        T_combined = minors_batch(combined)
+        T_combined = minors_batch(np.einsum("bm,bmij->bij", ws, pts))
         T_weighted = np.einsum("bm,bmt->bt", ws, minors_batch(pts))
         scale = 1.0 + np.max(np.abs(T_weighted), axis=1)
         resid = np.max(np.abs(T_combined - T_weighted), axis=1)
         valid = resid <= REJECTION_TOL * scale
-        fibers = f(pts.reshape(-1, N, n)).reshape(count, -1)
+        f_combined, sup = _measure_gaps(f, pts, ws)
         with np.errstate(invalid="ignore"):  # inf - inf outside the box
-            gaps = f(combined) - fibers.max(axis=1)
-        # inflate the pass bar by the accepted residual (Lipschitz slack)
-        bar_tol = tol + 10.0 * resid * scale
-        bad = valid & (gaps > bar_tol)
+            gaps = f_combined - sup
+        # inflate the pass bar by the accepted residual (Lipschitz slack);
+        # a non-finite gap cannot be replayed
+        bad = valid & np.isfinite(gaps) & (gaps > tol + 10.0 * resid * scale)
         if bad.any():
             i = int(np.argmax(np.where(bad, gaps, -np.inf)))
-            return combo_verdict(pts, ws, resid, fibers, gaps, i)
+            return Verdict(notion, VIOLATED, {
+                "kind": "minor-combination",
+                "points": [_aslist(p) for p in pts[i]],
+                "weights": [float(w) for w in ws[i]],
+                "minor_residual": float(resid[i]),
+                "max_f_points": float(sup[i]),
+                "gap": float(gaps[i]),
+            }, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
 
@@ -616,10 +605,11 @@ def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
     **stream)`` with the least essential supremum of f over its gradient
     values (with ``cutoff``, also over the cutoff layer's).
 
-    A NaN ess sup counts as +inf; the first strict minimum is kept.  With
-    ``stop`` the search ends after the first batch whose minimum is below
-    ``f_xi - tol``.  Returns (samples, least ess sup, its gradient values,
-    its theta); the values are None when no ess sup is below +inf.
+    A NaN or -inf ess sup counts as +inf; the first strict minimum is kept.  With
+    ``stop`` the search ends after the first batch whose minimum undercuts
+    ``f_xi`` by a finite gap above tol.  Returns (samples, least ess sup, its
+    gradient values, its theta); the values are None when no ess sup is
+    below +inf.
     """
     used, best, best_values, best_theta = 0, np.inf, None, None
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream):
@@ -628,14 +618,14 @@ def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
         if cutoff:
             extras = _cutoff_values(xi, Mp, Mm, theta)
             ess = np.maximum(ess, f(extras).max(axis=1))
-        # an undefined ess sup (NaN) cannot be a witness; it must not hide one
-        ess = np.where(np.isnan(ess), np.inf, ess)
+        # a NaN or -inf ess sup gives no finite gap; it must not hide one
+        ess = np.where(np.isfinite(ess), ess, np.inf)
         i = int(np.argmin(ess))
         if ess[i] < best:
             best = float(ess[i])
             best_values = [Mp[i], Mm[i]] + (list(extras[i]) if cutoff else [])
             best_theta = float(theta[i])
-        if stop and best < f_xi - tol:
+        if stop and _backs_violation(f_xi - best, tol):
             break
     return used, best, best_values, best_theta
 
@@ -665,14 +655,14 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
         rank_one=False)
     kind = "cutoff-field" if n >= 2 else "two-gradient-field"
     extra = {"theta": theta}
-    if n <= 2 and not best < f_xi - tol:
+    if n <= 2 and not _backs_violation(f_xi - best, tol):
         ess, field, its = _simplicial_search(f, xi, dims, seed=seed,
                                              depth=MESH_DEPTH,
                                              restarts=MESH_RESTARTS)
         used += its
         if ess < best:
             best, values, kind, extra = ess, field, "simplicial-field", {}
-    if best < f_xi - tol:
+    if _backs_violation(f_xi - best, tol):
         witness = _field_witness(kind, xi, f_xi, values, best, **extra)
         return Verdict("weak_morrey", VIOLATED, witness, used, tol, seed)
     return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
@@ -682,13 +672,13 @@ def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
     """Random piecewise-affine zero-boundary fields on a simplicial mesh of Q,
     improved by up to three coordinate-descent sweeps over the interior nodal
     values (steps h, -h, h/4, -h/4; a trial is kept when it lowers the ess
-    sup, NaN counting as +inf, by more than 1e-15).  f is called once per
-    speculated batch: the rest of the sweep, each trial as if every earlier
-    one were rejected (a rejection leaves ``(x + s) - s``); the next batch
-    starts after the first accepted trial, so f must score each matrix of a
-    batch independently of the others.  Returns (best ess sup, shifted
-    gradient values of the best field, samples), the samples being the trials
-    the descent used.  Supports n in {1, 2}.
+    sup, NaN or -inf counting as +inf, by more than 1e-15).  f is called once
+    per speculated batch: the rest of the sweep, each trial as if every
+    earlier one were rejected (a rejection leaves ``(x + s) - s``); the next
+    batch starts after the first accepted trial, so f must score each matrix
+    of a batch independently of the others.  Returns (best ess sup, shifted
+    gradient values of the best field, samples), the samples being the
+    trials the descent used.  Supports n in {1, 2}.
     """
     N, n = dims
     rng = np.random.default_rng(seed + 7)
@@ -709,7 +699,7 @@ def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
             upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
             g = np.stack([lower, upper], axis=3).reshape(len(x), -1, N, 2)
         val = np.max(f(xi + g), axis=1)
-        return np.where(np.isnan(val), np.inf, val), g
+        return np.where(np.isfinite(val), val, np.inf), g
 
     best, best_values, evaluations = np.inf, [], 0
     for _ in range(restarts):

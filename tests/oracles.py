@@ -22,7 +22,11 @@ Then come the three field searches as they were when each scored its own
 two-gradient batches, before ``classify._best_field`` took that over.  Last
 are the segment checker and the two-atom measure stream as they were when
 the pair stream yielded each weight of a block on its own, and the checker
-called f at the endpoints once per weight.
+called f at the endpoints once per weight; the stream gives the same
+(atoms, weights) arrays.  The very last is the supremal Jensen loop as it
+ran before ``classify._measure_gaps`` scored a whole batch of measures: one
+measure at a time, one f call per atom of positive weight and one at the
+barycenter, a NaN on the support counting as +inf.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                             DiscreteMeasure, Verdict, _aslist, _cutoff_values,
+                             Verdict, _aslist, _cutoff_values, _ess_sup,
                              _field_witness, _halton, _segment_witness, _special_pairs,
                              _two_gradient_candidates, _worst_gap)
 from supcon.envelope import lower_hull_1d, rank_one_grid_directions
@@ -838,14 +842,16 @@ def segment_batches(dims, *, seed, budget, radius, special_points=(),
 
 
 def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
-    out = []
+    atoms, weights = [], []
     for xi, eta, lam in segment_batches(dims, seed=seed, budget=count,
                                         radius=radius,
                                         special_points=special_points,
                                         rank_one=False):
         for x, e, l in zip(xi, eta, lam):
-            out.append(DiscreteMeasure(((x, float(l)), (e, float(1.0 - l)))))
-    return out
+            atoms.append(np.stack([x, e]))
+            weights.append([float(l), float(1.0 - l)])
+    return (np.array(atoms).reshape(-1, 2, *dims),
+            np.array(weights).reshape(-1, 2))
 
 
 def run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
@@ -862,3 +868,14 @@ def run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
             witness = _segment_witness(xi[i], eta[i], float(lam[i]), f)
             return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)
+
+
+def supremal_jensen_gaps(f, atoms, weights) -> np.ndarray:
+    """The gap f(barycenter) - ess sup over the support of each measure,
+    row by row: atoms[b] (M, N, n) and weights[b] (M,)."""
+    gaps = []
+    for row, ws in zip(atoms, weights):
+        bary = sum(w * m for m, w in zip(row, ws))
+        sup = _ess_sup([f(m) for m, w in zip(row, ws) if w > 0])
+        gaps.append(float(f(bary)) - sup)
+    return np.array(gaps)

@@ -204,10 +204,10 @@ def test_criterion_7_jensen_equals_level_convexity():
             lv = check_level_convex(entry, entry.dims, tol=1e-9, budget=count,
                                     seed=SEED, radius=2.0,
                                     special_points=entry.special_points)
-            measures = two_atom_measures(entry.dims, seed=SEED, count=count,
-                                         radius=2.0,
-                                         special_points=entry.special_points)
-            jn = check_supremal_jensen(entry, measures, tol=1e-9, seed=SEED)
+            atoms, weights = two_atom_measures(entry.dims, seed=SEED, count=count,
+                                               radius=2.0,
+                                               special_points=entry.special_points)
+            jn = check_supremal_jensen(entry, atoms, weights, tol=1e-9, seed=SEED)
             assert lv.violated == jn.violated, name
 
 
@@ -300,8 +300,7 @@ def test_criterion_9_invariant_suites():
             ess = max(float(entry(xi)), float(entry(eta)))
             field = _field_witness("two-gradient-field", mid, f_mid, [xi, eta],
                                    ess, theta=lam)
-            measure = _measure_witness(entry, [xi, eta], [lam, 1.0 - lam],
-                                       f_mid - ess)
+            measure = _measure_witness([xi, eta], [lam, 1.0 - lam], f_mid, ess)
             a_gap = replay_witness(entry, field)    # f(mid) - ess sup f(mid + D phi)
             b_gap = replay_witness(entry, measure)  # f(barycenter) - ess sup over atoms
             assert abs(a_gap - b_gap) <= 1e-12 * (1.0 + abs(b_gap))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from supcon.classify import (ClassifyConfig, DiscreteMeasure, _aslist,
+from supcon.classify import (ClassifyConfig, _aslist, _measure_gaps,
                              check_level_convex,
                              check_polyquasiconvex_necessary,
                              check_rank_one_qcx, check_supremal_jensen,
@@ -71,6 +71,50 @@ def test_level_convex_non_finite_gaps_do_not_mask_violations():
     assert replay_witness(ev, v.witness) == v.witness["gap"]
 
 
+def _slab(arr):
+    # +inf on the slab |t| < 1/2, 0 off it: every gap a checker can find
+    # here is inf - 0, which no replay reproduces to 1e-12
+    t = np.asarray(arr, dtype=float)[..., 0, 0]
+    return np.where(np.abs(t) < 0.5, np.inf, 0.0)
+
+
+def _slab_calls():
+    from supcon import laminate
+    calls = {}
+    for dims in ((1, 1), (2, 2)):
+        e11 = np.zeros(dims)
+        e11[0, 0] = 1.0
+        zero = np.zeros(dims)
+        calls |= {
+            f"level_convex{dims}": lambda d=dims: check_level_convex(_slab, d, budget=2_000),
+            f"rank_one{dims}": lambda d=dims: check_rank_one_qcx(_slab, d, budget=2_000),
+            f"curl_young{dims}": lambda d=dims, e=e11: laminate.check_curl_young_on_laminates(
+                _slab, d, budget=20, special_points=(e, -e)),
+            f"periodic{dims}": lambda d=dims, z=zero: laminate.check_periodic_weak_morrey(
+                _slab, z, d, budget=500),
+            f"weak{dims}": lambda d=dims, z=zero: search_weak_morrey_violation(
+                _slab, z, d, budget=500),
+            f"strong{dims}": lambda d=dims, z=zero: laminate.search_strong_morrey_violation(
+                _slab, z, d, budget=500),
+        }
+    calls["jensen"] = lambda: check_supremal_jensen(
+        _slab, [[[[-1.0]], [[1.0]]]], [[0.5, 0.5]])
+    calls["polyquasiconvex(2, 2)"] = lambda: check_polyquasiconvex_necessary(
+        _slab, (2, 2), budget=20_000)
+    return calls
+
+
+@pytest.mark.parametrize("call", sorted(_slab_calls()))
+def test_non_finite_gap_never_backs_a_violation(call):
+    with np.errstate(invalid="ignore"):
+        v = _slab_calls()[call]()
+        if v.violated:
+            gap = v.witness["gap"]
+            assert math.isfinite(gap)
+            assert abs(replay_witness(_slab, v.witness) - gap) <= 1e-12
+    json.dumps(v.to_dict(), allow_nan=False)
+
+
 @pytest.mark.parametrize("search", ["weak", "periodic", "strong"])
 def test_field_searches_nan_values_do_not_mask_violations(search):
     # a double well left undefined (NaN) for t > 1.9: the NaN in a batch of
@@ -94,6 +138,31 @@ def test_field_searches_nan_values_do_not_mask_violations(search):
         assert v.budget == 2
 
 
+@pytest.mark.parametrize("search", ["weak", "periodic", "strong"])
+def test_field_searches_minus_inf_values_do_not_mask_violations(search):
+    # the double well at -inf for |t| > 1.2 and on 0.2 < |t| < 0.3: a field
+    # with every value there, or an affine probe at t = 0.25, has an infinite
+    # gap that backs no violation; it must not hide the finite gap of the
+    # oscillation between the wells at xi = 0, nor enter the witness
+    from supcon import laminate
+    entry = corpus_entry("double_well_1d")
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        t = np.abs(arr[..., 0, 0])
+        return np.where((t > 1.2) | ((0.2 < t) & (t < 0.3)), -np.inf, entry(arr))
+
+    run = {"weak": search_weak_morrey_violation,
+           "periodic": laminate.check_periodic_weak_morrey,
+           "strong": laminate.search_strong_morrey_violation}[search]
+    v = run(f, np.zeros((1, 1)), (1, 1), tol=1e-9, budget=2000, seed=20240817,
+            radius=2.0, special_points=entry.special_points)
+    assert v.violated
+    assert v.witness["gap"] == 1.0
+    assert replay_witness(f, v.witness) == 1.0
+    json.dumps(v.to_dict(), allow_nan=False)
+
+
 def test_simplicial_search_leaves_an_undefined_start():
     # the random start has a gradient above 0.3, where f is NaN; a NaN ess
     # sup compares false with everything, so unmasked it froze the descent
@@ -106,6 +175,23 @@ def test_simplicial_search_leaves_an_undefined_start():
 
     best, values, _ = _simplicial_search(f, np.zeros((1, 1)), (1, 1),
                                          seed=20240817, depth=4, restarts=1)
+    assert np.isfinite(best)
+    assert best == max(float(f(v)) for v in values)
+
+
+def test_simplicial_search_counts_minus_inf_as_plus_inf():
+    # f at -inf for |t| > 0.3: a field steep on every cell has ess sup -inf,
+    # an infinite gap that backs no violation, so the descent must not
+    # settle on it
+    from supcon.classify import _simplicial_search
+    entry = corpus_entry("double_well_1d")
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.where(np.abs(arr[..., 0, 0]) > 0.3, -np.inf, entry(arr))
+
+    best, values, _ = _simplicial_search(f, np.zeros((1, 1)), (1, 1),
+                                         seed=20240817, depth=4, restarts=4)
     assert np.isfinite(best)
     assert best == max(float(f(v)) for v in values)
 
@@ -148,44 +234,49 @@ def test_scalar_collapse_rank_one_equals_level():
 # supremal Jensen
 # ---------------------------------------------------------------------------
 
+def _measure(*atoms):
+    """One measure of 1x1 atoms, given as (value, weight) pairs, as the
+    (atoms, weights) arrays of a batch of one."""
+    return (np.array([[[[m]] for m, _ in atoms]]),
+            np.array([[w for _, w in atoms]]))
+
+
 def test_jensen_dirac_equality():
     entry = corpus_entry("double_well_1d")
-    mu = DiscreteMeasure(((np.array([[0.5]]), 1.0),))
-    v = check_supremal_jensen(entry, [mu])
+    v = check_supremal_jensen(entry, *_measure((0.5, 1.0)))
     assert not v.violated
 
 
 def test_jensen_two_atom_level_convex_holds():
     entry = corpus_entry("clamp1d")
-    mu = DiscreteMeasure(((np.array([[-1.0]]), 0.5), (np.array([[2.0]]), 0.5)))
-    assert not check_supremal_jensen(entry, [mu]).violated
+    assert not check_supremal_jensen(entry, *_measure((-1.0, 0.5), (2.0, 0.5))).violated
 
 
 def test_jensen_double_well_violated():
     entry = corpus_entry("double_well_1d")
-    mu = DiscreteMeasure(((np.array([[-1.0]]), 0.5), (np.array([[1.0]]), 0.5)))
-    v = check_supremal_jensen(entry, [mu])
+    v = check_supremal_jensen(entry, *_measure((-1.0, 0.5), (1.0, 0.5)))
     assert v.violated
     assert v.witness["gap"] == 1.0
     assert replay_witness(entry, v.witness) == 1.0
 
 
 def test_jensen_zero_weight_atom_excluded_from_support():
-    mu = DiscreteMeasure(((np.array([[0.0]]), 1.0), (np.array([[9.0]]), 0.0)))
-    assert len(mu.support()) == 1
-    # dirac at 0 still holds even though the zero-weight atom has huge value
+    atoms, weights = _measure((0.0, 1.0), (9.0, 0.0))
     entry = corpus_entry("abs")
-    assert not check_supremal_jensen(entry, [mu]).violated
+    # the support is the atom at 0 alone: f there, not at the atom at 9
+    assert _measure_gaps(entry, atoms, weights)[1].tolist() == [0.0]
+    # dirac at 0 still holds even though the zero-weight atom has huge value
+    assert not check_supremal_jensen(entry, atoms, weights).violated
 
 
 def test_jensen_equivalent_to_level_convexity_matched_seeds():
     for name in ("clamp1d", "double_well_1d", "arctan_det", "W_sup"):
         entry = corpus_entry(name)
         lv = check_level_convex(entry, entry.dims, **_checker_args(entry, budget=3_000))
-        measures = two_atom_measures(entry.dims, seed=SEED, count=3_000,
-                                     radius=2.0,
-                                     special_points=entry.special_points)
-        jn = check_supremal_jensen(entry, measures)
+        atoms, weights = two_atom_measures(entry.dims, seed=SEED, count=3_000,
+                                           radius=2.0,
+                                           special_points=entry.special_points)
+        jn = check_supremal_jensen(entry, atoms, weights)
         assert lv.violated == jn.violated, name
 
 
@@ -202,7 +293,8 @@ def test_jensen_nan_atom_counts_as_inf_in_either_order(swap):
     atoms = [(np.array([[-1.0]]), 2.0 / 3.0), (np.array([[2.0]]), 1.0 / 3.0)]
     if swap:
         atoms.reverse()
-    assert not check_supremal_jensen(_nan_beyond_1_5, [DiscreteMeasure(tuple(atoms))]).violated
+    assert not check_supremal_jensen(_nan_beyond_1_5, *_measure(
+        *((m[0, 0], w) for m, w in atoms))).violated
     forged = {"kind": "measure", "atoms": [[_aslist(m), w] for m, w in atoms]}
     assert replay_witness(_nan_beyond_1_5, forged) == -math.inf
     segment = {"kind": "segment", "xi": [[atoms[0][0][0, 0]]],
@@ -210,11 +302,20 @@ def test_jensen_nan_atom_counts_as_inf_in_either_order(swap):
     assert replay_witness(_nan_beyond_1_5, segment) == -math.inf
 
 
-def test_discrete_measure_validation():
-    with pytest.raises(ValueError):
-        DiscreteMeasure(((np.eye(2), 0.6), (np.eye(2), 0.6)))
-    with pytest.raises(ValueError):
-        DiscreteMeasure(((np.eye(2), -0.1), (np.eye(2), 1.1)))
+def test_supremal_jensen_rejects_invalid_measures():
+    entry = corpus_entry("arctan_det")
+    atoms = np.stack([np.eye(2), np.eye(2)])[None]
+    with pytest.raises(ValueError, match="summing to one"):
+        check_supremal_jensen(entry, atoms, [[0.6, 0.6]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_supremal_jensen(entry, atoms, [[-0.1, 1.1]])
+    with pytest.raises(ValueError, match="summing to one"):  # one row of two is off
+        check_supremal_jensen(entry, np.concatenate([atoms, atoms]),
+                              [[0.5, 0.5], [0.5, 0.5 + 1e-9]])
+    for bad_atoms, weights in ((atoms, [[1.0]]), (atoms, [0.5, 0.5]),
+                               (atoms[0], [[0.5, 0.5]])):
+        with pytest.raises(ValueError, match="atoms must be"):
+            check_supremal_jensen(entry, bad_atoms, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from supcon.classify import (_field_witness, _measure_witness,
+from supcon.classify import (_field_witness, _measure_gaps, _measure_witness,
                              _tree_atoms_batch, _two_gradient_candidates,
                              replay_witness)
 from supcon.funcspace import corpus_entry, corpus_names
@@ -18,6 +18,13 @@ E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 def _args(entry, budget=10_000):
     return dict(tol=1e-9, budget=budget, seed=SEED, radius=2.0,
                 special_points=entry.special_points)
+
+
+def _measure_record(f, atoms, weights):
+    """The measure record of one measure, scored as the checkers score it."""
+    atoms, weights = np.asarray(atoms, float)[None], np.asarray(weights, float)[None]
+    (f_bary,), (sup,) = _measure_gaps(f, atoms, weights)
+    return _measure_witness(atoms[0], weights[0], f_bary, sup)
 
 
 def _trees(order, count=50):
@@ -40,7 +47,7 @@ def test_leaf_barycenter():
 
 def test_split_barycenter_midpoint():
     entry = corpus_entry("one_minus_chi_pair")
-    w = _measure_witness(entry, [E11, -E11], [0.5, 0.5], 1.0)
+    w = _measure_record(entry, [E11, -E11], [0.5, 0.5])
     assert np.array_equal(w["barycenter"], np.zeros((2, 2)))
     assert w["f_barycenter"] == 1.0 and w["sup_support"] == 0.0
     assert replay_witness(entry, w) == 1.0
@@ -52,7 +59,7 @@ def test_second_order_barycenter_two_ways():
     bar, atoms, wts = _trees(2)
     entry = corpus_entry("arctan_det")
     for b, a, w in zip(bar, atoms, wts):
-        rec = _measure_witness(entry, a, w, 0.0)
+        rec = _measure_record(entry, a, w)
         assert np.max(np.abs(np.asarray(rec["barycenter"]) - b)) <= 1e-12
         running = sum(wt * np.asarray(m) for m, wt in rec["atoms"])
         assert np.max(np.abs(running - b)) <= 1e-12
@@ -74,11 +81,11 @@ def test_split_requires_rank_one_barycenters():
 
 def test_nu_ess_sup():
     entry = corpus_entry("one_minus_chi_pair")
-    assert _measure_witness(entry, [E11, -E11], [0.5, 0.5], 1.0)["sup_support"] == 0.0
-    assert _measure_witness(entry, [np.zeros((2, 2))], [1.0], 0.0)["sup_support"] == 1.0
+    assert _measure_record(entry, [E11, -E11], [0.5, 0.5])["sup_support"] == 0.0
+    assert _measure_record(entry, [np.zeros((2, 2))], [1.0])["sup_support"] == 1.0
     # a zero-weight atom is outside the support
-    assert _measure_witness(entry, [E11, np.zeros((2, 2))], [1.0, 0.0],
-                            0.0)["sup_support"] == 0.0
+    assert _measure_record(entry, [E11, np.zeros((2, 2))],
+                           [1.0, 0.0])["sup_support"] == 0.0
 
 
 def _nan_beyond_1_5(arr):
@@ -98,8 +105,9 @@ def test_nan_atom_counts_as_inf_in_either_order(swap):
                                       special_points=pair)
     assert not v.violated and v.budget == 5
     lam = 1.0 / 3.0 if swap else 2.0 / 3.0
-    measure = _measure_witness(_nan_beyond_1_5, pair, [lam, 1.0 - lam], 0.0)
-    assert measure["sup_support"] == np.inf
+    measure = _measure_record(_nan_beyond_1_5, pair, [lam, 1.0 - lam])
+    # the scorer's ess sup is NaN, which drops the gap; replay reads it as +inf
+    assert np.isnan(measure["sup_support"])
     assert replay_witness(_nan_beyond_1_5, measure) == -np.inf
     field = _field_witness("two-gradient-field", np.zeros((1, 1)), 1.0, pair,
                            np.inf, theta=lam)
@@ -223,7 +231,7 @@ def test_field_measure_duality():
     ess = max(float(entry(E11)), float(entry(-E11)))
     field = _field_witness("two-gradient-field", mid, f_mid, [E11, -E11], ess,
                            theta=lam)
-    measure = _measure_witness(entry, [E11, -E11], [lam, 1.0 - lam], f_mid - ess)
+    measure = _measure_witness([E11, -E11], [lam, 1.0 - lam], f_mid, ess)
     assert replay_witness(entry, field) == replay_witness(entry, measure) == 1.0
     assert field["gap"] == measure["gap"] == 1.0
 

@@ -107,12 +107,11 @@ def test_two_atom_measures_match_per_weight_oracle(dims, n_special, count, seed)
     rng = np.random.default_rng(seed)
     kw = dict(seed=seed % 100_000, count=count, radius=float(rng.choice([1.0, 2.0])),
               special_points=_special_points(dims, rng, n_special))
-    got = classify.two_atom_measures(dims, **kw)
-    want = oracles.two_atom_measures(dims, **kw)
-    assert len(got) == len(want)
-    for mu, ref in zip(got, want):
-        for (m, w), (m_ref, w_ref) in zip(mu.atoms, ref.atoms, strict=True):
-            assert np.array_equal(m, m_ref) and w == w_ref
+    atoms, weights = classify.two_atom_measures(dims, **kw)
+    atoms_ref, weights_ref = oracles.two_atom_measures(dims, **kw)
+    assert atoms.shape == atoms_ref.shape == (len(weights), 2, *dims)
+    assert np.array_equal(atoms, atoms_ref)
+    assert np.array_equal(weights, weights_ref)
 
 
 def _fresh(dim, count, seed):
