@@ -21,7 +21,7 @@ from .classify import (ClassifyConfig, Report, Verdict, check_level_convex,
 from .laminate import (check_curl_young_on_laminates,
                        check_periodic_weak_morrey,
                        search_strong_morrey_violation)
-from .fem1d import (FeMinimizeResult, FeOptions, GammaReport, Mesh1D,
-                    envelope_oracle_1d, gamma_limit_experiment, minimize_Fp)
+from .fem1d import (FeMinimizeResult, FeOptions, GammaReport, envelope_oracle_1d,
+                    gamma_limit_experiment, minimize_Fp)
 
 __version__ = "0.1.0"

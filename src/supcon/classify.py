@@ -7,9 +7,10 @@ to 1e-12.  The notions handled here are the pointwise ones (level convexity,
 rank-one quasiconvexity, the necessary midpoint condition of
 polyquasiconvexity, the supremal Jensen inequality) plus the zero-boundary
 (weak Morrey) disproof search.  The periodic and small-boundary checkers
-live in the laminate module, which owns the test-field machinery;
-``classify_report`` pulls everything together into one table and
-cross-validates the verdicts against the implication hierarchy.
+live in the laminate module and use the test-field machinery here: the
+two-gradient candidates, ``_best_field`` and the splitting-tree sampler
+``_tree_atoms_batch``.  ``classify_report`` pulls everything together into
+one table and cross-validates the verdicts against the implication hierarchy.
 
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
@@ -60,6 +61,9 @@ VIOLATED = "violated"
 
 #: Deterministic midpoint weights probed before random ones.
 LAMBDA_GRID = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75)
+
+#: Most Halton points drawn in one block of a pair or candidate stream.
+HALTON_BLOCK = 4096
 
 #: Boundary budgets delta of the small-boundary (strong Morrey) search.
 DEFAULT_DELTA_SCHEDULE = tuple(2.0 ** -k for k in range(1, 13))
@@ -273,18 +277,18 @@ def _tree_atoms_batch(bar, order, rng, scale):
     return pts, wts
 
 
-def _special_pairs(special_points, rank_one: bool, rank_tol: float = 1e-9):
+def _special_pairs(special_points, rank_one: bool):
     pts = [np.asarray(p, dtype=float) for p in special_points]
     for a, b in itertools.combinations(pts, 2):
         if np.array_equal(a, b):
             continue
-        if rank_one and not is_rank_one_connected(a, b, rank_tol):
+        if rank_one and not is_rank_one_connected(a, b):
             continue
         yield a, b
 
 
 def _segment_batches(dims, *, seed, budget, radius, special_points=(),
-                     rank_one=False, block=4096):
+                     rank_one=False):
     """Yield (xi, eta, takes) pair blocks; the total triple count stops at budget.
 
     ``takes`` lists the block's probes in order, each a (lam, k): its first
@@ -326,7 +330,7 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
     rng = np.random.default_rng(seed)
     halton_seed = seed
     while used < budget:
-        m = min(block, max(1, (budget - used) // (len(LAMBDA_GRID) + 1)))
+        m = min(HALTON_BLOCK, max(1, (budget - used) // (len(LAMBDA_GRID) + 1)))
         if rank_one:
             H = _halton(d + N + n + 1, m, halton_seed)
             xi = (2.0 * H[:, :d] - 1.0) * radius
@@ -548,9 +552,8 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
 
     halton_seed = seed
     done = len(battery_p)
-    block = 4096
     while done < count:
-        m = min(block, count - done)
+        m = min(HALTON_BLOCK, count - done)
         H = _halton(N + n + 2, m, halton_seed)
         halton_seed += 1
         a = 2.0 * H[:, :N] - 1.0

@@ -193,14 +193,13 @@ def cmd_gamma1d(args) -> int:
     entry = fs.corpus_entry(args.corpus)
     if entry.dims != (1, 1):
         raise ValueError("gamma1d only applies to scalar (1x1) corpus entries")
-    opts = fem1d.FeOptions(**_given(args, "restarts", "seed", "slope_bound"))
-    mesh = fem1d.Mesh1D(**_given(args, "cells"))
-    report = fem1d.gamma_limit_experiment(entry, args.xi, args.p_schedule, mesh, opts,
+    opts = fem1d.FeOptions(**_given(args, "cells", "restarts", "seed", "slope_bound"))
+    report = fem1d.gamma_limit_experiment(entry, args.xi, args.p_schedule, opts,
                                           name=entry.name)
     if args.out:
         report.save(Path(args.out), basename=f"gamma1d_{entry.name}")
     print(f"{entry.name} at xi={args.xi}: {report.classification} "
-          f"(limit {report.rows[-1]['normalized']:.6g} vs f={report.f_xi:.6g})")
+          f"(limit {report.rows[-1]['min_value']:.6g} vs f={report.f_xi:.6g})")
     return 0
 
 

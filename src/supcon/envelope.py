@@ -63,6 +63,13 @@ __all__ = [
 
 MODE_CONVEX_LOWER = "convex-lower"
 MODE_LAMINATION_UPPER = "lamination-upper"
+#: The lamination hull's rank-one directions have integer components in
+#: [-DIRECTION_SPAN, DIRECTION_SPAN]; it stops after MAX_SWEEPS sweeps or
+#: once a sweep moves no value by more than SWEEP_TOL.
+DIRECTION_SPAN = 2
+MAX_SWEEPS = 64
+SWEEP_TOL = 1e-7
+GAP_TOL = 0.1  # a power-law limit this far below f somewhere is a gap
 
 
 class PowerLawOverflowError(RuntimeError):
@@ -192,8 +199,8 @@ def _points_in_flat_hull(points: np.ndarray,
     return out, len(near)
 
 
-def _points_in_hull(points: np.ndarray, queries: np.ndarray, tol: float = 1e-9):
-    """Which queries lie in conv(points).
+def _points_in_hull(points: np.ndarray, queries: np.ndarray):
+    """Which queries lie in conv(points), to 1e-9.
 
     Returns the boolean mask; the facet equations (rows: normal | offset,
     normal . z + offset <= 0 inside) and the vertex points when the hull is
@@ -201,7 +208,7 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray, tol: float = 1e-9):
     if len(points) == 0:
         return np.zeros(len(queries), dtype=bool), None, None, 0
     if len(points) == 1:
-        return np.linalg.norm(queries - points[0], axis=1) <= tol, None, None, 0
+        return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None, None, 0
     if len(points) > points.shape[1]:
         try:
             hull = ConvexHull(points)
@@ -209,7 +216,7 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray, tol: float = 1e-9):
             pass
         else:
             eq = hull.equations
-            return _inside_facets(eq, queries, tol), eq, points[hull.vertices], 0
+            return _inside_facets(eq, queries, 1e-9), eq, points[hull.vertices], 0
     inside, lps = _points_in_flat_hull(points, queries)
     return inside, None, None, lps
 
@@ -366,37 +373,28 @@ def pasch_hausdorff(f: SampledFunction, lam: float) -> SampledFunction:
 # lamination hull (rank-one line sweeps)
 # ---------------------------------------------------------------------------
 
-def _primitive_vectors(k: int, span: int = 2) -> list[tuple[int, ...]]:
+def _primitive_vectors(k: int) -> list[tuple[int, ...]]:
     out = set()
-    for vec in itertools.product(range(-span, span + 1), repeat=k):
+    for vec in itertools.product(range(-DIRECTION_SPAN, DIRECTION_SPAN + 1), repeat=k):
         v = np.array(vec, dtype=int)
         if not v.any():
             continue
         g = np.gcd.reduce(np.abs(v[v != 0]))
         v = v // g
-        for x in v:
-            if x != 0:
-                if x < 0:
-                    v = -v
-                break
+        if v[np.flatnonzero(v)[0]] < 0:  # the first nonzero entry is positive
+            v = -v
         out.add(tuple(int(x) for x in v))
     return sorted(out)
 
 
-def rank_one_grid_directions(dims: tuple[int, int], span: int = 2) -> np.ndarray:
-    """Integer rank-one directions a (x) nu, components in [-span, span],
+def rank_one_grid_directions(dims: tuple[int, int]) -> np.ndarray:
+    """Integer rank-one directions a (x) nu, components in +-DIRECTION_SPAN,
     deduplicated up to scaling.  Shape (K, N*n)."""
     N, n = dims
-    seen = set()
-    dirs = []
-    for a in _primitive_vectors(N, span):
-        for nu in _primitive_vectors(n, span):
-            d = np.outer(a, nu).ravel()
-            key = tuple(int(x) for x in d)
-            if key not in seen:
-                seen.add(key)
-                dirs.append(d)
-    return np.array(dirs, dtype=int)
+    # a dict keeps the first of equal outer products, in order
+    dirs = dict.fromkeys(tuple(int(x) for x in np.outer(a, nu).ravel())
+                         for a in _primitive_vectors(N) for nu in _primitive_vectors(n))
+    return np.array(list(dirs), dtype=int)
 
 
 def _direction_lines(shape: tuple[int, ...], step: np.ndarray) -> list[np.ndarray]:
@@ -468,16 +466,14 @@ def _lower_hull_lines(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
-                    tol: float = 1e-7, span: int = 2,
-                    full_output: bool = False):
+def lamination_hull(f: SampledFunction, full_output: bool = False):
     """Fixpoint of 1-d convexification along every rank-one grid line.
 
-    Each sweep replaces the values along every line in every rank-one integer
-    direction (components in [-span, span], deduplicated up to scaling) by
-    their 1-d convex envelope.  Stops when a full sweep changes nothing by
-    more than tol, or after max_sweeps (the last iterate is then returned
-    with ``converged=False`` in the info dict).
+    Each sweep replaces the values along every line in every direction of
+    ``rank_one_grid_directions`` by their 1-d convex envelope.  Stops when a
+    full sweep changes nothing by more than ``SWEEP_TOL``, or after
+    ``MAX_SWEEPS`` (the last iterate is then returned with
+    ``converged=False`` in the info dict).
 
     The directions are swept one after another (Gauss-Seidel).  Within one
     direction the lines are disjoint, so all lines of equal length are
@@ -486,11 +482,11 @@ def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
     """
     g = f.grid
     vals = f.values.ravel().copy()
-    dirs = rank_one_grid_directions(g.dims, span)
+    dirs = rank_one_grid_directions(g.dims)
     lines = [_direction_lines(g.shape, d) for d in dirs]
     sweeps = 0
     converged = False
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         delta = 0.0
         for dir_lines in lines:
             for block in dir_lines:
@@ -498,7 +494,7 @@ def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
                 new = _lower_hull_lines(old)
                 delta = max(delta, float(np.max(old - new)))
                 vals[block] = new
-        if delta <= tol:
+        if delta <= SWEEP_TOL:
             converged = True
             break
     result = f.with_values(vals.reshape(g.shape))
@@ -529,11 +525,11 @@ class PowerLawReport:
     monotone_violation: tuple[float, int, float] | None = None
     sup_gap_to_f: float = 0.0
 
-    def gap_detected(self, tol: float = 0.1) -> bool:
-        """Whether the limit estimate falls materially below f somewhere,
-        the signature of a supremand that is not a power-law limit of its
-        own quasiconvexified powers."""
-        return self.sup_gap_to_f > tol
+    def gap_detected(self) -> bool:
+        """Whether the limit estimate falls more than ``GAP_TOL`` below f
+        somewhere, the signature of a supremand that is not a power-law
+        limit of its own quasiconvexified powers."""
+        return self.sup_gap_to_f > GAP_TOL
 
     def save(self, outdir, basename: str = "powerlaw") -> dict:
         outdir = Path(outdir)
@@ -562,8 +558,7 @@ class PowerLawReport:
 
 
 def power_law_envelope(f: SampledFunction, p_schedule,
-                       mode: str = MODE_CONVEX_LOWER,
-                       max_sweeps: int = 64, tol: float = 1e-7) -> PowerLawReport:
+                       mode: str = MODE_CONVEX_LOWER) -> PowerLawReport:
     """Compute (E(f^p))^{1/p} for each p with E the convex envelope
     (``convex-lower``) or the lamination hull (``lamination-upper``).
 
@@ -573,8 +568,9 @@ def power_law_envelope(f: SampledFunction, p_schedule,
     homogeneity of both envelope operators.
     """
     ps = tuple(float(p) for p in p_schedule)
-    if not ps or any(p <= 1 for p in ps) or any(b <= a for a, b in zip(ps, ps[1:])):
-        raise ValueError("p_schedule must be increasing with every p > 1")
+    if not ps or not all(1.0 < a < b for a, b in zip(ps, ps[1:] + (np.inf,))):
+        raise ValueError("p_schedule must be nonempty, increasing, finite and > 1, "
+                         f"got {list(ps)}")
     if mode not in (MODE_CONVEX_LOWER, MODE_LAMINATION_UPPER):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -633,8 +629,7 @@ def power_law_envelope(f: SampledFunction, p_schedule,
         elif mode == MODE_CONVEX_LOWER:
             env = convex_envelope(f.with_values(gp.reshape(f.grid.shape))).values.ravel()
         else:
-            env = lamination_hull(f.with_values(gp.reshape(f.grid.shape)),
-                                  max_sweeps=max_sweeps, tol=tol).values.ravel()
+            env = lamination_hull(f.with_values(gp.reshape(f.grid.shape))).values.ravel()
         est = M * np.power(np.maximum(env, 0.0), 1.0 / p) - shift
         per_p.append(f.with_values(est.reshape(f.grid.shape)))
 

@@ -1,19 +1,22 @@
 """One-dimensional finite-element power-law experiment.
 
 Minimizes ``F_p(u) = (integral of f^p(u'))^{1/p}`` over piecewise-affine u
-with affine boundary data of slope xi, i.e. over per-cell slopes with
-prescribed mean.  In one dimension the relaxed value of this inner problem
-is the convex envelope of ``f^p`` at xi (at most two active slopes, plus one
-adjustment cell to meet the mean constraint exactly on a finite mesh), which
-is what makes the experiment an oracle-checkable probe of the power-law
-limit: the normalized minimum is compared against the grid convex envelope
-of ``f^p`` and, as p grows, against the level-convex lsc envelope of f.
+on a uniform mesh of the unit interval, with affine boundary data of slope
+xi, i.e. over per-cell slopes with prescribed mean; the domain has length 1,
+so no |domain|^{1/p} factor is divided out.  In one dimension the relaxed
+value of this inner problem is the convex envelope of ``f^p`` at xi (at most
+two active slopes, plus one adjustment cell to meet the mean constraint
+exactly on a finite mesh), which is what makes the experiment an
+oracle-checkable probe of the power-law limit: the minimum is compared
+against the grid convex envelope of ``f^p`` and, as p grows, against the
+level-convex lsc envelope of f.
 
 The solver exploits exactly that structure: a two-slope scan with an
 adjustment cell, a pattern-search polish of the two slopes, and seeded
 random-restart pairwise-exchange descent as a safety net.  Slopes live in
 the box [-slope_bound, slope_bound]; the oracle envelope is computed on the
-same box so both sides see the same relaxation.
+same box so both sides see the same relaxation.  ``FeOptions`` holds every
+setting, ``cells`` included, and the report echoes it.
 
 The scan evaluates f once per table: once on the scan grid, once at the
 adjustment slopes of every (a, b) pair.  The polish walks advance in
@@ -36,7 +39,6 @@ from .funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, GridSpec, SampledFunct
                         write_json)
 
 __all__ = [
-    "Mesh1D",
     "FeOptions",
     "FeMinimizeResult",
     "GammaReport",
@@ -46,40 +48,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mesh1D:
-    """Uniform 1-d mesh of (a, b) with m cells and boundary slope xi."""
-
-    a: float = -0.5
-    b: float = 0.5
-    cells: int = 64
-    xi: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.cells < 2:
-            raise ValueError("need at least two cells")
-        if self.b <= self.a:
-            raise ValueError("b must exceed a")
-
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / self.cells
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
+POLISH_ROUNDS = 40  # pattern-search rounds of each polish walk
+TOL = 1e-9  # least improvement, relative to the scale of f, a polish or restart keeps
+ORACLE_POINTS = 2001  # odd: slope-box nodes of the envelope oracles and hull supports
+CONSISTENCY_TOL = 0.02  # a limit this close to f(xi) (relative, >= 1) is consistent
 
 
 @dataclass
 class FeOptions:
+    """The settings of the FE experiment; the mesh has ``cells`` cells."""
+
+    cells: int = 64
     restarts: int = 16
     seed: int = DEFAULT_SEED
     slope_bound: float = 10.0
     scan_points: int = 161
-    polish_rounds: int = 40
-    tol: float = 1e-9
-    oracle_points: int = 2001
-    consistency_tol: float = 0.02
+
+    def __post_init__(self) -> None:
+        if self.cells < 2:
+            raise ValueError(f"cells must be at least 2, got {self.cells!r}")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts!r}")
+        if not 0.0 < self.slope_bound < np.inf:  # NaN fails too
+            raise ValueError(f"slope_bound must be finite and > 0, got {self.slope_bound!r}")
 
 
 @dataclass
@@ -98,10 +89,6 @@ class FeMinimizeResult:
             raise ValueError("gradient mean must match the boundary slope")
         self.gradient_per_cell = g
 
-    def normalized(self, mesh: Mesh1D) -> float:
-        """Value with the |domain|^{1/p} factor removed (mean-integral form)."""
-        return self.min_value / mesh.length ** (1.0 / self.p)
-
 
 def _scalar_eval(f):
     def fs(t):
@@ -116,14 +103,14 @@ def _objective(fs, g, p, h, scale):
     return scale * (h * len(g) * mean_p) ** (1.0 / p)
 
 
-def _hull_support_slopes(fs, xi, G, p, scale, points=2001):
+def _hull_support_slopes(fs, xi, G, p, scale):
     """Endpoints of the convex-envelope supporting segment of f^p at xi.
 
     In one dimension the relaxed minimizer oscillates between at most two
     slopes: the hull's tangency points bracketing xi.  Their fine-grid
     estimates seed the discrete polish.
     """
-    x = np.linspace(-G, G, points)
+    x = np.linspace(-G, G, ORACLE_POINTS)
     v = (fs(x) / scale) ** p
     hull = lower_hull_1d(x, v)
     on_hull = np.abs(v - hull) <= 1e-12 * (1.0 + np.abs(v))
@@ -220,21 +207,22 @@ def _polish(a, b, xi, G, step, rounds, tol):
     return accepted, evaluations, False
 
 
-def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeMinimizeResult:
-    """Minimize (sum_i h f^p(g_i))^{1/p} over slopes g with mean(g) = xi.
+def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMinimizeResult:
+    """Minimize (sum_i h f^p(g_i))^{1/p}, h = 1/cells, over slopes g with mean xi.
 
     Slopes are confined to [-slope_bound, slope_bound].  Requires p >= 1 and
     f nonnegative and finite on that range.  If neither the scan/polish nor
-    the restart descent improves below the options tolerance the result is
-    still returned, flagged converged=False.
+    the restart descent improves below ``TOL`` the result is still
+    returned, flagged converged=False.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     opts = opts or FeOptions()
     fs = _scalar_eval(f)
-    m, h, xi, G = mesh.cells, mesh.h, mesh.xi, opts.slope_bound
-    if abs(xi) > G:
-        raise ValueError("boundary slope lies outside the slope box")
+    m, G = opts.cells, opts.slope_bound
+    h = 1.0 / m
+    if not abs(xi) <= G:  # NaN fails too
+        raise ValueError(f"boundary slope xi={xi!r} lies outside [-{G!r}, {G!r}]")
 
     S = np.linspace(-G, G, opts.scan_points)
     S = np.unique(np.append(S, xi))
@@ -275,7 +263,7 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
     # evaluation per step, and their accepted values are replayed in start
     # order to pick the first strict minimum
     base_step = float(S[1] - S[0]) if len(S) > 1 else 0.1
-    walks = [_polish(a, b, xi, G, base_step, opts.polish_rounds, opts.tol * scale)
+    walks = [_polish(a, b, xi, G, base_step, POLISH_ROUNDS, TOL * scale)
              for a, b in polish_starts]
     results = [None] * len(walks)
     todo = [(i, w, next(w)) for i, w in enumerate(walks)]
@@ -324,7 +312,7 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
                 iterations += 1
                 if v < val:
                     g, val = cand, v
-        if val < best_val - opts.tol * scale:
+        if val < best_val - TOL * scale:
             best_val = val
             g_best = g
             best_profile = None
@@ -344,12 +332,9 @@ def _profile_to_slopes(profile, m):
     return np.array([a] * k + [b] * (m - k - 1) + [c], dtype=float)
 
 
-def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float,
-                       points: int = 2001) -> float:
+def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
     """((f^p)** (xi))^{1/p} on the slope box, via the exact grid lower hull."""
-    if points % 2 == 0:
-        points += 1
-    x = np.linspace(-slope_bound, slope_bound, points)
+    x = np.linspace(-slope_bound, slope_bound, ORACLE_POINTS)
     fs = _scalar_eval(f)
     vals = fs(x)
     if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails too
@@ -392,54 +377,50 @@ class GammaReport:
                     w.writerow([row["p"], i, repr(float(s))])
 
 
-def gamma_limit_experiment(f, xi: float, p_schedule, mesh: Mesh1D | None = None,
-                           opts: FeOptions | None = None,
+def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = None,
                            name: str = "") -> GammaReport:
     """Run minimize_Fp across the schedule and compare against the envelope
     oracles.
 
-    Each normalized minimum is matched against the grid convex envelope of
-    f^p on the slope box; the final value is classified against f(xi):
-    within consistency_tol of it means "consistent-with-curl-infty",
+    Each minimum is matched against the grid convex envelope of f^p on the
+    slope box; the final value is classified against f(xi): within
+    ``CONSISTENCY_TOL`` of it means "consistent-with-curl-infty",
     strictly below it means "gap-detected".  The verdict is a finite-p,
     bounded-slope heuristic: right at a kink of a coercive supremand the
     residual gap decays only like log(p)/p, so push the schedule higher
     before reading much into a classification taken exactly there.
     """
     ps = tuple(float(p) for p in p_schedule)
-    if any(b <= a for a, b in zip(ps, ps[1:])):
-        raise ValueError("p_schedule must be increasing")
+    if not ps or not all(1.0 <= a < b for a, b in zip(ps, ps[1:] + (np.inf,))):
+        raise ValueError("p_schedule must be nonempty, increasing, finite and >= 1, "
+                         f"got {list(ps)}")
     opts = opts or FeOptions()
-    mesh = mesh or Mesh1D()
-    mesh = Mesh1D(mesh.a, mesh.b, mesh.cells, xi)
     fs = _scalar_eval(f)
     f_xi = float(fs(np.array([xi]))[0])
 
     rows = []
     for p in ps:
-        res = minimize_Fp(f, p, mesh, opts)
-        normalized = res.normalized(mesh)
-        oracle = envelope_oracle_1d(f, xi, p, slope_bound=opts.slope_bound,
-                                    points=opts.oracle_points)
+        res = minimize_Fp(f, p, xi, opts)
+        oracle = envelope_oracle_1d(f, xi, p, slope_bound=opts.slope_bound)
         rows.append({
             "p": p,
             "min_value": res.min_value,
-            "normalized": normalized,
+            # the domain has length 1: nothing to normalize
+            "normalized": res.min_value,
             "oracle_value": oracle,
-            "gap_to_oracle": normalized - oracle,
+            "gap_to_oracle": res.min_value - oracle,
             "converged": res.converged,
             "gradient_per_cell": [float(v) for v in res.gradient_per_cell],
         })
 
     # level-convex lsc envelope of f on the slope box, evaluated at xi
-    pts = opts.oracle_points if opts.oracle_points % 2 == 1 else opts.oracle_points + 1
-    grid = GridSpec((1, 1), opts.slope_bound, pts)
+    grid = GridSpec((1, 1), opts.slope_bound, ORACLE_POINTS)
     sf = SampledFunction(grid, fs(grid.axis()), MODE_PLUS_INFINITY)
     lslc = level_convex_lsc_envelope(sf)
     lslc_at_xi = float(np.interp(xi, grid.axis(), lslc.values))
 
-    final = rows[-1]["normalized"]
-    ctol = opts.consistency_tol * max(1.0, abs(f_xi))
+    final = rows[-1]["min_value"]
+    ctol = CONSISTENCY_TOL * max(1.0, abs(f_xi))
     classification = ("consistent-with-curl-infty"
                       if f_xi - final <= ctol else "gap-detected")
     return GammaReport(

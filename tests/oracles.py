@@ -43,9 +43,10 @@ from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATE
                              Verdict, _aslist, _cutoff_values, _ess_sup,
                              _field_witness, _halton, _segment_witness, _special_pairs,
                              _two_gradient_candidates, _worst_gap)
-from supcon.envelope import lower_hull_1d, rank_one_grid_directions
-from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _hull_support_slopes,
-                          _objective, _profile_to_slopes, _scalar_eval)
+from supcon.envelope import MAX_SWEEPS, SWEEP_TOL, lower_hull_1d, rank_one_grid_directions
+from supcon.fem1d import (POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
+                          _hull_support_slopes, _objective, _profile_to_slopes,
+                          _scalar_eval)
 from supcon.funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, SampledFunction, _sidecar_path,
                               write_json)
 from supcon.matspace import _index_sets, tau
@@ -75,17 +76,15 @@ def sweep_lines(shape: tuple[int, ...], step: np.ndarray):
             yield f0 + flat_step * np.arange(cap + 1)
 
 
-def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
-                    tol: float = 1e-7, span: int = 2,
-                    full_output: bool = False):
+def lamination_hull(f: SampledFunction, full_output: bool = False):
     """Per-line Gauss-Seidel sweeps with ``lower_hull_1d`` on every line."""
     g = f.grid
     vals = f.values.ravel().copy()
-    dirs = rank_one_grid_directions(g.dims, span)
+    dirs = rank_one_grid_directions(g.dims)
     lines = [list(sweep_lines(g.shape, d)) for d in dirs]
     sweeps = 0
     converged = False
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         delta = 0.0
         for dir_lines in lines:
             for line in dir_lines:
@@ -93,7 +92,7 @@ def lamination_hull(f: SampledFunction, max_sweeps: int = 64,
                 new = lower_hull_1d(np.arange(len(line), dtype=float), old)
                 delta = max(delta, float(np.max(old - new)))
                 vals[line] = new
-        if delta <= tol:
+        if delta <= SWEEP_TOL:
             converged = True
             break
     result = f.with_values(vals.reshape(g.shape))
@@ -414,7 +413,7 @@ def _two_slope_value(fs, a, b, xi, m, G, p, scale):
     return best
 
 
-def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeMinimizeResult:
+def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMinimizeResult:
     """Minimize (sum_i h f^p(g_i))^{1/p} over slopes g with mean(g) = xi.
 
     Slopes are confined to [-slope_bound, slope_bound].  Requires p >= 1 and
@@ -426,7 +425,8 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
         raise ValueError("p must be >= 1")
     opts = opts or FeOptions()
     fs = _scalar_eval(f)
-    m, h, xi, G = mesh.cells, mesh.h, mesh.xi, opts.slope_bound
+    m, G = opts.cells, opts.slope_bound
+    h = 1.0 / m
     if abs(xi) > G:
         raise ValueError("boundary slope lies outside the slope box")
 
@@ -475,7 +475,7 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
                 best_val = cur
                 best_profile = ("pair", a, b, got[1], got[2])
         step = base_step
-        for _ in range(opts.polish_rounds):
+        for _ in range(POLISH_ROUNDS):
             improved = False
             for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
                            (step, step), (-step, -step)):
@@ -487,7 +487,7 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
                 iterations += 1
                 if got is not None:
                     val = got[0] * length_factor
-                    if cur is None or val < cur - opts.tol * scale:
+                    if cur is None or val < cur - TOL * scale:
                         cur, a, b = val, na, nb
                         improved = True
                         if val < best_val:
@@ -525,7 +525,7 @@ def minimize_Fp(f, p: float, mesh: Mesh1D, opts: FeOptions | None = None) -> FeM
                 iterations += 1
                 if v < val:
                     g, val = cand, v
-        if val < best_val - opts.tol * scale:
+        if val < best_val - TOL * scale:
             best_val = val
             g_best = g
             best_profile = None

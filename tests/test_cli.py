@@ -1,12 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from supcon.cli import main
-from supcon.envelope import convex_envelope, pasch_hausdorff
+from supcon.cli import build_parser, floats, main
+from supcon.envelope import convex_envelope, pasch_hausdorff, power_law_envelope
+from supcon.fem1d import FeOptions, gamma_limit_experiment
 from supcon.funcspace import GridSpec, corpus_entry, load_csv, sample
 
 
@@ -233,6 +236,8 @@ def test_config_keys_reach_the_command_as_its_flags(tmp_path):
                        "--config", config("p", p_schedule=schedule, out=str(out))) == 0
         doc = json.loads((out / "gamma1d_clamp1d.json").read_text())
         assert doc["p_schedule"] == [2.0, 8.0]
+        assert doc["options"] == {"cells": 8, "restarts": 16, "scan_points": 161,
+                                  "seed": 20240817, "slope_bound": 10.0}
 
     # the command line wins over the config, here for kind
     out = tmp_path / "kind"
@@ -284,3 +289,49 @@ def test_envelope_takes_one_source_and_no_grid_with_input(tmp_path):
     assert run_cli("envelope", "--input", csv_path, "--radius", "2",
                    "--kind", "convex", "--out", str(tmp_path)) == 1
     assert not (tmp_path / "clamp1d_lslc_convex.csv").exists()
+
+
+BAD_SCHEDULES = [("gamma1d", "2,nan"), ("gamma1d", "2,inf"), ("gamma1d", "0.5,2"),
+                 ("gamma1d", "4,2"), ("gamma1d", ""), ("powerlaw", "2,inf"),
+                 ("powerlaw", "2,nan")]
+
+
+@pytest.mark.parametrize("command, schedule", BAD_SCHEDULES)
+def test_bad_exponent_schedules_fail_naming_p_schedule(tmp_path, capsys, command, schedule):
+    # an empty, non-finite, below-1 or non-increasing schedule is an error
+    # in the library and exit 1 in the CLI, never a report
+    ps = floats(schedule) if schedule else ()
+    with pytest.raises(ValueError, match="p_schedule"):
+        if command == "gamma1d":
+            gamma_limit_experiment(corpus_entry("clamp1d"), 1.0, ps, FeOptions(cells=16))
+        else:
+            power_law_envelope(sample(corpus_entry("abs"), GridSpec((1, 1), 2.0, 41)), ps)
+    if not schedule:  # the parser itself rejects an empty --p-schedule
+        return
+    setup = (("--corpus", "clamp1d", "--xi", "1.0", "--cells", "16") if command == "gamma1d"
+             else ("--corpus", "abs", "--radius", "2", "--points", "41"))
+    assert status(command, *setup, "--p-schedule", schedule, "--out", str(tmp_path)) == 1
+    assert "p_schedule" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value, name", [("--xi", "nan", "xi"),
+                                               ("--slope-bound", "nan", "slope_bound"),
+                                               ("--slope-bound", "inf", "slope_bound"),
+                                               ("--cells", "1", "cells"),
+                                               ("--restarts", "-3", "restarts")])
+def test_bad_fe_settings_fail_naming_themselves(capsys, flag, value, name):
+    # the later flag wins over the one in GAMMA1D
+    assert status(*GAMMA1D, flag, value) == 1
+    assert re.search(rf"\b{name}\b", capsys.readouterr().err)
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z0-9-]+)(?: list)?` \| (.*) \|$", readme, re.M))
+    parser = build_parser()
+    assert set(rows) == set(parser.commands)
+    for name, sub in parser.commands.items():
+        row = rows[name].replace("the `classify` flags", rows["classify"])
+        documented = set(re.findall(r"--[a-z][a-z-]*", row))
+        assert documented == set(sub._option_string_actions) - {"-h", "--help"}, name

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from supcon.envelope import level_convex_lsc_envelope
-from supcon.fem1d import (FeMinimizeResult, FeOptions, Mesh1D, _objective,
+from supcon.fem1d import (ORACLE_POINTS, FeMinimizeResult, FeOptions, _objective,
                           _scalar_eval, envelope_oracle_1d, gamma_limit_experiment,
                           minimize_Fp)
 from supcon.funcspace import GridSpec, corpus_entry, interpolating_evaluator, sample
@@ -14,29 +14,26 @@ OPTS = FeOptions(seed=123)
 
 
 def test_abs_at_zero_slope():
-    res = minimize_Fp(corpus_entry("abs"), 2.0, Mesh1D(cells=64, xi=0.0), OPTS)
+    res = minimize_Fp(corpus_entry("abs"), 2.0, 0.0, OPTS)
     assert res.min_value == 0.0
     assert np.max(np.abs(res.gradient_per_cell)) == 0.0
 
 
 def test_double_well_oscillates_to_zero():
-    res = minimize_Fp(corpus_entry("double_well_1d"), 2.0,
-                      Mesh1D(cells=64, xi=0.0), OPTS)
+    res = minimize_Fp(corpus_entry("double_well_1d"), 2.0, 0.0, OPTS)
     assert res.min_value == 0.0
     slopes = np.unique(np.round(res.gradient_per_cell, 12))
     assert set(slopes.tolist()) <= {-1.0, 0.0, 1.0}
 
 
 def test_clamp_large_p_approaches_lslc():
-    mesh = Mesh1D(cells=64, xi=2.0)
-    res = minimize_Fp(corpus_entry("clamp1d"), 128.0, mesh, OPTS)
-    normalized = res.normalized(mesh)
+    res = minimize_Fp(corpus_entry("clamp1d"), 128.0, 2.0, OPTS)
     # level-convex lsc envelope of the clamp fixes the value 1 at t = 2
-    grid = GridSpec((1, 1), OPTS.slope_bound, 2001)
+    grid = GridSpec((1, 1), OPTS.slope_bound, ORACLE_POINTS)
     lslc = level_convex_lsc_envelope(sample(corpus_entry("clamp1d"), grid))
     target = float(np.interp(2.0, grid.axis(), lslc.values))
     assert target == 1.0
-    assert abs(normalized - target) <= 0.05
+    assert abs(res.min_value - target) <= 0.05
 
 
 @pytest.mark.parametrize("name,xis", [
@@ -48,42 +45,41 @@ def test_relaxation_identity_two_percent(name, xis):
     entry = corpus_entry(name)
     for p in (2.0, 8.0, 32.0):
         for xi in xis:
-            mesh = Mesh1D(cells=64, xi=xi)
-            res = minimize_Fp(entry, p, mesh, OPTS)
-            fe = res.normalized(mesh)
-            oracle = envelope_oracle_1d(entry, xi, p,
-                                        slope_bound=OPTS.slope_bound,
-                                        points=OPTS.oracle_points)
+            fe = minimize_Fp(entry, p, xi, OPTS).min_value
+            oracle = envelope_oracle_1d(entry, xi, p, slope_bound=OPTS.slope_bound)
             assert abs(fe - oracle) <= 0.02 * abs(oracle) + 1e-9, (name, p, xi)
 
 
 def test_mean_constraint_exact():
     for xi in (-1.3, 0.0, 2.7):
-        res = minimize_Fp(corpus_entry("exampleD_scalar"), 8.0,
-                          Mesh1D(cells=64, xi=xi), OPTS)
+        res = minimize_Fp(corpus_entry("exampleD_scalar"), 8.0, xi, OPTS)
         assert abs(res.gradient_per_cell.mean() - xi) <= 1e-10 * (1 + abs(xi))
 
 
 def test_monotone_in_p():
     entry = corpus_entry("clamp1d")
-    mesh = Mesh1D(cells=64, xi=1.0)
-    vals = [minimize_Fp(entry, p, mesh, OPTS).normalized(mesh)
-            for p in (2.0, 4.0, 8.0, 16.0, 32.0)]
+    vals = [minimize_Fp(entry, p, 1.0, OPTS).min_value for p in (2.0, 4.0, 8.0, 16.0, 32.0)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a - 0.005 * max(1.0, abs(a))
 
 
 def test_mesh_and_result_validation():
-    with pytest.raises(ValueError):
-        Mesh1D(cells=1)
-    with pytest.raises(ValueError):
-        Mesh1D(a=1.0, b=0.0)
+    with pytest.raises(ValueError, match="cells"):
+        FeOptions(cells=1)
+    with pytest.raises(ValueError, match="restarts"):
+        FeOptions(restarts=-1)
+    for bound in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="slope_bound"):
+            FeOptions(slope_bound=bound)
     with pytest.raises(ValueError):
         FeMinimizeResult(p=2.0, min_value=0.0,
                          gradient_per_cell=np.array([1.0, 1.0]),
                          iterations=0, converged=True, target_mean=0.0)
     with pytest.raises(ValueError):
-        minimize_Fp(corpus_entry("abs"), 0.5, Mesh1D(), OPTS)
+        minimize_Fp(corpus_entry("abs"), 0.5, 0.0, OPTS)
+    for xi in (np.nan, 10.5, -np.inf):
+        with pytest.raises(ValueError, match="boundary slope xi"):
+            minimize_Fp(corpus_entry("abs"), 2.0, xi, OPTS)
 
 
 def test_negative_supremand_rejected():
@@ -93,7 +89,7 @@ def test_negative_supremand_rejected():
     with pytest.raises(ValueError):
         envelope_oracle_1d(signed, 0.0, 2.0, slope_bound=1.0)
     with pytest.raises(ValueError):
-        minimize_Fp(signed, 2.0, Mesh1D(cells=8, xi=0.0), OPTS)
+        minimize_Fp(signed, 2.0, 0.0, FeOptions(cells=8, seed=123))
 
 
 def test_nan_supremand_rejected():
@@ -110,9 +106,9 @@ def test_nan_supremand_rejected():
     with pytest.raises(ValueError):
         envelope_oracle_1d(nan_well, 0.0, 8.0, slope_bound=10.0)
     with pytest.raises(ValueError):
-        minimize_Fp(nan_well, 8.0, Mesh1D(cells=64, xi=0.0), OPTS)
+        minimize_Fp(nan_well, 8.0, 0.0, OPTS)
     with pytest.raises(ValueError):
-        minimize_Fp(nan_gap, 8.0, Mesh1D(cells=64, xi=0.3), FeOptions(restarts=0))
+        minimize_Fp(nan_gap, 8.0, 0.3, FeOptions(restarts=0))
     with pytest.raises(ValueError):
         _objective(_scalar_eval(nan_gap), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
 
@@ -122,7 +118,7 @@ def test_infinite_supremand_rejected():
     # slope box; the scale would be inf and every powered value NaN
     f = interpolating_evaluator(sample(corpus_entry("abs"), GridSpec((1, 1), 5.0, 11)))
     with pytest.raises(ValueError, match="finite"):
-        minimize_Fp(f, 8.0, Mesh1D(cells=16, xi=1.0))
+        minimize_Fp(f, 8.0, 1.0, FeOptions(cells=16))
     with pytest.raises(ValueError, match="finite"):
         envelope_oracle_1d(f, 1.0, 8.0, slope_bound=10.0)
 
@@ -137,9 +133,9 @@ def _piecewise_linear(seed, G):
     return lambda arr: np.interp(np.asarray(arr)[..., 0, 0], knots, values)
 
 
-def _outcome(minimize, f, p, mesh, opts):
+def _outcome(minimize, f, p, xi, opts):
     try:
-        return minimize(f, p, mesh, opts)
+        return minimize(f, p, xi, opts)
     except (ValueError, OverflowError) as exc:
         return type(exc)
 
@@ -163,10 +159,9 @@ def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, 
           "uniform": -G + 2.0 * G * u, "bound": G if u < 0.5 else -G}[where]
     f = (_piecewise_linear(seed, G) if name == "piecewise-linear"
          else corpus_entry(name))
-    mesh = Mesh1D(cells=cells, xi=float(xi))
-    opts = FeOptions(seed=seed, slope_bound=G, scan_points=P)
-    got = _outcome(minimize_Fp, f, p, mesh, opts)
-    ref = _outcome(oracles.minimize_Fp, f, p, mesh, opts)
+    opts = FeOptions(cells=cells, seed=seed, slope_bound=G, scan_points=P)
+    got = _outcome(minimize_Fp, f, p, float(xi), opts)
+    ref = _outcome(oracles.minimize_Fp, f, p, float(xi), opts)
     if isinstance(ref, type) or isinstance(got, type):
         assert got == ref
         return
@@ -177,8 +172,7 @@ def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, 
 
 def test_gamma_exampleD_consistent():
     entry = corpus_entry("exampleD_scalar")
-    rep = gamma_limit_experiment(entry, 1.5, (2, 4, 8, 16, 32, 64, 128),
-                                 Mesh1D(cells=64, xi=1.5), OPTS,
+    rep = gamma_limit_experiment(entry, 1.5, (2, 4, 8, 16, 32, 64, 128), OPTS,
                                  name="exampleD_scalar")
     assert rep.classification == "consistent-with-curl-infty"
     assert abs(rep.rows[-1]["normalized"] - rep.f_xi) <= 0.05 * rep.f_xi
@@ -187,8 +181,8 @@ def test_gamma_exampleD_consistent():
 
 def test_gamma_clamp_gap_detected():
     entry = corpus_entry("clamp1d")
-    rep = gamma_limit_experiment(entry, 1.0, (2, 4, 8, 16, 32, 64, 128),
-                                 Mesh1D(cells=64, xi=1.0), OPTS, name="clamp1d")
+    rep = gamma_limit_experiment(entry, 1.0, (2, 4, 8, 16, 32, 64, 128), OPTS,
+                                 name="clamp1d")
     assert rep.classification == "gap-detected"
     assert rep.rows[-1]["normalized"] < rep.f_xi
 
@@ -197,8 +191,8 @@ def test_gamma_constant_supremand():
     def const(arr):
         return np.full(np.asarray(arr).shape[:-2], 0.7)
 
-    rep = gamma_limit_experiment(const, 0.3, (2, 8, 32), Mesh1D(cells=16, xi=0.3),
-                                 OPTS, name="const")
+    rep = gamma_limit_experiment(const, 0.3, (2, 8, 32), FeOptions(cells=16, seed=123),
+                                 name="const")
     for row in rep.rows:
         assert row["normalized"] == pytest.approx(0.7, abs=1e-12)
     assert rep.classification == "consistent-with-curl-infty"
@@ -206,8 +200,8 @@ def test_gamma_constant_supremand():
 
 def test_gamma_report_save(tmp_path):
     entry = corpus_entry("clamp1d")
-    rep = gamma_limit_experiment(entry, 1.0, (2, 4), Mesh1D(cells=16, xi=1.0),
-                                 OPTS, name="clamp1d")
+    rep = gamma_limit_experiment(entry, 1.0, (2, 4), FeOptions(cells=16, seed=123),
+                                 name="clamp1d")
     rep.save(tmp_path, basename="g")
     assert (tmp_path / "g.json").exists()
     assert (tmp_path / "g_gradients.csv").exists()
