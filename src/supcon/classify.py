@@ -524,15 +524,17 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
     Yields batches of absolute gradient values xi + (1 - theta) w and
     xi - theta w, w = t a (x) nu.  Special-point pairs whose segment passes
     through xi come first, with the points themselves as exact values
-    (``rank_one`` restricts them to rank-one pairs); then seeded Halton
-    batches.  With ``grad_cap`` only fields whose slope bound
-    max(theta, 1 - theta) |w| stays within the cap are kept; a Halton block
-    that keeps nothing still counts one toward ``count``.
+    (``rank_one`` restricts them to rank-one pairs), at most ``count`` of
+    them; then seeded Halton batches.  With ``grad_cap`` only fields whose
+    slope bound max(theta, 1 - theta) |w| stays within the cap are kept; a
+    Halton block that keeps nothing still counts one toward ``count``.
     """
     N, n = dims
     xi = np.asarray(xi, dtype=float)
     battery_p, battery_m, battery_t = [], [], []
     for a, b in _special_pairs(special_points, rank_one=rank_one):
+        if len(battery_p) >= count:
+            break
         diff = (a - b).ravel()
         nrm2 = float(diff @ diff)
         if nrm2 == 0.0:

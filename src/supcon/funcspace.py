@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from .matspace import det2
+
 __all__ = [
     "GridSpec",
     "SampledFunction",
@@ -335,10 +337,6 @@ def _mk_exampleD(dims=(2, 2)) -> CorpusEntry:
     )
 
 
-def _det(arr: np.ndarray) -> np.ndarray:
-    return np.linalg.det(arr)
-
-
 def _mk_arctan_det() -> CorpusEntry:
     pts = [
         np.diag([2.0, 0.0]), np.diag([0.0, 2.0]), np.eye(2), np.zeros((2, 2)),
@@ -347,7 +345,7 @@ def _mk_arctan_det() -> CorpusEntry:
     ]
     return CorpusEntry(
         name="arctan_det", dims=(2, 2),
-        evaluator=lambda a: np.arctan(_det(a)),
+        evaluator=lambda a: np.arctan(det2(a)),
         documented_properties={
             "level_convex": False, "polyquasiconvex": True, "strong_morrey": True,
             "periodic_weak_morrey": True, "weak_morrey": True, "rank_one": True,
@@ -368,7 +366,7 @@ def _mk_chi_det() -> CorpusEntry:
     ]
     return CorpusEntry(
         name="chi_det", dims=(2, 2),
-        evaluator=lambda a: (_det(a) >= 1.0).astype(float),
+        evaluator=lambda a: (det2(a) >= 1.0).astype(float),
         documented_properties={
             "level_convex": False, "polyquasiconvex": True, "strong_morrey": False,
             "periodic_weak_morrey": True, "weak_morrey": True, "rank_one": True,
@@ -386,7 +384,7 @@ def _mk_chi_det_open() -> CorpusEntry:
     ent = _mk_chi_det()
     return CorpusEntry(
         name="chi_det_open", dims=(2, 2),
-        evaluator=lambda a: (_det(a) > 1.0).astype(float),
+        evaluator=lambda a: (det2(a) > 1.0).astype(float),
         documented_properties={
             "level_convex": False, "polyquasiconvex": True, "strong_morrey": True,
             "periodic_weak_morrey": True, "weak_morrey": True, "rank_one": True,
@@ -446,7 +444,7 @@ def _mk_one_minus_chi_pair(xi0=None, eta0=None) -> CorpusEntry:
 
 def _mk_W_sup() -> CorpusEntry:
     def ev(arr: np.ndarray) -> np.ndarray:
-        return np.maximum(_h_shelf(_fro(arr)), np.arctan(_det(arr)))
+        return np.maximum(_h_shelf(_fro(arr)), np.arctan(det2(arr)))
 
     pts = [
         np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5 * np.eye(2),

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "tau",
+    "det2",
     "minors_batch",
     "is_rank_one_connected",
 ]
@@ -45,6 +46,16 @@ def _index_sets(N: int, n: int):
                 yield s, rows, cols
 
 
+def det2(arr: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 matrices: (..., 2, 2) -> (...).
+
+    The closed form a d - b c.  It is exact whenever the two products and
+    their difference are floats, as on dyadic entries k / 2^m of modest size,
+    where a batched LU may miss by an ulp (det = 1 read as 1 - 2^-53).
+    """
+    return arr[..., 0, 0] * arr[..., 1, 1] - arr[..., 0, 1] * arr[..., 1, 0]
+
+
 def minors_batch(arr: np.ndarray) -> np.ndarray:
     """Minors vectors of a stack of matrices: (..., N, n) -> (..., tau(N, n))."""
     arr = np.asarray(arr, dtype=float)
@@ -55,8 +66,7 @@ def minors_batch(arr: np.ndarray) -> np.ndarray:
         if s == 1:
             comps.append(sub[..., 0, 0])
         elif s == 2:
-            comps.append(sub[..., 0, 0] * sub[..., 1, 1]
-                         - sub[..., 0, 1] * sub[..., 1, 0])
+            comps.append(det2(sub))
         else:
             comps.append(np.linalg.det(sub))
     return np.stack(comps, axis=-1)

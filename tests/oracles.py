@@ -306,11 +306,13 @@ def laminate_candidates(f, xi, dims, *, seed, count, radius, special_points,
                         grad_cap=None):
     """Yield (M_plus, M_minus, theta, ess) batches of two-value periodic
     fields centered at xi.  Special-point pairs through xi come first with
-    exact values; then seeded rank-one batches."""
+    exact values, at most ``count`` of them; then seeded rank-one batches."""
     N, n = dims
     xi = np.asarray(xi, dtype=float)
     bp, bm, bt = [], [], []
     for A, B in _special_pairs(special_points, rank_one=True):
+        if len(bp) >= count:
+            break
         diff = (A - B).ravel()
         nrm2 = float(diff @ diff)
         theta = float((xi - B).ravel() @ diff / nrm2)

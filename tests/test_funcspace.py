@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from supcon.funcspace import (GridSpec, SampledFunction, corpus_entry,
                               corpus_names, documented_inconsistencies,
                               eval_corpus, interpolate, interpolating_evaluator,
                               load_csv, sample, save_csv)
+from supcon.matspace import minors_batch
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +45,30 @@ def test_chi_det_closed_vs_open_threshold():
     assert eval_corpus("chi_det_open", np.eye(2)) == 0.0
     assert eval_corpus("chi_det", 2.0 * np.eye(2)) == 1.0
     assert eval_corpus("chi_det", np.diag([2.0, 0.0])) == 0.0
+
+
+def test_det_threshold_exact_on_dyadic_input():
+    # det = 1 exactly; a batched LU gives 0.9999999999999999 here
+    A = np.array([[0.75, 0.125], [1.75, 1.625]])
+    assert eval_corpus("chi_det", A) == 1.0
+    assert eval_corpus("chi_det_open", A) == 0.0
+
+
+_EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_EIGHTHS, min_size=4, max_size=4), min_size=1,
+                max_size=40))
+def test_corpus_det_is_the_exact_det_and_the_minors_det(rows):
+    A = np.array(rows, dtype=float).reshape(-1, 2, 2)
+    exact = np.array([float(Fraction(a[0, 0]) * Fraction(a[1, 1])
+                            - Fraction(a[0, 1]) * Fraction(a[1, 0])) for a in A])
+    assert np.array_equal(corpus_entry("chi_det")(A), (exact >= 1.0).astype(float))
+    assert np.array_equal(corpus_entry("chi_det_open")(A), (exact > 1.0).astype(float))
+    assert np.array_equal(corpus_entry("arctan_det")(A), np.arctan(exact))
+    assert np.array_equal(corpus_entry("arctan_det")(A),
+                          np.arctan(minors_batch(A)[..., -1]))
 
 
 def test_exampleD_profile():

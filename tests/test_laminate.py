@@ -182,13 +182,27 @@ def test_realize_1d_hat():
 
 def test_realize_degenerate_lambda_gives_zero_field():
     # xi at an end of a special pair: the laminate of weight 0 or 1 is the
-    # Dirac at xi, whose field is zero, so the stream does not emit it
+    # Dirac at xi, whose field is zero, so the stream does not emit it and
+    # goes straight to its Halton batches
     A, B = E11, -E11
+    kw = dict(seed=SEED, count=5, radius=2.0, rank_one=True)
     for xi in (A, B):
-        stream = _two_gradient_candidates(xi, (2, 2), seed=SEED, count=0,
-                                          radius=2.0, special_points=(A, B),
-                                          rank_one=True)
-        assert list(stream) == []
+        got = list(_two_gradient_candidates(xi, (2, 2), special_points=(A, B), **kw))
+        want = list(_two_gradient_candidates(xi, (2, 2), special_points=(), **kw))
+        assert len(got) == len(want) == 1
+        for g, w in zip(got[0], want[0]):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_periodic_spend_stays_within_budget(name):
+    # the special-pair battery stops at the budget like every other stream
+    entry = corpus_entry(name)
+    for xi in entry.special_points:
+        for budget in (1, 3, 10):
+            v = check_periodic_weak_morrey(entry, xi, entry.dims,
+                                           **_args(entry, budget=budget))
+            assert v.budget <= budget, (xi, budget, v.budget)
 
 
 def test_realize_rejects_non_rank_one():
