@@ -8,9 +8,9 @@ experiment.
 """
 
 from .matspace import is_rank_one_connected, minors_batch, tau
-from .funcspace import (NOTIONS, CorpusEntry, GridSpec, SampledFunction,
-                        corpus_entry, corpus_names, eval_corpus, interpolate,
-                        load_csv, sample, save_csv)
+from .funcspace import (CorpusEntry, GridSpec, SampledFunction, corpus_entry,
+                        corpus_names, eval_corpus, interpolate, load_csv,
+                        sample, save_csv)
 from .envelope import (PowerLawReport, convex_envelope, lamination_hull,
                        level_convex_lsc_envelope, pasch_hausdorff,
                        power_law_envelope)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.stats import qmc
 
-from .funcspace import DEFAULT_SEED, HIERARCHY_IMPLIES, CorpusEntry
+from .funcspace import DEFAULT_SEED, CorpusEntry, hierarchy_breaks
 from .matspace import is_rank_one_connected, minors_batch, tau
 
 __all__ = [
@@ -65,7 +65,7 @@ LAMBDA_GRID = (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75)
 #: Most Halton points drawn in one block of a pair or candidate stream.
 HALTON_BLOCK = 4096
 
-#: Boundary budgets delta of the small-boundary (strong Morrey) search.
+#: Boundary budgets delta of the small-boundary (strong Morrey) search, largest first.
 DEFAULT_DELTA_SCHEDULE = tuple(2.0 ** -k for k in range(1, 13))
 
 #: Field-based notions are probed at no more than this many points per entry.
@@ -518,21 +518,23 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
 # ---------------------------------------------------------------------------
 
 def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
-                             rank_one, grad_cap=None):
+                             grad_cap=None):
     """Mean-zero two-gradient candidates (M_plus, M_minus, theta) through xi.
 
     Yields batches of absolute gradient values xi + (1 - theta) w and
-    xi - theta w, w = t a (x) nu.  Special-point pairs whose segment passes
-    through xi come first, with the points themselves as exact values
-    (``rank_one`` restricts them to rank-one pairs), at most ``count`` of
-    them; then seeded Halton batches.  With ``grad_cap`` only fields whose
-    slope bound max(theta, 1 - theta) |w| stays within the cap are kept; a
-    Halton block that keeps nothing still counts one toward ``count``.
+    xi - theta w, w = t a (x) nu.  Every jump M_plus - M_minus is rank-one:
+    only then does a Lipschitz field with these two gradients exist
+    (Ball-James rigidity).  Rank-one special-point pairs whose segment
+    passes through xi come first, with the points themselves as exact
+    values, at most ``count`` of them; then seeded Halton batches.  With
+    ``grad_cap`` only fields whose slope bound max(theta, 1 - theta) |w|
+    stays within the cap are kept; a Halton block that keeps nothing still
+    counts one toward ``count``.
     """
     N, n = dims
     xi = np.asarray(xi, dtype=float)
     battery_p, battery_m, battery_t = [], [], []
-    for a, b in _special_pairs(special_points, rank_one=rank_one):
+    for a, b in _special_pairs(special_points, rank_one=True):
         if len(battery_p) >= count:
             break
         diff = (a - b).ravel()
@@ -585,7 +587,9 @@ def _cutoff_values(xi, Mp, Mm, theta):
 
     Clipping the sawtooth against the boundary-distance cone introduces cells
     with gradients +-K a (x) e_j, K the sawtooth slope bound; those values
-    join the essential supremum.  Returns (B, 2n) extra value matrices.
+    join the essential supremum.  Every jump Mp - Mm is rank-one (see
+    ``_two_gradient_candidates``), so its leading singular vector is the
+    direction a.  Returns (B, 2n) extra value matrices.
     """
     N, n = xi.shape
     w = (Mp - Mm)  # = t * a (x) nu per candidate
@@ -656,8 +660,7 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     zig_budget = budget if n >= 3 else max(1, budget - MESH_DEPTH ** n * MESH_RESTARTS)
     used, best, values, theta = _best_field(
         f, xi, f_xi, dims, tol=tol, stop=True, cutoff=n >= 2, seed=seed,
-        count=zig_budget, radius=radius, special_points=special_points,
-        rank_one=False)
+        count=zig_budget, radius=radius, special_points=special_points)
     kind = "cutoff-field" if n >= 2 else "two-gradient-field"
     extra = {"theta": theta}
     if n <= 2 and not _backs_violation(f_xi - best, tol):
@@ -753,8 +756,6 @@ class ClassifyConfig:
     tol: float = 1e-9
     seed: int = DEFAULT_SEED
     radius: float = 2.0
-    K: float = 8.0
-    delta_schedule: tuple = DEFAULT_DELTA_SCHEDULE
 
 
 @dataclass
@@ -796,15 +797,9 @@ def probe_verdict(notion, probes, budget, search, *, tol,
 
 
 def verdict_inconsistencies(verdicts: dict) -> list[str]:
-    out = []
-    for strong, weaker in HIERARCHY_IMPLIES.items():
-        v = verdicts.get(strong)
-        if v is not None and not v.violated:
-            for wk in weaker:
-                w = verdicts.get(wk)
-                if w is not None and w.violated:
-                    out.append(f"{strong} holds within budget but {wk} is violated")
-    return out
+    holds = {notion: not v.violated for notion, v in verdicts.items()}
+    return [f"{strong} holds within budget but {weak} is violated"
+            for strong, weak in hierarchy_breaks(holds)]
 
 
 def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) -> Report:
@@ -851,9 +846,8 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
             "strong_morrey": field_verdict(
                 "strong_morrey",
                 lambda p, b: laminate.search_strong_morrey_violation(
-                    f, p, dims, K=cfg.K, delta_schedule=cfg.delta_schedule,
-                    tol=cfg.tol, budget=b, seed=cfg.seed, radius=cfg.radius,
-                    special_points=sp)),
+                    f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
+                    radius=cfg.radius, special_points=sp)),
             "curl_young_laminates": laminate.check_curl_young_on_laminates(
                 f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
                 radius=cfg.radius, special_points=sp),

@@ -46,8 +46,7 @@ __all__ = [
     "save_csv",
     "load_csv",
     "write_json",
-    "documented_inconsistencies",
-    "NOTIONS",
+    "hierarchy_breaks",
     "HIERARCHY_IMPLIES",
     "DEFAULT_SEED",
 ]
@@ -57,19 +56,6 @@ MODE_CLAMP = "clamp-to-boundary"
 
 #: Seed of every seeded search and experiment unless the caller sets one.
 DEFAULT_SEED = 20240817
-
-#: Convexity notions tracked on corpus entries and reported by the classifier,
-#: ordered from the strongest to the weakest end of the implication chain.
-NOTIONS = (
-    "level_convex",
-    "polyquasiconvex",
-    "strong_morrey",
-    "periodic_weak_morrey",
-    "weak_morrey",
-    "rank_one",
-    "curl_young_laminates",
-    "curl_infinity",
-)
 
 #: Implications valid for every Borel-measurable supremand: if the key notion
 #: holds, each listed notion holds as well.  (Implications needing extra
@@ -86,6 +72,15 @@ HIERARCHY_IMPLIES = {
     "curl_young_laminates": ("rank_one",),
     "curl_infinity": ("strong_morrey", "periodic_weak_morrey", "weak_morrey", "rank_one"),
 }
+
+
+def hierarchy_breaks(holds: dict) -> list[tuple[str, str]]:
+    """The (strong, weak) pairs of ``HIERARCHY_IMPLIES``, in table order,
+    that a notion -> True (holds) / False (fails) map contradicts: strong
+    holds but weak fails.  An absent notion is unknown and breaks nothing."""
+    return [(strong, weak) for strong, weaker in HIERARCHY_IMPLIES.items()
+            if holds.get(strong) is True
+            for weak in weaker if holds.get(weak) is False]
 
 
 def _memory_cap_bytes() -> float:
@@ -178,11 +173,11 @@ class SampledFunction:
 class CorpusEntry:
     """A closed-form supremand with its documented convexity flags.
 
-    ``documented_properties`` maps notion identifiers (see ``NOTIONS``) to
-    True (holds) / False (fails); notions with no established status are
-    absent.  ``basis`` is a one-line reason for the flags.  ``special_points``
-    are matrices worth probing first in any disproof search (jump points,
-    indicator atoms, well bottoms).
+    ``documented_properties`` maps notion identifiers (those of
+    ``HIERARCHY_IMPLIES``) to True (holds) / False (fails); notions with no
+    established status are absent.  ``basis`` is a one-line reason for the
+    flags.  ``special_points`` are matrices worth probing first in any
+    disproof search (jump points, indicator atoms, well bottoms).
     """
 
     name: str
@@ -204,18 +199,6 @@ class CorpusEntry:
 
     def value(self, xi) -> float:
         return float(self(np.asarray(xi, dtype=float).reshape(self.dims)))
-
-
-def documented_inconsistencies(entry: CorpusEntry) -> list[str]:
-    """Hierarchy violations among an entry's documented flags (should be none)."""
-    bad = []
-    flags = entry.documented_properties
-    for strong, weaker in HIERARCHY_IMPLIES.items():
-        if flags.get(strong) is True:
-            for w in weaker:
-                if flags.get(w) is False:
-                    bad.append(f"{strong} holds but {w} fails")
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +582,8 @@ def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
+def save_csv(f: SampledFunction, csv_path) -> None:
     """One row per node (row-major): axis_0,...,axis_{d-1},value; grid in a JSON sidecar."""
-    csv_path = Path(csv_path)
-    sidecar = Path(sidecar_path) if sidecar_path else _sidecar_path(csv_path)
     d = f.grid.ndim
     # the bytes of csv.writer's default dialect: no field needs quoting,
     # lines end in \r\n
@@ -618,15 +599,13 @@ def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
         "points_per_axis": f.grid.points_per_axis,
         "outside_mode": f.outside_mode,
     }
-    write_json(meta, sidecar)
+    write_json(meta, _sidecar_path(csv_path))
 
 
-def load_csv(csv_path, sidecar_path=None) -> SampledFunction:
+def load_csv(csv_path) -> SampledFunction:
     """Read a ``save_csv`` file back; the axis columns must be the sidecar
     grid's nodes in row-major order (within 1e-9 * radius)."""
-    csv_path = Path(csv_path)
-    sidecar = Path(sidecar_path) if sidecar_path else _sidecar_path(csv_path)
-    with open(sidecar) as fh:
+    with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
     grid = GridSpec(tuple(meta["dims"]), float(meta["radius"]),
                     int(meta["points_per_axis"]))

@@ -104,7 +104,7 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     f_xi = float(f(xi))
     used, ess, values, theta = _best_field(
         f, xi, f_xi, dims, tol=tol, stop=True, seed=seed, count=budget,
-        radius=radius, special_points=special_points, rank_one=True)
+        radius=radius, special_points=special_points)
     if _backs_violation(f_xi - ess, tol):
         witness = _field_witness("two-gradient-field", xi, f_xi, values, ess,
                                  theta=theta)
@@ -116,12 +116,11 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
 # strong Morrey search
 # ---------------------------------------------------------------------------
 
-def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
-                                   delta_schedule=DEFAULT_DELTA_SCHEDULE,
-                                   tol=1e-9, budget=20_000, seed=DEFAULT_SEED,
+def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
+                                   budget=20_000, seed=DEFAULT_SEED,
                                    radius=2.0, special_points=()) -> Verdict:
     """Look for a gap below f(xi) that persists as the boundary budget
-    delta shrinks, under the gradient bound K.
+    delta shrinks along ``DEFAULT_DELTA_SCHEDULE``, under the gradient bound K.
 
     Two families: scaled sawtooth laminates (their gap is delta-independent,
     since compressing layers shrinks the boundary values but not the gradient
@@ -135,13 +134,12 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
     N, n = dims
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
-    deltas = tuple(sorted(delta_schedule, reverse=True))
+    deltas = DEFAULT_DELTA_SCHEDULE
 
     # laminate family: delta-independent gap
     used, lam_ess, lam_values, theta = _best_field(
         f, xi, f_xi, dims, tol=tol, stop=False, seed=seed, count=budget // 2,
-        radius=radius, special_points=special_points, rank_one=True,
-        grad_cap=K)
+        radius=radius, special_points=special_points, grad_cap=K)
     lam_gap = f_xi - lam_ess
 
     # affine family: probe magnitudes tied to each delta
@@ -186,8 +184,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
             c = theta * (1.0 - theta) * float(np.linalg.norm(w.ravel()))
             layers = [max(1, math.ceil(c / d)) for d in deltas]
             witness = _field_witness(
-                "two-gradient-field", xi, f_xi, [Mp, Mm],
-                max(float(f(Mp)), float(f(Mm))), theta=theta,
+                "two-gradient-field", xi, f_xi, [Mp, Mm], lam_ess, theta=theta,
                 family="scaled-periodic-laminate", layers_per_delta=layers,
                 **rows)
         else:

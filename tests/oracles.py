@@ -606,8 +606,7 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     zig_budget = budget if n >= 3 else max(1, budget - mesh_depth ** n * restarts)
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
                                                   count=zig_budget, radius=radius,
-                                                  special_points=special_points,
-                                                  rank_one=False):
+                                                  special_points=special_points):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         if n >= 2:
@@ -657,8 +656,7 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     used = 0
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
                                                   count=budget, radius=radius,
-                                                  special_points=special_points,
-                                                  rank_one=True):
+                                                  special_points=special_points):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         # an undefined ess sup (NaN) cannot be a witness; it must not hide one
@@ -701,7 +699,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
                                                   count=lam_budget, radius=radius,
                                                   special_points=special_points,
-                                                  rank_one=True, grad_cap=K):
+                                                  grad_cap=K):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         ess = np.where(np.isnan(ess), np.inf, ess)

@@ -83,7 +83,7 @@ def test_criterion_2_pair_triple_verdict():
         assert entry.value(mid) == 1.0
 
         strong = search_strong_morrey_violation(
-            entry, mid, entry.dims, delta_schedule=DELTAS, **args)
+            entry, mid, entry.dims, **args)
         assert strong.violated
         rows = strong.witness["per_delta"]
         assert [r["delta"] for r in rows] == list(DELTAS)
@@ -307,7 +307,7 @@ def test_criterion_9_invariant_suites():
         entry = corpus_entry("one_minus_chi_pair")
         mid = 0.5 * (entry.special_points[0] + entry.special_points[1])
         strong = search_strong_morrey_violation(
-            entry, mid, entry.dims, delta_schedule=DELTAS, tol=1e-9,
+            entry, mid, entry.dims, tol=1e-9,
             budget=20_000, seed=SEED, radius=2.0,
             special_points=entry.special_points)
         wit = strong.witness

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from supcon.funcspace import (GridSpec, SampledFunction, corpus_entry,
-                              corpus_names, documented_inconsistencies,
-                              eval_corpus, interpolate, interpolating_evaluator,
-                              load_csv, sample, save_csv)
+                              corpus_names, eval_corpus, hierarchy_breaks,
+                              interpolate, interpolating_evaluator, load_csv,
+                              sample, save_csv)
 from supcon.matspace import minors_batch
 
 
@@ -106,7 +106,7 @@ def test_unknown_name_and_dims_mismatch():
 
 def test_documented_flags_consistent_across_corpus():
     for name in corpus_names():
-        assert documented_inconsistencies(corpus_entry(name)) == []
+        assert hierarchy_breaks(corpus_entry(name).documented_properties) == []
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_realize_degenerate_lambda_gives_zero_field():
     # Dirac at xi, whose field is zero, so the stream does not emit it and
     # goes straight to its Halton batches
     A, B = E11, -E11
-    kw = dict(seed=SEED, count=5, radius=2.0, rank_one=True)
+    kw = dict(seed=SEED, count=5, radius=2.0)
     for xi in (A, B):
         got = list(_two_gradient_candidates(xi, (2, 2), special_points=(A, B), **kw))
         want = list(_two_gradient_candidates(xi, (2, 2), special_points=(), **kw))
@@ -203,6 +203,21 @@ def test_periodic_spend_stays_within_budget(name):
             v = check_periodic_weak_morrey(entry, xi, entry.dims,
                                            **_args(entry, budget=budget))
             assert v.budget <= budget, (xi, budget, v.budget)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names()
+                                  if corpus_entry(n).dims == (2, 2)])
+def test_two_gradient_stream_is_rank_one(name):
+    # a Lipschitz field with exactly two gradients exists only when their
+    # jump is rank-one, so every candidate of the stream the three Morrey
+    # searches share, special-pair battery included, must be rank-one
+    entry = corpus_entry(name)
+    for xi in entry.special_points:
+        for Mp, Mm, _ in _two_gradient_candidates(
+                xi, entry.dims, seed=SEED, count=50, radius=2.0,
+                special_points=entry.special_points):
+            for a, b in zip(Mp, Mm):
+                assert is_rank_one_connected(a, b), (xi, a, b)
 
 
 def test_realize_rejects_non_rank_one():

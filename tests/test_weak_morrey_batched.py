@@ -57,7 +57,7 @@ def test_cutoff_values_match_per_candidate_oracle(dims, kind, seed):
         xi = np.asarray(special[seed % len(special)], dtype=float)
     batches = list(_two_gradient_candidates(xi, dims, seed=seed % 1000, count=300,
                                             radius=float(rng.uniform(0.5, 3.0)),
-                                            special_points=special, rank_one=False))
+                                            special_points=special))
     for Mp, Mm, theta in batches:
         new = _cutoff_values(xi, Mp, Mm, theta)
         ref = oracles.cutoff_values(xi, Mp, Mm, theta)
@@ -82,7 +82,7 @@ def test_rank_one_stream_matches_laminate_oracle(dims, kind, grad_cap, seed):
     kw = dict(seed=seed % 1000, count=int(rng.integers(1, 600)),
               radius=float(rng.uniform(0.5, 3.0)), special_points=special,
               grad_cap=grad_cap)
-    new = list(_two_gradient_candidates(xi, dims, rank_one=True, **kw))
+    new = list(_two_gradient_candidates(xi, dims, **kw))
     ref = list(oracles.laminate_candidates(None, xi, dims, **kw))
     assert len(new) == len(ref)
     for got, want in zip(new, ref):
