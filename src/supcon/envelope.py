@@ -86,25 +86,25 @@ def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     Positions must be strictly increasing.  O(m) monotone chain; collinear
     points are dropped so the hull is minimal, but the returned values are
-    unaffected.
+    unaffected.  The chain runs on Python floats: indexing numpy scalars in
+    the loop costs about 4x more, and the float ops are the same IEEE double
+    ops in the same order, so the hull is bit-identical.
     """
     x = np.asarray(positions, dtype=float)
     v = np.asarray(values, dtype=float)
-    m = len(x)
-    if m <= 2:
+    if len(x) <= 2:
         return v.copy()
-    stack: list[int] = []
-    for i in range(m):
-        while len(stack) >= 2:
-            j, k = stack[-2], stack[-1]
-            # pop k when it lies on or above chord (j, i)
-            if (x[k] - x[j]) * (v[i] - v[j]) - (x[i] - x[j]) * (v[k] - v[j]) <= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    hx = x[stack]
-    hv = v[stack]
+    hx: list[float] = []
+    hv: list[float] = []
+    for px, pv in zip(x.tolist(), v.tolist()):
+        # pop the top when it lies on or above the chord from the one below
+        # it to the new point
+        while len(hx) >= 2 and ((hx[-1] - hx[-2]) * (pv - hv[-2])
+                                - (px - hx[-2]) * (hv[-1] - hv[-2]) <= 0.0):
+            hx.pop()
+            hv.pop()
+        hx.append(px)
+        hv.append(pv)
     return np.interp(x, hx, hv)
 
 
@@ -139,7 +139,8 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     # facet plane: y = (normal_space . x + offset) / (-normal_last);
     # the envelope is the max over the lower facets, accumulated in chunks
     # of 4M floats (32 MB) so the nodes-by-facets product never materializes
-    # at once; a max over blocks is exact, so the chunk size cannot move it
+    # at once; the max is exact, but the BLAS product's rounding depends on
+    # the block width, so another chunk size moves envelope values by ulps
     est = np.full(len(coords), -np.inf)
     chunk = max(1, 4_000_000 // max(1, len(coords)))
     for lo in range(0, len(lower), chunk):

@@ -20,10 +20,13 @@ setting, ``cells`` included, and the report echoes it.
 
 The scan evaluates f once per table: once on the scan grid, once at the
 adjustment slopes of every (a, b) pair.  The polish walks advance in
-lockstep, one f call per step.  The powered terms (f/scale)^p and the 1/p
-root stay Python-float pows, because numpy's array ``**`` differs from them
-in the last ulp for some inputs, and a near-tie would then pick another
-profile; the results are bit-identical to the per-pair loop.
+lockstep, one f call per step, and each walk speculates: a step scores the
+rest of its pattern-search round as if every earlier move were rejected, and
+keeps the moves up to the first accepted one.  The powered terms
+(f/scale)^p and the 1/p root stay Python-float pows, because numpy's array
+``**`` differs from them in the last ulp for some inputs, and a near-tie
+would then pick another profile; the results are bit-identical to the
+per-pair loop.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def _hull_support_slopes(fs, xi, G, p, scale):
     estimates seed the discrete polish.
     """
     x = np.linspace(-G, G, ORACLE_POINTS)
-    v = (fs(x) / scale) ** p
+    v = (_nonnegative(fs(x)) / scale) ** p
     hull = lower_hull_1d(x, v)
     on_hull = np.abs(v - hull) <= 1e-12 * (1.0 + np.abs(v))
     left = np.flatnonzero(on_hull & (x <= xi))
@@ -174,32 +177,43 @@ def _two_slope_values(fs, a, b, xi, m, G, p, scale, qa=None, qb=None):
 def _polish(a, b, xi, G, step, rounds, tol):
     """Pattern search of the slope pair (a, b) from one start.
 
-    A generator: it yields each pair to evaluate and is sent back its
-    (value, k, c), or None when no k is feasible.  Returns the accepted
-    (value, profile) in order, the number of neighbor evaluations and
-    whether the step fell below 1e-9.
+    A generator: it yields lists of pairs to evaluate and is sent back one
+    (value, k, c) per pair, or None when no k is feasible.  A list holds the
+    rest of the current round from the current pair, built as if every
+    earlier move of it were rejected, without the moves that leave the box;
+    the results after the first accepted move are dropped, and the next list
+    starts at the move after it.  Returns the accepted (value, profile) in
+    order, the number of neighbor evaluations the one-move-at-a-time search
+    makes and whether the step fell below 1e-9.
     """
     accepted = []
     cur = None
-    got = yield a, b
+    (got,) = yield [(a, b)]
     if got is not None:
         cur = got[0]
         accepted.append((cur, ("pair", a, b, got[1], got[2])))
     evaluations = 0
     for _ in range(rounds):
         improved = False
-        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
-                       (step, step), (-step, -step)):
-            na = min(max(a + da, -G), G)
-            nb = min(max(b + db, -G), G)
-            if na > xi or nb < xi:
-                continue
-            got = yield na, nb
-            evaluations += 1
-            if got is not None and (cur is None or got[0] < cur - tol):
-                cur, a, b = got[0], na, nb
-                improved = True
-                accepted.append((cur, ("pair", a, b, got[1], got[2])))
+        moves = ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
+                 (step, step), (-step, -step))
+        while moves:
+            pairs = [(j, na, nb) for j, (da, db) in enumerate(moves)
+                     if (na := min(max(a + da, -G), G)) <= xi
+                     and (nb := min(max(b + db, -G), G)) >= xi]
+            if not pairs:
+                break
+            results = yield [(na, nb) for _, na, nb in pairs]
+            rest = ()
+            for (j, na, nb), got in zip(pairs, results):
+                evaluations += 1
+                if got is not None and (cur is None or got[0] < cur - tol):
+                    cur, a, b = got[0], na, nb
+                    improved = True
+                    accepted.append((cur, ("pair", a, b, got[1], got[2])))
+                    rest = moves[j + 1:]
+                    break
+            moves = rest
         if not improved:
             step *= 0.5
             if step < 1e-9:
@@ -245,36 +259,38 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     val, k, c, ok = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale,
                                       q[ia], q[ib])
     val, k, c, a, b = val[ok] * length_factor, k[ok], c[ok], S[ia[ok]], S[ib[ok]]
-    starts = [(best_val, xi, xi)]
-    starts += zip(val.tolist(), a.tolist(), b.tolist())
+    # the 8 lowest of the constant profile and the scan pairs, in that order
+    # on ties; every value is finite here
+    first = np.argsort(np.append(best_val, val), kind="stable")[:8]
+    polish_starts = list(zip(np.append(xi, a)[first].tolist(),
+                             np.append(xi, b)[first].tolist()))
     # the first strict minimum in scan order
     below = np.where(val < best_val, val, np.inf)
     if below.size and below.min() < best_val:
         i = int(np.argmin(below))
         best_val = float(val[i])
         best_profile = ("pair", float(a[i]), float(b[i]), int(k[i]), float(c[i]))
-    starts.sort(key=lambda t: t[0])
-    polish_starts = [(a, b) for _, a, b in starts[:8]]
     # the envelope's supporting segment of f^p at xi is the continuum optimum
     polish_starts.append(_hull_support_slopes(fs, xi, G, p, scale))
 
     # pattern-search polish of the two slopes from every start; the walks do
     # not depend on one another, so they advance in lockstep, one batched
-    # evaluation per step, and their accepted values are replayed in start
-    # order to pick the first strict minimum
+    # evaluation of all their speculated pairs per step, and their accepted
+    # values are replayed in start order to pick the first strict minimum
     base_step = float(S[1] - S[0]) if len(S) > 1 else 0.1
     walks = [_polish(a, b, xi, G, base_step, POLISH_ROUNDS, TOL * scale)
              for a, b in polish_starts]
     results = [None] * len(walks)
     todo = [(i, w, next(w)) for i, w in enumerate(walks)]
     while todo:
-        a, b = np.array([t[2] for t in todo]).T
+        a, b = np.array([pair for t in todo for pair in t[2]]).T
         val, k, c, ok = _two_slope_values(fs, a, b, xi, m, G, p, scale)
-        got = zip((val * length_factor).tolist(), k.tolist(), c.tolist(), ok.tolist())
+        got = iter([(v, kk, cc) if feasible else None for v, kk, cc, feasible
+                    in zip((val * length_factor).tolist(), k.tolist(), c.tolist(), ok.tolist())])
         advanced = []
-        for (i, w, _), (v, kk, cc, feasible) in zip(todo, got):
+        for i, w, pairs in todo:
             try:
-                advanced.append((i, w, w.send((v, kk, cc) if feasible else None)))
+                advanced.append((i, w, w.send([next(got) for _ in pairs])))
             except StopIteration as stop:
                 results[i] = stop.value
         todo = advanced

@@ -3,10 +3,13 @@
 These are the straightforward loops the d >= 2 branches of
 ``lamination_hull`` and ``level_convex_lsc_envelope`` were first written as:
 one Python monotone chain per grid line, and one Qhull hull (or one LP per
-query) per sublevel threshold.  The weak-Morrey search layer has three more:
-one SVD per candidate for the cutoff-layer values, one ``np.stack`` per
-triangle for the gradients of the simplicial fields, and one f call per
-coordinate-descent trial of the simplicial search.  They are slow but easy
+query) per sublevel threshold.  That chain, ``lower_hull_1d``, is kept as it
+ran on numpy-indexed scalars before ``envelope.lower_hull_1d`` moved to
+Python floats, and the lamination and FE oracles call it.  The weak-Morrey
+search layer has three more: one SVD per candidate for the cutoff-layer
+values, one ``np.stack`` per triangle for the gradients of the simplicial
+fields, and one f call per coordinate-descent trial of the simplicial
+search.  They are slow but easy
 to audit; the tests require the production code to agree with them bit for
 bit.  Two more references are the generators the production code replaced:
 the per-matrix minors vector that ``minors_batch`` must match, and the
@@ -43,13 +46,35 @@ from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATE
                              Verdict, _aslist, _cutoff_values, _ess_sup,
                              _field_witness, _halton, _segment_witness, _special_pairs,
                              _two_gradient_candidates, _worst_gap)
-from supcon.envelope import MAX_SWEEPS, SWEEP_TOL, lower_hull_1d, rank_one_grid_directions
-from supcon.fem1d import (POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
-                          _hull_support_slopes, _objective, _profile_to_slopes,
-                          _scalar_eval)
+from supcon.envelope import MAX_SWEEPS, SWEEP_TOL, rank_one_grid_directions
+from supcon.fem1d import (ORACLE_POINTS, POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
+                          _nonnegative, _objective, _profile_to_slopes, _scalar_eval)
 from supcon.funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, SampledFunction, _sidecar_path,
                               write_json)
 from supcon.matspace import _index_sets, tau
+
+
+def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Greatest convex minorant of (positions, values), sampled back at
+    positions: the monotone chain on numpy-indexed scalars."""
+    x = np.asarray(positions, dtype=float)
+    v = np.asarray(values, dtype=float)
+    m = len(x)
+    if m <= 2:
+        return v.copy()
+    stack: list[int] = []
+    for i in range(m):
+        while len(stack) >= 2:
+            j, k = stack[-2], stack[-1]
+            # pop k when it lies on or above chord (j, i)
+            if (x[k] - x[j]) * (v[i] - v[j]) - (x[i] - x[j]) * (v[k] - v[j]) <= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    hx = x[stack]
+    hv = v[stack]
+    return np.interp(x, hx, hv)
 
 
 def sweep_lines(shape: tuple[int, ...], step: np.ndarray):
@@ -413,6 +438,20 @@ def _two_slope_value(fs, a, b, xi, m, G, p, scale):
         if best is None or val < best[0]:
             best = (val, k, c)
     return best
+
+
+def _hull_support_slopes(fs, xi, G, p, scale):
+    """Endpoints of the convex-envelope supporting segment of f^p at xi,
+    from the fine-grid hull of ``lower_hull_1d`` above."""
+    x = np.linspace(-G, G, ORACLE_POINTS)
+    v = (_nonnegative(fs(x)) / scale) ** p
+    hull = lower_hull_1d(x, v)
+    on_hull = np.abs(v - hull) <= 1e-12 * (1.0 + np.abs(v))
+    left = np.flatnonzero(on_hull & (x <= xi))
+    right = np.flatnonzero(on_hull & (x >= xi))
+    a = float(x[left[-1]]) if len(left) else float(xi)
+    b = float(x[right[0]]) if len(right) else float(xi)
+    return a, b
 
 
 def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMinimizeResult:

@@ -13,6 +13,41 @@ from supcon.envelope import lamination_hull, level_convex_lsc_envelope, pasch_ha
 from supcon.funcspace import GridSpec, SampledFunction
 
 KINDS = ("normal", "ties", "constant", "affine", "flat-sublevel")
+HULL_VALUES = ("ties", "collinear", "signed-zero", "magnitudes", "nan")
+
+
+def _hull_input(spacing: str, kind: str, m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if spacing == "uniform":
+        x = float(rng.integers(-8, 9)) + 2.0 ** int(rng.integers(-4, 3)) * np.arange(m)
+    else:
+        x = float(rng.uniform(-5.0, 5.0)) + np.cumsum(rng.uniform(1e-3, 1.0, size=m))
+    if kind == "ties":
+        v = rng.integers(0, 3, size=m).astype(float)
+    elif kind == "collinear":  # runs on random lines, up to one line for all;
+        # rounding then decides which middle points the chain pops
+        run = np.repeat(np.arange(m), rng.integers(1, m + 1, size=m))[:m]
+        v = rng.standard_normal(m)[run] * x + rng.standard_normal(m)[run]
+    elif kind == "signed-zero":
+        v = rng.choice([-0.0, 0.0, -1.0, 1.0], size=m)
+    elif kind == "magnitudes":
+        v = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-300.0, 300.0, size=m)
+    else:
+        v = rng.standard_normal(m)
+        v[rng.random(m) < 0.2] = np.nan
+    return x, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["uniform", "random"]), st.sampled_from(HULL_VALUES),
+       st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_lower_hull_1d_matches_indexed_chain(spacing, kind, m, seed):
+    x, v = _hull_input(spacing, kind, m, seed)
+    assert np.all(np.diff(x) > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = envelope.lower_hull_1d(x, v)
+        ref = oracles.lower_hull_1d(x, v)
+    assert np.array_equal(got, ref, equal_nan=True)
 
 
 def _values(kind: str, grid: GridSpec, seed: int) -> np.ndarray:

@@ -113,6 +113,32 @@ def test_nan_supremand_rejected():
         _objective(_scalar_eval(nan_gap), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
 
 
+def test_nan_between_hull_support_nodes_rejected():
+    # NaN only strictly between the default scan nodes 0 and 0.125, on the
+    # hull-support node 0.01 of the slope box
+    def nan_gap(arr):
+        t = np.asarray(arr)[..., 0, 0]
+        return np.where((t > 0.005) & (t < 0.015), np.nan, np.abs(t))
+
+    for p in (8.0, 3.3):
+        with pytest.raises(ValueError, match="finite"):
+            minimize_Fp(nan_gap, p, 1.0)
+
+
+def test_polish_batches_its_f_calls():
+    # each polish step scores the rest of every walk's round in one f call
+    entry = corpus_entry("clamp1d")
+    calls = []
+
+    def counted(arr):
+        calls.append(len(arr))
+        return entry(arr)
+
+    res = minimize_Fp(counted, 8.0, 1.0, FeOptions(restarts=0))
+    assert len(calls) <= 60
+    assert res.iterations == 8363
+
+
 def test_infinite_supremand_rejected():
     # a plus-infinity sample queried past its radius is +inf on part of the
     # slope box; the scale would be inf and every powered value NaN
@@ -151,6 +177,10 @@ def _outcome(minimize, f, p, xi, opts):
 @example("exampleD_scalar", 455413639, 1.0, 19, "midpoint", 0.9462603322237104, 26, 3.3)
 @example("exampleD_scalar", 2222323601, 1.0, 25, "midpoint", 0.7430379600974436, 43, 128.0)
 @example("piecewise-linear", 1719417155, 10.0, 28, "node", 0.7192468659160054, 52, 3.3)
+# a slope box so wide that rounding makes some polish pairs infeasible: 6 None
+# results are processed within speculated batches, and 2 are dropped after an
+# accepted move
+@example("piecewise-linear", 3996984713, 1e4, 7, "node", 0.8749892669232, 57, 3.3)
 def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, p):
     # xi on a scan node, halfway between two, anywhere, or at -G or G
     step = 2.0 * G / (P - 1)
