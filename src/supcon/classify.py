@@ -15,13 +15,14 @@ one table and cross-validates the verdicts against the implication hierarchy.
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
 batches until the budget is exhausted; the checkers of one ``classify_report``
-share each Halton draw.  Every search scores its batches by one of two
-shared rules: ``_worst_gap`` takes the largest finite gap of a batch of
-segments or measures, and ``_best_field`` the least ess sup over the
-gradient values of two-gradient test fields, an ess sup of NaN or -inf
-counting as +inf.  A measure is an (atoms, weights) pair of arrays, and
-``_measure_gaps`` scores a batch of them in two f calls.  In every checker a
-gap must be finite to back a violation: a non-finite one cannot be replayed.
+share each Halton draw, and ``scipy.stats`` is imported at the first draw.
+Every search scores its batches by one of two shared rules: ``_worst_gap``
+takes the largest finite gap of a batch of segments or measures, and
+``_best_field`` the least ess sup over the gradient values of two-gradient
+test fields, an ess sup of NaN or -inf counting as +inf.  A measure is an
+(atoms, weights) pair of arrays, and ``_measure_gaps`` scores a batch of
+them in two f calls.  In every checker a gap must be finite to back a
+violation: a non-finite one cannot be replayed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import qmc
 
 from .funcspace import DEFAULT_SEED, CorpusEntry, hierarchy_breaks
 from .matspace import is_rank_one_connected, minors_batch, tau
@@ -238,6 +238,7 @@ def _halton(dim: int, count: int, seed: int) -> np.ndarray:
     longer one.  Inside ``_shared_halton`` each (dim, seed) is drawn once, to
     the longest count asked for so far, and served as a read-only prefix.
     """
+    from scipy.stats import qmc  # imported on first draw: it costs about 0.4 s
     draws = _halton_draws.get()
     if draws is None:
         return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)

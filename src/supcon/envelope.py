@@ -24,7 +24,9 @@ Five operators, all pointwise infima over the grid:
 
 The batched d >= 2 paths reproduce the plain per-line and per-threshold
 loops, and the offset search the dense all-pairs minimum, bit for bit
-(``tests/oracles.py`` keeps those loops as references).
+(``tests/oracles.py`` keeps those loops as references).  scipy takes about a
+second to import, so ``ConvexHull`` and ``linprog`` import it on first call:
+the 1-d operators, ``pasch_hausdorff`` and ``lamination_hull`` never do.
 
 Domain truncation is the central compromise: envelopes are computed on the
 box only.  For samples extended by ``plus-infinity`` the result is the exact
@@ -44,8 +46,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .funcspace import MODE_CLAMP, SampledFunction, save_csv, write_json
 
@@ -70,6 +70,16 @@ DIRECTION_SPAN = 2
 MAX_SWEEPS = 64
 SWEEP_TOL = 1e-7
 GAP_TOL = 0.1  # a power-law limit this far below f somewhere is a gap
+
+
+def ConvexHull(*args, **kwargs):
+    from scipy.spatial import ConvexHull
+    return ConvexHull(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 class PowerLawOverflowError(RuntimeError):
@@ -122,6 +132,7 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
         return values.copy()
     # past the affine return the lifted set is full-dimensional, so Qhull
     # succeeds and lower facets exist; a failure is a fault, not a case
+    from scipy.spatial import QhullError
     lifted = np.hstack([coords, values[:, None]])
     hull = None
     for opts in ("Qt", "QJ"):
@@ -138,14 +149,17 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
         raise RuntimeError("convex envelope: the lifted hull has no lower facets")
     # facet plane: y = (normal_space . x + offset) / (-normal_last);
     # the envelope is the max over the lower facets, accumulated in chunks
-    # of 4M floats (32 MB) so the nodes-by-facets product never materializes
-    # at once; the max is exact, but the BLAS product's rounding depends on
-    # the block width, so another chunk size moves envelope values by ulps
+    # of 4M floats (32 MB) in one buffer so the nodes-by-facets product never
+    # materializes at once; the max is exact, but the BLAS product's rounding
+    # depends on the block width, so another chunk size moves values by ulps
     est = np.full(len(coords), -np.inf)
     chunk = max(1, 4_000_000 // max(1, len(coords)))
+    buf = np.empty((len(coords), min(chunk, len(lower))))
     for lo in range(0, len(lower), chunk):
         block = lower[lo:lo + chunk]
-        vals = (coords @ block[:, :-2].T + block[:, -1]) / (-block[:, -2])
+        vals = np.matmul(coords, block[:, :-2].T, out=buf[:, :len(block)])
+        vals += block[:, -1]
+        vals /= -block[:, -2]
         np.maximum(est, vals.max(axis=1), out=est)
     return np.minimum(est, values)
 
@@ -172,7 +186,9 @@ def convex_envelope(f: SampledFunction) -> SampledFunction:
 
 def _inside_facets(eq: np.ndarray, queries: np.ndarray,
                    tol: float) -> np.ndarray:
-    return np.all(queries @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
+    dist = queries @ eq[:, :-1].T
+    dist += eq[:, -1]
+    return np.all(dist <= tol, axis=1)
 
 
 def _points_in_flat_hull(points: np.ndarray,
@@ -211,6 +227,7 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     if len(points) == 1:
         return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None, None, 0
     if len(points) > points.shape[1]:
+        from scipy.spatial import QhullError
         try:
             hull = ConvexHull(points)
         except QhullError:  # flat point set: take the affine-hull path

@@ -29,7 +29,9 @@ called f at the endpoints once per weight; the stream gives the same
 (atoms, weights) arrays.  The very last is the supremal Jensen loop as it
 ran before ``classify._measure_gaps`` scored a whole batch of measures: one
 measure at a time, one f call per atom of positive weight and one at the
-barycenter, a NaN on the support counting as +inf.
+barycenter, a NaN on the support counting as +inf.  The facet products of the
+convex envelope and of the hull membership test are kept as they were before
+they were computed in place: a fresh array per sum and quotient.
 """
 
 from __future__ import annotations
@@ -126,6 +128,36 @@ def lamination_hull(f: SampledFunction, full_output: bool = False):
     return result
 
 
+def envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``envelope._envelope_values_nd`` as it was before each facet block was
+    computed in place: a fresh product, sum and quotient per block, with the
+    same block width."""
+    if np.ptp(values) == 0.0:
+        return values.copy()
+    A = np.hstack([coords, np.ones((len(coords), 1))])
+    sol, *_ = np.linalg.lstsq(A, values, rcond=None)
+    if np.max(np.abs(A @ sol - values)) <= 1e-12 * max(1.0, np.max(np.abs(values))):
+        return values.copy()
+    lifted = np.hstack([coords, values[:, None]])
+    try:
+        eq = ConvexHull(lifted, qhull_options="Qt").equations
+    except QhullError:
+        eq = ConvexHull(lifted, qhull_options="QJ").equations
+    lower = eq[eq[:, -2] < -1e-12]
+    est = np.full(len(coords), -np.inf)
+    chunk = max(1, 4_000_000 // max(1, len(coords)))
+    for lo in range(0, len(lower), chunk):
+        block = lower[lo:lo + chunk]
+        vals = (coords @ block[:, :-2].T + block[:, -1]) / (-block[:, -2])
+        np.maximum(est, vals.max(axis=1), out=est)
+    return np.minimum(est, values)
+
+
+def inside_facets(eq: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
+    """Which queries are within ``tol`` of every facet: a fresh offset sum."""
+    return np.all(queries @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
+
+
 def points_in_hull(points: np.ndarray, queries: np.ndarray,
                    tol: float = 1e-9) -> np.ndarray:
     """Boolean mask: which queries lie in conv(points)."""
@@ -136,10 +168,7 @@ def points_in_hull(points: np.ndarray, queries: np.ndarray,
     d = points.shape[1]
     if len(points) > d:
         try:
-            hull = ConvexHull(points)
-            eq = hull.equations
-            vals = queries @ eq[:, :-1].T + eq[:, -1]
-            return np.all(vals <= tol, axis=1)
+            return inside_facets(ConvexHull(points).equations, queries, tol)
         except QhullError:
             pass
     # degenerate or tiny set: LP feasibility per query

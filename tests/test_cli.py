@@ -335,3 +335,33 @@ def test_readme_flag_table_matches_the_parser():
         row = rows[name].replace("the `classify` flags", rows["classify"])
         documented = set(re.findall(r"--[a-z][a-z-]*", row))
         assert documented == set(sub._option_string_actions) - {"-h", "--help"}, name
+
+
+SCIPY_PROBE = (
+    "import sys\n"
+    "from supcon.cli import main\n"
+    "for argv in sys.argv[1:]:\n"
+    "    assert main(argv.split()) == 0, argv\n"
+    "print('scipy modules:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+def scipy_modules_after(*commands):
+    """The scipy modules a fresh interpreter holds after running the commands."""
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *commands],
+                          capture_output=True, text=True, check=True)
+    line = proc.stdout.splitlines()[-1]
+    assert line.startswith("scipy modules:"), proc.stdout
+    return set(line.split()[2:])
+
+
+def test_commands_import_scipy_only_for_what_they_use(tmp_path):
+    # scipy is imported on first use (hulls, LPs, Halton draws), so the
+    # commands that use none of them start without it
+    assert scipy_modules_after(
+        "corpus list",
+        f"gamma1d --corpus clamp1d --xi 1.0 --cells 8 --p-schedule 2,4 --out {tmp_path}") == set()
+    loaded = scipy_modules_after(
+        f"envelope --corpus arctan_det --kind convex --points 5 --out {tmp_path}")
+    assert "scipy.spatial" in loaded
+    assert "scipy.optimize" not in loaded

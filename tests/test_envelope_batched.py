@@ -4,13 +4,14 @@ the Pasch-Hausdorff transform against the dense all-pairs minimum: equal bit
 for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from supcon import envelope
 from supcon.envelope import lamination_hull, level_convex_lsc_envelope, pasch_hausdorff
-from supcon.funcspace import GridSpec, SampledFunction
+from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, sample
 
 KINDS = ("normal", "ties", "constant", "affine", "flat-sublevel")
 HULL_VALUES = ("ties", "collinear", "signed-zero", "magnitudes", "nan")
@@ -107,6 +108,26 @@ def test_lslc_envelope_matches_per_threshold_oracle(grid, kind, seed):
     new = level_convex_lsc_envelope(f)
     ref = oracles.level_convex_lsc_envelope(f)
     assert np.array_equal(new.values, ref.values)
+
+
+# exampleD at P = 7 has 15,360 lower facets in 1,665-facet blocks: nine
+# full blocks and a short last one
+FACET_CASES = [("exampleD", 7, None), ("random", 3, 1), ("random", 5, 2), ("random", 5, 3)]
+
+
+@pytest.mark.parametrize("name, points, seed", FACET_CASES)
+def test_facet_products_in_place_match_fresh_arrays(name, points, seed):
+    if name == "exampleD":
+        f = sample(corpus_entry(name), GridSpec((2, 2), 2.0, points))
+    else:
+        f = _sample((2, 2), points, "normal", seed)
+    coords, flat = f.grid.node_coords(), f.values.ravel()
+    assert np.array_equal(envelope._envelope_values_nd(coords, flat),
+                          oracles.envelope_values_nd(coords, flat))
+    eq = envelope.ConvexHull(coords[flat <= np.median(flat)]).equations
+    for tol in (1e-9, -1e-9):
+        assert np.array_equal(envelope._inside_facets(eq, coords, tol),
+                              oracles.inside_facets(eq, coords, tol))
 
 
 def test_lslc_full_output_counts_the_paths():
