@@ -4,10 +4,10 @@ Commands: ``corpus list``, ``envelope``, ``classify``, ``powerlaw``,
 ``gamma1d``, ``laminate-check``, ``morrey-search``.  Each command takes only
 the flags it reads.  ``--config FILE`` holds a JSON object of that command's
 flags (key ``p_schedule`` is ``--p-schedule``, a list is comma-joined); they
-go through the same parser, and the command line wins.  Every run is seeded
-(fixed default), echoes its effective configuration into the report, and
-writes deterministic JSON (sorted keys; the classify report's timestamp is
-the only run-dependent field).
+go through the same parser, and the command line wins.  Every randomized run
+is seeded (fixed default); every run echoes its effective configuration into
+the report and writes deterministic JSON (sorted keys; the classify report's
+timestamp is the only run-dependent field).
 
 Exit status: 0 on success, 1 on usage or I/O errors, 2 when an ``--expect``
 assertion is contradicted by the verdicts.
@@ -193,7 +193,7 @@ def cmd_gamma1d(args) -> int:
     entry = fs.corpus_entry(args.corpus)
     if entry.dims != (1, 1):
         raise ValueError("gamma1d only applies to scalar (1x1) corpus entries")
-    opts = fem1d.FeOptions(**_given(args, "cells", "restarts", "seed", "slope_bound"))
+    opts = fem1d.FeOptions(**_given(args, "cells", "slope_bound"))
     report = fem1d.gamma_limit_experiment(entry, args.xi, args.p_schedule, opts,
                                           name=entry.name)
     if args.out:
@@ -281,11 +281,13 @@ def build_parser() -> Parser:
     p.add_argument("--mode", choices=("convex-lower", "lamination-upper"))
 
     p = command("gamma1d", cmd_gamma1d, "1-d finite-element power-law experiment",
-                "corpus", "seed", "p_schedule", "out", "config")
+                "corpus", "p_schedule", "out", "config")
     p.add_argument("--xi", type=float, required=True, help="boundary slope")
     p.add_argument("--cells", type=integer)
-    p.add_argument("--restarts", type=integer)
     p.add_argument("--slope-bound", type=float)
+    p.add_argument("--seed", type=integer,
+                   help="deprecated and ignored (the FE search draws no random "
+                        "numbers); goes with the next benchmark change")
 
     command("laminate-check", cmd_laminate_check, "laminate-side inequality check",
             *verdict_flags)

@@ -12,11 +12,11 @@ against the grid convex envelope of ``f^p`` and, as p grows, against the
 level-convex lsc envelope of f.
 
 The solver exploits exactly that structure: a two-slope scan with an
-adjustment cell, a pattern-search polish of the two slopes, and seeded
-random-restart pairwise-exchange descent as a safety net.  Slopes live in
-the box [-slope_bound, slope_bound]; the oracle envelope is computed on the
-same box so both sides see the same relaxation.  ``FeOptions`` holds every
-setting, ``cells`` included, and the report echoes it.
+adjustment cell, then a pattern-search polish of the two slopes; it draws no
+random numbers.  Slopes live in the box [-slope_bound, slope_bound]; the
+oracle envelope is computed on the same box so both sides see the same
+relaxation.  ``FeOptions`` holds every setting, ``cells`` included, and the
+report echoes it.
 
 The scan evaluates f once per table: once on the scan grid, once at the
 adjustment slopes of every (a, b) pair.  The polish walks advance in
@@ -38,8 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .envelope import level_convex_lsc_envelope, lower_hull_1d
-from .funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, GridSpec, SampledFunction,
-                        write_json)
+from .funcspace import MODE_PLUS_INFINITY, GridSpec, SampledFunction, write_json
 
 __all__ = [
     "FeOptions",
@@ -52,7 +51,7 @@ __all__ = [
 
 
 POLISH_ROUNDS = 40  # pattern-search rounds of each polish walk
-TOL = 1e-9  # least improvement, relative to the scale of f, a polish or restart keeps
+TOL = 1e-9  # least improvement, relative to the scale of f, a polish move keeps
 ORACLE_POINTS = 2001  # odd: slope-box nodes of the envelope oracles and hull supports
 CONSISTENCY_TOL = 0.02  # a limit this close to f(xi) (relative, >= 1) is consistent
 
@@ -62,16 +61,12 @@ class FeOptions:
     """The settings of the FE experiment; the mesh has ``cells`` cells."""
 
     cells: int = 64
-    restarts: int = 16
-    seed: int = DEFAULT_SEED
     slope_bound: float = 10.0
     scan_points: int = 161
 
     def __post_init__(self) -> None:
         if self.cells < 2:
             raise ValueError(f"cells must be at least 2, got {self.cells!r}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be >= 0, got {self.restarts!r}")
         if not 0.0 < self.slope_bound < np.inf:  # NaN fails too
             raise ValueError(f"slope_bound must be finite and > 0, got {self.slope_bound!r}")
 
@@ -143,11 +138,13 @@ def _two_slope_values(fs, a, b, xi, m, G, p, scale, qa=None, qb=None):
     slope pair (a[i], b[i]), a[i] <= xi <= b[i].
 
     k is the floor or the ceiling of theta*m clamped to [0, m-1], theta the
-    weight of a in xi; the adjustment slope c meets the mean exactly, and a k
-    whose c leaves the slope box is skipped.  Returns arrays (val, k, c, ok):
-    the better k per pair (the floor on a tie), ok False where both are
-    skipped.  f is evaluated in one call, at the c of every k kept, and at
-    its a and b too unless their (f/scale)^p come in as ``qa``, ``qb``.
+    weight of a in xi; the adjustment slope c meets the mean exactly.  For
+    the floor, c is a convex combination of a and b, so it is kept even
+    where rounding puts it a few ulps past the slope box; a ceiling whose c
+    leaves the box is skipped.  Returns arrays (val, k, c): the better k per
+    pair, the floor on a tie.  f is evaluated in one call, at the c of every
+    k kept, and at its a and b too unless their (f/scale)^p come in as
+    ``qa``, ``qb``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # a == b is masked
         theta = np.where(a == b, 1.0, (b - xi) / (b - a))
@@ -156,42 +153,39 @@ def _two_slope_values(fs, a, b, xi, m, G, p, scale, qa=None, qb=None):
     k = np.minimum(np.maximum(k, 0), m - 1).astype(int)
     c = m * xi - k * a[:, None] - (m - k - 1) * b[:, None]
     ok = np.abs(c) <= G + 1e-12
-    val = np.where(ok, 0.0, np.nan)
+    ok[:, 0] = True
+    val = np.full(k.shape, np.nan)
     pair = np.nonzero(ok)[0]
-    if pair.size:
-        if qa is None:
-            nodes = np.concatenate([a[pair], b[pair], c[ok]])
-            qa, qb, qc = _powers(_nonnegative(fs(nodes)), p, scale).reshape(3, -1)
-        else:
-            qa, qb = qa[pair], qb[pair]
-            qc = _powers(_nonnegative(fs(c[ok])), p, scale)
-        kk = k[ok]
-        mean_p = (kk * qa + (m - kk - 1) * qb + qc) / m
-        root = 1.0 / p
-        val[ok] = [scale * mp ** root for mp in mean_p.tolist()]
-    second = ok[:, 1] & (~ok[:, 0] | (val[:, 1] < val[:, 0]))
-    rows, j = np.arange(len(k)), second.astype(int)
-    return val[rows, j], k[rows, j], c[rows, j], ok.any(axis=1)
+    if qa is None:
+        nodes = np.concatenate([a[pair], b[pair], c[ok]])
+        qa, qb, qc = _powers(_nonnegative(fs(nodes)), p, scale).reshape(3, -1)
+    else:
+        qa, qb = qa[pair], qb[pair]
+        qc = _powers(_nonnegative(fs(c[ok])), p, scale)
+    kk = k[ok]
+    mean_p = (kk * qa + (m - kk - 1) * qb + qc) / m
+    root = 1.0 / p
+    val[ok] = [scale * mp ** root for mp in mean_p.tolist()]
+    j = (val[:, 1] < val[:, 0]).astype(int)  # False where the ceiling is NaN
+    rows = np.arange(len(k))
+    return val[rows, j], k[rows, j], c[rows, j]
 
 
 def _polish(a, b, xi, G, step, rounds, tol):
     """Pattern search of the slope pair (a, b) from one start.
 
     A generator: it yields lists of pairs to evaluate and is sent back one
-    (value, k, c) per pair, or None when no k is feasible.  A list holds the
-    rest of the current round from the current pair, built as if every
-    earlier move of it were rejected, without the moves that leave the box;
-    the results after the first accepted move are dropped, and the next list
-    starts at the move after it.  Returns the accepted (value, profile) in
-    order, the number of neighbor evaluations the one-move-at-a-time search
-    makes and whether the step fell below 1e-9.
+    (value, k, c) per pair.  A list holds the rest of the current round from
+    the current pair, built as if every earlier move of it were rejected,
+    without the moves that leave the box; the results after the first
+    accepted move are dropped, and the next list starts at the move after
+    it.  Returns the accepted (value, profile) in order, the number of
+    neighbor evaluations the one-move-at-a-time search makes and whether the
+    step fell below 1e-9.
     """
-    accepted = []
-    cur = None
     (got,) = yield [(a, b)]
-    if got is not None:
-        cur = got[0]
-        accepted.append((cur, ("pair", a, b, got[1], got[2])))
+    cur = got[0]
+    accepted = [(cur, ("pair", a, b, got[1], got[2]))]
     evaluations = 0
     for _ in range(rounds):
         improved = False
@@ -207,7 +201,7 @@ def _polish(a, b, xi, G, step, rounds, tol):
             rest = ()
             for (j, na, nb), got in zip(pairs, results):
                 evaluations += 1
-                if got is not None and (cur is None or got[0] < cur - tol):
+                if got[0] < cur - tol:
                     cur, a, b = got[0], na, nb
                     improved = True
                     accepted.append((cur, ("pair", a, b, got[1], got[2])))
@@ -224,10 +218,10 @@ def _polish(a, b, xi, G, step, rounds, tol):
 def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMinimizeResult:
     """Minimize (sum_i h f^p(g_i))^{1/p}, h = 1/cells, over slopes g with mean xi.
 
-    Slopes are confined to [-slope_bound, slope_bound].  Requires p >= 1 and
-    f nonnegative and finite on that range.  If neither the scan/polish nor
-    the restart descent improves below ``TOL`` the result is still
-    returned, flagged converged=False.
+    Slopes are confined to [-slope_bound, slope_bound], up to the rounding of
+    the adjustment slope.  Requires p >= 1 and f nonnegative and finite on
+    that range.  If no polish walk shrinks its step below 1e-9 the result is
+    still returned, flagged converged=False.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -256,9 +250,8 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     ia, ib = np.repeat(lo, len(hi)), np.tile(hi, len(lo))
     iterations += len(ia)
     q = _powers(vals, p, scale)
-    val, k, c, ok = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale,
-                                      q[ia], q[ib])
-    val, k, c, a, b = val[ok] * length_factor, k[ok], c[ok], S[ia[ok]], S[ib[ok]]
+    val, k, c = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale, q[ia], q[ib])
+    val, a, b = val * length_factor, S[ia], S[ib]
     # the 8 lowest of the constant profile and the scan pairs, in that order
     # on ties; every value is finite here
     first = np.argsort(np.append(best_val, val), kind="stable")[:8]
@@ -266,7 +259,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
                              np.append(xi, b)[first].tolist()))
     # the first strict minimum in scan order
     below = np.where(val < best_val, val, np.inf)
-    if below.size and below.min() < best_val:
+    if below.min() < best_val:
         i = int(np.argmin(below))
         best_val = float(val[i])
         best_profile = ("pair", float(a[i]), float(b[i]), int(k[i]), float(c[i]))
@@ -284,9 +277,8 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     todo = [(i, w, next(w)) for i, w in enumerate(walks)]
     while todo:
         a, b = np.array([pair for t in todo for pair in t[2]]).T
-        val, k, c, ok = _two_slope_values(fs, a, b, xi, m, G, p, scale)
-        got = iter([(v, kk, cc) if feasible else None for v, kk, cc, feasible
-                    in zip((val * length_factor).tolist(), k.tolist(), c.tolist(), ok.tolist())])
+        val, k, c = _two_slope_values(fs, a, b, xi, m, G, p, scale)
+        got = zip((val * length_factor).tolist(), k.tolist(), c.tolist())
         advanced = []
         for i, w, pairs in todo:
             try:
@@ -302,39 +294,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
             if val < best_val:
                 best_val, best_profile = val, profile
 
-    # seeded random-restart pairwise-exchange descent (safety net)
-    rng = np.random.default_rng(opts.seed)
     g_best = _profile_to_slopes(best_profile, m)
-    for _ in range(opts.restarts):
-        g = rng.uniform(-G, G, size=m)
-        g += xi - g.mean()
-        np.clip(g, -G, G, out=g)
-        g += xi - g.mean()
-        if np.max(np.abs(g)) > G:
-            continue
-        val = _objective(fs, g, p, h, scale)
-        iterations += 1
-        for _ in range(3):
-            i, j = rng.integers(0, m, size=2)
-            if i == j:
-                continue
-            for t in (0.5, -0.5, 0.1, -0.1):
-                cand = g.copy()
-                cand[i] += t
-                cand[j] -= t
-                if np.max(np.abs(cand)) > G:
-                    continue
-                v = _objective(fs, cand, p, h, scale)
-                iterations += 1
-                if v < val:
-                    g, val = cand, v
-        if val < best_val - TOL * scale:
-            best_val = val
-            g_best = g
-            best_profile = None
-
-    if best_profile is not None:
-        g_best = _profile_to_slopes(best_profile, m)
     # exact mean projection, then the reported value matches the profile
     g_best = g_best + (xi - g_best.mean())
     best_val = _objective(fs, g_best, p, h, scale)

@@ -103,6 +103,14 @@ def test_gamma1d_command(tmp_path):
     assert (tmp_path / "gamma1d_clamp1d.json").exists()
 
 
+def test_gamma1d_seed_is_ignored(tmp_path):
+    # --seed is still parsed but feeds nothing: the FE search draws no random numbers
+    for seed in ("1", "2"):
+        assert run_cli(*GAMMA1D, "--seed", seed, "--out", str(tmp_path / seed)) == 0
+    for name in ("gamma1d_clamp1d.json", "gamma1d_clamp1d_gradients.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_gamma1d_rejects_matrix_entries():
     assert run_cli("gamma1d", "--corpus", "arctan_det", "--xi", "0.0") == 1
 
@@ -200,7 +208,7 @@ POWERLAW = ("powerlaw", "--corpus", "clamp1d", "--points", "21", "--p-schedule",
 
 
 UNREAD = [(base, flag) for base, flags in (
-    (GAMMA1D, ("--budget", "--radius", "--tol", "--expect")),
+    (GAMMA1D, ("--budget", "--radius", "--tol", "--expect", "--restarts")),
     (ENVELOPE, ("--seed", "--tol", "--budget", "--expect")),
     (POWERLAW, ("--seed", "--tol", "--budget", "--expect"))) for flag in flags]
 
@@ -236,8 +244,7 @@ def test_config_keys_reach_the_command_as_its_flags(tmp_path):
                        "--config", config("p", p_schedule=schedule, out=str(out))) == 0
         doc = json.loads((out / "gamma1d_clamp1d.json").read_text())
         assert doc["p_schedule"] == [2.0, 8.0]
-        assert doc["options"] == {"cells": 8, "restarts": 16, "scan_points": 161,
-                                  "seed": 20240817, "slope_bound": 10.0}
+        assert doc["options"] == {"cells": 8, "scan_points": 161, "slope_bound": 10.0}
 
     # the command line wins over the config, here for kind
     out = tmp_path / "kind"
@@ -318,8 +325,7 @@ def test_bad_exponent_schedules_fail_naming_p_schedule(tmp_path, capsys, command
 @pytest.mark.parametrize("flag, value, name", [("--xi", "nan", "xi"),
                                                ("--slope-bound", "nan", "slope_bound"),
                                                ("--slope-bound", "inf", "slope_bound"),
-                                               ("--cells", "1", "cells"),
-                                               ("--restarts", "-3", "restarts")])
+                                               ("--cells", "1", "cells")])
 def test_bad_fe_settings_fail_naming_themselves(capsys, flag, value, name):
     # the later flag wins over the one in GAMMA1D
     assert status(*GAMMA1D, flag, value) == 1

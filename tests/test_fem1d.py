@@ -10,7 +10,7 @@ from supcon.fem1d import (ORACLE_POINTS, FeMinimizeResult, FeOptions, _objective
                           minimize_Fp)
 from supcon.funcspace import GridSpec, corpus_entry, interpolating_evaluator, sample
 
-OPTS = FeOptions(seed=123)
+OPTS = FeOptions()
 
 
 def test_abs_at_zero_slope():
@@ -66,8 +66,9 @@ def test_monotone_in_p():
 def test_mesh_and_result_validation():
     with pytest.raises(ValueError, match="cells"):
         FeOptions(cells=1)
-    with pytest.raises(ValueError, match="restarts"):
-        FeOptions(restarts=-1)
+    for retired in ("restarts", "seed"):  # the FE search draws no random numbers
+        with pytest.raises(TypeError, match=retired):
+            FeOptions(**{retired: 1})
     for bound in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="slope_bound"):
             FeOptions(slope_bound=bound)
@@ -89,7 +90,7 @@ def test_negative_supremand_rejected():
     with pytest.raises(ValueError):
         envelope_oracle_1d(signed, 0.0, 2.0, slope_bound=1.0)
     with pytest.raises(ValueError):
-        minimize_Fp(signed, 2.0, 0.0, FeOptions(cells=8, seed=123))
+        minimize_Fp(signed, 2.0, 0.0, FeOptions(cells=8))
 
 
 def test_nan_supremand_rejected():
@@ -108,7 +109,7 @@ def test_nan_supremand_rejected():
     with pytest.raises(ValueError):
         minimize_Fp(nan_well, 8.0, 0.0, OPTS)
     with pytest.raises(ValueError):
-        minimize_Fp(nan_gap, 8.0, 0.3, FeOptions(restarts=0))
+        minimize_Fp(nan_gap, 8.0, 0.3, OPTS)
     with pytest.raises(ValueError):
         _objective(_scalar_eval(nan_gap), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
 
@@ -134,7 +135,7 @@ def test_polish_batches_its_f_calls():
         calls.append(len(arr))
         return entry(arr)
 
-    res = minimize_Fp(counted, 8.0, 1.0, FeOptions(restarts=0))
+    res = minimize_Fp(counted, 8.0, 1.0, OPTS)
     assert len(calls) <= 60
     assert res.iterations == 8363
 
@@ -147,6 +148,26 @@ def test_infinite_supremand_rejected():
         minimize_Fp(f, 8.0, 1.0, FeOptions(cells=16))
     with pytest.raises(ValueError, match="finite"):
         envelope_oracle_1d(f, 1.0, 8.0, slope_bound=10.0)
+
+
+def test_floor_adjustment_slope_kept_on_a_wide_slope_box():
+    # xi = -G/3 is a node of the 7-point scan; on 36 cells the scan pair
+    # (-G, G) takes k = 24 cells at -G, 11 at G and c = G, which rounds to
+    # G + 1.5e-11.  That floor k is a convex combination of a and b, so the
+    # pair stays feasible, and the tent's zeros at -G and G give F_p = 0
+    G = 1e4
+
+    def tent(arr):
+        return np.maximum(G - np.abs(np.asarray(arr)[..., 0, 0]), 0.0)
+
+    opts = FeOptions(cells=36, slope_bound=G, scan_points=7)
+    xi = float(np.linspace(-G, G, 7)[2])
+    for p in (1.0, 2.0, 8.0):
+        res = minimize_Fp(tent, p, xi, opts)
+        assert res.min_value == 0.0, p
+        g = res.gradient_per_cell
+        assert np.sum(g == -G) == 24 and np.all(np.abs(g[g != -G] - G) <= 1e-14 * G)
+        assert oracles.minimize_Fp(tent, p, xi, opts).min_value == 0.0
 
 
 SCALAR_ENTRIES = ("abs", "clamp1d", "double_well_1d", "exampleD_scalar")
@@ -177,9 +198,9 @@ def _outcome(minimize, f, p, xi, opts):
 @example("exampleD_scalar", 455413639, 1.0, 19, "midpoint", 0.9462603322237104, 26, 3.3)
 @example("exampleD_scalar", 2222323601, 1.0, 25, "midpoint", 0.7430379600974436, 43, 128.0)
 @example("piecewise-linear", 1719417155, 10.0, 28, "node", 0.7192468659160054, 52, 3.3)
-# a slope box so wide that rounding makes some polish pairs infeasible: 6 None
-# results are processed within speculated batches, and 2 are dropped after an
-# accepted move
+# a slope box so wide that rounding puts 8 floor-k adjustment slopes of the
+# polish a few ulps past it, which are kept, while 1,586 ceil-k slopes outside
+# it are skipped within speculated batches
 @example("piecewise-linear", 3996984713, 1e4, 7, "node", 0.8749892669232, 57, 3.3)
 def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, p):
     # xi on a scan node, halfway between two, anywhere, or at -G or G
@@ -189,7 +210,7 @@ def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, 
           "uniform": -G + 2.0 * G * u, "bound": G if u < 0.5 else -G}[where]
     f = (_piecewise_linear(seed, G) if name == "piecewise-linear"
          else corpus_entry(name))
-    opts = FeOptions(cells=cells, seed=seed, slope_bound=G, scan_points=P)
+    opts = FeOptions(cells=cells, slope_bound=G, scan_points=P)
     got = _outcome(minimize_Fp, f, p, float(xi), opts)
     ref = _outcome(oracles.minimize_Fp, f, p, float(xi), opts)
     if isinstance(ref, type) or isinstance(got, type):
@@ -221,7 +242,7 @@ def test_gamma_constant_supremand():
     def const(arr):
         return np.full(np.asarray(arr).shape[:-2], 0.7)
 
-    rep = gamma_limit_experiment(const, 0.3, (2, 8, 32), FeOptions(cells=16, seed=123),
+    rep = gamma_limit_experiment(const, 0.3, (2, 8, 32), FeOptions(cells=16),
                                  name="const")
     for row in rep.rows:
         assert row["normalized"] == pytest.approx(0.7, abs=1e-12)
@@ -230,7 +251,7 @@ def test_gamma_constant_supremand():
 
 def test_gamma_report_save(tmp_path):
     entry = corpus_entry("clamp1d")
-    rep = gamma_limit_experiment(entry, 1.0, (2, 4), FeOptions(cells=16, seed=123),
+    rep = gamma_limit_experiment(entry, 1.0, (2, 4), FeOptions(cells=16),
                                  name="clamp1d")
     rep.save(tmp_path, basename="g")
     assert (tmp_path / "g.json").exists()
