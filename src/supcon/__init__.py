@@ -9,8 +9,7 @@ experiment.
 
 from .matspace import is_rank_one_connected, minors_batch, tau
 from .funcspace import (CorpusEntry, GridSpec, SampledFunction, corpus_entry,
-                        corpus_names, eval_corpus, interpolate, load_csv,
-                        sample, save_csv)
+                        corpus_names, interpolate, load_csv, sample, save_csv)
 from .envelope import (PowerLawReport, convex_envelope, lamination_hull,
                        level_convex_lsc_envelope, pasch_hausdorff,
                        power_law_envelope)

@@ -278,6 +278,11 @@ def _tree_atoms_batch(bar, order, rng, scale):
     return pts, wts
 
 
+def _check_radius(radius) -> None:
+    if not 0.0 < radius < math.inf:  # NaN fails too
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+
+
 def _special_pairs(special_points, rank_one: bool):
     pts = [np.asarray(p, dtype=float) for p in special_points]
     for a, b in itertools.combinations(pts, 2):
@@ -295,8 +300,10 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
     ``takes`` lists the block's probes in order, each a (lam, k): its first
     k pairs at weight lam.  The deterministic battery of special-point pairs
     (at the lambda grid) comes first, then Halton pair blocks, each pair
-    probed at the lambda grid plus one seeded-random lambda.
+    probed at the lambda grid plus one seeded-random lambda; a rank-one
+    block that keeps no pair (|t| <= 1e-8 throughout) raises.
     """
+    _check_radius(radius)
     N, n = dims
     d = N * n
     used = 0
@@ -343,8 +350,8 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
             ok = (na > 1e-8) & (nn > 1e-8) & (np.abs(t) > 1e-8)
             xi, a, nu, t = xi[ok], a[ok], nu[ok], t[ok]
             if len(xi) == 0:
-                halton_seed += 1
-                continue
+                raise ValueError(f"radius {radius!r} leaves no rank-one pair of a "
+                                 "Halton block with |t| > 1e-8")
             w = (a / na[ok, None])[:, :, None] * (nu / nn[ok, None])[:, None, :]
             xi = xi.reshape(-1, N, n)
             eta = xi + t[:, None, None] * w
@@ -532,6 +539,7 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
     stays within the cap are kept; a Halton block that keeps nothing still
     counts one toward ``count``.
     """
+    _check_radius(radius)
     N, n = dims
     xi = np.asarray(xi, dtype=float)
     battery_p, battery_m, battery_t = [], [], []
@@ -539,9 +547,7 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
         if len(battery_p) >= count:
             break
         diff = (a - b).ravel()
-        nrm2 = float(diff @ diff)
-        if nrm2 == 0.0:
-            continue
+        nrm2 = float(diff @ diff)  # > 0: the pair is rank-one connected
         theta = float((xi - b).ravel() @ diff / nrm2)
         if not 1e-9 < theta < 1.0 - 1e-9:
             continue
@@ -753,10 +759,19 @@ def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
 
 @dataclass
 class ClassifyConfig:
+    """The search settings of a report; a bad one fails naming itself."""
+
     budget: int = 100_000
     tol: float = 1e-9
     seed: int = DEFAULT_SEED
     radius: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget!r}")
+        if not 0.0 <= self.tol < math.inf:  # NaN fails too
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        _check_radius(self.radius)
 
 
 @dataclass

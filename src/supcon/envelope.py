@@ -222,8 +222,6 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     Returns the boolean mask; the facet equations (rows: normal | offset,
     normal . z + offset <= 0 inside) and the vertex points when the hull is
     full-dimensional, else None and None; and the number of LPs run."""
-    if len(points) == 0:
-        return np.zeros(len(queries), dtype=bool), None, None, 0
     if len(points) == 1:
         return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None, None, 0
     if len(points) > points.shape[1]:

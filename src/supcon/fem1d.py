@@ -88,9 +88,11 @@ class FeMinimizeResult:
         self.gradient_per_cell = g
 
 
-def _scalar_eval(f):
+def _scalar_eval(f, G):
+    """f on an array of slopes, each read at its clip to the slope box
+    [-G, G]: rounding can put an adjustment slope a few ulps past the box."""
     def fs(t):
-        t = np.asarray(t, dtype=float)
+        t = np.clip(np.asarray(t, dtype=float), -G, G)
         return np.asarray(f(t[..., None, None]), dtype=float)
     return fs
 
@@ -219,15 +221,16 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     """Minimize (sum_i h f^p(g_i))^{1/p}, h = 1/cells, over slopes g with mean xi.
 
     Slopes are confined to [-slope_bound, slope_bound], up to the rounding of
-    the adjustment slope.  Requires p >= 1 and f nonnegative and finite on
-    that range.  If no polish walk shrinks its step below 1e-9 the result is
-    still returned, flagged converged=False.
+    the adjustment slope, and f is read at their clip to that box.  Requires
+    p >= 1 and f nonnegative and finite on the box.  If no polish walk
+    shrinks its step below 1e-9 the result is still returned, flagged
+    converged=False.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     opts = opts or FeOptions()
-    fs = _scalar_eval(f)
     m, G = opts.cells, opts.slope_bound
+    fs = _scalar_eval(f, G)
     h = 1.0 / m
     if not abs(xi) <= G:  # NaN fails too
         raise ValueError(f"boundary slope xi={xi!r} lies outside [-{G!r}, {G!r}]")
@@ -311,7 +314,7 @@ def _profile_to_slopes(profile, m):
 def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
     """((f^p)** (xi))^{1/p} on the slope box, via the exact grid lower hull."""
     x = np.linspace(-slope_bound, slope_bound, ORACLE_POINTS)
-    fs = _scalar_eval(f)
+    fs = _scalar_eval(f, slope_bound)
     vals = fs(x)
     if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails too
         raise ValueError("f must be nonnegative and finite on the slope box")
@@ -332,15 +335,9 @@ class GammaReport:
     options: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "xi": self.xi,
-            "p_schedule": list(self.p_schedule),
-            "per_p": self.rows,
-            "f_xi": self.f_xi,
-            "lslc_at_xi": self.lslc_at_xi,
-            "classification": self.classification,
-            "options": self.options,
-        }
+        doc = asdict(self)
+        doc["per_p"] = doc.pop("rows")
+        return doc
 
     def save(self, outdir, basename: str = "gamma1d") -> None:
         outdir = Path(outdir)
@@ -371,7 +368,7 @@ def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = No
         raise ValueError("p_schedule must be nonempty, increasing, finite and >= 1, "
                          f"got {list(ps)}")
     opts = opts or FeOptions()
-    fs = _scalar_eval(f)
+    fs = _scalar_eval(f, opts.slope_bound)
     f_xi = float(fs(np.array([xi]))[0])
 
     rows = []

@@ -20,7 +20,6 @@ Functions restricted to a grid (``SampledFunction``) carry an
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -39,7 +38,6 @@ __all__ = [
     "CorpusEntry",
     "corpus_entry",
     "corpus_names",
-    "eval_corpus",
     "sample",
     "interpolate",
     "interpolating_evaluator",
@@ -106,8 +104,8 @@ class GridSpec:
         N, n = self.dims
         if N < 1 or n < 1:
             raise ValueError("dims must be positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
         if self.points_per_axis < 3 or self.points_per_axis % 2 == 0:
             raise ValueError("points_per_axis must be an odd integer >= 3")
         if self.node_count * 8 > _memory_cap_bytes():
@@ -497,12 +495,6 @@ def corpus_entry(name: str, **params) -> CorpusEntry:
     return factory(**params)
 
 
-def eval_corpus(name: str, xi, **params) -> float:
-    """Exact analytic value of the named supremand at a matrix point."""
-    entry = corpus_entry(name, **params)
-    return entry.value(xi)
-
-
 # ---------------------------------------------------------------------------
 # sampling and interpolation
 # ---------------------------------------------------------------------------
@@ -603,28 +595,21 @@ def save_csv(f: SampledFunction, csv_path) -> None:
 
 
 def load_csv(csv_path) -> SampledFunction:
-    """Read a ``save_csv`` file back; the axis columns must be the sidecar
-    grid's nodes in row-major order (within 1e-9 * radius)."""
+    """Read a ``save_csv`` file back.  After the header come exactly one row
+    of d + 1 floats per node (blank lines are skipped); the axis columns must
+    be the sidecar grid's nodes in row-major order (within 1e-9 * radius)."""
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
     grid = GridSpec(tuple(meta["dims"]), float(meta["radius"]),
                     int(meta["points_per_axis"]))
-    coords = np.empty((grid.node_count, grid.ndim))
-    vals = np.empty(grid.node_count)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != grid.ndim + 1:
+    with open(csv_path) as fh:
+        if len(fh.readline().split(",")) != grid.ndim + 1:
             raise ValueError("CSV header does not match grid dimension")
-        count = 0
-        for row in reader:
-            if count >= grid.node_count:
-                raise ValueError("CSV row count exceeds grid node count")
-            coords[count] = [float(c) for c in row[:-1]]
-            vals[count] = float(row[-1])
-            count += 1
-        if count != grid.node_count:
-            raise ValueError("CSV row count does not match grid node count")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=grid.node_count + 1)
+    if rows.shape != (grid.node_count, grid.ndim + 1):
+        raise ValueError(f"CSV rows x columns {rows.shape} do not match the grid's "
+                         f"{(grid.node_count, grid.ndim + 1)}")
+    coords, vals = rows[:, :-1], rows[:, -1]
     if not np.all(np.abs(coords - grid.node_coords()) <= 1e-9 * grid.radius):
         raise ValueError("CSV axis columns do not match the sidecar grid nodes")
     return SampledFunction(grid, vals, meta["outside_mode"])

@@ -30,9 +30,10 @@ import math
 import numpy as np
 
 from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                       Verdict, _backs_violation, _best_field, _ess_sup,
-                       _field_witness, _measure_gaps, _measure_witness,
-                       _special_pairs, _tree_atoms_batch, _worst_gap)
+                       Verdict, _backs_violation, _best_field, _check_radius,
+                       _ess_sup, _field_witness, _measure_gaps,
+                       _measure_witness, _special_pairs, _tree_atoms_batch,
+                       _worst_gap)
 from .funcspace import DEFAULT_SEED
 # perfbench/tracer.py wraps this binding by name; --trace 1 fails without it
 from .matspace import is_rank_one_connected  # noqa: F401
@@ -54,6 +55,7 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
     Simple laminates on special rank-one pairs run first (exact atoms), then
     blocks of seeded random laminates of order 1, 1, 1, 2, 2, 3 in turn.
     """
+    _check_radius(radius)
     notion = "curl_young_laminates"
     N, n = dims
     used = 0

@@ -27,7 +27,7 @@ __all__ = [
     "is_rank_one_connected",
 ]
 
-#: Default relative tolerance for the singular-value rank test.
+#: Relative tolerance of the singular-value rank test.
 RANK_TOL = 1e-9
 
 
@@ -72,12 +72,12 @@ def minors_batch(arr: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def is_rank_one_connected(xi, eta, tol: float = RANK_TOL) -> bool:
+def is_rank_one_connected(xi, eta) -> bool:
     """True iff xi - eta has numerical rank exactly one.
 
     The test is relative: the second singular value of the difference must not
-    exceed ``tol`` times the first, and the first must exceed ``tol`` (so the
-    zero difference is rank zero, not rank one).
+    exceed ``RANK_TOL`` times the first, and the first must exceed ``RANK_TOL``
+    (so the zero difference is rank zero, not rank one).
     """
     a = np.asarray(xi, dtype=float)
     b = np.asarray(eta, dtype=float)
@@ -86,4 +86,4 @@ def is_rank_one_connected(xi, eta, tol: float = RANK_TOL) -> bool:
     s = np.linalg.svd(a - b, compute_uv=False)
     s1 = float(s[0])
     s2 = float(s[1]) if len(s) > 1 else 0.0
-    return s1 > 0.0 and s1 > tol and s2 / s1 <= tol
+    return s1 > RANK_TOL and s2 / s1 <= RANK_TOL

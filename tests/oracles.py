@@ -488,14 +488,15 @@ def _hull_support_slopes(fs, xi, G, p, scale):
 def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMinimizeResult:
     """Minimize (sum_i h f^p(g_i))^{1/p} over slopes g with mean(g) = xi.
 
-    Slopes are confined to [-slope_bound, slope_bound].  Requires p >= 1 and
-    f nonnegative on that range.  If no polish walk shrinks its step below
-    1e-9 the result is still returned, flagged converged=False.
+    Slopes are confined to [-slope_bound, slope_bound], and f is read at
+    their clip to that box.  Requires p >= 1 and f nonnegative on the box.
+    If no polish walk shrinks its step below 1e-9 the result is still
+    returned, flagged converged=False.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     opts = opts or FeOptions()
-    fs = _scalar_eval(f)
+    fs = _scalar_eval(f, opts.slope_bound)
     m, G = opts.cells, opts.slope_bound
     h = 1.0 / m
     if abs(xi) > G:

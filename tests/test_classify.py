@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from supcon.classify import (ClassifyConfig, _aslist, _measure_gaps,
+from supcon.classify import (ClassifyConfig, _aslist, _measure_gaps, _probe_points,
                              check_level_convex,
                              check_polyquasiconvex_necessary,
                              check_rank_one_qcx, check_supremal_jensen,
@@ -494,3 +495,41 @@ def test_verdict_inconsistency_detection():
                       "lam": 0.5, "gap": 1.0}
     lines = verdict_inconsistencies(verdicts)
     assert any("rank_one" in line for line in lines)
+
+
+@pytest.mark.parametrize("field, value", [("budget", 0), ("tol", -1.0), ("tol", math.nan),
+                                          ("tol", math.inf), ("radius", 0.0),
+                                          ("radius", math.nan), ("radius", math.inf)])
+def test_classify_config_rejects_bad_settings_naming_them(field, value):
+    with pytest.raises(ValueError, match=field):
+        ClassifyConfig(**{field: value})
+
+
+@pytest.mark.parametrize("radius", [0.0, math.nan, 1e-12])
+def test_rank_one_stream_raises_on_a_radius_that_keeps_no_pair(radius):
+    # at |t| <= 1e-8 throughout, every Halton block kept nothing and the
+    # stream drew forever; a NaN radius or 0 is rejected up front
+    entry = corpus_entry("abs")
+    with pytest.raises(ValueError, match="radius"):
+        check_rank_one_qcx(entry, entry.dims, budget=100, radius=radius)
+
+
+def test_documented_mismatches_name_both_directions():
+    expected = {"abs": "level_convex documented to fail but no violation found within budget",
+                "double_well_1d": "level_convex documented to hold but a violation was found"}
+    for name, line in expected.items():
+        entry = corpus_entry(name)
+        flags = dict(entry.documented_properties)
+        flags["level_convex"] = not flags["level_convex"]
+        flipped = dataclasses.replace(entry, documented_properties=flags)
+        rep = classify_report(flipped, ClassifyConfig(budget=1_000, seed=SEED))
+        assert rep.documented_mismatches == [line], name
+
+
+def test_probe_points_add_the_origin_when_no_special_point_is_it():
+    shifted = corpus_entry("one_minus_chi_pair", xi0=np.diag([3.0, 0.0]),
+                           eta0=np.diag([1.0, 0.0]))  # midpoint diag(2, 0)
+    probes = _probe_points(shifted.special_points, shifted.dims)
+    assert len(probes) == 4 and np.array_equal(probes[-1], np.zeros((2, 2)))
+    centred = corpus_entry("one_minus_chi_pair")  # its midpoint is the origin
+    assert len(_probe_points(centred.special_points, centred.dims)) == 3

@@ -19,7 +19,7 @@ def run_cli(*argv):
 
 def run_proc(*argv):
     return subprocess.run([sys.executable, "-m", "supcon", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_corpus_list(capsys):
@@ -330,6 +330,30 @@ def test_bad_fe_settings_fail_naming_themselves(capsys, flag, value, name):
     # the later flag wins over the one in GAMMA1D
     assert status(*GAMMA1D, flag, value) == 1
     assert re.search(rf"\b{name}\b", capsys.readouterr().err)
+
+
+BAD_SEARCH_SETTINGS = [
+    (("classify", "--corpus", "abs", "--radius", "nan", "--budget", "2000"), "radius"),
+    (("laminate-check", "--corpus", "abs", "--radius", "inf"), "radius"),
+    (("envelope", "--corpus", "chi_det", "--radius", "nan", "--points", "5",
+      "--kind", "convex"), "radius"),
+    (("classify", "--corpus", "double_well_1d", "--tol", "nan"), "tol"),
+    (("classify", "--corpus", "double_well_1d", "--tol", "inf"), "tol"),
+    (("classify", "--corpus", "abs", "--budget", "0"), "budget"),
+    (("classify", "--corpus", "abs", "--tol=-1"), "tol"),
+    (("morrey-search", "--corpus", "abs", "--notion", "weak", "--budget", "0"), "budget"),
+]
+
+
+@pytest.mark.parametrize("argv, name", BAD_SEARCH_SETTINGS,
+                         ids=[" ".join(argv[:1] + argv[3:]) for argv, _ in BAD_SEARCH_SETTINGS])
+def test_bad_search_settings_exit_one_naming_themselves(tmp_path, argv, name):
+    # each of these once ran without end, died with a traceback, wrote NaN
+    # coordinates or reported a hollow "holds"; now each exits 1 at once
+    proc = run_proc(*argv, "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert re.search(rf"\b{name}\b", proc.stderr)
+    assert not any(tmp_path.iterdir())
 
 
 def test_readme_flag_table_matches_the_parser():

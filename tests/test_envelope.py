@@ -116,6 +116,11 @@ def test_convex_envelope_affine_input_unchanged():
     assert np.max(np.abs(E.values.ravel() - vals)) <= 1e-12
 
 
+def test_convex_envelope_of_a_constant_2x2_sample_is_itself():
+    f = SampledFunction(GridSpec((2, 2), 1.0, 3), np.full(81, 0.7))
+    assert np.array_equal(convex_envelope(f).values, f.values)
+
+
 def test_convex_envelope_raises_when_qhull_fails(monkeypatch):
     # no silent fallback: a Qhull failure under both Qt and QJ, or a lifted
     # hull without lower facets, is an error
@@ -403,6 +408,14 @@ def test_power_law_multid_schedule_truncated_at_precision_wall():
     assert any("dynamic range" in c for c in rep.caveats)
     assert rep.monotone_violation is None
     assert np.all(rep.limit_estimate.values <= f.values + 1e-7)
+
+
+def test_power_law_multid_raises_when_every_exponent_is_dropped():
+    # exampleD's least positive normalized value on this grid is 1/2, and
+    # 2^-64 is already below the hull's 1e-12 window
+    f = sample(corpus_entry("exampleD"), GridSpec((2, 2), 2.0, 3))
+    with pytest.raises(PowerLawOverflowError, match="every scheduled exponent"):
+        power_law_envelope(f, (64, 128), mode="convex-lower")
 
 
 def test_power_law_overflow_guard():

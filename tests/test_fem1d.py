@@ -111,7 +111,7 @@ def test_nan_supremand_rejected():
     with pytest.raises(ValueError):
         minimize_Fp(nan_gap, 8.0, 0.3, OPTS)
     with pytest.raises(ValueError):
-        _objective(_scalar_eval(nan_gap), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
+        _objective(_scalar_eval(nan_gap, 10.0), np.array([0.05, -0.05]), 8.0, 0.5, 1.0)
 
 
 def test_nan_between_hull_support_nodes_rejected():
@@ -168,6 +168,14 @@ def test_floor_adjustment_slope_kept_on_a_wide_slope_box():
         g = res.gradient_per_cell
         assert np.sum(g == -G) == 24 and np.all(np.abs(g[g != -G] - G) <= 1e-14 * G)
         assert oracles.minimize_Fp(tent, p, xi, opts).min_value == 0.0
+
+
+def test_f_is_read_inside_the_slope_box():
+    # rounding puts a slope 5.8e-15 above 3, where the plus-infinity
+    # interpolant of a radius-3 sample is +inf; f is read at its clip to the box
+    f = interpolating_evaluator(sample(corpus_entry("abs"), GridSpec((1, 1), 3.0, 201)))
+    res = minimize_Fp(f, 1.0, -2.7, FeOptions(slope_bound=3.0))
+    assert abs(res.min_value - 2.7) <= 1e-12
 
 
 SCALAR_ENTRIES = ("abs", "clamp1d", "double_well_1d", "exampleD_scalar")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from supcon.funcspace import (GridSpec, SampledFunction, corpus_entry,
-                              corpus_names, eval_corpus, hierarchy_breaks,
+                              corpus_names, hierarchy_breaks,
                               interpolate, interpolating_evaluator, load_csv,
                               sample, save_csv)
 from supcon.matspace import minors_batch
@@ -20,38 +20,38 @@ from supcon.matspace import minors_batch
 # ---------------------------------------------------------------------------
 
 def test_arctan_det_at_identity():
-    assert eval_corpus("arctan_det", np.eye(2)) == math.atan(1.0)
-    assert eval_corpus("arctan_det", np.eye(2)) == pytest.approx(math.pi / 4)
+    assert corpus_entry("arctan_det").value(np.eye(2)) == math.atan(1.0)
+    assert corpus_entry("arctan_det").value(np.eye(2)) == pytest.approx(math.pi / 4)
 
 
 def test_clamp_branches():
-    assert eval_corpus("clamp1d", np.array([[0.5]])) == 0.5
-    assert eval_corpus("clamp1d", np.array([[-3.0]])) == 0.0
-    assert eval_corpus("clamp1d", np.array([[7.0]])) == 1.0
+    assert corpus_entry("clamp1d").value(np.array([[0.5]])) == 0.5
+    assert corpus_entry("clamp1d").value(np.array([[-3.0]])) == 0.0
+    assert corpus_entry("clamp1d").value(np.array([[7.0]])) == 1.0
 
 
 def test_W_sup_small_norm_zero_det():
     # |xi| <= 1 keeps the shelf at zero and arctan(0) = 0
-    assert eval_corpus("W_sup", np.diag([1.0, 0.0])) == 0.0
-    assert eval_corpus("W_sup", 0.5 * np.diag([1.0, 0.0])) == 0.0
+    assert corpus_entry("W_sup").value(np.diag([1.0, 0.0])) == 0.0
+    assert corpus_entry("W_sup").value(0.5 * np.diag([1.0, 0.0])) == 0.0
     # shelf ramp plus determinant term
-    assert eval_corpus("W_sup", np.diag([2.0, 0.0])) == 1.0
-    assert eval_corpus("W_sup", np.eye(2)) == pytest.approx(
+    assert corpus_entry("W_sup").value(np.diag([2.0, 0.0])) == 1.0
+    assert corpus_entry("W_sup").value(np.eye(2)) == pytest.approx(
         max(math.sqrt(2) - 1.0, math.atan(1.0)))
 
 
 def test_chi_det_closed_vs_open_threshold():
-    assert eval_corpus("chi_det", np.eye(2)) == 1.0
-    assert eval_corpus("chi_det_open", np.eye(2)) == 0.0
-    assert eval_corpus("chi_det", 2.0 * np.eye(2)) == 1.0
-    assert eval_corpus("chi_det", np.diag([2.0, 0.0])) == 0.0
+    assert corpus_entry("chi_det").value(np.eye(2)) == 1.0
+    assert corpus_entry("chi_det_open").value(np.eye(2)) == 0.0
+    assert corpus_entry("chi_det").value(2.0 * np.eye(2)) == 1.0
+    assert corpus_entry("chi_det").value(np.diag([2.0, 0.0])) == 0.0
 
 
 def test_det_threshold_exact_on_dyadic_input():
     # det = 1 exactly; a batched LU gives 0.9999999999999999 here
     A = np.array([[0.75, 0.125], [1.75, 1.625]])
-    assert eval_corpus("chi_det", A) == 1.0
-    assert eval_corpus("chi_det_open", A) == 0.0
+    assert corpus_entry("chi_det").value(A) == 1.0
+    assert corpus_entry("chi_det_open").value(A) == 0.0
 
 
 _EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8)
@@ -99,7 +99,7 @@ def test_half_space_chi():
 
 def test_unknown_name_and_dims_mismatch():
     with pytest.raises(KeyError):
-        eval_corpus("no_such_function", np.eye(2))
+        corpus_entry("no_such_function").value(np.eye(2))
     with pytest.raises(ValueError):
         corpus_entry("arctan_det")(np.zeros((1, 1)))
 
@@ -120,6 +120,9 @@ def test_gridspec_validation():
         GridSpec((1, 1), -1.0, 5)
     with pytest.raises(ValueError):
         GridSpec((0, 1), 1.0, 5)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            GridSpec((1, 1), radius, 5)
 
 
 def test_memory_cap(monkeypatch):
@@ -290,6 +293,8 @@ def test_save_csv_bytes_match_the_csv_writer(tmp_path, dims, points, radius):
     oracles.save_csv(f, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    # and load_csv reads every value back bit for bit
+    assert load_csv(tmp_path / "new.csv").values.tobytes() == f.values.tobytes()
 
 
 def _random_grid_csv(tmp_path, radius):
@@ -315,3 +320,24 @@ def test_load_csv_rejects_axes_of_another_radius(tmp_path):
     (tmp_path / "r.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="axis columns"):
         load_csv(path)
+
+
+@pytest.mark.filterwarnings("ignore:Input line")  # numpy notes the skipped blank line
+def test_load_csv_takes_exactly_one_row_per_node(tmp_path):
+    path = _random_grid_csv(tmp_path, 2.0)
+    header, *rows = path.read_text().splitlines()
+    want = load_csv(path).values
+
+    def load(head, lines):
+        path.write_text("\n".join([head, *lines]) + "\n")
+        return load_csv(path)
+
+    with pytest.raises(ValueError, match="header"):
+        load("axis_0,value", rows)
+    with pytest.raises(ValueError):  # a short row
+        load(header, rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:])
+    for lines in (rows + rows[-1:], rows[:-1], rows[:3] + [""] + rows[4:]):
+        with pytest.raises(ValueError, match="do not match the grid"):
+            load(header, lines)  # an extra row, a missing one, a blank line for one
+    # a blank line between rows is skipped
+    assert np.array_equal(load(header, rows[:3] + [""] + rows[3:]).values, want)

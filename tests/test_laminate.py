@@ -155,6 +155,23 @@ def test_curl_young_chi_det_holds():
     assert not v.violated
 
 
+def test_curl_young_tree_stream_finds_and_replays_a_violation():
+    # no special points: the first block of random order-1 laminates finds
+    # the double well's barrier between its wells
+    entry = corpus_entry("double_well_1d")
+    v = check_curl_young_on_laminates(entry, entry.dims, budget=20_000)
+    assert v.violated and v.budget == 4096
+    assert v.witness["kind"] == "measure"
+    assert replay_witness(entry, v.witness) == v.witness["gap"]
+
+
+def test_periodic_search_rejects_a_nan_radius():
+    # its samples were all NaN, and it reported "holds"
+    with pytest.raises(ValueError, match="radius"):
+        check_periodic_weak_morrey(corpus_entry("abs"), [[0.5]], (1, 1), budget=1000,
+                                   radius=np.nan)
+
+
 @pytest.mark.parametrize("budget", [1, 10, 40])
 def test_curl_young_stops_at_budget(budget):
     # the special-pair battery is cut at the budget like the segment batteries

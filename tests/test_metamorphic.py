@@ -4,12 +4,18 @@ The supremal notions are sublevel-set notions, so the level-convex lsc
 envelope commutes with every strictly increasing h: each node's value is
 the smallest sampled threshold whose sublevel hull holds it, and h maps
 sublevel sets of f onto those of h∘f.  The envelope only compares and picks
-sampled values, so the twin holds bit for bit.
+sampled values, so the twin holds bit for bit.  The classify searches
+compare f values too, so on h∘f each notion keeps the outcome, sample count
+and witness kind it has on f; h(t) = 2t + 1 doubles every gap, and no gap
+these searches meet lies between tol/2 and tol.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from supcon.classify import ClassifyConfig, classify_report
 from supcon.envelope import level_convex_lsc_envelope
 from supcon.funcspace import GridSpec, corpus_entry, corpus_names, sample
 
@@ -33,3 +39,16 @@ def test_lslc_commutes_with_increasing_maps(name, h):
     twin = level_convex_lsc_envelope(f.with_values(INCREASING[h](f.values)))
     mapped = INCREASING[h](level_convex_lsc_envelope(f).values)
     assert np.array_equal(twin.values, mapped)
+
+
+def _summary(verdict):
+    return verdict.outcome, verdict.budget, verdict.witness and verdict.witness["kind"]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_classify_verdicts_survive_an_increasing_map(name):
+    entry = corpus_entry(name)
+    twin = dataclasses.replace(entry, evaluator=lambda a: 2.0 * entry.evaluator(a) + 1.0)
+    config = ClassifyConfig(budget=20_000)
+    want, got = (classify_report(e, config).verdicts for e in (entry, twin))
+    assert {k: _summary(v) for k, v in got.items()} == {k: _summary(v) for k, v in want.items()}
