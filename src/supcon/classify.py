@@ -278,8 +278,14 @@ def _tree_atoms_batch(bar, order, rng, scale):
     return pts, wts
 
 
-def _check_radius(radius) -> None:
-    if not 0.0 < radius < math.inf:  # NaN fails too
+def _check_settings(budget=None, tol=None, radius=None) -> None:
+    """Reject a search setting that leaves the search nothing honest to do,
+    naming it; NaN fails each test, and a setting left None is not checked."""
+    if budget is not None and not budget >= 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
 
 
@@ -303,7 +309,7 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
     probed at the lambda grid plus one seeded-random lambda; a rank-one
     block that keeps no pair (|t| <= 1e-8 throughout) raises.
     """
-    _check_radius(radius)
+    _check_settings(radius=radius)
     N, n = dims
     d = N * n
     used = 0
@@ -408,6 +414,7 @@ def check_level_convex(f, dims, *, tol=1e-9, budget=100_000,
                        seed=DEFAULT_SEED, radius=2.0,
                        special_points=()) -> Verdict:
     """Search for a midpoint above the endpoint maximum on arbitrary segments."""
+    _check_settings(budget, tol, radius)
     return _run_segment_checker("level_convex", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=False)
@@ -417,6 +424,7 @@ def check_rank_one_qcx(f, dims, *, tol=1e-9, budget=100_000,
                        seed=DEFAULT_SEED, radius=2.0,
                        special_points=()) -> Verdict:
     """Same search restricted to rank-one connected pairs."""
+    _check_settings(budget, tol, radius)
     return _run_segment_checker("rank_one", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=True)
@@ -443,6 +451,7 @@ def check_supremal_jensen(f, atoms, weights, *, tol=1e-9,
     over its support by a finite gap above tol.  Measure b has atoms[b]
     (M, N, n) and weights[b] (M,); all are scored in one batch, and the
     witness is the worst one."""
+    _check_settings(tol=tol)
     atoms, weights = _mat(atoms), _mat(weights)
     if atoms.ndim != 4 or atoms.shape[:2] != weights.shape:
         raise ValueError("atoms must be (B, M, N, n) and weights (B, M)")
@@ -471,6 +480,7 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     within ``REJECTION_TOL`` (relative), and its violation threshold is
     inflated by that rounding residual so it cannot fake a violation.
     """
+    _check_settings(budget, tol, radius)
     notion = "polyquasiconvex"
     N, n = dims
     trivial_minors = tau(N, n) == N * n  # min(N, n) == 1: every combination valid
@@ -539,7 +549,6 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
     stays within the cap are kept; a Halton block that keeps nothing still
     counts one toward ``count``.
     """
-    _check_radius(radius)
     N, n = dims
     xi = np.asarray(xi, dtype=float)
     battery_p, battery_m, battery_t = [], [], []
@@ -661,6 +670,7 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     of a batch independently of the others; the samples it adds to the
     verdict's budget are the trials the descent used.
     """
+    _check_settings(budget, tol, radius)
     N, n = dims
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
@@ -767,11 +777,7 @@ class ClassifyConfig:
     radius: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget!r}")
-        if not 0.0 <= self.tol < math.inf:  # NaN fails too
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        _check_radius(self.radius)
+        _check_settings(self.budget, self.tol, self.radius)
 
 
 @dataclass

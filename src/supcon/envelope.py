@@ -7,10 +7,11 @@ Five operators, all pointwise infima over the grid:
 * ``level_convex_lsc_envelope`` -- at each node, the smallest sampled
   threshold t such that the node lies in the convex hull of the sublevel
   nodes; its sublevel sets are convex by construction.  In d >= 2 one Qhull
-  hull per threshold serves all nodes; a threshold whose new nodes lie
-  strictly inside the current hull is skipped, each hull is built from the
-  last hull's vertices and the new nodes, and degenerate sublevel sets
-  reject queries more than 1e-6 off their affine hull before any LP.
+  hull serves all nodes until a later node may join the sublevel set: a
+  threshold whose new nodes lie strictly inside the last hull is skipped,
+  one that keeps every later node 1e-6 outside a separating plane builds no
+  hull, and degenerate sublevel sets reject queries more than 1e-6 off their
+  affine hull before any LP.
 * ``pasch_hausdorff`` -- the sup-norm Lipschitz regularization
   ``f_lam(x) = min_y max(f(y), lam |x - y|)``, taken over index offsets in
   order of length and stopped once no farther node can lower a value.
@@ -184,11 +185,15 @@ def convex_envelope(f: SampledFunction) -> SampledFunction:
 # level-convex lsc envelope
 # ---------------------------------------------------------------------------
 
-def _inside_facets(eq: np.ndarray, queries: np.ndarray,
-                   tol: float) -> np.ndarray:
+def _facet_distances(eq: np.ndarray, queries: np.ndarray) -> np.ndarray:
     dist = queries @ eq[:, :-1].T
     dist += eq[:, -1]
-    return np.all(dist <= tol, axis=1)
+    return dist
+
+
+def _inside_facets(eq: np.ndarray, queries: np.ndarray,
+                   tol: float) -> np.ndarray:
+    return np.all(_facet_distances(eq, queries) <= tol, axis=1)
 
 
 def _points_in_flat_hull(points: np.ndarray,
@@ -219,11 +224,12 @@ def _points_in_flat_hull(points: np.ndarray,
 def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     """Which queries lie in conv(points), to 1e-9.
 
-    Returns the boolean mask; the facet equations (rows: normal | offset,
-    normal . z + offset <= 0 inside) and the vertex points when the hull is
-    full-dimensional, else None and None; and the number of LPs run."""
+    Returns the boolean mask; when the hull is full-dimensional, the facet
+    equations (rows: normal | offset, normal . z + offset <= 0 inside), the
+    vertex points and the queries-by-facets distances, else None; and the
+    number of LPs run."""
     if len(points) == 1:
-        return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None, None, 0
+        return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None, 0
     if len(points) > points.shape[1]:
         from scipy.spatial import QhullError
         try:
@@ -231,10 +237,11 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray):
         except QhullError:  # flat point set: take the affine-hull path
             pass
         else:
-            eq = hull.equations
-            return _inside_facets(eq, queries, 1e-9), eq, points[hull.vertices], 0
+            dist = _facet_distances(hull.equations, queries)
+            return (np.all(dist <= 1e-9, axis=1),
+                    (hull.equations, points[hull.vertices], dist), 0)
     inside, lps = _points_in_flat_hull(points, queries)
-    return inside, None, None, lps
+    return inside, None, lps
 
 
 def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
@@ -244,27 +251,32 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
     node lies in the convex hull of the nodes with value <= t.  Thresholds
     are the sorted distinct sampled values; no continuous search.
 
-    On grids of dimension >= 2 each threshold costs at most one Qhull
-    build, whose facet equations serve both the membership test of the
-    unassigned nodes and the next threshold's skip test: when every node
-    that joins the sublevel set lies strictly inside the current
-    full-dimensional hull (all facet distances <= -1e-9), the polytope is
-    unchanged, no node can change, and no hull is built.  Once a hull is
-    full-dimensional, the next one is built from its vertices and the nodes
-    at the new threshold only, which span the same polytope.  Sublevel sets
-    with at most d points or of lower affine rank have no full-dimensional
-    hull; there the queries more than 1e-6 off the affine hull are rejected
-    outright and only the rest get an LP feasibility solve.  With
-    ``full_output=True`` the return value is ``(result, info)`` with the
-    counts ``hull_builds``, ``hull_points`` (the points given to those
-    builds), ``thresholds_skipped`` and ``lp_queries``.
+    On grids of dimension >= 2 a threshold costs at most one Qhull build,
+    whose facet distances serve the membership test of the unassigned nodes
+    and the certificates of the thresholds after it.  A threshold whose new
+    nodes lie strictly inside the last full-dimensional hull (all facet
+    distances <= -1e-9) is skipped: the polytope is unchanged.  Otherwise
+    it is certified, and builds no hull, when every later unassigned node
+    lies more than 1e-6 outside the grown sublevel hull by one of two
+    separators: its witness facet (its farthest facet at the last build),
+    pushed out to the farthest node joined since that build, or the
+    direction from the last hull's vertex centroid to the node.  Only the
+    new nodes are then assigned (their own value) and kept as pending: the
+    next build takes the last hull's vertices and the pending and new nodes,
+    which span the whole sublevel hull.  Sublevel sets with at most d points
+    or of lower affine rank have no full-dimensional hull; there the queries
+    more than 1e-6 off the affine hull are rejected outright and only the
+    rest get an LP feasibility solve.  With ``full_output=True`` the return
+    value is ``(result, info)`` with the counts ``hull_builds``,
+    ``hull_points`` (the points given to those builds), ``thresholds_skipped``,
+    ``thresholds_certified`` and ``lp_queries``.
     """
     g = f.grid
     flat = f.values.ravel()
     order = np.argsort(flat, kind="stable")
     svals = flat[order]
     info = {"hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0,
-            "lp_queries": 0}
+            "thresholds_certified": 0, "lp_queries": 0}
     if g.ndim == 1:
         pos = g.axis()
         spos = pos[order]
@@ -279,27 +291,54 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
         coords = g.node_coords()
         out = flat.copy()
         assigned = np.zeros(len(flat), dtype=bool)
-        # facets and vertices of the last sublevel hull, if full-dimensional
-        eq = verts = None
+        row = np.empty(len(flat), dtype=np.intp)
+        hull = None  # the last full-dimensional sublevel hull, see _points_in_hull
         for t in np.unique(svals):
             todo = ~assigned
             if not todo.any():
                 break
-            new = coords[flat == t]
-            if eq is not None and _inside_facets(eq, new, -1e-9).all():
-                info["thresholds_skipped"] += 1
-                continue
-            # the nodes of the skipped thresholds lie inside the last hull, so
-            # its vertices and the new nodes span the whole sublevel set's hull
-            pts = coords[flat <= t] if verts is None else np.vstack([verts, new])
-            inside, eq, verts, lps = _points_in_hull(pts, coords[todo])
-            if eq is not None:
-                info["hull_builds"] += 1
-                info["hull_points"] += len(pts)
+            at_t = flat == t
+            new = coords[at_t]
+            if hull is not None:
+                eq, verts, dist = hull
+                if _inside_facets(eq, new, -1e-9).all():
+                    info["thresholds_skipped"] += 1
+                    continue
+                pending.append(new)
+                # push the facets past the joined nodes, then keep the later
+                # nodes that neither separator certifies
+                joined = row[at_t & measured]
+                np.maximum(push, dist[joined].max(axis=0, initial=-np.inf), out=push)
+                later = np.flatnonzero(todo & ~at_t)
+                w = witness[row[later]]
+                later = later[dist[row[later], w] - push[w] <= 1e-6]
+                if later.size:
+                    u = coords[later] - centre
+                    reach = ((np.vstack([verts, *pending]) - centre) @ u.T).max(axis=0)
+                    later = later[(u * u).sum(axis=1) - reach
+                                  <= 1e-6 * np.linalg.norm(u, axis=1)]
+                if not later.size:
+                    assigned |= at_t
+                    info["thresholds_certified"] += 1
+                    continue
+            pts = coords[flat <= t] if hull is None else np.vstack([verts, *pending])
+            hull = dist = None  # free the last distances before the next ones
+            inside, hull, lps = _points_in_hull(pts, coords[todo])
             info["lp_queries"] += lps
             idx = np.flatnonzero(todo)[inside]
             out[idx] = t
             assigned[idx] = True
+            if hull is not None:
+                info["hull_builds"] += 1
+                info["hull_points"] += len(pts)
+                # rows of facet distances for the nodes unassigned before
+                # this build, their witness facets, and the pushes (the nodes
+                # assigned earlier lie within 1e-9 of this hull)
+                measured, pending = todo, []
+                row[todo] = np.arange(todo.sum())
+                witness = hull[2].argmax(axis=1)
+                push = np.full(len(hull[0]), 1e-9)
+                centre = hull[1].mean(axis=0)
     result = f.with_values(np.minimum(out, flat).reshape(g.shape))
     if full_output:
         return result, info

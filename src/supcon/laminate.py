@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                       Verdict, _backs_violation, _best_field, _check_radius,
+                       Verdict, _backs_violation, _best_field, _check_settings,
                        _ess_sup, _field_witness, _measure_gaps,
                        _measure_witness, _special_pairs, _tree_atoms_batch,
                        _worst_gap)
@@ -55,7 +55,7 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
     Simple laminates on special rank-one pairs run first (exact atoms), then
     blocks of seeded random laminates of order 1, 1, 1, 2, 2, 3 in turn.
     """
-    _check_radius(radius)
+    _check_settings(budget, tol, radius)
     notion = "curl_young_laminates"
     N, n = dims
     used = 0
@@ -101,6 +101,7 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     1 - theta, in layers normal to M+ - M- (the cube is rotated to that
     normal); the witness records both values and theta.  Compressing layers
     changes nothing here because the gradient statistics are scale-invariant."""
+    _check_settings(budget, tol, radius)
     notion = "periodic_weak_morrey"
     xi = np.asarray(xi, dtype=float).reshape(dims)
     f_xi = float(f(xi))
@@ -132,6 +133,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
     persistence rule: the gap at the smallest delta must be at least half the
     gap at the largest).
     """
+    _check_settings(budget, tol, radius)
     notion = "strong_morrey"
     N, n = dims
     xi = np.asarray(xi, dtype=float).reshape(dims)

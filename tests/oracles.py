@@ -31,7 +31,9 @@ ran before ``classify._measure_gaps`` scored a whole batch of measures: one
 measure at a time, one f call per atom of positive weight and one at the
 barycenter, a NaN on the support counting as +inf.  The facet products of the
 convex envelope and of the hull membership test are kept as they were before
-they were computed in place: a fresh array per sum and quotient.
+they were computed in place: a fresh array per sum and quotient.  So is the
+lsc loop as it ran before its separation certificates, rebuilding the hull
+from the last vertices at every threshold it does not skip.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATE
                              Verdict, _aslist, _cutoff_values, _ess_sup,
                              _field_witness, _halton, _segment_witness, _special_pairs,
                              _two_gradient_candidates, _worst_gap)
-from supcon.envelope import MAX_SWEEPS, SWEEP_TOL, rank_one_grid_directions
+from supcon.envelope import (MAX_SWEEPS, SWEEP_TOL, _points_in_flat_hull,
+                             rank_one_grid_directions)
 from supcon.fem1d import (ORACLE_POINTS, POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
                           _nonnegative, _objective, _profile_to_slopes, _scalar_eval)
 from supcon.funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, SampledFunction, _sidecar_path,
@@ -204,6 +207,44 @@ def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
         assigned[idx] = True
     out = np.minimum(out, flat)
     return f.with_values(out.reshape(g.shape))
+
+
+def lsc_envelope_from_last_vertices(f: SampledFunction) -> SampledFunction:
+    """``level_convex_lsc_envelope`` before its separation certificates.
+
+    A threshold whose new nodes lie strictly inside the last full-dimensional
+    hull is skipped; every other one builds a hull, from the last hull's
+    vertices and the new nodes once a full-dimensional hull exists."""
+    g = f.grid
+    assert g.ndim >= 2, "the 1-d branch is unchanged; call the operator directly"
+    flat = f.values.ravel()
+    coords = g.node_coords()
+    out = flat.copy()
+    assigned = np.zeros(len(flat), dtype=bool)
+    eq = verts = None
+    for t in np.unique(flat):
+        todo = ~assigned
+        if not todo.any():
+            break
+        new = coords[flat == t]
+        if eq is not None and inside_facets(eq, new, -1e-9).all():
+            continue
+        pts = coords[flat <= t] if verts is None else np.vstack([verts, new])
+        try:
+            hull = ConvexHull(pts) if len(pts) > pts.shape[1] else None
+        except QhullError:
+            hull = None
+        if len(pts) == 1:
+            inside = np.linalg.norm(coords[todo] - pts[0], axis=1) <= 1e-9
+        elif hull is None:
+            inside = _points_in_flat_hull(pts, coords[todo])[0]
+        else:
+            eq, verts = hull.equations, pts[hull.vertices]
+            inside = inside_facets(eq, coords[todo], 1e-9)
+        idx = np.flatnonzero(todo)[inside]
+        out[idx] = t
+        assigned[idx] = True
+    return f.with_values(np.minimum(out, flat).reshape(g.shape))
 
 
 def cutoff_values(xi, Mp, Mm, theta):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from supcon import laminate
 from supcon.classify import (ClassifyConfig, _aslist, _measure_gaps, _probe_points,
                              check_level_convex,
                              check_polyquasiconvex_necessary,
@@ -80,7 +81,6 @@ def _slab(arr):
 
 
 def _slab_calls():
-    from supcon import laminate
     calls = {}
     for dims in ((1, 1), (2, 2)):
         e11 = np.zeros(dims)
@@ -503,6 +503,38 @@ def test_verdict_inconsistency_detection():
 def test_classify_config_rejects_bad_settings_naming_them(field, value):
     with pytest.raises(ValueError, match=field):
         ClassifyConfig(**{field: value})
+
+
+# every public checker, called on the double well with one setting replaced
+CHECKERS = {
+    "level_convex": lambda e, **kw: check_level_convex(e, e.dims, **kw),
+    "rank_one": lambda e, **kw: check_rank_one_qcx(e, e.dims, **kw),
+    "polyquasiconvex": lambda e, **kw: check_polyquasiconvex_necessary(e, e.dims, **kw),
+    "weak_morrey": lambda e, **kw: search_weak_morrey_violation(e, [[0.0]], e.dims, **kw),
+    "curl_young": lambda e, **kw: laminate.check_curl_young_on_laminates(e, e.dims, **kw),
+    "periodic": lambda e, **kw: laminate.check_periodic_weak_morrey(e, [[0.0]], e.dims, **kw),
+    "strong_morrey": lambda e, **kw: laminate.search_strong_morrey_violation(
+        e, [[0.0]], e.dims, **kw),
+}
+BAD_SETTINGS = [("tol", math.nan), ("tol", math.inf), ("tol", -1.0), ("budget", 0),
+                ("budget", -5), ("radius", math.nan), ("radius", 0.0)]
+
+
+@pytest.mark.parametrize("field, value", BAD_SETTINGS)
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checkers_reject_the_settings_classify_config_rejects(checker, field, value):
+    # each reported "holds" on no samples or at a hollow tol, or a violation
+    # with a negative gap, before it checked its settings
+    entry = corpus_entry("double_well_1d")
+    with pytest.raises(ValueError, match=field):
+        CHECKERS[checker](entry, **{field: value})
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_supremal_jensen_rejects_a_bad_tol(tol):
+    atoms, weights = two_atom_measures((1, 1), seed=SEED, count=10)
+    with pytest.raises(ValueError, match="tol"):
+        check_supremal_jensen(corpus_entry("double_well_1d"), atoms, weights, tol=tol)
 
 
 @pytest.mark.parametrize("radius", [0.0, math.nan, 1e-12])

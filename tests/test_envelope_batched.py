@@ -139,11 +139,38 @@ def test_lslc_full_output_counts_the_paths():
     assert info["hull_builds"] > 0
     assert info["thresholds_skipped"] > 0
     assert info["lp_queries"] > 0
-    assert info["hull_builds"] + info["thresholds_skipped"] <= len(np.unique(f.values))
+    assert info["thresholds_certified"] > 0
+    assert (info["hull_builds"] + info["thresholds_skipped"] + info["thresholds_certified"]
+            <= len(np.unique(f.values)))
+    # exampleD is its own envelope: after the first full-dimensional hull
+    # every threshold is certified, and no other hull is built
+    f = sample(corpus_entry("exampleD"), GridSpec((2, 2), 2.0, 7))
+    info = level_convex_lsc_envelope(f, full_output=True)[1]
+    assert info["hull_builds"] == 1 and info["thresholds_certified"] == 40
     # 1-d grids take the prefix-interval path: no hulls, no LPs
     f1 = SampledFunction(GridSpec((1, 1), 1.0, 9), np.arange(9.0) % 3)
     assert level_convex_lsc_envelope(f1, full_output=True)[1] == {
-        "hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0, "lp_queries": 0}
+        "hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0,
+        "thresholds_certified": 0, "lp_queries": 0}
+
+
+def _bench_grids():
+    # the corpus grids of the benchmark and its three random grids, drawn
+    # the way it draws them
+    for name in ("arctan_det", "exampleD", "W_sup"):
+        yield name, sample(corpus_entry(name), GridSpec((2, 2), 2.0, 7))
+    grid = GridSpec((2, 2), 2.0, 5)
+    for seed in (20240817, 12345, 7):
+        values = np.random.default_rng(seed).standard_normal(grid.node_count)
+        yield f"random-{seed}", SampledFunction(grid, values.reshape(grid.shape))
+
+
+@pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in _bench_grids()])
+def test_lslc_certificates_match_the_last_vertex_rebuilds(f):
+    # a certified threshold builds no hull; the values must not notice
+    new, info = level_convex_lsc_envelope(f, full_output=True)
+    assert np.array_equal(new.values, oracles.lsc_envelope_from_last_vertices(f).values)
+    assert info["thresholds_certified"] > 0
 
 
 def test_lslc_hulls_are_built_from_the_last_vertices(monkeypatch):

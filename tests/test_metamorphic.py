@@ -4,10 +4,12 @@ The supremal notions are sublevel-set notions, so the level-convex lsc
 envelope commutes with every strictly increasing h: each node's value is
 the smallest sampled threshold whose sublevel hull holds it, and h maps
 sublevel sets of f onto those of h∘f.  The envelope only compares and picks
-sampled values, so the twin holds bit for bit.  The classify searches
-compare f values too, so on h∘f each notion keeps the outcome, sample count
-and witness kind it has on f; h(t) = 2t + 1 doubles every gap, and no gap
-these searches meet lies between tol/2 and tol.
+sampled values, so the twin holds bit for bit.  Convex hulls commute with
+affine bijections, so the envelope also commutes with every symmetry σ of a
+2x2 grid: lslc(f∘σ) = lslc(f)∘σ, whatever order σ puts the nodes in.  The
+classify searches compare f values too, so on h∘f each notion keeps the
+outcome, sample count and witness kind it has on f; h(t) = 2t + 1 doubles
+every gap, and no gap these searches meet lies between tol/2 and tol.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import pytest
 
 from supcon.classify import ClassifyConfig, classify_report
 from supcon.envelope import level_convex_lsc_envelope
-from supcon.funcspace import GridSpec, corpus_entry, corpus_names, sample
+from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, corpus_names, sample
 
 INCREASING = {
     "2t+1": lambda t: 2.0 * t + 1.0,
@@ -39,6 +41,34 @@ def test_lslc_commutes_with_increasing_maps(name, h):
     twin = level_convex_lsc_envelope(f.with_values(INCREASING[h](f.values)))
     mapped = INCREASING[h](level_convex_lsc_envelope(f).values)
     assert np.array_equal(twin.values, mapped)
+
+
+# grid symmetries ξ ↦ σ(ξ) of a 2x2 grid, acting on the (ξ11, ξ12, ξ21, ξ22)
+# axes of its value array
+SYMMETRIES = {
+    "transpose": lambda v: v.transpose(0, 2, 1, 3),
+    "flip": lambda v: v[::-1],
+    "row-swap": lambda v: v.transpose(2, 3, 0, 1),
+    "negate": lambda v: v[::-1, ::-1, ::-1, ::-1],
+}
+
+
+def _symmetry_grids():
+    for name in corpus_names():
+        entry = corpus_entry(name)
+        if entry.dims == (2, 2):
+            yield pytest.param(sample(entry, _grid(entry.dims)), id=name)
+    grid = GridSpec((2, 2), 2.0, 5)
+    values = np.random.default_rng(20240817).standard_normal(grid.node_count)
+    yield pytest.param(SampledFunction(grid, values.reshape(grid.shape)), id="random")
+
+
+@pytest.mark.parametrize("f", _symmetry_grids())
+def test_lslc_commutes_with_grid_symmetries(f):
+    env = level_convex_lsc_envelope(f).values
+    for name, sigma in SYMMETRIES.items():
+        twin = level_convex_lsc_envelope(f.with_values(np.ascontiguousarray(sigma(f.values))))
+        assert np.array_equal(twin.values, sigma(env)), name
 
 
 def _summary(verdict):
