@@ -33,7 +33,11 @@ barycenter, a NaN on the support counting as +inf.  The facet products of the
 convex envelope and of the hull membership test are kept as they were before
 they were computed in place: a fresh array per sum and quotient.  So is the
 lsc loop as it ran before its separation certificates, rebuilding the hull
-from the last vertices at every threshold it does not skip.
+from the last vertices at every threshold it does not skip.  The random
+rank-one splitting-tree generator is kept as the laminate and
+polyquasiconvexity tree streams drew it before those streams became the
+rank-one segment stream; the tests use it to check the finite-order
+reduction of a tree to one of its splits.
 """
 
 from __future__ import annotations
@@ -958,3 +962,31 @@ def supremal_jensen_gaps(f, atoms, weights) -> np.ndarray:
         sup = _ess_sup([f(m) for m, w in zip(row, ws) if w > 0])
         gaps.append(float(f(bary)) - sup)
     return np.array(gaps)
+
+
+def _random_rank_one(rng, count, N, n, scale):
+    a = rng.normal(size=(count, N))
+    nu = rng.normal(size=(count, n))
+    a /= np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
+    nu /= np.maximum(np.linalg.norm(nu, axis=1, keepdims=True), 1e-12)
+    t = rng.uniform(0.1, 1.0, size=count) * scale
+    return t[:, None, None] * a[:, :, None] * nu[:, None, :]
+
+
+def _tree_atoms_batch(bar, order, rng, scale):
+    """Vectorized full binary rank-one splitting trees around given
+    barycenters: (B,N,n) -> atoms (B,2^order,N,n), weights (B,2^order).
+    Each level splits node j into atoms j and j + M (M the nodes of that
+    level), so the two children of a node sit half a row apart."""
+    B, N, n = bar.shape
+    pts = bar[:, None]
+    wts = np.ones((B, 1))
+    for _ in range(order):
+        M = pts.shape[1]
+        w = _random_rank_one(rng, B * M, N, n, scale).reshape(B, M, N, n)
+        theta = rng.uniform(0.15, 0.85, size=(B, M))
+        left = pts + (1.0 - theta)[..., None, None] * w
+        right = pts - theta[..., None, None] * w
+        pts = np.concatenate([left, right], axis=1)
+        wts = np.concatenate([wts * theta, wts * (1.0 - theta)], axis=1)
+    return pts, wts

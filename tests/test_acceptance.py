@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
 Everything here drives the public API at the stated budgets and tolerances,
-apart from criterion 9, which also checks the splitting-tree sampler and the
+apart from criterion 9, which also checks the splitting-tree oracle and the
 witness builders that the checkers use; oracles are recomputed, never
 hard-coded from the implementation under test.
 """
@@ -13,11 +13,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import oracles
 from supcon.classify import (ClassifyConfig, _field_witness, _measure_witness,
-                             _tree_atoms_batch, check_level_convex,
-                             check_rank_one_qcx, check_supremal_jensen,
-                             classify_report, replay_witness,
-                             search_weak_morrey_violation, two_atom_measures)
+                             check_level_convex, check_rank_one_qcx,
+                             check_supremal_jensen, classify_report,
+                             replay_witness, search_weak_morrey_violation,
+                             two_atom_measures)
 from supcon.envelope import (convex_envelope, lamination_hull,
                              level_convex_lsc_envelope, pasch_hausdorff,
                              power_law_envelope)
@@ -270,7 +271,7 @@ def test_criterion_9_invariant_suites():
         # barycenter consistency of the random splitting trees
         for order in (1, 2, 3):
             bar = rng.uniform(-2.0, 2.0, size=(trials, 2, 2))
-            atoms, wts = _tree_atoms_batch(bar, order, rng, 2.0)
+            atoms, wts = oracles._tree_atoms_batch(bar, order, rng, 2.0)
             assert np.all(wts > 0)
             assert np.max(np.abs(wts.sum(axis=1) - 1.0)) <= 1e-12
             assert np.max(np.abs(np.einsum("bm,bmij->bij", wts, atoms)

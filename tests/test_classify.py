@@ -11,7 +11,7 @@ from supcon.classify import (ClassifyConfig, _aslist, _measure_gaps, _probe_poin
                              check_level_convex,
                              check_polyquasiconvex_necessary,
                              check_rank_one_qcx, check_supremal_jensen,
-                             classify_report, replay_witness,
+                             classify_report, probe_verdict, replay_witness,
                              search_weak_morrey_violation, two_atom_measures,
                              verdict_inconsistencies)
 from supcon.funcspace import (GridSpec, corpus_entry, interpolating_evaluator,
@@ -363,11 +363,11 @@ def test_polyqcx_negative_abs_det_violated():
 
 
 def test_polyqcx_every_counted_sample_reaches_f():
-    # the rank-one stream (60% of the budget) is one Halton block of
-    # 12_000 // 6 = 2_000 pairs, each probed at the 5 grid weights and one
-    # random weight: one midpoint per sample, and the two endpoints once per
-    # pair, shared by its 6 weights; then four atoms and their combination
-    # per splitting-tree sample
+    # the whole budget goes to the rank-one segment stream: one Halton block
+    # of 20_000 // 6 = 3_333 pairs, each probed at the 5 grid weights and one
+    # random weight (19_998 samples), then a block of 1 pair probed at the
+    # first 2 weights.  One midpoint per sample, and the two endpoints once
+    # per pair, shared by its weights: 20_000 + 2 * (3_333 + 1) = 26_668
     entry = corpus_entry("abs", dims=(2, 2))
     seen = 0
 
@@ -379,12 +379,13 @@ def test_polyqcx_every_counted_sample_reaches_f():
 
     v = check_polyquasiconvex_necessary(f, (2, 2), budget=20_000)
     assert not v.violated and v.budget == 20_000
-    assert seen == 12_000 + 2 * 2_000 + 5 * 8_000
+    assert seen == 26_668
 
 
 def test_polyqcx_trees_outside_the_box_raise_no_warning():
-    # a tree whose barycenter leaves the sampled box has an atom outside it
-    # too, so its gap is inf - inf: undefined, skipped, and not a warning
+    # a rank-one segment whose midpoint leaves the sampled box (the box is
+    # convex) has an endpoint outside it too, so its gap is inf - inf:
+    # undefined, skipped, and not a warning
     coarse = sample(corpus_entry("abs", dims=(2, 2)), GridSpec((2, 2), 1.0, 5))
     ev = interpolating_evaluator(coarse)
     with warnings.catch_warnings():
@@ -535,6 +536,30 @@ def test_supremal_jensen_rejects_a_bad_tol(tol):
     atoms, weights = two_atom_measures((1, 1), seed=SEED, count=10)
     with pytest.raises(ValueError, match="tol"):
         check_supremal_jensen(corpus_entry("double_well_1d"), atoms, weights, tol=tol)
+
+
+def _strong_search_on_w_sup(xi, budget, **kw):
+    entry = corpus_entry("W_sup")
+    return laminate.search_strong_morrey_violation(
+        entry, xi, entry.dims, budget=budget, special_points=entry.special_points, **kw)
+
+
+@pytest.mark.parametrize("probes, budget, tol, field", [
+    ([], 1000, 1e-9, "probes"), ([np.zeros((2, 2))], 0, 1e-9, "budget"),
+    ([np.zeros((2, 2))], -5, 1e-9, "budget"), ([np.zeros((2, 2))], 1000, math.nan, "tol")])
+def test_probe_verdict_rejects_a_hollow_setting(probes, budget, tol, field):
+    # each reported "holds": on 0 samples without probes, on 468 at budget 0
+    # or -5 (one sample per probe) and on 1_148 at a NaN tol
+    with pytest.raises(ValueError, match=field):
+        probe_verdict("strong_morrey", probes, budget,
+                      lambda xi, b: _strong_search_on_w_sup(xi, b, tol=1e-9), tol=tol)
+
+
+@pytest.mark.parametrize("K", [math.nan, 0.0, -1.0, math.inf])
+def test_strong_search_rejects_a_bad_gradient_bound(K):
+    # each reported "holds" at budget 200, on 468 samples (568 at K = inf)
+    with pytest.raises(ValueError, match="K must be"):
+        _strong_search_on_w_sup(np.zeros((2, 2)), 200, K=K)
 
 
 @pytest.mark.parametrize("radius", [0.0, math.nan, 1e-12])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from supcon.classify import (_field_witness, _measure_gaps, _measure_witness,
-                             _tree_atoms_batch, _two_gradient_candidates,
+                             _segment_witness, _two_gradient_candidates,
                              replay_witness)
 from supcon.funcspace import corpus_entry, corpus_names
 from supcon.laminate import (DEFAULT_DELTA_SCHEDULE,
@@ -30,7 +33,7 @@ def _measure_record(f, atoms, weights):
 def _trees(order, count=50):
     rng = np.random.default_rng(SEED)
     bar = rng.uniform(-2.0, 2.0, size=(count, 2, 2))
-    atoms, wts = _tree_atoms_batch(bar, order, rng, 2.0)
+    atoms, wts = oracles._tree_atoms_batch(bar, order, rng, 2.0)
     return bar, atoms, wts
 
 
@@ -124,6 +127,102 @@ def test_sample_laminates_valid():
                              - bar)) <= 1e-12
 
 
+def _relu_net(seed, dims, width=6):
+    """A random piecewise-linear f: a signed sum of ReLUs of affine maps."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(width, dims[0] * dims[1]))
+    d, a = rng.normal(size=width), rng.normal(size=width)
+
+    def f(arr):
+        x = np.asarray(arr, dtype=float)
+        x = x.reshape(*x.shape[:-2], -1)
+        return np.maximum(x @ c.T + d, 0.0) @ a
+    return f
+
+
+def _reduced_splits(f, atoms, wts):
+    """Rebuild each tree's internal nodes from its leaves, every node the
+    convex combination of its two children that a segment witness forms (the
+    children of node j of a level of M nodes are nodes j and j + M of the
+    next), then walk down from the root to the child with the larger value.
+    Returns the barycenter value minus the leaves' max, and the split of
+    largest gap on that path as (left, right, lam, gap), per tree."""
+    levels = [(atoms, None)]
+    pts, w = atoms, wts
+    while pts.shape[1] > 1:
+        half = pts.shape[1] // 2
+        lam = w[:, :half] / (w[:, :half] + w[:, half:])
+        pts = (lam[..., None, None] * pts[:, :half]
+               + (1.0 - lam)[..., None, None] * pts[:, half:])
+        w = w[:, :half] + w[:, half:]
+        levels.insert(0, (pts, lam))
+    vals = [f(p) for p, _ in levels]
+    g = vals[0][:, 0] - vals[-1].max(axis=1)
+    splits = []
+    for b in range(len(atoms)):
+        j, best = 0, None
+        for k in range(len(levels) - 1):
+            kids = (j, j + 2 ** k)
+            gap = vals[k][b, j] - max(vals[k + 1][b, c] for c in kids)
+            if best is None or gap > best[3]:
+                left, right = (levels[k + 1][0][b, c] for c in kids)
+                best = (left, right, float(levels[k][1][b, j]), gap)
+            j = max(kids, key=lambda c: vals[k + 1][b, c])
+        splits.append(best)
+    return g, splits
+
+
+def _check_tree_reduction(f, dims, order, seed, count=32):
+    """Assert the finite-order reduction on ``count`` random trees; returns
+    how many trees violate the laminate inequality."""
+    rng = np.random.default_rng(seed)
+    bar = rng.uniform(-2.0, 2.0, size=(count, *dims))
+    atoms, wts = oracles._tree_atoms_batch(bar, order, rng, 2.0)
+    g, splits = _reduced_splits(f, atoms, wts)
+    violating = 0
+    for g_b, (left, right, lam, gap) in zip(g, splits):
+        if not g_b > 0:
+            continue
+        violating += 1
+        assert order * gap >= g_b - 1e-12
+        assert is_rank_one_connected(left, right)
+        witness = _segment_witness(left, right, lam, f)
+        assert witness["gap"] == pytest.approx(gap, abs=1e-12)
+        assert replay_witness(f, witness) == pytest.approx(witness["gap"], abs=1e-12)
+    return violating
+
+
+_SMALL_ENTRIES = [n for n in corpus_names() if corpus_entry(n).dims in ((1, 1), (2, 2))]
+
+
+def _supremand(name, seed):
+    if name.startswith("relu"):
+        dims = (1, 1) if name.endswith("(1, 1)") else (2, 2)
+        return _relu_net(seed, dims), dims
+    entry = corpus_entry(name)
+    return entry, entry.dims
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SMALL_ENTRIES + ["relu (1, 1)", "relu (2, 2)"]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_a_violating_tree_has_a_rank_one_split_of_gap_g_over_order(name, order, seed):
+    # a tree of order k with f(barycenter) - max over its leaves = g > 0
+    # falls by g over the k steps of the larger-child path, so one split on
+    # it is a rank-one segment with gap >= g/k: the laminate inequality on
+    # finite laminates is rank-one level convexity
+    f, dims = _supremand(name, seed)
+    _check_tree_reduction(f, dims, order, seed)
+
+
+@pytest.mark.parametrize("name", ["double_well_1d", "relu (1, 1)", "relu (2, 2)"])
+def test_the_tree_reduction_sees_violating_trees(name):
+    # the property above is not vacuous: order-3 trees violate the
+    # inequality on these supremands
+    f, dims = _supremand(name, SEED)
+    assert _check_tree_reduction(f, dims, 3, SEED, count=200) > 0
+
+
 # ---------------------------------------------------------------------------
 # laminate-side inequality
 # ---------------------------------------------------------------------------
@@ -155,13 +254,14 @@ def test_curl_young_chi_det_holds():
     assert not v.violated
 
 
-def test_curl_young_tree_stream_finds_and_replays_a_violation():
-    # no special points: the first block of random order-1 laminates finds
-    # the double well's barrier between its wells
+def test_curl_young_segment_stream_finds_and_replays_a_violation():
+    # no special points: the rank-one segment stream's first Halton block,
+    # 20_000 // 6 = 3_333 pairs at weight 1/4, crosses the double well's
+    # barrier between its wells; the witness is the segment's two-atom measure
     entry = corpus_entry("double_well_1d")
     v = check_curl_young_on_laminates(entry, entry.dims, budget=20_000)
-    assert v.violated and v.budget == 4096
-    assert v.witness["kind"] == "measure"
+    assert v.violated and v.budget == 3_333
+    assert v.witness["kind"] == "measure" and len(v.witness["atoms"]) == 2
     assert replay_witness(entry, v.witness) == v.witness["gap"]
 
 
