@@ -15,7 +15,9 @@ cross-validates the verdicts against the implication hierarchy.
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
 batches until the budget is exhausted; the checkers of one ``classify_report``
-share each Halton draw, and ``scipy.stats`` is imported at the first draw.
+share each Halton draw and each run of the segment checker.  The Halton
+points are scipy's scrambled Halton stream, bit for bit, from a numpy kernel
+of this module, so classifying imports no scipy.
 Every search scores its batches by one of two shared rules: ``_worst_gap``
 takes the largest finite gap of a batch of segments or measures, and
 ``_best_field`` the least ess sup over the gradient values of two-gradient
@@ -27,6 +29,7 @@ violation: a non-finite one cannot be replayed.
 
 from __future__ import annotations
 
+import copy
 import datetime
 import itertools
 import math
@@ -216,18 +219,53 @@ def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
 # sampling streams
 # ---------------------------------------------------------------------------
 
-#: The Halton draws of the running ``classify_report``, by (dim, seed); None outside one.
-_halton_draws: ContextVar[dict | None] = ContextVar("_halton_draws", default=None)
+#: The stores of the running ``classify_report``: Halton draws by (dim, seed)
+#: and segment-checker runs by their arguments; None outside one.
+_shared: ContextVar[tuple[dict, dict] | None] = ContextVar("_shared", default=None)
 
 
 @contextmanager
 def _shared_halton():
-    """Share Halton draws among the calls inside the block, then drop them."""
-    token = _halton_draws.set({})
+    """Share Halton draws and segment-checker runs among the calls inside the
+    block, then drop them."""
+    token = _shared.set(({}, {}))
     try:
         yield
     finally:
-        _halton_draws.reset(token)
+        _shared.reset(token)
+
+
+def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
+    """Owen's randomized Halton points (arXiv:1706.02808), bit for bit as
+    ``scipy.stats.qmc.Halton(dim, scramble=True, seed=seed).random(count)``
+    draws them, in the same (count, dim) column-major layout.
+
+    Coordinate j runs in the j-th prime base b.  One generator shuffles,
+    base by base, one row of digit permutations per level k at which
+    1 - b^-(k+1) < 1 in doubles (``permuted`` along the rows draws what a
+    ``shuffle`` of each row in turn draws).  Point i is the sum over k of
+    perm[k][digit k of i] * b^-(k+1), added level by level with the factor
+    divided by b at each step.  While b^k < count the partial sums depend
+    on i mod b^(k+1) only, so they are built over those residues (up to the
+    first multiple of b^k at or above count); above that every digit is 0
+    and a level is one scalar add.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((dim, count))
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    for row, b in zip(out, primes):
+        levels = math.ceil(54 / math.log2(b)) - 1
+        perms = rng.permuted(np.repeat(np.arange(b)[None], levels, axis=0), axis=1)
+        sums, factor, k = np.zeros(1), 1.0 / b, 0
+        while len(sums) < count:
+            digits = perms[k, :-(-count // len(sums))]  # those of some i < count
+            sums = (sums[None, :] + (digits * factor)[:, None]).ravel()
+            factor, k = factor / b, k + 1
+        row[:] = sums[:count]
+        for perm in perms[k:]:
+            row += perm[0] * factor
+            factor /= b
+    return out.T
 
 
 def _halton(dim: int, count: int, seed: int) -> np.ndarray:
@@ -237,13 +275,13 @@ def _halton(dim: int, count: int, seed: int) -> np.ndarray:
     longer one.  Inside ``_shared_halton`` each (dim, seed) is drawn once, to
     the longest count asked for so far, and served as a read-only prefix.
     """
-    from scipy.stats import qmc  # imported on first draw: it costs about 1 s
-    draws = _halton_draws.get()
-    if draws is None:
-        return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+    shared = _shared.get()
+    if shared is None:
+        return _scrambled_halton(dim, count, seed)
+    draws = shared[0]
     pts = draws.get((dim, seed))
     if pts is None or len(pts) < count:
-        pts = draws[dim, seed] = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+        pts = draws[dim, seed] = _scrambled_halton(dim, count, seed)
         pts.flags.writeable = False
     return pts[:count]
 
@@ -355,8 +393,9 @@ def _backs_violation(gap, tol) -> bool:
     return math.isfinite(gap) and gap > tol
 
 
-def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
-                         special_points, rank_one) -> Verdict:
+def _score_segments(f, dims, *, tol, budget, seed, radius, special_points,
+                    rank_one):
+    """Score the pair stream of ``_segment_batches``: (outcome, witness, samples)."""
     used = 0
     for xi, eta, takes in _segment_batches(dims, seed=seed, budget=budget,
                                            radius=radius,
@@ -371,9 +410,26 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
             x, e = xi[:take], eta[:take]
             i, gap = _worst_gap(f(lam * x + (1.0 - lam) * e), sup[:take])
             if gap > tol:
-                witness = _segment_witness(x[i], e[i], lam, f)
-                return Verdict(notion, VIOLATED, witness, used, tol, seed)
-    return Verdict(notion, HOLDS, None, used, tol, seed)
+                return VIOLATED, _segment_witness(x[i], e[i], lam, f), used
+    return HOLDS, None, used
+
+
+def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
+                         special_points, rank_one) -> Verdict:
+    """The segment checker's verdict for ``notion``.  Inside
+    ``_shared_halton`` a run is scored once per set of arguments (the notion
+    aside), and each caller gets a fresh verdict with its own witness."""
+    shared = _shared.get()
+    runs = {} if shared is None else shared[1]
+    key = (id(f), tuple(dims), tol, budget, seed, radius, rank_one,
+           *((p.shape, p.tobytes()) for p in map(_mat, special_points)))
+    if key not in runs:
+        # f stays referenced by the store, so no other f can take its id
+        runs[key] = (f, *_score_segments(f, dims, tol=tol, budget=budget, seed=seed,
+                                         radius=radius, special_points=special_points,
+                                         rank_one=rank_one))
+    _, outcome, witness, used = runs[key]
+    return Verdict(notion, outcome, copy.deepcopy(witness), used, tol, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ from the last vertices at every threshold it does not skip.  The random
 rank-one splitting-tree generator is kept as the laminate and
 polyquasiconvexity tree streams drew it before those streams became the
 rank-one segment stream; the tests use it to check the finite-order
-reduction of a tree to one of its splits.
+reduction of a tree to one of its splits.  The scrambled Halton draw of
+``scipy.stats.qmc`` is kept as the engine ``classify`` drew from before its
+own kernel, ``classify._scrambled_halton``, which must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
+from scipy.stats import qmc
 
 from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
                              Verdict, _aslist, _cutoff_values, _ess_sup,
@@ -990,3 +993,8 @@ def _tree_atoms_batch(bar, order, rng, scale):
         pts = np.concatenate([left, right], axis=1)
         wts = np.concatenate([wts * theta, wts * (1.0 - theta)], axis=1)
     return pts, wts
+
+
+def halton(dim, count, seed):
+    """The first ``count`` points of scipy's scrambled Halton sequence of ``seed``."""
+    return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)

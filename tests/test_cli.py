@@ -386,11 +386,12 @@ def scipy_modules_after(*commands):
 
 
 def test_commands_import_scipy_only_for_what_they_use(tmp_path):
-    # scipy is imported on first use (hulls, LPs, Halton draws), so the
-    # commands that use none of them start without it
+    # scipy is imported on first use (hulls, LPs), so the commands that use
+    # neither start without it
     assert scipy_modules_after(
         "corpus list",
-        f"gamma1d --corpus clamp1d --xi 1.0 --cells 8 --p-schedule 2,4 --out {tmp_path}") == set()
+        f"gamma1d --corpus clamp1d --xi 1.0 --cells 8 --p-schedule 2,4 --out {tmp_path}",
+        "classify --corpus abs --budget 1000") == set()
     loaded = scipy_modules_after(
         f"envelope --corpus arctan_det --kind convex --points 5 --out {tmp_path}")
     assert "scipy.spatial" in loaded

@@ -1,8 +1,12 @@
 """Samples computed once: the segment checkers and the two-atom measure
-stream against their per-weight loops in ``oracles.py``, equal bit for bit,
-and the Halton draws that the checkers of one ``classify_report`` share."""
+stream against their per-weight loops in ``oracles.py``, equal bit for bit;
+the Halton kernel against scipy's scrambled Halton engine, bit for bit; and
+the Halton draws and segment-checker runs that the checkers of one
+``classify_report`` share."""
 
 import contextlib
+import dataclasses
+import math
 from collections import defaultdict
 from unittest import mock
 
@@ -10,14 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
 import oracles
-from supcon import classify
+from supcon import classify, laminate
 from supcon.classify import (ClassifyConfig, check_level_convex,
                              check_polyquasiconvex_necessary,
                              check_rank_one_qcx, classify_report)
-from supcon.funcspace import corpus_entry
+from supcon.funcspace import corpus_entry, corpus_names
 
 CORPUS = {(1, 1): ("double_well_1d", "abs", "clamp1d", "exampleD_scalar"),
           (2, 2): ("arctan_det", "W_sup", "exampleD", "chi_det", "one_minus_chi_pair")}
@@ -114,8 +117,32 @@ def test_two_atom_measures_match_per_weight_oracle(dims, n_special, count, seed)
     assert np.array_equal(weights, weights_ref)
 
 
-def _fresh(dim, count, seed):
-    return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+# where a base's prefix phase gains a level: b^k - 1, b^k and b^k + 1
+EDGE_COUNTS = sorted({b ** k + e for b in (2, 3, 5, 7, 11, 13) for k in range(1, 13)
+                      for e in (-1, 0, 1) if 1 <= b ** k + e <= 4096})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20),
+       st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 4096)),
+       st.one_of(st.sampled_from([0, 2**31 + 5, 2**32 - 1, 2**63]),
+                 st.integers(0, 2**64 - 1)),
+       st.integers(1, 4096))
+def test_halton_kernel_equals_scipy_bit_for_bit(dim, count, seed, prefix):
+    got, want = classify._scrambled_halton(dim, count, seed), oracles.halton(dim, count, seed)
+    assert got.shape == want.shape == (count, dim)
+    assert got.strides == want.strides  # the same column-major layout
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    head = classify._scrambled_halton(dim, min(prefix, count), seed)
+    assert np.array_equal(head.view(np.uint64), got[:len(head)].view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, -2**63])
+def test_halton_kernel_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError):
+        oracles.halton(3, 10, seed)
+    with pytest.raises(ValueError):
+        classify._scrambled_halton(3, 10, seed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,9 +152,9 @@ def test_shared_halton_draws_equal_fresh_draws(dim, first, second, seed):
     with classify._shared_halton():
         for count in (first, second, first):
             got = classify._halton(dim, count, seed)
-            assert np.array_equal(got, _fresh(dim, count, seed))
+            assert np.array_equal(got, oracles.halton(dim, count, seed))
             assert not got.flags.writeable
-    assert classify._halton_draws.get() is None
+    assert classify._shared.get() is None
     assert classify._halton(dim, first, seed).flags.writeable
 
 
@@ -139,24 +166,18 @@ def _without_timestamp(rep):
 
 def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch):
     calls, builds = defaultdict(list), defaultdict(list)
-    halton, engine = classify._halton, qmc.Halton
+    halton, kernel = classify._halton, classify._scrambled_halton
 
     def counted_halton(dim, count, seed):
         calls[dim, seed].append(count)
         return halton(dim, count, seed)
 
-    def spy_engine(d, *, scramble, seed):
-        eng = engine(d=d, scramble=scramble, seed=seed)
-        draw = eng.random
-
-        def random(n=1):
-            builds[d, seed].append(n)
-            return draw(n)
-        eng.random = random
-        return eng
+    def spy_kernel(dim, count, seed):
+        builds[dim, seed].append(count)
+        return kernel(dim, count, seed)
 
     monkeypatch.setattr(classify, "_halton", counted_halton)
-    monkeypatch.setattr(qmc, "Halton", spy_engine)
+    monkeypatch.setattr(classify, "_scrambled_halton", spy_kernel)
     entry, cfg = corpus_entry("arctan_det"), ClassifyConfig(budget=100_000)
     shared = classify_report(entry, cfg)
     assert builds.keys() == calls.keys()
@@ -167,10 +188,13 @@ def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch
     n_builds = sum(map(len, builds.values()))
     assert n_builds < n_calls
 
-    # drawn afresh on every call, the report is the same
+    # drawn afresh on every call, the report is the same; with no shared
+    # scope every segment run is scored again too, so there are more calls
     monkeypatch.setattr(classify, "_shared_halton", contextlib.nullcontext)
+    calls.clear()
     builds.clear()
     fresh = classify_report(entry, cfg)
+    n_calls = sum(map(len, calls.values()))
     assert sum(map(len, builds.values())) == n_calls
     assert _without_timestamp(fresh) == _without_timestamp(shared)
 
@@ -178,16 +202,51 @@ def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch
 def test_halton_draws_are_dropped_when_the_report_returns_or_raises(monkeypatch):
     entry, cfg = corpus_entry("clamp1d"), ClassifyConfig(budget=2_000)
     classify_report(entry, cfg)
-    assert classify._halton_draws.get() is None
+    assert classify._shared.get() is None
 
     held = {}
 
     def fail(*args, **kwargs):
-        held.update(classify._halton_draws.get())
+        held.update(classify._shared.get()[0])
         raise RuntimeError("checker failed")
 
     monkeypatch.setattr(classify, "check_polyquasiconvex_necessary", fail)
     with pytest.raises(RuntimeError, match="checker failed"):
         classify_report(entry, cfg)
     assert held  # the two checkers before it drew into the report's cache
-    assert classify._halton_draws.get() is None
+    assert classify._shared.get() is None
+
+
+SEGMENT_CHECKERS = {
+    "level_convex": check_level_convex,
+    "rank_one": check_rank_one_qcx,
+    "polyquasiconvex": check_polyquasiconvex_necessary,
+    "curl_young_laminates": laminate.check_curl_young_on_laminates,
+}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_classify_report_scores_each_segment_run_once(name, monkeypatch):
+    points = [0]
+    entry = corpus_entry(name)
+
+    def evaluator(arr):
+        points[0] += math.prod(arr.shape[:-2])
+        return entry.evaluator(arr)
+
+    counted = dataclasses.replace(entry, evaluator=evaluator)
+    cfg = ClassifyConfig(budget=20_000)
+    shared = classify_report(counted, cfg)
+    shared_points, points[0] = points[0], 0
+
+    # each checker on its own, outside any report, gives the report's verdict
+    kw = dict(tol=cfg.tol, budget=cfg.budget, seed=cfg.seed, radius=cfg.radius,
+              special_points=entry.special_points)
+    for notion, checker in SEGMENT_CHECKERS.items():
+        assert checker(entry, entry.dims, **kw).to_dict() == shared.verdicts[notion].to_dict()
+
+    # so does a report that shares nothing, whose f sees more points
+    monkeypatch.setattr(classify, "_shared_halton", contextlib.nullcontext)
+    fresh = classify_report(counted, cfg)
+    assert _without_timestamp(fresh) == _without_timestamp(shared)
+    assert shared_points < points[0]
