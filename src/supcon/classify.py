@@ -14,10 +14,10 @@ cross-validates the verdicts against the implication hierarchy.
 
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
-batches until the budget is exhausted; the checkers of one ``classify_report``
-share each Halton draw and each run of the segment checker.  The Halton
-points are scipy's scrambled Halton stream, bit for bit, from a numpy kernel
-of this module, so classifying imports no scipy.
+batches until the budget is exhausted.  The checkers of one report share
+each Halton draw and each segment-checker run (past its special pairs, the
+laminate checker reads the rank-one run).  The Halton points are scipy's
+scrambled stream, bit for bit, from a numpy kernel: classify needs no scipy.
 Every search scores its batches by one of two shared rules: ``_worst_gap``
 takes the largest finite gap of a batch of segments or measures, and
 ``_best_field`` the least ess sup over the gradient values of two-gradient
@@ -297,6 +297,14 @@ def _check_settings(budget=None, tol=None, radius=None) -> None:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
 
 
+def _finite(name, x) -> np.ndarray:
+    """x as a float array; a NaN or infinite entry fails naming it."""
+    x = _mat(x)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must have finite entries only")
+    return x
+
+
 def _special_pairs(special_points, rank_one: bool):
     pts = [np.asarray(p, dtype=float) for p in special_points]
     for a, b in itertools.combinations(pts, 2):
@@ -416,9 +424,9 @@ def _score_segments(f, dims, *, tol, budget, seed, radius, special_points,
 
 def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                          special_points, rank_one) -> Verdict:
-    """The segment checker's verdict for ``notion``.  Inside
-    ``_shared_halton`` a run is scored once per set of arguments (the notion
-    aside), and each caller gets a fresh verdict with its own witness."""
+    """``notion``'s verdict from a segment-checker run; inside
+    ``_shared_halton`` one run serves every notion that passes its arguments
+    (the laminate checker reads the rank-one run), each with its own copy."""
     shared = _shared.get()
     runs = {} if shared is None else shared[1]
     key = (id(f), tuple(dims), tol, budget, seed, radius, rank_one,
@@ -478,7 +486,7 @@ def check_supremal_jensen(f, atoms, weights, *, tol=1e-9,
     (M, N, n) and weights[b] (M,); all are scored in one batch, and the
     witness is the worst one."""
     _check_settings(tol=tol)
-    atoms, weights = _mat(atoms), _mat(weights)
+    atoms, weights = _finite("atoms", atoms), _mat(weights)
     if atoms.ndim != 4 or atoms.shape[:2] != weights.shape:
         raise ValueError("atoms must be (B, M, N, n) and weights (B, M)")
     if not (np.all(weights >= 0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)):
@@ -663,7 +671,7 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     """
     _check_settings(budget, tol, radius)
     N, n = dims
-    xi = np.asarray(xi, dtype=float).reshape(dims)
+    xi = _finite("xi", xi).reshape(dims)
     f_xi = float(f(xi))
     zig_budget = budget if n >= 3 else max(1, budget - MESH_DEPTH ** n * MESH_RESTARTS)
     used, best, values, theta = _best_field(

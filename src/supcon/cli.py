@@ -206,7 +206,6 @@ def cmd_gamma1d(args) -> int:
 def cmd_laminate_check(args) -> int:
     entry = fs.corpus_entry(args.corpus)
     settings = _given(args, "budget", "tol", "seed", "radius")
-    clf.ClassifyConfig(**settings)  # fails naming a bad setting
     verdict = lam.check_curl_young_on_laminates(
         entry, entry.dims, special_points=entry.special_points, **settings)
     if args.out:
@@ -228,7 +227,6 @@ def cmd_morrey_search(args) -> int:
         "periodic": ("periodic_weak_morrey", lam.check_periodic_weak_morrey),
         "strong": ("strong_morrey", lam.search_strong_morrey_violation),
     }[args.notion]
-    clf.ClassifyConfig(**_given(args, "budget", "tol", "seed", "radius"))  # validates
     verdict = clf.probe_verdict(
         notion, probes, args.budget,
         lambda p, b: search(entry, p, entry.dims, tol=args.tol, budget=b,

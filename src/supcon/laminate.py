@@ -17,9 +17,9 @@ two-gradient test field.  Three checkers use them:
   statistics while their boundary values decay like 1/layers, and small
   affine probes expose lower-semicontinuity failures.
 
-The simple laminates come from the classify module's rank-one segment
-checker, and its shared field scorer scores the sawtooth candidates of the
-last two.  The searches only ever report a violation with a replayable
+Past its special pairs, the first reads the classify module's rank-one
+segment run; that module's field scorer scores the sawtooth candidates of
+the last two.  The searches only ever report a violation with a replayable
 witness; a clean pass means nothing more than "no counterexample within
 budget"."""
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
                        Verdict, _backs_violation, _best_field, _check_settings,
-                       _ess_sup, _field_witness, _measure_witness,
+                       _ess_sup, _field_witness, _finite, _measure_witness,
                        _run_segment_checker, _special_pairs)
 from .funcspace import DEFAULT_SEED
 # perfbench/tracer.py wraps this binding by name; --trace 1 fails without it
@@ -60,9 +60,9 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
     or their weak* closure, may need semicontinuity.
 
     Simple laminates on special rank-one pairs run first, pair by pair at
-    the lambda grid; then the rank-one segment stream of
-    ``check_rank_one_qcx``, without the special points, spends the rest,
-    and its witness is the segment's two-atom measure.
+    the lambda grid.  With budget left, the rest is ``check_rank_one_qcx``'s
+    run (in ``classify_report``, the one it scored), whose battery finds the
+    same pairs clean; its witness segment becomes a two-atom measure.
     """
     _check_settings(budget, tol, radius)
     notion = "curl_young_laminates"
@@ -80,17 +80,17 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
                 witness = _measure_witness(np.stack([A, B]), [lam, 1.0 - lam],
                                            f_bar, sup)
                 return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    if used == budget:
+        return Verdict(notion, HOLDS, None, used, tol, seed)
 
-    v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget - used,
-                             seed=seed, radius=radius, special_points=(),
+    v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget, seed=seed,
+                             radius=radius, special_points=special_points,
                              rank_one=True)
-    v.budget += used
+    w = v.witness
     if v.violated:
-        w = v.witness
-        v.witness = _measure_witness(np.array([w["xi"], w["eta"]]),
-                                     [w["lam"], 1.0 - w["lam"]],
-                                     w["f_mid"], max(w["f_xi"], w["f_eta"]))
-    return v
+        w = _measure_witness(np.array([w["xi"], w["eta"]]), [w["lam"], 1.0 - w["lam"]],
+                             w["f_mid"], max(w["f_xi"], w["f_eta"]))
+    return Verdict(notion, v.outcome, w, v.budget, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     changes nothing here because the gradient statistics are scale-invariant."""
     _check_settings(budget, tol, radius)
     notion = "periodic_weak_morrey"
-    xi = np.asarray(xi, dtype=float).reshape(dims)
+    xi = _finite("xi", xi).reshape(dims)
     f_xi = float(f(xi))
     used, ess, values, theta = _best_field(
         f, xi, f_xi, dims, tol=tol, stop=True, seed=seed, count=budget,
@@ -143,7 +143,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
         raise ValueError(f"K must be finite and > 0, got {K!r}")
     notion = "strong_morrey"
     N, n = dims
-    xi = np.asarray(xi, dtype=float).reshape(dims)
+    xi = _finite("xi", xi).reshape(dims)
     f_xi = float(f(xi))
     deltas = DEFAULT_DELTA_SCHEDULE
 

@@ -40,6 +40,10 @@ rank-one segment stream; the tests use it to check the finite-order
 reduction of a tree to one of its splits.  The scrambled Halton draw of
 ``scipy.stats.qmc`` is kept as the engine ``classify`` drew from before its
 own kernel, ``classify._scrambled_halton``, which must match it bit for bit.
+The curl-Young laminate checker is kept as it ran before it read the
+rank-one checker's run: after its special-pair battery, a second segment run
+without the special points, on the budget the battery left, its spend added
+after the fact.
 """
 
 from __future__ import annotations
@@ -54,9 +58,10 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.stats import qmc
 
 from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                             Verdict, _aslist, _cutoff_values, _ess_sup,
-                             _field_witness, _halton, _segment_witness, _special_pairs,
-                             _two_gradient_candidates, _worst_gap)
+                             Verdict, _aslist, _backs_violation, _check_settings,
+                             _cutoff_values, _ess_sup, _field_witness, _halton,
+                             _measure_witness, _run_segment_checker, _segment_witness,
+                             _special_pairs, _two_gradient_candidates, _worst_gap)
 from supcon.envelope import (MAX_SWEEPS, SWEEP_TOL, _points_in_flat_hull,
                              rank_one_grid_directions)
 from supcon.fem1d import (ORACLE_POINTS, POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
@@ -998,3 +1003,51 @@ def _tree_atoms_batch(bar, order, rng, scale):
 def halton(dim, count, seed):
     """The first ``count`` points of scipy's scrambled Halton sequence of ``seed``."""
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+
+
+def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
+                                  seed=DEFAULT_SEED, radius=2.0,
+                                  special_points=()) -> Verdict:
+    """Violated iff some simple laminate has f(barycenter) > ess-sup of f
+    over its two atoms (plus tol).
+
+    That decides the inequality on finite laminates: if one of order k has
+    f(barycenter) above the max over its atoms by g > 0, the values on the
+    path to the larger child at each level fall by g over k steps, so some
+    split is a rank-one segment with gap at least g/k.  Still no edge from
+    rank-one to this notion in ``HIERARCHY_IMPLIES``, which holds only
+    implications valid for every Borel supremand: infinite-order laminates,
+    or their weak* closure, may need semicontinuity.
+
+    Simple laminates on special rank-one pairs run first, pair by pair at
+    the lambda grid; then the rank-one segment stream of
+    ``check_rank_one_qcx``, without the special points, spends the rest,
+    and its witness is the segment's two-atom measure.
+    """
+    _check_settings(budget, tol, radius)
+    notion = "curl_young_laminates"
+    used = 0
+
+    # battery: simple laminates on special rank-one pairs, exact atoms
+    for A, B in _special_pairs(special_points, rank_one=True):
+        if used >= budget:
+            break
+        sup = _ess_sup([f(A), f(B)])
+        for lam in LAMBDA_GRID[:budget - used]:
+            used += 1
+            f_bar = float(f(lam * A + (1.0 - lam) * B))
+            if _backs_violation(f_bar - sup, tol):
+                witness = _measure_witness(np.stack([A, B]), [lam, 1.0 - lam],
+                                           f_bar, sup)
+                return Verdict(notion, VIOLATED, witness, used, tol, seed)
+
+    v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget - used,
+                             seed=seed, radius=radius, special_points=(),
+                             rank_one=True)
+    v.budget += used
+    if v.violated:
+        w = v.witness
+        v.witness = _measure_witness(np.array([w["xi"], w["eta"]]),
+                                     [w["lam"], 1.0 - w["lam"]],
+                                     w["f_mid"], max(w["f_xi"], w["f_eta"]))
+    return v

@@ -317,6 +317,11 @@ def test_supremal_jensen_rejects_invalid_measures():
                                (atoms[0], [[0.5, 0.5]])):
         with pytest.raises(ValueError, match="atoms must be"):
             check_supremal_jensen(entry, bad_atoms, weights)
+    for value in (math.nan, math.inf, -math.inf):  # a NaN atom reported "holds"
+        bad_atoms = atoms.copy()
+        bad_atoms[0, 1, 0, 0] = value
+        with pytest.raises(ValueError, match="atoms must have finite"):
+            check_supremal_jensen(entry, bad_atoms, [[0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +565,25 @@ def test_strong_search_rejects_a_bad_gradient_bound(K):
     # each reported "holds" at budget 200, on 468 samples (568 at K = inf)
     with pytest.raises(ValueError, match="K must be"):
         _strong_search_on_w_sup(np.zeros((2, 2)), 200, K=K)
+
+
+FIELD_SEARCHES = {
+    "weak_morrey": search_weak_morrey_violation,
+    "periodic": laminate.check_periodic_weak_morrey,
+    "strong_morrey": laminate.search_strong_morrey_violation,
+}
+
+
+@pytest.mark.parametrize("name, xi", [("abs", [[math.nan]]), ("abs", [[math.inf]]),
+                                      ("abs", [[-math.inf]]),
+                                      ("arctan_det", [[math.inf, 0.0], [0.0, 0.0]])])
+@pytest.mark.parametrize("search", FIELD_SEARCHES)
+def test_field_searches_reject_a_non_finite_xi(search, name, xi):
+    # at xi = nan on abs each reported "holds", on 20_036, 20_000 and 19_972
+    # samples; at the infinite xi on arctan_det the weak search died in an SVD
+    entry = corpus_entry(name)
+    with pytest.raises(ValueError, match=r"\bxi\b"):
+        FIELD_SEARCHES[search](entry, xi, entry.dims, special_points=entry.special_points)
 
 
 @pytest.mark.parametrize("radius", [0.0, math.nan, 1e-12])

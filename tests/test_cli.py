@@ -342,6 +342,11 @@ BAD_SEARCH_SETTINGS = [
     (("classify", "--corpus", "abs", "--budget", "0"), "budget"),
     (("classify", "--corpus", "abs", "--tol=-1"), "tol"),
     (("morrey-search", "--corpus", "abs", "--notion", "weak", "--budget", "0"), "budget"),
+    (("morrey-search", "--corpus", "abs", "--notion", "weak", "--xi", "nan"), "xi"),
+    (("morrey-search", "--corpus", "abs", "--notion", "periodic", "--xi", "inf"), "xi"),
+    (("morrey-search", "--corpus", "abs", "--notion", "strong", "--radius", "nan"), "radius"),
+    (("laminate-check", "--corpus", "abs", "--budget", "0"), "budget"),
+    (("laminate-check", "--corpus", "abs", "--tol", "nan"), "tol"),
 ]
 
 

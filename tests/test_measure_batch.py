@@ -1,6 +1,7 @@
 """Measures as arrays: the batched supremal Jensen checker against the
-per-measure loop in ``oracles.py``, on batches with NaN, +-inf and
-zero-weight atoms."""
+per-measure loop in ``oracles.py``, on batches with zero-weight atoms and
+atoms where f is NaN or +-inf; a batch with a NaN or infinite atom itself
+is rejected."""
 
 import numpy as np
 import pytest
@@ -31,12 +32,18 @@ def _f(arr):
        st.integers(0, 2**32 - 1))
 def test_jensen_batch_matches_per_measure_loop(dims, M, B, tol, seed):
     # atoms on the grid Z/4 and weights in Z/16 make every barycenter exact,
-    # so the batched and the row-by-row sums agree bit for bit
+    # so the batched and the row-by-row sums agree bit for bit; f is NaN or
+    # +-inf on part of the grid, and a batch with a NaN or infinite atom is
+    # rejected naming the atoms
     rng = np.random.default_rng(seed)
     atoms = rng.integers(-8, 9, size=(B, M, *dims)) / 4.0
     odd = rng.random(atoms.shape) < 0.02
-    atoms[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
+    bad = atoms.copy()
+    bad[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
     weights = rng.multinomial(16, np.full(M, 1.0 / M), size=B) / 16.0
+    if odd.any():
+        with pytest.raises(ValueError, match="atoms"):
+            check_supremal_jensen(_f, bad, weights, tol=tol, seed=seed % 1000)
     v = check_supremal_jensen(_f, atoms, weights, tol=tol, seed=seed % 1000)
     with np.errstate(invalid="ignore"):
         gaps = oracles.supremal_jensen_gaps(_f, atoms, weights)

@@ -1,8 +1,9 @@
 """Samples computed once: the segment checkers and the two-atom measure
 stream against their per-weight loops in ``oracles.py``, equal bit for bit;
-the Halton kernel against scipy's scrambled Halton engine, bit for bit; and
-the Halton draws and segment-checker runs that the checkers of one
-``classify_report`` share."""
+the curl-Young checker, which reads the rank-one run, against its old second
+spliced run; the Halton kernel against scipy's scrambled Halton engine, bit
+for bit; and the Halton draws and segment-checker runs that the checkers of
+one ``classify_report`` share."""
 
 import contextlib
 import dataclasses
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -99,6 +100,33 @@ def test_segment_checkers_match_per_weight_oracle(notion, dims, kind, nan_above,
         want = oracles.run_segment_checker(notion, f, dims, rank_one=rank_one,
                                            **kw).to_dict()
     assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+       st.sampled_from(["corpus", "convex", "smooth"]),
+       st.sampled_from([None, 0.3, 1.5]),
+       st.integers(0, 8),
+       st.one_of(st.integers(1, 60), st.integers(60, 6000)),
+       st.integers(0, 2**32 - 1))
+# batteries that use the budget up before a violating pair that the
+# lambda-major battery of a run at the full budget reaches and reports
+@example((1, 1), "smooth", None, 3, 2, 3)
+@example((2, 2), "smooth", None, 8, 3, 5)
+def test_curl_young_matches_its_spliced_oracle(dims, kind, nan_above, n_special,
+                                               budget, seed):
+    # past a clean special-pair battery the rank-one run's own battery is
+    # clean too, and its Halton phase is the splice's run on what is left;
+    # small budgets run out inside the battery
+    rng = np.random.default_rng(seed)
+    f = _supremand(dims, kind, rng, seed)
+    special = _special_points(dims, rng, n_special)
+    if nan_above is not None:
+        f = _with_nan(f, nan_above)
+    kw = dict(tol=1e-9, budget=budget, seed=seed % 100_000,
+              radius=float(rng.choice([1.0, 2.0, 3.0])), special_points=special)
+    got = laminate.check_curl_young_on_laminates(f, dims, **kw).to_dict()
+    assert got == oracles.check_curl_young_on_laminates(f, dims, **kw).to_dict()
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,3 +278,31 @@ def test_classify_report_scores_each_segment_run_once(name, monkeypatch):
     fresh = classify_report(counted, cfg)
     assert _without_timestamp(fresh) == _without_timestamp(shared)
     assert shared_points < points[0]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_classify_report_serves_curl_young_the_rank_one_run(name, monkeypatch):
+    # past its battery (f at both points and at five weights of each special
+    # rank-one pair) the curl-Young checker reads the rank-one run that the
+    # report already scored, so f sees nothing more
+    points, seen = [0], []
+    entry = corpus_entry(name)
+
+    def evaluator(arr):
+        points[0] += math.prod(arr.shape[:-2])
+        return entry.evaluator(arr)
+
+    checker = laminate.check_curl_young_on_laminates
+
+    def counted_checker(*args, **kwargs):
+        before = points[0]
+        v = checker(*args, **kwargs)
+        seen.append(points[0] - before)
+        return v
+
+    monkeypatch.setattr(laminate, "check_curl_young_on_laminates", counted_checker)
+    classify_report(dataclasses.replace(entry, evaluator=evaluator),
+                    ClassifyConfig(budget=20_000))
+    pairs = list(classify._special_pairs(entry.special_points, rank_one=True))
+    assert len(seen) == 1
+    assert seen[0] <= 7 * len(pairs)
