@@ -306,7 +306,7 @@ def _finite(name, x) -> np.ndarray:
 
 
 def _special_pairs(special_points, rank_one: bool):
-    pts = [np.asarray(p, dtype=float) for p in special_points]
+    pts = [_finite("special_points", p) for p in special_points]
     for a, b in itertools.combinations(pts, 2):
         if np.array_equal(a, b):
             continue
@@ -634,20 +634,37 @@ def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
     ``f_xi`` by a finite gap above tol.  Returns (samples, least ess sup, its
     gradient values, its theta); the values are None when no ess sup is
     below +inf.
+
+    The cutoff layer only raises an ess sup, so the pair's (NaN as +inf,
+    -inf kept: a -inf pair bounds nothing) bounds it below.  The layer is
+    scored at i0, the first least bound, giving e0, then at each j with
+    bound < e0, or bound = e0 and j <= i0; every other candidate has
+    (ess sup, j) above (e0, i0).  f and the SVD score each matrix on its
+    own, so a subset gets the same bits as the whole batch.
     """
     used, best, best_values, best_theta = 0, np.inf, None, None
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
+        rows = np.arange(len(ess))
         if cutoff:
-            extras = _cutoff_values(xi, Mp, Mm, theta)
-            ess = np.maximum(ess, f(extras).max(axis=1))
+            def layer(ix):  # full ess sups of candidates ix, and their cutoff values
+                extras = _cutoff_values(xi, Mp[ix], Mm[ix], theta[ix])
+                full = np.maximum(ess[ix], f(extras).max(axis=1))
+                return np.where(np.isfinite(full), full, np.inf), extras
+
+            bound = np.where(np.isnan(ess), np.inf, ess)
+            i0 = int(np.argmin(bound))
+            (e0,), _ = layer([i0])
+            rows = np.flatnonzero((bound < e0) | ((bound == e0) & (rows <= i0)))
+            ess, extras = layer(rows)
         # a NaN or -inf ess sup gives no finite gap; it must not hide one
         ess = np.where(np.isfinite(ess), ess, np.inf)
-        i = int(np.argmin(ess))
-        if ess[i] < best:
-            best = float(ess[i])
-            best_values = [Mp[i], Mm[i]] + (list(extras[i]) if cutoff else [])
+        k = int(np.argmin(ess))
+        if ess[k] < best:
+            i = rows[k]
+            best = float(ess[k])
+            best_values = [Mp[i], Mm[i]] + (list(extras[k]) if cutoff else [])
             best_theta = float(theta[i])
         if stop and _backs_violation(f_xi - best, tol):
             break

@@ -161,15 +161,17 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
     extra = rng.normal(size=(n_dirs, N, n))
     dirs += [e for e in extra]
     D = np.array([d / np.linalg.norm(d.ravel()) for d in dirs])
+    # every (delta, magnitude) probe set xi + mag * D, scored in one f call
+    m0 = [min(K, 2.0 * delta / math.sqrt(n)) for delta in deltas]
+    mags = np.array([(m, m / 2.0, m / 4.0) for m in m0])
+    probe_sets = xi + mags[:, :, None, None, None] * D
+    vals_sets = f(probe_sets.reshape(-1, N, n)).reshape(mags.shape + (len(D),))
+    vals_sets = np.where(np.isfinite(vals_sets), vals_sets, np.inf)
     affine_gaps = []
     affine_probes = []  # (probe, f at it) of each delta's largest gap
-    for delta in deltas:
-        m0 = min(K, 2.0 * delta / math.sqrt(n))
+    for probes_d, vals_d in zip(probe_sets, vals_sets):
         best_gap, best_probe = -np.inf, None
-        for mag in (m0, m0 / 2.0, m0 / 4.0):
-            probes = xi[None] + mag * D
-            vals = f(probes)
-            vals = np.where(np.isfinite(vals), vals, np.inf)
+        for probes, vals in zip(probes_d, vals_d):
             used += len(D)
             i = int(np.argmin(vals))
             if f_xi - float(vals[i]) > best_gap:

@@ -43,7 +43,9 @@ own kernel, ``classify._scrambled_halton``, which must match it bit for bit.
 The curl-Young laminate checker is kept as it ran before it read the
 rank-one checker's run: after its special-pair battery, a second segment run
 without the special points, on the budget the battery left, its spend added
-after the fact.
+after the fact.  The two-gradient field scorer ``best_field`` is kept as it ran
+before ``classify._best_field`` bounded each candidate's ess sup by its pair
+of gradient values: the cutoff layer scored at every candidate of a batch.
 """
 
 from __future__ import annotations
@@ -1051,3 +1053,33 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
                                      [w["lam"], 1.0 - w["lam"]],
                                      w["f_mid"], max(w["f_xi"], w["f_eta"]))
     return v
+
+
+def best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
+    """The two-gradient field of ``_two_gradient_candidates(xi, dims,
+    **stream)`` with the least essential supremum of f over its gradient
+    values (with ``cutoff``, also over the cutoff layer's).
+
+    A NaN or -inf ess sup counts as +inf; the first strict minimum is kept.  With
+    ``stop`` the search ends after the first batch whose minimum undercuts
+    ``f_xi`` by a finite gap above tol.  Returns (samples, least ess sup, its
+    gradient values, its theta); the values are None when no ess sup is
+    below +inf.
+    """
+    used, best, best_values, best_theta = 0, np.inf, None, None
+    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream):
+        used += len(Mp)
+        ess = np.maximum(f(Mp), f(Mm))
+        if cutoff:
+            extras = _cutoff_values(xi, Mp, Mm, theta)
+            ess = np.maximum(ess, f(extras).max(axis=1))
+        # a NaN or -inf ess sup gives no finite gap; it must not hide one
+        ess = np.where(np.isfinite(ess), ess, np.inf)
+        i = int(np.argmin(ess))
+        if ess[i] < best:
+            best = float(ess[i])
+            best_values = [Mp[i], Mm[i]] + (list(extras[i]) if cutoff else [])
+            best_theta = float(theta[i])
+        if stop and _backs_violation(f_xi - best, tol):
+            break
+    return used, best, best_values, best_theta

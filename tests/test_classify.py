@@ -586,6 +586,33 @@ def test_field_searches_reject_a_non_finite_xi(search, name, xi):
         FIELD_SEARCHES[search](entry, xi, entry.dims, special_points=entry.special_points)
 
 
+SPECIAL_POINT_USERS = {
+    "level_convex": check_level_convex,
+    "rank_one": check_rank_one_qcx,
+    "polyquasiconvex": check_polyquasiconvex_necessary,
+    "curl_young": laminate.check_curl_young_on_laminates,
+    "weak_morrey": lambda f, dims, **kw: search_weak_morrey_violation(f, [[0.0]], dims, **kw),
+    "periodic": lambda f, dims, **kw: laminate.check_periodic_weak_morrey(f, [[0.0]], dims, **kw),
+    "strong_morrey": lambda f, dims, **kw: laminate.search_strong_morrey_violation(
+        f, [[0.0]], dims, **kw),
+    "two_atom_measures": lambda f, dims, budget, **kw: two_atom_measures(
+        dims, seed=SEED, count=budget, **kw),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("user", SPECIAL_POINT_USERS)
+def test_special_point_users_reject_a_non_finite_point(user, bad):
+    # with [[nan]] every user of the rank-one pair test died in an SVD ("did
+    # not converge"), the level-convexity and polyquasiconvexity checkers
+    # reported "violated" on 12 samples and the measures held NaN atoms; with
+    # [[inf]] or [[-inf]] every checker reported "violated"
+    entry = corpus_entry("double_well_1d")
+    with pytest.raises(ValueError, match="special_points"):
+        SPECIAL_POINT_USERS[user](entry, entry.dims, budget=50,
+                                  special_points=[[[bad]], [[1.0]]])
+
+
 @pytest.mark.parametrize("radius", [0.0, math.nan, 1e-12])
 def test_rank_one_stream_raises_on_a_radius_that_keeps_no_pair(radius):
     # at |t| <= 1e-8 throughout, every Halton block kept nothing and the

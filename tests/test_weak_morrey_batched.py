@@ -1,17 +1,18 @@
 """The array form of the weak-Morrey search layer against the per-candidate,
 per-triangle and per-trial reference loops in ``oracles.py``, the shared
-two-gradient candidate stream against the laminate generator it replaced, and
-the three field searches against their copies from before the shared field
-scorer: equal bit for bit."""
+two-gradient candidate stream against the laminate generator it replaced, the
+field scorer against its copy from before it bounded the cutoff layer by the
+pair of gradient values, and the three field searches against their copies
+from before the shared field scorer: equal bit for bit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from supcon import laminate
-from supcon.classify import (_cutoff_values, _simplicial_search,
+from supcon.classify import (_best_field, _cutoff_values, _simplicial_search,
                              _two_gradient_candidates,
                              search_weak_morrey_violation)
 from supcon.funcspace import corpus_entry
@@ -215,3 +216,107 @@ def test_field_searches_match_their_own_loops(search, name, at_special, budget,
         kw["K"] = K
     new, ref = FIELD_SEARCHES[search]
     assert new(f, xi, dims, **kw).to_dict() == ref(f, xi, dims, **kw).to_dict()
+
+
+def _indicator(dims, seed):
+    """Values in {0, 1, 2}: ties between candidates everywhere."""
+    rng = np.random.default_rng(seed)
+    A, c = rng.normal(size=dims), float(rng.uniform(-1.0, 1.0))
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        return ((np.sum(A * arr, axis=(-2, -1)) > c).astype(float)
+                + (np.max(np.abs(arr), axis=(-2, -1)) > 1.5))
+    return f
+
+
+def _minus_inf_at_pairs(f, xi, batches, rng):
+    """f, but -inf exactly at both gradient values of up to three candidates
+    of one batch of the stream; the first one's cutoff values read -1e3, so
+    its full ess sup is finite and, for the f used here, the batch's least.
+    f itself when the stream is empty."""
+    if not batches:
+        return f
+    N, n = xi.shape
+    Mp, Mm, theta = batches[int(rng.integers(len(batches)))]
+    js = rng.choice(len(Mp), size=min(3, len(Mp)), replace=False)
+    pairs = np.concatenate([Mp[js], Mm[js]]).reshape(-1, N * n)
+    low = _cutoff_values(xi, Mp[js[:1]], Mm[js[:1]], theta[js[:1]]).reshape(-1, N * n)
+
+    def hits(flat, rows):
+        return (flat[:, None, :] == rows[None]).all(axis=-1).any(axis=-1)
+
+    def g(arr):
+        arr = np.asarray(arr, dtype=float)
+        flat = arr.reshape(-1, N * n)
+        out = np.where(hits(flat, low), -1e3, np.asarray(f(arr), dtype=float).ravel())
+        return np.where(hits(flat, pairs), -np.inf, out).reshape(arr.shape[:-2])
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3)]),
+       st.sampled_from(["corpus", "smooth", "indicator"]),
+       st.sampled_from([None, "nan", "minus_inf"]),
+       st.sampled_from([None, "pairs", "corpus"]),
+       st.booleans(),
+       st.sampled_from([None, 0.5, 2.0, 8.0]),
+       st.one_of(st.integers(1, 600), st.integers(4000, 9000)),
+       st.integers(0, 2**32 - 1))
+# a candidate before i0 whose bound ties e0; a -inf pair that decides the minimum
+@example((2, 2), "corpus", None, None, False, None, 3, 0)
+@example((2, 2), "corpus", "minus_inf", None, False, None, 4, 0)
+def test_cutoff_field_scorer_matches_its_full_batch_oracle(dims, kind, hole, special,
+                                                           stop, grad_cap, count,
+                                                           seed):
+    # scoring the cutoff layer only where the pair bound leaves a candidate
+    # able to be the batch's first minimum picks the same field, bit for bit
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=dims) * float(rng.choice([0.0, 0.5, 2.0]))
+    entry = None
+    if kind == "corpus" and dims == (2, 2):
+        f = entry = corpus_entry(CORPUS_2x2[seed % len(CORPUS_2x2)])
+    elif kind == "indicator":
+        f = _indicator(dims, seed)
+    else:
+        f = _smooth(dims, seed)
+    points = ()
+    if special == "pairs":
+        points = _rank_one_pairs(rng, xi, 6)
+    elif special == "corpus" and entry is not None:
+        points = entry.special_points
+        xi = np.asarray(points[seed % len(points)], dtype=float)
+    stream = dict(seed=seed % 1000, count=count, radius=float(rng.uniform(0.5, 3.0)),
+                  special_points=points, grad_cap=grad_cap)
+    if hole == "nan":
+        f = _nan_where_a00_above(f, float(rng.uniform(-1.0, 1.0)))
+    elif hole == "minus_inf":
+        batches = list(_two_gradient_candidates(xi, dims, **stream))
+        f = _minus_inf_at_pairs(f, xi, batches, rng)
+    kw = dict(tol=1e-9, stop=stop, cutoff=True, **stream)
+    f_xi = float(f(xi))
+    used, best, values, theta = _best_field(f, xi, f_xi, dims, **kw)
+    ref_used, ref_best, ref_values, ref_theta = oracles.best_field(f, xi, f_xi, dims, **kw)
+    assert used == ref_used
+    assert np.array_equal(best, ref_best)
+    assert theta == ref_theta
+    assert (values is None) == (ref_values is None)
+    if values is not None:
+        assert np.array_equal(np.array(values), np.array(ref_values))
+
+
+def test_strong_search_scores_its_affine_family_in_one_f_call():
+    # the 12 deltas times 3 magnitudes took one f call each; the laminate
+    # family's batches take two each, and f(xi) one
+    entry = corpus_entry("W_sup")
+    xi = np.asarray(entry.special_points[0], dtype=float)
+    kw = dict(seed=5, radius=2.0, special_points=entry.special_points)
+    calls = []
+
+    def spy(arr):
+        calls.append(1)
+        return entry(arr)
+
+    laminate.search_strong_morrey_violation(spy, xi, entry.dims, K=8.0, budget=2000, **kw)
+    batches = list(_two_gradient_candidates(xi, entry.dims, count=1000, grad_cap=8.0, **kw))
+    assert len(calls) == 1 + 2 * len(batches) + 1
