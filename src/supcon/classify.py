@@ -315,6 +315,16 @@ def _special_pairs(special_points, rank_one: bool):
         yield a, b
 
 
+def _unit_rank_one(H, N, keep=True):
+    """The rows of Halton columns [a | nu], mapped to [-1, 1], that have
+    |a|, |nu| > 1e-8 and ``keep``: their mask and the unit rank-one matrices
+    (a / |a|) (x) (nu / |nu|)."""
+    a, nu = 2.0 * H[:, :N] - 1.0, 2.0 * H[:, N:] - 1.0
+    na, nn = np.linalg.norm(a, axis=1), np.linalg.norm(nu, axis=1)
+    ok = (na > 1e-8) & (nn > 1e-8) & keep
+    return ok, (a[ok] / na[ok, None])[:, :, None] * (nu[ok] / nn[ok, None])[:, None, :]
+
+
 def _segment_batches(dims, *, seed, budget, radius, special_points=(),
                      rank_one=False):
     """Yield (xi, eta, takes) pair blocks; the total triple count stops at budget.
@@ -363,20 +373,13 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
         m = min(HALTON_BLOCK, max(1, (budget - used) // (len(LAMBDA_GRID) + 1)))
         if rank_one:
             H = _halton(d + N + n + 1, m, halton_seed)
-            xi = (2.0 * H[:, :d] - 1.0) * radius
-            a = 2.0 * H[:, d:d + N] - 1.0
-            nu = 2.0 * H[:, d + N:d + N + n] - 1.0
             t = (2.0 * H[:, -1] - 1.0) * 2.0 * radius
-            na = np.linalg.norm(a, axis=1)
-            nn = np.linalg.norm(nu, axis=1)
-            ok = (na > 1e-8) & (nn > 1e-8) & (np.abs(t) > 1e-8)
-            xi, a, nu, t = xi[ok], a[ok], nu[ok], t[ok]
-            if len(xi) == 0:
+            ok, w = _unit_rank_one(H[:, d:-1], N, np.abs(t) > 1e-8)
+            if not ok.any():
                 raise ValueError(f"radius {radius!r} leaves no rank-one pair of a "
                                  "Halton block with |t| > 1e-8")
-            w = (a / na[ok, None])[:, :, None] * (nu / nn[ok, None])[:, None, :]
-            xi = xi.reshape(-1, N, n)
-            eta = xi + t[:, None, None] * w
+            xi = ((2.0 * H[ok, :d] - 1.0) * radius).reshape(-1, N, n)
+            eta = xi + t[ok, None, None] * w
         else:
             H = _halton(2 * d, m, halton_seed)
             xi = ((2.0 * H[:, :d] - 1.0) * radius).reshape(-1, N, n)
@@ -468,6 +471,8 @@ def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
     """The level-convexity sample stream as two-atom measures, so the Jensen
     checker and the level-convexity checker see the same data: atoms
     (count, 2, N, n) and weights (count, 2), one stack per take."""
+    if not count >= 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     atoms, weights = [np.empty((0, 2, *dims))], [np.empty((0, 2))]
     for xi, eta, takes in _segment_batches(dims, seed=seed, budget=count,
                                            radius=radius,
@@ -489,16 +494,16 @@ def check_supremal_jensen(f, atoms, weights, *, tol=1e-9,
     atoms, weights = _finite("atoms", atoms), _mat(weights)
     if atoms.ndim != 4 or atoms.shape[:2] != weights.shape:
         raise ValueError("atoms must be (B, M, N, n) and weights (B, M)")
+    if len(atoms) == 0:
+        raise ValueError("atoms must be a batch of at least one measure")
     if not (np.all(weights >= 0) and np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)):
         raise ValueError("weights must be nonnegative, each row summing to one within 1e-12")
-    used = len(weights)
-    if used:
-        f_bary, sup = _measure_gaps(f, atoms, weights)
-        i, gap = _worst_gap(f_bary, sup)
-        if gap > tol:
-            witness = _measure_witness(atoms[i], weights[i], f_bary[i], sup[i])
-            return Verdict("supremal_jensen", VIOLATED, witness, used, tol, seed)
-    return Verdict("supremal_jensen", HOLDS, None, used, tol, seed)
+    f_bary, sup = _measure_gaps(f, atoms, weights)
+    i, gap = _worst_gap(f_bary, sup)
+    if gap > tol:
+        witness = _measure_witness(atoms[i], weights[i], f_bary[i], sup[i])
+        return Verdict("supremal_jensen", VIOLATED, witness, len(atoms), tol, seed)
+    return Verdict("supremal_jensen", HOLDS, None, len(atoms), tol, seed)
 
 
 def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
@@ -575,15 +580,10 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
         m = min(HALTON_BLOCK, count - done)
         H = _halton(N + n + 2, m, halton_seed)
         halton_seed += 1
-        a = 2.0 * H[:, :N] - 1.0
-        nu = 2.0 * H[:, N:N + n] - 1.0
-        na = np.linalg.norm(a, axis=1)
-        nn = np.linalg.norm(nu, axis=1)
-        ok = (na > 1e-8) & (nn > 1e-8)
-        a, nu = a[ok] / na[ok, None], nu[ok] / nn[ok, None]
-        t = (H[:, -2][ok] * 2.0 + 1e-3) * radius          # magnitude in (0, 2R]
-        theta = 0.05 + 0.9 * H[:, -1][ok]
-        w = t[:, None, None] * (a[:, :, None] * nu[:, None, :])
+        ok, w = _unit_rank_one(H[:, :-2], N)
+        t = (H[ok, -2] * 2.0 + 1e-3) * radius          # magnitude in (0, 2R]
+        theta = 0.05 + 0.9 * H[ok, -1]
+        w = t[:, None, None] * w
         Mp = xi[None] + (1.0 - theta)[:, None, None] * w
         Mm = xi[None] - theta[:, None, None] * w
         if grad_cap is not None:
@@ -811,11 +811,13 @@ class Report:
 
 
 def _probe_points(entry_points, dims) -> list[np.ndarray]:
-    pts = [np.asarray(p, dtype=float) for p in entry_points]
+    """The first ``MAX_PROBE_POINTS`` special points, the last one giving way
+    to the origin when it is not among them."""
+    pts = [np.asarray(p, dtype=float) for p in entry_points[:MAX_PROBE_POINTS]]
     zero = np.zeros(dims)
     if not any(np.array_equal(p, zero) for p in pts):
-        pts.append(zero)
-    return pts[:MAX_PROBE_POINTS]
+        pts = pts[:MAX_PROBE_POINTS - 1] + [zero]
+    return pts
 
 
 def probe_verdict(notion, probes, budget, search, *, tol,
@@ -846,52 +848,36 @@ def verdict_inconsistencies(verdicts: dict) -> list[str]:
 def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) -> Report:
     """Run every checker on a corpus entry and cross-validate the verdicts.
 
-    Field-based notions (weak, periodic, strong) are probed at the entry's
-    special points (plus the origin); a notion is violated if any probe
-    point is.  Hierarchy inconsistencies are flagged but the report is still
-    produced.
+    Field-based notions (weak, periodic, strong) are probed at up to
+    ``MAX_PROBE_POINTS`` points, the first special points of the entry with
+    the origin always among them; a notion is violated if any probe point
+    is.  Hierarchy inconsistencies are flagged but the report is still
+    produced.  Every checker receives the same settings, ``config``'s.
     """
     from . import laminate  # deferred: laminate depends on Verdict above
 
     cfg = config or ClassifyConfig()
-    f = entry
-    dims = entry.dims
-    sp = entry.special_points
-    probes = _probe_points(sp, dims)
+    f, dims = entry, entry.dims
+    kw = dict(asdict(cfg), special_points=entry.special_points)
+    probes = _probe_points(entry.special_points, dims)
 
     def field_verdict(notion, search):
-        return probe_verdict(notion, probes, max(1000, cfg.budget // 10), search,
+        return probe_verdict(notion, probes, max(1000, cfg.budget // 10),
+                             lambda p, b: search(f, p, dims, **dict(kw, budget=b)),
                              tol=cfg.tol, seed=cfg.seed)
 
+    # each checker is read off its module when the report runs (a tracer may wrap it)
     with _shared_halton():  # one draw per (dim, seed) for this report
         verdicts = {
-            "level_convex": check_level_convex(
-                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp),
-            "rank_one": check_rank_one_qcx(
-                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp),
-            "polyquasiconvex": check_polyquasiconvex_necessary(
-                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp),
-            "weak_morrey": field_verdict(
-                "weak_morrey",
-                lambda p, b: search_weak_morrey_violation(
-                    f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
-                    radius=cfg.radius, special_points=sp)),
+            "level_convex": check_level_convex(f, dims, **kw),
+            "rank_one": check_rank_one_qcx(f, dims, **kw),
+            "polyquasiconvex": check_polyquasiconvex_necessary(f, dims, **kw),
+            "weak_morrey": field_verdict("weak_morrey", search_weak_morrey_violation),
             "periodic_weak_morrey": field_verdict(
-                "periodic_weak_morrey",
-                lambda p, b: laminate.check_periodic_weak_morrey(
-                    f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
-                    radius=cfg.radius, special_points=sp)),
+                "periodic_weak_morrey", laminate.check_periodic_weak_morrey),
             "strong_morrey": field_verdict(
-                "strong_morrey",
-                lambda p, b: laminate.search_strong_morrey_violation(
-                    f, p, dims, tol=cfg.tol, budget=b, seed=cfg.seed,
-                    radius=cfg.radius, special_points=sp)),
-            "curl_young_laminates": laminate.check_curl_young_on_laminates(
-                f, dims, tol=cfg.tol, budget=cfg.budget, seed=cfg.seed,
-                radius=cfg.radius, special_points=sp),
+                "strong_morrey", laminate.search_strong_morrey_violation),
+            "curl_young_laminates": laminate.check_curl_young_on_laminates(f, dims, **kw),
         }
     inconsistencies = verdict_inconsistencies(verdicts)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,6 +103,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         N, n = self.dims
+        for name, v in (("dims", N), ("dims", n), ("points_per_axis", self.points_per_axis)):
+            try:
+                operator.index(v)  # an int or a numpy integer, not 2.0
+            except TypeError:
+                raise ValueError(f"{name} must be integral, got {v!r}") from None
         if N < 1 or n < 1:
             raise ValueError("dims must be positive")
         if not 0.0 < self.radius < math.inf:  # NaN fails too
@@ -600,8 +606,7 @@ def load_csv(csv_path) -> SampledFunction:
     be the sidecar grid's nodes in row-major order (within 1e-9 * radius)."""
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
-    grid = GridSpec(tuple(meta["dims"]), float(meta["radius"]),
-                    int(meta["points_per_axis"]))
+    grid = GridSpec(tuple(meta["dims"]), float(meta["radius"]), meta["points_per_axis"])
     with open(csv_path) as fh:
         if len(fh.readline().split(",")) != grid.ndim + 1:
             raise ValueError("CSV header does not match grid dimension")

@@ -161,24 +161,14 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
     extra = rng.normal(size=(n_dirs, N, n))
     dirs += [e for e in extra]
     D = np.array([d / np.linalg.norm(d.ravel()) for d in dirs])
-    # every (delta, magnitude) probe set xi + mag * D, scored in one f call
+    # one row per delta: its three magnitudes' probes xi + mag * D, in one f call
     m0 = [min(K, 2.0 * delta / math.sqrt(n)) for delta in deltas]
     mags = np.array([(m, m / 2.0, m / 4.0) for m in m0])
-    probe_sets = xi + mags[:, :, None, None, None] * D
-    vals_sets = f(probe_sets.reshape(-1, N, n)).reshape(mags.shape + (len(D),))
-    vals_sets = np.where(np.isfinite(vals_sets), vals_sets, np.inf)
-    affine_gaps = []
-    affine_probes = []  # (probe, f at it) of each delta's largest gap
-    for probes_d, vals_d in zip(probe_sets, vals_sets):
-        best_gap, best_probe = -np.inf, None
-        for probes, vals in zip(probes_d, vals_d):
-            used += len(D)
-            i = int(np.argmin(vals))
-            if f_xi - float(vals[i]) > best_gap:
-                best_gap = f_xi - float(vals[i])
-                best_probe = probes[i], float(vals[i])
-        affine_gaps.append(best_gap)
-        affine_probes.append(best_probe)
+    probes = (xi + mags[:, :, None, None, None] * D).reshape(len(deltas), -1, N, n)
+    vals = f(probes.reshape(-1, N, n)).reshape(len(deltas), -1)
+    vals = np.where(np.isfinite(vals), vals, np.inf)
+    used += vals.size
+    affine_gaps = [f_xi - v for v in vals.min(axis=1).tolist()]
 
     per_delta = [max(lam_gap, ag) for ag in affine_gaps]
     # a genuine lower-semicontinuity failure keeps its gap as delta shrinks;
@@ -201,8 +191,9 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
                 family="scaled-periodic-laminate", layers_per_delta=layers,
                 **rows)
         else:
-            probe, ess = affine_probes[-1]
-            witness = _field_witness("affine-field", xi, f_xi, [probe], ess,
+            i = int(np.argmin(vals[-1]))
+            witness = _field_witness("affine-field", xi, f_xi, [probes[-1, i]],
+                                     float(vals[-1, i]),
                                      family="affine-probe", **rows)
         return Verdict(notion, VIOLATED, witness, used, tol, seed)
     return Verdict(notion, HOLDS, None, used, tol, seed)

@@ -313,8 +313,9 @@ def test_supremal_jensen_rejects_invalid_measures():
     with pytest.raises(ValueError, match="summing to one"):  # one row of two is off
         check_supremal_jensen(entry, np.concatenate([atoms, atoms]),
                               [[0.5, 0.5], [0.5, 0.5 + 1e-9]])
+    # a batch of no measures reported "holds-within-budget" on 0 samples
     for bad_atoms, weights in ((atoms, [[1.0]]), (atoms, [0.5, 0.5]),
-                               (atoms[0], [[0.5, 0.5]])):
+                               (atoms[0], [[0.5, 0.5]]), (atoms[:0], np.empty((0, 2)))):
         with pytest.raises(ValueError, match="atoms must be"):
             check_supremal_jensen(entry, bad_atoms, weights)
     for value in (math.nan, math.inf, -math.inf):  # a NaN atom reported "holds"
@@ -322,6 +323,13 @@ def test_supremal_jensen_rejects_invalid_measures():
         bad_atoms[0, 1, 0, 0] = value
         with pytest.raises(ValueError, match="atoms must have finite"):
             check_supremal_jensen(entry, bad_atoms, [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_two_atom_measures_reject_a_count_below_one(count):
+    # both returned empty arrays
+    with pytest.raises(ValueError, match="count"):
+        two_atom_measures((1, 1), seed=SEED, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +499,40 @@ def test_checkers_work_on_interpolated_samples():
     assert v.violated
 
 
+@pytest.mark.parametrize("name, special", [("double_well_1d", True), ("double_well_1d", False),
+                                           ("one_minus_chi_pair", True)])
+def test_classify_report_passes_its_settings_to_every_checker(name, special):
+    # at non-default settings each verdict is its checker's, run on its own;
+    # the field notions split max(1000, budget // 10) over the probe points.
+    # Without special points every double-well violation comes from the
+    # Halton stream, so a radius left at its default moves its witness.
+    entry = corpus_entry(name)
+    if not special:
+        entry = dataclasses.replace(entry, special_points=())
+    cfg = ClassifyConfig(budget=20_000, tol=1e-7, seed=3, radius=1.5)
+    kw = dict(tol=cfg.tol, seed=cfg.seed, radius=cfg.radius,
+              special_points=entry.special_points)
+    pointwise = {"level_convex": check_level_convex, "rank_one": check_rank_one_qcx,
+                 "polyquasiconvex": check_polyquasiconvex_necessary,
+                 "curl_young_laminates": laminate.check_curl_young_on_laminates}
+    fields = {"weak_morrey": search_weak_morrey_violation,
+              "periodic_weak_morrey": laminate.check_periodic_weak_morrey,
+              "strong_morrey": laminate.search_strong_morrey_violation}
+    want = {notion: check(entry, entry.dims, budget=cfg.budget, **kw)
+            for notion, check in pointwise.items()}
+    for notion, search in fields.items():
+        want[notion] = probe_verdict(
+            notion, _probe_points(entry.special_points, entry.dims),
+            max(1000, cfg.budget // 10),
+            lambda p, b, search=search: search(entry, p, entry.dims, budget=b, **kw),
+            tol=cfg.tol, seed=cfg.seed)
+    got = classify_report(entry, cfg).verdicts
+    assert set(got) == set(want)
+    for notion, v in want.items():
+        assert json.dumps(got[notion].to_dict(), sort_keys=True) == \
+            json.dumps(v.to_dict(), sort_keys=True), notion
+
+
 def test_verdict_inconsistency_detection():
     rep = classify_report(corpus_entry("clamp1d"), ClassifyConfig(budget=1_000, seed=SEED))
     verdicts = dict(rep.verdicts)
@@ -641,3 +683,16 @@ def test_probe_points_add_the_origin_when_no_special_point_is_it():
     assert len(probes) == 4 and np.array_equal(probes[-1], np.zeros((2, 2)))
     centred = corpus_entry("one_minus_chi_pair")  # its midpoint is the origin
     assert len(_probe_points(centred.special_points, centred.dims)) == 3
+
+
+def test_probe_points_keep_the_origin_when_six_special_points_come_first():
+    # with six special points before the origin, or none at it, all six
+    # probes were special points and the origin was dropped
+    pts = [np.array([[t]]) for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+    for points in (pts, pts + [np.zeros((1, 1))]):
+        probes = _probe_points(points, (1, 1))
+        assert len(probes) == 6 and np.array_equal(probes[-1], np.zeros((1, 1)))
+        assert all(np.array_equal(p, q) for p, q in zip(probes, pts[:5]))
+    # an origin among the first six stays where it is
+    probes = _probe_points(pts[:3] + [np.zeros((1, 1))] + pts[3:], (1, 1))
+    assert [float(p[0, 0]) for p in probes] == [1.0, 2.0, 3.0, 0.0, 4.0, 5.0]

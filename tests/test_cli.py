@@ -287,6 +287,19 @@ def test_envelope_lam_only_with_pasch_hausdorff(tmp_path, capsys):
     assert np.array_equal(out.values, pasch_hausdorff(sf, 1.0).values)
 
 
+def test_envelope_input_with_a_non_integer_sidecar_grid_size_exits_1(tmp_path, capsys):
+    # a sidecar dims of [1.0, 1.0] died with a TypeError traceback
+    assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
+                   "--points", "21", "--out", str(tmp_path)) == 0
+    sidecar = tmp_path / "clamp1d_lslc.json"
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), dims=[1.0, 1.0])))
+    capsys.readouterr()
+    assert status("envelope", "--input", str(tmp_path / "clamp1d_lslc.csv"),
+                  "--kind", "convex", "--out", str(tmp_path)) == 1
+    assert "dims" in capsys.readouterr().err
+    assert not (tmp_path / "clamp1d_lslc_convex.csv").exists()
+
+
 def test_envelope_takes_one_source_and_no_grid_with_input(tmp_path):
     assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
                    "--points", "21", "--out", str(tmp_path)) == 0
@@ -396,7 +409,15 @@ def test_commands_import_scipy_only_for_what_they_use(tmp_path):
     assert scipy_modules_after(
         "corpus list",
         f"gamma1d --corpus clamp1d --xi 1.0 --cells 8 --p-schedule 2,4 --out {tmp_path}",
-        "classify --corpus abs --budget 1000") == set()
+        "classify --corpus abs --budget 1000",
+        f"envelope --corpus double_well_1d --kind convex --points 21 --out {tmp_path}",
+        f"envelope --corpus double_well_1d --kind lslc --points 21 --out {tmp_path}",
+        f"envelope --corpus arctan_det --kind lamination --points 5 --out {tmp_path}",
+        f"envelope --corpus arctan_det --kind pasch-hausdorff --points 5 --out {tmp_path}",
+        f"powerlaw --corpus clamp1d --points 21 --p-schedule 2,8 --out {tmp_path}",
+        f"laminate-check --corpus abs --budget 500 --out {tmp_path}",
+        f"morrey-search --corpus W_sup --notion strong --xi 0,0,0,0 --budget 500 "
+        f"--out {tmp_path}") == set()
     loaded = scipy_modules_after(
         f"envelope --corpus arctan_det --kind convex --points 5 --out {tmp_path}")
     assert "scipy.spatial" in loaded

@@ -123,6 +123,15 @@ def test_gridspec_validation():
     for radius in (math.nan, math.inf):
         with pytest.raises(ValueError, match="radius"):
             GridSpec((1, 1), radius, 5)
+    # (2, 2), 2.0, 7.5 was accepted with node_count 3164.0625 and died in
+    # axis() with a TypeError; dims (2.0, 2) was accepted too
+    for dims, points, field in (((2, 2), 7.5, "points_per_axis"),
+                                ((2, 2), 7.0, "points_per_axis"),
+                                ((2.0, 2), 5, "dims"), ((1, 1.0), 5, "dims")):
+        with pytest.raises(ValueError, match=field):
+            GridSpec(dims, 2.0, points)
+    g = GridSpec((np.int64(1), np.int32(1)), 2.0, np.int64(5))  # numpy integers are integers
+    assert g.node_count == 5 and len(g.axis()) == 5
 
 
 def test_memory_cap(monkeypatch):
@@ -341,3 +350,14 @@ def test_load_csv_takes_exactly_one_row_per_node(tmp_path):
             load(header, lines)  # an extra row, a missing one, a blank line for one
     # a blank line between rows is skipped
     assert np.array_equal(load(header, rows[:3] + [""] + rows[3:]).values, want)
+
+
+@pytest.mark.parametrize("points", [7.9, 7.0])
+def test_load_csv_rejects_a_sidecar_grid_size_that_is_not_an_integer(tmp_path, points):
+    # a points_per_axis of 7.9 went through int() and loaded a 7-point grid
+    f = sample(corpus_entry("clamp1d"), GridSpec((1, 1), 2.0, 7))
+    save_csv(f, tmp_path / "c.csv")
+    meta = json.loads((tmp_path / "c.json").read_text())
+    (tmp_path / "c.json").write_text(json.dumps(dict(meta, points_per_axis=points)))
+    with pytest.raises(ValueError, match="points_per_axis"):
+        load_csv(tmp_path / "c.csv")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -468,6 +470,27 @@ def test_strong_chi_det_open_holds_at_jump():
     v = search_strong_morrey_violation(entry, np.eye(2), entry.dims,
                                        **_args(entry, budget=3_000))
     assert not v.violated
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_strong_holds_where_f_xi_is_not_finite(value):
+    # chi_det is violated at the identity with a unit gap; with f NaN or
+    # +-inf near xi no gap is finite (a delta row of the affine table whose
+    # probes are all +inf gives inf - inf), so the search holds, and warns
+    # of nothing
+    entry, xi = corpus_entry("chi_det"), np.eye(2)
+
+    def f(arr):
+        arr = np.asarray(arr, dtype=float)
+        near = (np.abs(arr - xi) < 0.25).all(axis=(-2, -1))
+        return np.where(near, value, entry(arr))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = search_strong_morrey_violation(f, xi, entry.dims, **_args(entry, budget=3_000))
+    assert not v.violated
+    assert v.budget == search_strong_morrey_violation(
+        entry, xi, entry.dims, **_args(entry, budget=3_000)).budget
 
 
 def test_strong_continuous_decay_filtered():

@@ -138,6 +138,10 @@ def test_two_atom_measures_match_per_weight_oracle(dims, n_special, count, seed)
     rng = np.random.default_rng(seed)
     kw = dict(seed=seed % 100_000, count=count, radius=float(rng.choice([1.0, 2.0])),
               special_points=_special_points(dims, rng, n_special))
+    if count < 1:  # the oracle returns empty arrays; the stream rejects the count
+        with pytest.raises(ValueError, match="count"):
+            classify.two_atom_measures(dims, **kw)
+        return
     atoms, weights = classify.two_atom_measures(dims, **kw)
     atoms_ref, weights_ref = oracles.two_atom_measures(dims, **kw)
     assert atoms.shape == atoms_ref.shape == (len(weights), 2, *dims)
