@@ -33,6 +33,7 @@ import copy
 import datetime
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, asdict
@@ -75,10 +76,6 @@ DEFAULT_DELTA_SCHEDULE = tuple(2.0 ** -k for k in range(1, 13))
 
 #: Field-based notions are probed at no more than this many points per entry.
 MAX_PROBE_POINTS = 6
-
-#: Lattice cells per axis and random restarts of the weak-Morrey simplicial search.
-MESH_DEPTH = 4
-MESH_RESTARTS = 4
 
 #: What each checker actually tests, embedded in every verdict and report.
 NOTION_STATEMENTS = {
@@ -159,7 +156,13 @@ def _measure_gaps(f, atoms, weights):
 
 
 def replay_witness(f, witness: dict) -> float:
-    """Recompute a witness gap from scratch; must match the stored gap to 1e-12."""
+    """Recompute a witness gap from scratch; must match the stored gap to 1e-12.
+
+    Weighted points (``segment``, ``measure``, ``minor-combination``) are
+    scored as one measure; a test field (``two-gradient-field``,
+    ``cutoff-field``, ``affine-field``) by its stored gradient values.  Any
+    other kind raises ``ValueError``.
+    """
     kind = witness["kind"]
     if kind in ("segment", "measure", "minor-combination"):  # weighted points
         if kind == "segment":
@@ -171,8 +174,7 @@ def replay_witness(f, witness: dict) -> float:
             points, weights = witness["points"], witness["weights"]
         (f_bary,), (sup,) = _measure_gaps(f, _mat(points)[None], _mat(weights)[None])
         return float(f_bary) - _ess_sup([sup])
-    if kind in ("two-gradient-field", "affine-field", "cutoff-field",
-                "simplicial-field"):
+    if kind in ("two-gradient-field", "affine-field", "cutoff-field"):
         xi = _mat(witness["xi"])
         return float(f(xi)) - _ess_sup([f(_mat(m)) for m in witness["field_values"]])
     raise ValueError(f"unknown witness kind {kind!r}")
@@ -286,11 +288,22 @@ def _halton(dim: int, count: int, seed: int) -> np.ndarray:
     return pts[:count]
 
 
+def _check_count(name, count) -> None:
+    """Reject a sample count that is not an integer (an int or a numpy
+    integer, not 2.0) or is below 1, naming it."""
+    try:
+        operator.index(count)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count!r}")
+
+
 def _check_settings(budget=None, tol=None, radius=None) -> None:
     """Reject a search setting that leaves the search nothing honest to do,
     naming it; NaN fails each test, and a setting left None is not checked."""
-    if budget is not None and not budget >= 1:
-        raise ValueError(f"budget must be at least 1, got {budget!r}")
+    if budget is not None:
+        _check_count("budget", budget)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if radius is not None and not 0.0 < radius < math.inf:
@@ -471,8 +484,7 @@ def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
     """The level-convexity sample stream as two-atom measures, so the Jensen
     checker and the level-convexity checker see the same data: atoms
     (count, 2, N, n) and weights (count, 2), one stack per take."""
-    if not count >= 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
+    _check_count("count", count)
     atoms, weights = [np.empty((0, 2, *dims))], [np.empty((0, 2))]
     for xi, eta, takes in _segment_batches(dims, seed=seed, budget=count,
                                            radius=radius,
@@ -676,107 +688,25 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
                                  special_points=()) -> Verdict:
     """Minimize the essential supremum of f(xi + D phi) over zero-boundary fields.
 
-    Families searched: exact two-slope zigzags when n = 1 (every mean-zero
-    two-slope profile is realizable with zero boundary there), laminates cut
-    off by the boundary-distance pyramid for n >= 2 (the cutoff layer's
-    gradients join the supremum, as two-gradient rigidity demands), and random
-    continuous piecewise-affine fields on a simplicial mesh with interior
-    nodal degrees of freedom, improved by coordinate descent.  The descent
-    calls f once per speculated batch of trials, so f must score each matrix
-    of a batch independently of the others; the samples it adds to the
-    verdict's budget are the trials the descent used.
+    The whole budget goes to the two-gradient candidates through xi: exact
+    two-slope zigzags when n = 1 (every mean-zero two-slope profile is
+    realizable with zero boundary there), laminates cut off by the
+    boundary-distance pyramid for n >= 2 (the cutoff layer's gradients join
+    the supremum, as two-gradient rigidity demands).  The verdict's budget is
+    the candidates scored, never more than ``budget``.
     """
     _check_settings(budget, tol, radius)
-    N, n = dims
     xi = _finite("xi", xi).reshape(dims)
     f_xi = float(f(xi))
-    zig_budget = budget if n >= 3 else max(1, budget - MESH_DEPTH ** n * MESH_RESTARTS)
+    cutoff = dims[1] >= 2
     used, best, values, theta = _best_field(
-        f, xi, f_xi, dims, tol=tol, stop=True, cutoff=n >= 2, seed=seed,
-        count=zig_budget, radius=radius, special_points=special_points)
-    kind = "cutoff-field" if n >= 2 else "two-gradient-field"
-    extra = {"theta": theta}
-    if n <= 2 and not _backs_violation(f_xi - best, tol):
-        ess, field, its = _simplicial_search(f, xi, dims, seed=seed,
-                                             depth=MESH_DEPTH,
-                                             restarts=MESH_RESTARTS)
-        used += its
-        if ess < best:
-            best, values, kind, extra = ess, field, "simplicial-field", {}
+        f, xi, f_xi, dims, tol=tol, stop=True, cutoff=cutoff, seed=seed,
+        count=budget, radius=radius, special_points=special_points)
     if _backs_violation(f_xi - best, tol):
-        witness = _field_witness(kind, xi, f_xi, values, best, **extra)
+        kind = "cutoff-field" if cutoff else "two-gradient-field"
+        witness = _field_witness(kind, xi, f_xi, values, best, theta=theta)
         return Verdict("weak_morrey", VIOLATED, witness, used, tol, seed)
     return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
-
-
-def _simplicial_search(f, xi, dims, *, seed, depth, restarts):
-    """Random piecewise-affine zero-boundary fields on a simplicial mesh of Q,
-    improved by up to three coordinate-descent sweeps over the interior nodal
-    values (steps h, -h, h/4, -h/4; a trial is kept when it lowers the ess
-    sup, NaN or -inf counting as +inf, by more than 1e-15).  f is called once
-    per speculated batch: the rest of the sweep, each trial as if every
-    earlier one were rejected (a rejection leaves ``(x + s) - s``); the next
-    batch starts after the first accepted trial, so f must score each matrix
-    of a batch independently of the others.  Returns (best ess sup, shifted
-    gradient values of the best field, samples), the samples being the
-    trials the descent used.  Supports n in {1, 2}.
-    """
-    N, n = dims
-    rng = np.random.default_rng(seed + 7)
-    h = 1.0 / depth
-    C = (depth - 1) ** n * N   # interior nodal values
-
-    def objective(x):
-        # x: (K, C) interior nodal values -> ess sups (K,), gradients (K, cells, N, n)
-        nodal = np.zeros((len(x),) + (depth + 1,) * n + (N,))
-        nodal[(slice(None),) + (slice(1, -1),) * n] = x.reshape(len(x), *(depth - 1,) * n, N)
-        if n == 1:
-            g = (nodal[:, 1:] - nodal[:, :-1])[..., None] / h
-        else:
-            # lower-left then upper-right triangle of each square, square-major
-            v00, v10 = nodal[:, :-1, :-1], nodal[:, 1:, :-1]
-            v01, v11 = nodal[:, :-1, 1:], nodal[:, 1:, 1:]
-            lower = np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=-1)
-            upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
-            g = np.stack([lower, upper], axis=3).reshape(len(x), -1, N, 2)
-        val = np.max(f(xi + g), axis=1)
-        return np.where(np.isfinite(val), val, np.inf), g
-
-    best, best_values, evaluations = np.inf, [], 0
-    for _ in range(restarts):
-        x = rng.normal(scale=0.3 * h, size=(1, C))
-        (val,), (g,) = objective(x)
-        x, val, evaluations = x[0], float(val), evaluations + 1
-        for _ in range(3):  # coordinate-descent sweeps
-            improved, t = False, 0
-            while t < 4 * C:
-                # trial t steps coordinate t // 4 by the (t % 4)-th step; trial[c, j] is
-                # coordinate c in its j-th trial, v the state once every trial is rejected
-                trial, v = np.empty((C, 4)), x.copy()
-                for j, step in enumerate((h, -h, h / 4, -h / 4)):
-                    if j == t % 4:
-                        v[t // 4] = x[t // 4]
-                    trial[:, j] = v + step
-                    v = trial[:, j] - step
-                v[:t // 4] = x[:t // 4]
-                cs, js = np.divmod(np.arange(t, 4 * C), 4)
-                X = np.where(np.arange(C) < cs[:, None], v, x)
-                X[np.arange(len(cs)), cs] = trial[cs, js]
-                cand, G = objective(X)
-                hit = np.flatnonzero(cand < val - 1e-15)
-                if len(hit) == 0:
-                    evaluations += len(cs)
-                    x = v
-                    break
-                k = int(hit[0])
-                evaluations += k + 1
-                x, val, g, improved, t = X[k], float(cand[k]), G[k], True, t + k + 1
-            if not improved:
-                break
-        if val < best:
-            best = val
-            best_values = [xi + gi for gi in g]
-    return best, best_values, evaluations
 
 
 # ---------------------------------------------------------------------------

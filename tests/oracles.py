@@ -6,15 +6,12 @@ one Python monotone chain per grid line, and one Qhull hull (or one LP per
 query) per sublevel threshold.  That chain, ``lower_hull_1d``, is kept as it
 ran on numpy-indexed scalars before ``envelope.lower_hull_1d`` moved to
 Python floats, and the lamination and FE oracles call it.  The weak-Morrey
-search layer has three more: one SVD per candidate for the cutoff-layer
-values, one ``np.stack`` per triangle for the gradients of the simplicial
-fields, and one f call per coordinate-descent trial of the simplicial
-search.  They are slow but easy
-to audit; the tests require the production code to agree with them bit for
-bit.  Two more references are the generators the production code replaced:
-the per-matrix minors vector that ``minors_batch`` must match, and the
-laminate-side two-gradient candidate stream that
-``classify._two_gradient_candidates`` took over.  The last is the one-point
+search layer has one more: one SVD per candidate for the cutoff-layer
+values.  They are slow but easy to audit; the tests require the production
+code to agree with them bit for bit.  Two more references are the
+generators the production code replaced: the per-matrix minors vector
+that ``minors_batch`` must match, and the laminate-side two-gradient
+candidate stream that ``classify._two_gradient_candidates`` took over.  The last is the one-point
 multilinear interpolation that ``interpolating_evaluator`` once called per
 query.  The last pair is ``minimize_Fp`` as it was before its two-slope scan
 was batched: one ``_two_slope_value`` call per slope pair, each evaluating f
@@ -280,117 +277,6 @@ def cutoff_values(xi, Mp, Mm, theta):
             extras[i, 2 * j] = xi + np.outer(a_vec, e)
             extras[i, 2 * j + 1] = xi - np.outer(a_vec, e)
     return extras
-
-
-def simplicial_search(f, xi, dims, *, seed, depth, restarts):
-    """Coordinate descent on simplicial fields, gradients built per triangle."""
-    N, n = dims
-    rng = np.random.default_rng(seed + 7)
-    h = 1.0 / depth
-    evaluations = 0
-
-    def gradients(nodal):
-        # nodal: values on the (depth+1)^n lattice, shape (*(depth+1 per axis), N)
-        if n == 1:
-            return (nodal[1:] - nodal[:-1])[:, :, None] / h  # (cells, N, 1)
-        cells = []
-        for i in range(depth):
-            for j in range(depth):
-                v00, v10 = nodal[i, j], nodal[i + 1, j]
-                v01, v11 = nodal[i, j + 1], nodal[i + 1, j + 1]
-                # lower-left and upper-right triangles of the square
-                cells.append(np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=1))
-                cells.append(np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=1))
-        return np.array(cells)
-
-    def objective(nodal):
-        g = gradients(nodal)
-        return float(np.max(f(xi[None] + g))), g
-
-    best = np.inf
-    best_values = []
-    shape = (depth + 1,) * n + (N,)
-    interior = tuple(slice(1, -1) for _ in range(n))
-    for _ in range(restarts):
-        nodal = np.zeros(shape)
-        nodal[interior] = rng.normal(scale=0.3 * h, size=nodal[interior].shape)
-        val, g = objective(nodal)
-        evaluations += 1
-        for _ in range(3):  # coordinate-descent sweeps
-            improved = False
-            it = np.ndindex(*nodal[interior].shape)
-            for idx in it:
-                full = tuple(i + 1 for i in idx[:n]) + idx[n:]
-                for step in (h, -h, h / 4, -h / 4):
-                    nodal[full] += step
-                    cand, g2 = objective(nodal)
-                    evaluations += 1
-                    if cand < val - 1e-15:
-                        val, g = cand, g2
-                        improved = True
-                    else:
-                        nodal[full] -= step
-            if not improved:
-                break
-        if val < best:
-            best = val
-            best_values = [xi + gi for gi in g]
-    return best, best_values, evaluations
-
-
-def simplicial_search_per_trial(f, xi, dims, *, seed, depth, restarts):
-    """Coordinate descent on simplicial fields, one f call per trial: the
-    loop ``classify._simplicial_search`` batches, NaN ess sup as +inf."""
-    N, n = dims
-    rng = np.random.default_rng(seed + 7)
-    h = 1.0 / depth
-    evaluations = 0
-
-    def gradients(nodal):
-        # nodal: values on the (depth+1)^n lattice, shape (*(depth+1 per axis), N)
-        if n == 1:
-            return (nodal[1:] - nodal[:-1])[:, :, None] / h  # (cells, N, 1)
-        # lower-left then upper-right triangle of each square, square-major
-        v00, v10 = nodal[:-1, :-1], nodal[1:, :-1]
-        v01, v11 = nodal[:-1, 1:], nodal[1:, 1:]
-        lower = np.stack([(v10 - v00) / h, (v01 - v00) / h], axis=-1)
-        upper = np.stack([(v11 - v01) / h, (v11 - v10) / h], axis=-1)
-        return np.stack([lower, upper], axis=2).reshape(2 * depth * depth, N, 2)
-
-    def objective(nodal):
-        g = gradients(nodal)
-        val = float(np.max(f(xi[None] + g)))
-        return (np.inf if np.isnan(val) else val), g
-
-    best = np.inf
-    best_values = []
-    shape = (depth + 1,) * n + (N,)
-    interior = tuple(slice(1, -1) for _ in range(n))
-    for _ in range(restarts):
-        nodal = np.zeros(shape)
-        nodal[interior] = rng.normal(scale=0.3 * h, size=nodal[interior].shape)
-        val, g = objective(nodal)
-        evaluations += 1
-        for _ in range(3):  # coordinate-descent sweeps
-            improved = False
-            it = np.ndindex(*nodal[interior].shape)
-            for idx in it:
-                full = tuple(i + 1 for i in idx[:n]) + idx[n:]
-                for step in (h, -h, h / 4, -h / 4):
-                    nodal[full] += step
-                    cand, g2 = objective(nodal)
-                    evaluations += 1
-                    if cand < val - 1e-15:
-                        val, g = cand, g2
-                        improved = True
-                    else:
-                        nodal[full] -= step
-            if not improved:
-                break
-        if val < best:
-            best = val
-            best_values = [xi + gi for gi in g]
-    return best, best_values, evaluations
 
 
 def minors_array(mat: np.ndarray) -> np.ndarray:
@@ -678,16 +564,13 @@ def save_csv(f: SampledFunction, csv_path, sidecar_path=None) -> None:
 
 def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
                                  seed=DEFAULT_SEED, radius=2.0,
-                                 special_points=(), mesh_depth=4,
-                                 restarts=4) -> Verdict:
+                                 special_points=()) -> Verdict:
     """Minimize the essential supremum of f(xi + D phi) over zero-boundary fields.
 
     Families searched: exact two-slope zigzags when n = 1 (every mean-zero
-    two-slope profile is realizable with zero boundary there), laminates cut
-    off by the boundary-distance pyramid for n >= 2 (the cutoff layer's
-    gradients join the supremum, as two-gradient rigidity demands), and random
-    continuous piecewise-affine fields on a simplicial mesh with interior
-    nodal degrees of freedom, improved by coordinate descent.
+    two-slope profile is realizable with zero boundary there), and laminates
+    cut off by the boundary-distance pyramid for n >= 2 (the cutoff layer's
+    gradients join the supremum, as two-gradient rigidity demands).
     """
     N, n = dims
     xi = np.asarray(xi, dtype=float).reshape(dims)
@@ -696,9 +579,8 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     best = np.inf
     best_witness = None
 
-    zig_budget = budget if n >= 3 else max(1, budget - mesh_depth ** n * restarts)
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
-                                                  count=zig_budget, radius=radius,
+                                                  count=budget, radius=radius,
                                                   special_points=special_points):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
@@ -719,18 +601,6 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
                                           theta=float(theta[i]))
         if best < f_xi - tol:
             return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
-
-    if n <= 2:
-        ess, values, its = simplicial_search_per_trial(f, xi, dims, seed=seed,
-                                                       depth=mesh_depth,
-                                                       restarts=restarts)
-        used += its
-        if ess < best:
-            best = ess
-            best_witness = _field_witness("simplicial-field", xi, f_xi,
-                                          values, best)
-    if best < f_xi - tol:
-        return Verdict("weak_morrey", VIOLATED, best_witness, used, tol, seed)
     return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
 
 

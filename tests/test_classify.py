@@ -164,39 +164,6 @@ def test_field_searches_minus_inf_values_do_not_mask_violations(search):
     json.dumps(v.to_dict(), allow_nan=False)
 
 
-def test_simplicial_search_leaves_an_undefined_start():
-    # the random start has a gradient above 0.3, where f is NaN; a NaN ess
-    # sup compares false with everything, so unmasked it froze the descent
-    from supcon.classify import _simplicial_search
-    entry = corpus_entry("double_well_1d")
-
-    def f(arr):
-        arr = np.asarray(arr, dtype=float)
-        return np.where(arr[..., 0, 0] > 0.3, np.nan, entry(arr))
-
-    best, values, _ = _simplicial_search(f, np.zeros((1, 1)), (1, 1),
-                                         seed=20240817, depth=4, restarts=1)
-    assert np.isfinite(best)
-    assert best == max(float(f(v)) for v in values)
-
-
-def test_simplicial_search_counts_minus_inf_as_plus_inf():
-    # f at -inf for |t| > 0.3: a field steep on every cell has ess sup -inf,
-    # an infinite gap that backs no violation, so the descent must not
-    # settle on it
-    from supcon.classify import _simplicial_search
-    entry = corpus_entry("double_well_1d")
-
-    def f(arr):
-        arr = np.asarray(arr, dtype=float)
-        return np.where(np.abs(arr[..., 0, 0]) > 0.3, -np.inf, entry(arr))
-
-    best, values, _ = _simplicial_search(f, np.zeros((1, 1)), (1, 1),
-                                         seed=20240817, depth=4, restarts=4)
-    assert np.isfinite(best)
-    assert best == max(float(f(v)) for v in values)
-
-
 # ---------------------------------------------------------------------------
 # rank-one quasiconvexity
 # ---------------------------------------------------------------------------
@@ -330,6 +297,12 @@ def test_two_atom_measures_reject_a_count_below_one(count):
     # both returned empty arrays
     with pytest.raises(ValueError, match="count"):
         two_atom_measures((1, 1), seed=SEED, count=count)
+
+
+def test_two_atom_measures_reject_a_count_that_is_not_an_integer():
+    # died with a TypeError (slice indices) inside the pair stream
+    with pytest.raises(ValueError, match="count must be an integer"):
+        two_atom_measures((1, 1), seed=1, count=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +526,12 @@ def test_classify_config_rejects_bad_settings_naming_them(field, value):
         ClassifyConfig(**{field: value})
 
 
+def test_classify_config_rejects_a_budget_that_is_not_an_integer():
+    # was accepted; the report then died on a slice index inside the stream
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        ClassifyConfig(budget=2.5)
+
+
 # every public checker, called on the double well with one setting replaced
 CHECKERS = {
     "level_convex": lambda e, **kw: check_level_convex(e, e.dims, **kw),
@@ -576,6 +555,14 @@ def test_checkers_reject_the_settings_classify_config_rejects(checker, field, va
     entry = corpus_entry("double_well_1d")
     with pytest.raises(ValueError, match=field):
         CHECKERS[checker](entry, **{field: value})
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checkers_reject_a_budget_that_is_not_an_integer(checker):
+    # check_level_convex died with a TypeError (slice indices) inside the
+    # pair stream; the field searches ran on a rounded-down count
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        CHECKERS[checker](corpus_entry("abs"), budget=2.5)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])

@@ -9,7 +9,11 @@ affine bijections, so the envelope also commutes with every symmetry σ of a
 2x2 grid: lslc(f∘σ) = lslc(f)∘σ, whatever order σ puts the nodes in.  The
 classify searches compare f values too, so on h∘f each notion keeps the
 outcome, sample count and witness kind it has on f; h(t) = 2t + 1 doubles
-every gap, and no gap these searches meet lies between tol/2 and tol.
+every gap, and no gap these searches meet lies between tol/2 and tol.  The
+weak and periodic field searches keep the least ess sup of a max over
+gradient values, and t ↦ 2^k t is exact in floating point, so on 2^k f with
+tol scaled by 2^k they pick the same fields bit for bit: the same outcome,
+samples, theta and gradient values, every f value and gap times 2^k.
 """
 
 import dataclasses
@@ -17,7 +21,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from supcon.classify import ClassifyConfig, classify_report
+from supcon import laminate
+from supcon.classify import ClassifyConfig, classify_report, search_weak_morrey_violation
 from supcon.envelope import level_convex_lsc_envelope
 from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, corpus_names, sample
 
@@ -82,3 +87,35 @@ def test_classify_verdicts_survive_an_increasing_map(name):
     config = ClassifyConfig(budget=20_000)
     want, got = (classify_report(e, config).verdicts for e in (entry, twin))
     assert {k: _summary(v) for k, v in got.items()} == {k: _summary(v) for k, v in want.items()}
+
+
+FIELD_SEARCHES = {"weak": search_weak_morrey_violation,
+                  "periodic": laminate.check_periodic_weak_morrey}
+
+
+def _scaled(verdict, c):
+    """The verdict with tol and every f value of its witness times c."""
+    d = verdict.to_dict()
+    d["tol"] *= c
+    if d["witness"] is not None:
+        for key in ("f_xi", "ess_sup", "gap"):
+            d["witness"][key] *= c
+    return d
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_field_searches_pick_the_same_fields_under_power_of_two_scaling(name):
+    entry = corpus_entry(name)
+    points = [np.asarray(p, dtype=float) for p in entry.special_points]
+    kw = dict(budget=1_000, special_points=entry.special_points)
+    for search, run in FIELD_SEARCHES.items():
+        for xi in points + [np.zeros(entry.dims)]:
+            want = run(entry, xi, entry.dims, tol=1e-9, **kw)
+            for k in range(-10, 11):
+                c = 2.0 ** k
+
+                def twin(a):
+                    return c * np.asarray(entry(a), dtype=float)
+
+                got = run(twin, xi, entry.dims, tol=1e-9 * c, **kw)
+                assert got.to_dict() == _scaled(want, c), (search, xi.tolist(), k)

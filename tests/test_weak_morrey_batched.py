@@ -1,9 +1,9 @@
-"""The array form of the weak-Morrey search layer against the per-candidate,
-per-triangle and per-trial reference loops in ``oracles.py``, the shared
-two-gradient candidate stream against the laminate generator it replaced, the
-field scorer against its copy from before it bounded the cutoff layer by the
-pair of gradient values, and the three field searches against their copies
-from before the shared field scorer: equal bit for bit."""
+"""The array form of the weak-Morrey search layer against the per-candidate
+reference loop in ``oracles.py``, the shared two-gradient candidate stream
+against the laminate generator it replaced, the field scorer against its
+copy from before it bounded the cutoff layer by the pair of gradient values,
+and the three field searches against their copies from before the shared
+field scorer: equal bit for bit."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from supcon import laminate
-from supcon.classify import (_best_field, _cutoff_values, _simplicial_search,
-                             _two_gradient_candidates,
+from supcon.classify import (_best_field, _cutoff_values, _two_gradient_candidates,
                              search_weak_morrey_violation)
-from supcon.funcspace import corpus_entry
+from supcon.funcspace import corpus_entry, corpus_names
 
 CORPUS_2x2 = ("arctan_det", "W_sup", "exampleD", "chi_det", "one_minus_chi_pair")
 CORPUS_1x1 = ("double_well_1d", "abs", "clamp1d", "exampleD_scalar")
@@ -103,76 +102,11 @@ def _smooth(dims, seed):
     return f
 
 
-def _corpus_or_smooth(dims, use_corpus, seed):
-    if use_corpus and dims in ((1, 1), (2, 2)):
-        names = CORPUS_1x1 if dims == (1, 1) else CORPUS_2x2
-        return corpus_entry(names[seed % len(names)])
-    return _smooth(dims, seed)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
-       st.booleans(),
-       st.integers(2, 4), st.integers(1, 4),
-       st.integers(0, 2**32 - 1))
-def test_simplicial_search_matches_per_triangle_oracle(dims, use_corpus, depth,
-                                                       restarts, seed):
-    rng = np.random.default_rng(seed)
-    f = _corpus_or_smooth(dims, use_corpus, seed)
-    xi = rng.normal(size=dims)
-    kw = dict(seed=seed % 100_000, depth=depth, restarts=restarts)
-    best, values, its = _simplicial_search(f, xi, dims, **kw)
-    ref_best, ref_values, ref_its = oracles.simplicial_search(f, xi, dims, **kw)
-    assert best == ref_best
-    assert its == ref_its
-    assert np.array_equal(np.array(values), np.array(ref_values))
-
-
 def _nan_where_a00_above(f, c):
     def g(arr):
         arr = np.asarray(arr, dtype=float)
         return np.where(arr[..., 0, 0] > c, np.nan, f(arr))
     return g
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
-       st.booleans(),
-       st.sampled_from([None, 0.3, 1.0, 1.9]),
-       st.integers(2, 4), st.integers(1, 4),
-       st.integers(0, 2**32 - 1))
-def test_simplicial_search_matches_per_trial_oracle(dims, use_corpus, nan_above,
-                                                    depth, restarts, seed):
-    # one f call per speculated batch must pick the same trials, states and
-    # sample count as one f call per trial, NaN ess sups included
-    rng = np.random.default_rng(seed)
-    f = _corpus_or_smooth(dims, use_corpus, seed)
-    if nan_above is not None:
-        f = _nan_where_a00_above(f, nan_above)
-    xi = rng.normal(size=dims) * float(rng.choice([0.0, 0.5, 1.0]))
-    kw = dict(seed=seed % 100_000, depth=depth, restarts=restarts)
-    best, values, its = _simplicial_search(f, xi, dims, **kw)
-    ref_best, ref_values, ref_its = oracles.simplicial_search_per_trial(f, xi, dims, **kw)
-    assert best == ref_best
-    assert its == ref_its
-    assert np.array_equal(np.array(values), np.array(ref_values))
-
-
-@pytest.mark.parametrize("name", ["arctan_det", "W_sup"])
-def test_simplicial_search_calls_f_once_per_batch(name):
-    f = corpus_entry(name)
-    calls = []
-
-    def spy(arr):
-        calls.append(1)
-        return f(arr)
-
-    kw = dict(seed=20240817, depth=4, restarts=4)
-    xi = np.zeros((2, 2))
-    best, _, its = _simplicial_search(spy, xi, (2, 2), **kw)
-    ref_best, _, trials = oracles.simplicial_search_per_trial(f, xi, (2, 2), **kw)
-    assert (best, its) == (ref_best, trials)
-    assert len(calls) <= trials / 10
 
 
 def _nan_double_well():
@@ -216,6 +150,33 @@ def test_field_searches_match_their_own_loops(search, name, at_special, budget,
         kw["K"] = K
     new, ref = FIELD_SEARCHES[search]
     assert new(f, xi, dims, **kw).to_dict() == ref(f, xi, dims, **kw).to_dict()
+
+
+@pytest.mark.parametrize("budget", [100, 1_000])
+def test_weak_morrey_search_spends_exactly_its_budget(budget):
+    # 904 and 1_804 samples while a simplicial descent ran after the stream
+    entry = corpus_entry("arctan_det")
+    v = search_weak_morrey_violation(entry, np.zeros((2, 2)), entry.dims, budget=budget,
+                                     seed=20240817, special_points=entry.special_points)
+    assert v.budget == budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["weak", "periodic"]),
+       st.sampled_from(corpus_names()),
+       st.sampled_from(["special", "zero", "random"]),
+       st.integers(1, 3000),
+       st.integers(0, 2**32 - 1))
+def test_weak_field_searches_spend_at_most_their_budget(search, name, at, budget, seed):
+    f = corpus_entry(name)
+    special, dims = f.special_points, f.dims
+    rng = np.random.default_rng(seed)
+    xi = {"special": lambda: np.asarray(special[seed % len(special)], dtype=float),
+          "zero": lambda: np.zeros(dims),
+          "random": lambda: rng.normal(size=dims) * float(rng.choice([0.5, 1.0, 2.0]))}[at]()
+    v = FIELD_SEARCHES[search][0](f, xi, dims, budget=budget, seed=seed % 100_000,
+                                  special_points=special)
+    assert 1 <= v.budget <= budget
 
 
 def _indicator(dims, seed):
