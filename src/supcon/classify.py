@@ -14,17 +14,18 @@ cross-validates the verdicts against the implication hierarchy.
 
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
-batches until the budget is exhausted.  The checkers of one report share
-each Halton draw and each segment-checker run (past its special pairs, the
-laminate checker reads the rank-one run).  The Halton points are scipy's
-scrambled stream, bit for bit, from a numpy kernel: classify needs no scipy.
-Every search scores its batches by one of two shared rules: ``_worst_gap``
-takes the largest finite gap of a batch of segments or measures, and
-``_best_field`` the least ess sup over the gradient values of two-gradient
-test fields, an ess sup of NaN or -inf counting as +inf.  A measure is an
-(atoms, weights) pair of arrays, and ``_measure_gaps`` scores a batch of
-them in two f calls.  In every checker a gap must be finite to back a
-violation: a non-finite one cannot be replayed.
+batches until the budget is exhausted.  The checkers of one report share one
+Halton draw per seed, each special-pair list, each segment-checker run (past
+its special pairs, the laminate checker reads the rank-one run) and each
+scored two-gradient pair run (the periodic search reads the weak search's).
+The Halton points are scipy's scrambled stream, bit for bit, from a numpy
+kernel: classify needs no scipy.  Every search scores its batches by one
+of two shared rules: ``_worst_gap`` takes the largest finite gap of a batch
+of segments or measures, and ``_best_field`` the least ess sup over the
+gradient values of two-gradient test fields, an ess sup of NaN or -inf
+counting as +inf.  A measure is an (atoms, weights) pair of arrays, and
+``_measure_gaps`` scores a batch of them in two f calls.  In every checker a
+gap must be finite to back a violation: a non-finite one cannot be replayed.
 """
 
 from __future__ import annotations
@@ -221,20 +222,24 @@ def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
 # sampling streams
 # ---------------------------------------------------------------------------
 
-#: The stores of the running ``classify_report``: Halton draws by (dim, seed)
-#: and segment-checker runs by their arguments; None outside one.
-_shared: ContextVar[tuple[dict, dict] | None] = ContextVar("_shared", default=None)
+#: The stores of the running ``classify_report`` (see ``_shared_halton``); None outside one.
+_shared: ContextVar[tuple[dict, dict, dict, dict] | None] = ContextVar("_shared", default=None)
 
 
 @contextmanager
 def _shared_halton():
-    """Share Halton draws and segment-checker runs among the calls inside the
-    block, then drop them."""
-    token = _shared.set(({}, {}))
+    """Share Halton draws by seed, segment-checker runs, special-pair lists
+    and scored pair runs among the calls inside the block, then drop them."""
+    token = _shared.set(({}, {}, {}, {}))
     try:
         yield
     finally:
         _shared.reset(token)
+
+
+def _points_key(points) -> tuple:
+    """A store key for a list of points: each one's shape and bytes."""
+    return tuple((p.shape, p.tobytes()) for p in map(_mat, points))
 
 
 def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
@@ -271,43 +276,45 @@ def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
 
 
 def _halton(dim: int, count: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of the scrambled Halton sequence of ``seed``.
-
-    Each point depends on its index alone, so a shorter draw is a prefix of a
-    longer one.  Inside ``_shared_halton`` each (dim, seed) is drawn once, to
-    the longest count asked for so far, and served as a read-only prefix.
-    """
+    """The first ``count`` points, in ``dim`` coordinates, of the scrambled
+    Halton sequence of ``seed``: the leading block of any longer or wider draw
+    (a point depends on its index alone, a coordinate on the bases before it).
+    Inside ``_shared_halton`` a call that asks for more rows or more columns
+    than the seed's draw holds redraws at the larger of each; every call is
+    served a read-only leading block."""
     shared = _shared.get()
     if shared is None:
         return _scrambled_halton(dim, count, seed)
     draws = shared[0]
-    pts = draws.get((dim, seed))
-    if pts is None or len(pts) < count:
-        pts = draws[dim, seed] = _scrambled_halton(dim, count, seed)
-        pts.flags.writeable = False
-    return pts[:count]
+    rows, cols = draws[seed].shape if seed in draws else (0, 0)
+    if rows < count or cols < dim:
+        draws[seed] = _scrambled_halton(max(dim, cols), max(count, rows), seed)
+        draws[seed].flags.writeable = False
+    return draws[seed][:count, :dim]
 
 
-def _check_count(name, count) -> None:
-    """Reject a sample count that is not an integer (an int or a numpy
-    integer, not 2.0) or is below 1, naming it."""
+def _check_count(name, count, least=1) -> None:
+    """Reject a count that is not an integer (an int or a numpy integer, not
+    2.0) or is below ``least``, naming it."""
     try:
         operator.index(count)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {count!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count!r}")
 
 
-def _check_settings(budget=None, tol=None, radius=None) -> None:
+def _check_settings(budget=None, tol=None, radius=None, seed=0) -> None:
     """Reject a search setting that leaves the search nothing honest to do,
-    naming it; NaN fails each test, and a setting left None is not checked."""
+    or a seed that is not an integer >= 0, naming it; NaN fails each test,
+    and a budget, tol or radius left None is not checked."""
     if budget is not None:
         _check_count("budget", budget)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    _check_count("seed", seed, least=0)
 
 
 def _finite(name, x) -> np.ndarray:
@@ -319,13 +326,19 @@ def _finite(name, x) -> np.ndarray:
 
 
 def _special_pairs(special_points, rank_one: bool):
+    """The pairs of distinct special points, only the rank-one connected ones
+    with ``rank_one``: generated lazily, or inside ``_shared_halton`` listed
+    once per report."""
+    shared = _shared.get()
+    key = (rank_one, *_points_key(special_points))
+    if shared is not None and key in shared[2]:
+        return shared[2][key]
     pts = [_finite("special_points", p) for p in special_points]
-    for a, b in itertools.combinations(pts, 2):
-        if np.array_equal(a, b):
-            continue
-        if rank_one and not is_rank_one_connected(a, b):
-            continue
-        yield a, b
+    pairs = ((a, b) for a, b in itertools.combinations(pts, 2)
+             if not np.array_equal(a, b) and (not rank_one or is_rank_one_connected(a, b)))
+    if shared is not None:
+        pairs = shared[2][key] = list(pairs)
+    return pairs
 
 
 def _unit_rank_one(H, N, keep=True):
@@ -348,7 +361,6 @@ def _segment_batches(dims, *, seed, budget, radius, special_points=(),
     probed at the lambda grid plus one seeded-random lambda; a rank-one
     block that keeps no pair (|t| <= 1e-8 throughout) raises.
     """
-    _check_settings(radius=radius)
     N, n = dims
     d = N * n
     used = 0
@@ -446,7 +458,7 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
     shared = _shared.get()
     runs = {} if shared is None else shared[1]
     key = (id(f), tuple(dims), tol, budget, seed, radius, rank_one,
-           *((p.shape, p.tobytes()) for p in map(_mat, special_points)))
+           *_points_key(special_points))
     if key not in runs:
         # f stays referenced by the store, so no other f can take its id
         runs[key] = (f, *_score_segments(f, dims, tol=tol, budget=budget, seed=seed,
@@ -464,7 +476,7 @@ def check_level_convex(f, dims, *, tol=1e-9, budget=100_000,
                        seed=DEFAULT_SEED, radius=2.0,
                        special_points=()) -> Verdict:
     """Search for a midpoint above the endpoint maximum on arbitrary segments."""
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     return _run_segment_checker("level_convex", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=False)
@@ -474,7 +486,7 @@ def check_rank_one_qcx(f, dims, *, tol=1e-9, budget=100_000,
                        seed=DEFAULT_SEED, radius=2.0,
                        special_points=()) -> Verdict:
     """Same search restricted to rank-one connected pairs."""
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     return _run_segment_checker("rank_one", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=True)
@@ -485,6 +497,7 @@ def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
     checker and the level-convexity checker see the same data: atoms
     (count, 2, N, n) and weights (count, 2), one stack per take."""
     _check_count("count", count)
+    _check_settings(radius=radius, seed=seed)
     atoms, weights = [np.empty((0, 2, *dims))], [np.empty((0, 2))]
     for xi, eta, takes in _segment_batches(dims, seed=seed, budget=count,
                                            radius=radius,
@@ -502,7 +515,7 @@ def check_supremal_jensen(f, atoms, weights, *, tol=1e-9,
     over its support by a finite gap above tol.  Measure b has atoms[b]
     (M, N, n) and weights[b] (M,); all are scored in one batch, and the
     witness is the worst one."""
-    _check_settings(tol=tol)
+    _check_settings(tol=tol, seed=seed)
     atoms, weights = _finite("atoms", atoms), _mat(weights)
     if atoms.ndim != 4 or atoms.shape[:2] != weights.shape:
         raise ValueError("atoms must be (B, M, N, n) and weights (B, M)")
@@ -533,7 +546,7 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     larger value at each level; the values fall by g over k steps).  So
     the checker tests only the combinations that laminates give.
     """
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     v = _run_segment_checker("polyquasiconvex", f, dims, tol=tol, budget=budget,
                              seed=seed, radius=radius,
                              special_points=special_points,
@@ -636,10 +649,36 @@ def _cutoff_values(xi, Mp, Mm, theta):
     return extras
 
 
+def _scored_pairs(f, xi, dims, stream):
+    """The batches (Mp, Mm, theta, max(f(Mp), f(Mm))) of the two-gradient
+    candidates through xi.  Inside ``_shared_halton`` one read-only run per
+    f, xi, dims and stream serves every search, scored as far as one reads."""
+    source = ((Mp, Mm, theta, np.maximum(f(Mp), f(Mm)))
+              for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream))
+    shared = _shared.get()
+    if shared is None:
+        yield from source
+        return
+    key = (id(f), xi.tobytes(), tuple(dims), stream["seed"], stream["count"], stream["radius"],
+           stream.get("grad_cap"), *_points_key(stream["special_points"]))
+    # f stays referenced by the store, so no other f can take its id
+    _, source, batches = shared[3].setdefault(key, (f, source, []))
+    for i in itertools.count():
+        if i == len(batches):
+            batch = next(source, None)
+            if batch is None:
+                return
+            for a in batch:
+                a.flags.writeable = False
+            batches.append(batch)
+        yield batches[i]
+
+
 def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
     """The two-gradient field of ``_two_gradient_candidates(xi, dims,
     **stream)`` with the least essential supremum of f over its gradient
-    values (with ``cutoff``, also over the cutoff layer's).
+    values (with ``cutoff``, also over the cutoff layer's).  In a report the
+    periodic search reads the pairs the weak search scored (``_scored_pairs``).
 
     A NaN or -inf ess sup counts as +inf; the first strict minimum is kept.  With
     ``stop`` the search ends after the first batch whose minimum undercuts
@@ -655,9 +694,8 @@ def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
     own, so a subset gets the same bits as the whole batch.
     """
     used, best, best_values, best_theta = 0, np.inf, None, None
-    for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream):
+    for Mp, Mm, theta, ess in _scored_pairs(f, xi, dims, stream):
         used += len(Mp)
-        ess = np.maximum(f(Mp), f(Mm))
         rows = np.arange(len(ess))
         if cutoff:
             def layer(ix):  # full ess sups of candidates ix, and their cutoff values
@@ -695,7 +733,7 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     the supremum, as two-gradient rigidity demands).  The verdict's budget is
     the candidates scored, never more than ``budget``.
     """
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     xi = _finite("xi", xi).reshape(dims)
     f_xi = float(f(xi))
     cutoff = dims[1] >= 2
@@ -723,7 +761,7 @@ class ClassifyConfig:
     radius: float = 2.0
 
     def __post_init__(self) -> None:
-        _check_settings(self.budget, self.tol, self.radius)
+        _check_settings(self.budget, self.tol, self.radius, self.seed)
 
 
 @dataclass
@@ -755,7 +793,7 @@ def probe_verdict(notion, probes, budget, search, *, tol,
     """Run ``search(point, per_probe_budget)`` at each probe point in turn,
     splitting the budget evenly.  Violated at the first violated probe; the
     verdict's budget is every sample spent up to there."""
-    _check_settings(budget, tol)
+    _check_settings(budget, tol, seed=seed)
     if len(probes) == 0:
         raise ValueError("probes must hold at least one point")
     per_probe = max(1, budget // len(probes))
@@ -797,10 +835,11 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
                              tol=cfg.tol, seed=cfg.seed)
 
     # each checker is read off its module when the report runs (a tracer may wrap it)
-    with _shared_halton():  # one draw per (dim, seed) for this report
+    with _shared_halton():  # one draw per seed for this report
+        rank_one = check_rank_one_qcx(f, dims, **kw)  # the widest Halton draws first
         verdicts = {
             "level_convex": check_level_convex(f, dims, **kw),
-            "rank_one": check_rank_one_qcx(f, dims, **kw),
+            "rank_one": rank_one,
             "polyquasiconvex": check_polyquasiconvex_necessary(f, dims, **kw),
             "weak_morrey": field_verdict("weak_morrey", search_weak_morrey_violation),
             "periodic_weak_morrey": field_verdict(

@@ -64,7 +64,7 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
     run (in ``classify_report``, the one it scored), whose battery finds the
     same pairs clean; its witness segment becomes a two-atom measure.
     """
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     notion = "curl_young_laminates"
     used = 0
 
@@ -106,7 +106,7 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     1 - theta, in layers normal to M+ - M- (the cube is rotated to that
     normal); the witness records both values and theta.  Compressing layers
     changes nothing here because the gradient statistics are scale-invariant."""
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     notion = "periodic_weak_morrey"
     xi = _finite("xi", xi).reshape(dims)
     f_xi = float(f(xi))
@@ -138,7 +138,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0, tol=1e-9,
     persistence rule: the gap at the smallest delta must be at least half the
     gap at the largest).
     """
-    _check_settings(budget, tol, radius)
+    _check_settings(budget, tol, radius, seed)
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be finite and > 0, got {K!r}")
     notion = "strong_morrey"

@@ -565,6 +565,38 @@ def test_checkers_reject_a_budget_that_is_not_an_integer(checker):
         CHECKERS[checker](corpus_entry("abs"), budget=2.5)
 
 
+BAD_SEEDS = [2.5, -3, None, "7"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_classify_config_rejects_a_bad_seed_naming_it(seed):
+    # was accepted; the checkers then died on a TypeError from SeedSequence,
+    # on "+=: 'NoneType'" or on numpy's "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed must be"):
+        ClassifyConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checkers_reject_a_bad_seed_naming_it(checker, seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        CHECKERS[checker](corpus_entry("abs"), seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_jensen_probe_verdict_and_measures_reject_a_bad_seed_naming_it(seed):
+    entry = corpus_entry("abs")
+    atoms, weights = two_atom_measures((1, 1), seed=SEED, count=10)
+    calls = [lambda: check_supremal_jensen(entry, atoms, weights, seed=seed),
+             lambda: two_atom_measures((1, 1), seed=seed, count=10),
+             lambda: probe_verdict("weak_morrey", [np.zeros((1, 1))], 100,
+                                   lambda p, b: search_weak_morrey_violation(
+                                       entry, p, (1, 1), budget=b), tol=1e-9, seed=seed)]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be"):
+            call()
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
 def test_supremal_jensen_rejects_a_bad_tol(tol):
     atoms, weights = two_atom_measures((1, 1), seed=SEED, count=10)

@@ -165,6 +165,14 @@ def test_config_file_rejects_unknown_keys_and_non_objects(tmp_path, content, cap
     assert "error:" in capsys.readouterr().err
 
 
+def test_classify_rejects_a_negative_seed_naming_it(tmp_path, capsys):
+    # printed numpy's "expected non-negative integer", which names no flag
+    assert run_cli("classify", "--corpus", "abs", "--seed", "-3", "--budget", "1000",
+                   "--out", str(tmp_path)) == 1
+    assert "seed must be at least 0, got -3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_morrey_search_reports_the_budget_of_every_probe(tmp_path):
     assert run_cli("morrey-search", "--corpus", "arctan_det", "--notion",
                    "periodic", "--budget", "3000", "--out", str(tmp_path)) == 0

@@ -13,7 +13,8 @@ every gap, and no gap these searches meet lies between tol/2 and tol.  The
 weak and periodic field searches keep the least ess sup of a max over
 gradient values, and t ↦ 2^k t is exact in floating point, so on 2^k f with
 tol scaled by 2^k they pick the same fields bit for bit: the same outcome,
-samples, theta and gradient values, every f value and gap times 2^k.
+samples, theta and gradient values, every f value and gap times 2^k.  So
+does the strong search, whose per-delta gaps and epsilon scale with them.
 """
 
 import dataclasses
@@ -119,3 +120,36 @@ def test_field_searches_pick_the_same_fields_under_power_of_two_scaling(name):
 
                 got = run(twin, xi, entry.dims, tol=1e-9 * c, **kw)
                 assert got.to_dict() == _scaled(want, c), (search, xi.tolist(), k)
+
+
+def _strong_scaled(verdict, c):
+    """The strong verdict with tol and every f value and gap of its witness
+    (each per-delta gap and epsilon too) times c."""
+    d = _scaled(verdict, c)
+    w = d["witness"]
+    if w is not None:
+        w["epsilon"] *= c
+        for row in w["per_delta"]:
+            row["gap"] *= c
+    return d
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_strong_search_picks_the_same_fields_under_power_of_two_scaling(name):
+    # the laminate family keeps the least ess sup of a max and the affine
+    # family the least value of each delta's probes; the persistence rule
+    # compares gaps with each other and with tol, all times 2^k
+    entry = corpus_entry(name)
+    points = [np.asarray(p, dtype=float) for p in entry.special_points]
+    kw = dict(budget=1_000, special_points=entry.special_points)
+    run = laminate.search_strong_morrey_violation
+    for xi in points + [np.zeros(entry.dims)]:
+        want = run(entry, xi, entry.dims, tol=1e-9, **kw)
+        for k in range(-10, 11):
+            c = 2.0 ** k
+
+            def twin(a):
+                return c * np.asarray(entry(a), dtype=float)
+
+            got = run(twin, xi, entry.dims, tol=1e-9 * c, **kw)
+            assert got.to_dict() == _strong_scaled(want, c), (xi.tolist(), k)

@@ -2,8 +2,9 @@
 stream against their per-weight loops in ``oracles.py``, equal bit for bit;
 the curl-Young checker, which reads the rank-one run, against its old second
 spliced run; the Halton kernel against scipy's scrambled Halton engine, bit
-for bit; and the Halton draws and segment-checker runs that the checkers of
-one ``classify_report`` share."""
+for bit; and what the checkers of one ``classify_report`` share: the Halton
+draws of each seed, the segment-checker runs and the two-gradient pair runs
+that the weak and periodic searches both read."""
 
 import contextlib
 import dataclasses
@@ -201,11 +202,11 @@ def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch
     halton, kernel = classify._halton, classify._scrambled_halton
 
     def counted_halton(dim, count, seed):
-        calls[dim, seed].append(count)
+        calls[seed].append((count, dim))
         return halton(dim, count, seed)
 
     def spy_kernel(dim, count, seed):
-        builds[dim, seed].append(count)
+        builds[seed].append((count, dim))
         return kernel(dim, count, seed)
 
     monkeypatch.setattr(classify, "_halton", counted_halton)
@@ -213,9 +214,15 @@ def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch
     entry, cfg = corpus_entry("arctan_det"), ClassifyConfig(budget=100_000)
     shared = classify_report(entry, cfg)
     assert builds.keys() == calls.keys()
-    for key, counts in calls.items():
-        growths = [c for i, c in enumerate(counts) if c > max(counts[:i], default=0)]
-        assert builds[key] == growths, key
+    # a seed is redrawn, at the larger of each, only when a call asks for
+    # more rows or more columns than its draw holds
+    for seed, asks in calls.items():
+        held, growths = (0, 0), []
+        for count, dim in asks:
+            if count > held[0] or dim > held[1]:
+                held = (max(count, held[0]), max(dim, held[1]))
+                growths.append(held)
+        assert builds[seed] == growths, seed
     n_calls = sum(map(len, calls.values()))
     n_builds = sum(map(len, builds.values()))
     assert n_builds < n_calls
@@ -229,6 +236,22 @@ def test_classify_report_builds_each_halton_sequence_once_per_growth(monkeypatch
     n_calls = sum(map(len, calls.values()))
     assert sum(map(len, builds.values())) == n_calls
     assert _without_timestamp(fresh) == _without_timestamp(shared)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 3000)), min_size=2, max_size=6),
+       st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_interleaved_shared_draws_at_two_dims_equal_fresh_draws(asks, dim_a, dim_b, seed):
+    # one store per seed serves both widths: a narrower or shorter call reads
+    # the leading block of a wider or longer draw
+    with classify._shared_halton():
+        for wide, count in asks:
+            dim = max(dim_a, dim_b) if wide else min(dim_a, dim_b)
+            got = classify._halton(dim, count, seed)
+            want = oracles.halton(dim, count, seed)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
 
 
 def test_halton_draws_are_dropped_when_the_report_returns_or_raises(monkeypatch):
@@ -249,6 +272,11 @@ def test_halton_draws_are_dropped_when_the_report_returns_or_raises(monkeypatch)
     assert classify._shared.get() is None
 
 
+FIELD_SEARCHES = {
+    "weak_morrey": classify.search_weak_morrey_violation,
+    "periodic_weak_morrey": laminate.check_periodic_weak_morrey,
+    "strong_morrey": laminate.search_strong_morrey_violation,
+}
 SEGMENT_CHECKERS = {
     "level_convex": check_level_convex,
     "rank_one": check_rank_one_qcx,
@@ -310,3 +338,44 @@ def test_classify_report_serves_curl_young_the_rank_one_run(name, monkeypatch):
     pairs = list(classify._special_pairs(entry.special_points, rank_one=True))
     assert len(seen) == 1
     assert seen[0] <= 7 * len(pairs)
+
+
+ONE_BY_ONE = [name for name in corpus_names() if corpus_entry(name).dims == (1, 1)]
+
+
+@pytest.mark.parametrize("name", ONE_BY_ONE)
+def test_periodic_verdict_reads_the_pairs_the_weak_search_scored(name, monkeypatch):
+    # on a 1x1 entry the weak search has no cutoff layer, so at each probe it
+    # scores the very pairs the periodic search reads: f sees only f(xi)
+    points, fed = [0], []
+    entry = corpus_entry(name)
+
+    def evaluator(arr):
+        points[0] += math.prod(arr.shape[:-2])
+        return entry.evaluator(arr)
+
+    checker = laminate.check_periodic_weak_morrey
+
+    def counted_checker(*args, **kwargs):
+        before = points[0]
+        v = checker(*args, **kwargs)
+        fed.append(points[0] - before)
+        return v
+
+    monkeypatch.setattr(laminate, "check_periodic_weak_morrey", counted_checker)
+    counted = dataclasses.replace(entry, evaluator=evaluator)
+    cfg = ClassifyConfig(budget=20_000)
+    report = classify_report(counted, cfg)
+    assert fed and fed == [1] * len(fed)
+
+    # each field verdict is its search's, run on its own outside any report
+    monkeypatch.setattr(laminate, "check_periodic_weak_morrey", checker)
+    kw = dict(tol=cfg.tol, seed=cfg.seed, radius=cfg.radius,
+              special_points=entry.special_points)
+    probes = classify._probe_points(entry.special_points, entry.dims)
+    for notion, search in FIELD_SEARCHES.items():
+        want = classify.probe_verdict(
+            notion, probes, max(1000, cfg.budget // 10),
+            lambda p, b, search=search: search(entry, p, entry.dims, budget=b, **kw),
+            tol=cfg.tol, seed=cfg.seed)
+        assert report.verdicts[notion].to_dict() == want.to_dict(), notion
