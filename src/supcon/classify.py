@@ -38,6 +38,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,15 +223,21 @@ def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
 # sampling streams
 # ---------------------------------------------------------------------------
 
-#: The stores of the running ``classify_report`` (see ``_shared_halton``); None outside one.
-_shared: ContextVar[tuple[dict, dict, dict, dict] | None] = ContextVar("_shared", default=None)
+class _Stores(NamedTuple):
+    """What the running ``classify_report`` computes once; ``_shared`` is None outside one."""
+    draws: dict     # seed -> the widest Halton draw asked for (``_halton``)
+    segments: dict  # segment-checker runs (``_run_segment_checker``)
+    special: dict   # special-pair lists (``_special_pairs``)
+    pairs: dict     # scored two-gradient pair runs (``_scored_pairs``)
+
+
+_shared: ContextVar[_Stores | None] = ContextVar("_shared", default=None)
 
 
 @contextmanager
 def _shared_halton():
-    """Share Halton draws by seed, segment-checker runs, special-pair lists
-    and scored pair runs among the calls inside the block, then drop them."""
-    token = _shared.set(({}, {}, {}, {}))
+    """Share one ``_Stores`` among the calls inside the block, then drop it."""
+    token = _shared.set(_Stores({}, {}, {}, {}))
     try:
         yield
     finally:
@@ -279,13 +286,12 @@ def _halton(dim: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` points, in ``dim`` coordinates, of the scrambled
     Halton sequence of ``seed``: the leading block of any longer or wider draw
     (a point depends on its index alone, a coordinate on the bases before it).
-    Inside ``_shared_halton`` a call that asks for more rows or more columns
-    than the seed's draw holds redraws at the larger of each; every call is
-    served a read-only leading block."""
+    In a ``_shared_halton`` block a call wanting more rows or columns than the
+    seed's draw redraws at the larger of each; each gets a read-only block."""
     shared = _shared.get()
     if shared is None:
         return _scrambled_halton(dim, count, seed)
-    draws = shared[0]
+    draws = shared.draws
     rows, cols = draws[seed].shape if seed in draws else (0, 0)
     if rows < count or cols < dim:
         draws[seed] = _scrambled_halton(max(dim, cols), max(count, rows), seed)
@@ -326,19 +332,16 @@ def _finite(name, x) -> np.ndarray:
 
 
 def _special_pairs(special_points, rank_one: bool):
-    """The pairs of distinct special points, only the rank-one connected ones
-    with ``rank_one``: generated lazily, or inside ``_shared_halton`` listed
-    once per report."""
+    """The list of pairs of distinct special points (the rank-one connected
+    ones with ``rank_one``), made once per ``_shared_halton`` block."""
     shared = _shared.get()
+    store = {} if shared is None else shared.special
     key = (rank_one, *_points_key(special_points))
-    if shared is not None and key in shared[2]:
-        return shared[2][key]
-    pts = [_finite("special_points", p) for p in special_points]
-    pairs = ((a, b) for a, b in itertools.combinations(pts, 2)
-             if not np.array_equal(a, b) and (not rank_one or is_rank_one_connected(a, b)))
-    if shared is not None:
-        pairs = shared[2][key] = list(pairs)
-    return pairs
+    if key not in store:
+        pts = [_finite("special_points", p) for p in special_points]
+        store[key] = [(a, b) for a, b in itertools.combinations(pts, 2) if not np.array_equal(a, b)
+                      and (not rank_one or is_rank_one_connected(a, b))]
+    return store[key]
 
 
 def _unit_rank_one(H, N, keep=True):
@@ -456,7 +459,7 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
     ``_shared_halton`` one run serves every notion that passes its arguments
     (the laminate checker reads the rank-one run), each with its own copy."""
     shared = _shared.get()
-    runs = {} if shared is None else shared[1]
+    runs = {} if shared is None else shared.segments
     key = (id(f), tuple(dims), tol, budget, seed, radius, rank_one,
            *_points_key(special_points))
     if key not in runs:
@@ -650,19 +653,17 @@ def _cutoff_values(xi, Mp, Mm, theta):
 
 
 def _scored_pairs(f, xi, dims, stream):
-    """The batches (Mp, Mm, theta, max(f(Mp), f(Mm))) of the two-gradient
-    candidates through xi.  Inside ``_shared_halton`` one read-only run per
-    f, xi, dims and stream serves every search, scored as far as one reads."""
-    source = ((Mp, Mm, theta, np.maximum(f(Mp), f(Mm)))
-              for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream))
+    """The read-only batches (Mp, Mm, theta, max(f(Mp), f(Mm))) of the two-gradient candidates
+    through xi, scored as far as read; one run per f, xi, dims and stream in a report."""
     shared = _shared.get()
-    if shared is None:
-        yield from source
-        return
-    key = (id(f), xi.tobytes(), tuple(dims), stream["seed"], stream["count"], stream["radius"],
-           stream.get("grad_cap"), *_points_key(stream["special_points"]))
-    # f stays referenced by the store, so no other f can take its id
-    _, source, batches = shared[3].setdefault(key, (f, source, []))
+    runs = {} if shared is None else shared.pairs
+    key = (id(f), xi.tobytes(), tuple(dims), stream["seed"], stream["count"],
+           stream["radius"], stream.get("grad_cap"), *_points_key(stream["special_points"]))
+    if key not in runs:
+        # f stays referenced by the store, so no other f can take its id
+        runs[key] = (f, ((Mp, Mm, theta, np.maximum(f(Mp), f(Mm))) for Mp, Mm, theta
+                         in _two_gradient_candidates(xi, dims, **stream)), [])
+    _, source, batches = runs[key]
     for i in itertools.count():
         if i == len(batches):
             batch = next(source, None)
