@@ -567,8 +567,7 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
 # weak Morrey disproof search (zero-boundary fields)
 # ---------------------------------------------------------------------------
 
-def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
-                             grad_cap=None):
+def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points):
     """Mean-zero two-gradient candidates (M_plus, M_minus, theta) through xi.
 
     Yields batches of absolute gradient values xi + (1 - theta) w and
@@ -576,10 +575,7 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
     only then does a Lipschitz field with these two gradients exist
     (Ball-James rigidity).  Rank-one special-point pairs whose segment
     passes through xi come first, with the points themselves as exact
-    values, at most ``count`` of them; then seeded Halton batches.  With
-    ``grad_cap`` only fields whose slope bound max(theta, 1 - theta) |w|
-    stays within the cap are kept; a Halton block that keeps nothing still
-    counts one toward ``count``.
+    values, at most ``count`` of them; then seeded Halton batches.
     """
     N, n = dims
     xi = np.asarray(xi, dtype=float)
@@ -593,8 +589,6 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
         if not 1e-9 < theta < 1.0 - 1e-9:
             continue
         if np.max(np.abs(theta * a + (1.0 - theta) * b - xi)) > 1e-12 * (1 + np.max(np.abs(xi))):
-            continue
-        if grad_cap is not None and max(theta, 1.0 - theta) * math.sqrt(nrm2) > grad_cap:
             continue
         battery_p.append(a)
         battery_m.append(b)
@@ -614,13 +608,6 @@ def _two_gradient_candidates(xi, dims, *, seed, count, radius, special_points,
         w = t[:, None, None] * w
         Mp = xi[None] + (1.0 - theta)[:, None, None] * w
         Mm = xi[None] - theta[:, None, None] * w
-        if grad_cap is not None:
-            wn = np.linalg.norm(w.reshape(len(w), -1), axis=1)
-            keep = np.maximum(1.0 - theta, theta) * wn <= grad_cap
-            Mp, Mm, theta = Mp[keep], Mm[keep], theta[keep]
-            if len(Mp) == 0:
-                done += 1
-                continue
         done += len(Mp)
         yield Mp, Mm, theta
 
@@ -658,7 +645,7 @@ def _scored_pairs(f, xi, dims, stream):
     shared = _shared.get()
     runs = {} if shared is None else shared.pairs
     key = (id(f), xi.tobytes(), tuple(dims), stream["seed"], stream["count"],
-           stream["radius"], stream.get("grad_cap"), *_points_key(stream["special_points"]))
+           stream["radius"], *_points_key(stream["special_points"]))
     if key not in runs:
         # f stays referenced by the store, so no other f can take its id
         runs[key] = (f, ((Mp, Mm, theta, np.maximum(f(Mp), f(Mm))) for Mp, Mm, theta
@@ -722,6 +709,24 @@ def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):
     return used, best, best_values, best_theta
 
 
+def _field_search(notion, f, xi, dims, cutoff, tol, budget, seed, radius,
+                  special_points) -> Verdict:
+    """``notion``'s verdict from the two-gradient fields through xi, scored by
+    ``_best_field`` up to the first batch that backs a violation; with
+    ``cutoff`` the cutoff layer's values join each ess sup."""
+    _check_settings(budget, tol, radius, seed)
+    xi = _finite("xi", xi).reshape(dims)
+    f_xi = float(f(xi))
+    used, best, values, theta = _best_field(
+        f, xi, f_xi, dims, tol=tol, stop=True, cutoff=cutoff, seed=seed,
+        count=budget, radius=radius, special_points=special_points)
+    if _backs_violation(f_xi - best, tol):
+        kind = "cutoff-field" if cutoff else "two-gradient-field"
+        witness = _field_witness(kind, xi, f_xi, values, best, theta=theta)
+        return Verdict(notion, VIOLATED, witness, used, tol, seed)
+    return Verdict(notion, HOLDS, None, used, tol, seed)
+
+
 def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
                                  seed=DEFAULT_SEED, radius=2.0,
                                  special_points=()) -> Verdict:
@@ -734,18 +739,8 @@ def search_weak_morrey_violation(f, xi, dims, *, tol=1e-9, budget=20_000,
     the supremum, as two-gradient rigidity demands).  The verdict's budget is
     the candidates scored, never more than ``budget``.
     """
-    _check_settings(budget, tol, radius, seed)
-    xi = _finite("xi", xi).reshape(dims)
-    f_xi = float(f(xi))
-    cutoff = dims[1] >= 2
-    used, best, values, theta = _best_field(
-        f, xi, f_xi, dims, tol=tol, stop=True, cutoff=cutoff, seed=seed,
-        count=budget, radius=radius, special_points=special_points)
-    if _backs_violation(f_xi - best, tol):
-        kind = "cutoff-field" if cutoff else "two-gradient-field"
-        witness = _field_witness(kind, xi, f_xi, values, best, theta=theta)
-        return Verdict("weak_morrey", VIOLATED, witness, used, tol, seed)
-    return Verdict("weak_morrey", HOLDS, None, used, tol, seed)
+    return _field_search("weak_morrey", f, xi, dims, dims[1] >= 2, tol, budget, seed,
+                         radius, special_points)
 
 
 # ---------------------------------------------------------------------------

@@ -222,12 +222,12 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
 
     Slopes are confined to [-slope_bound, slope_bound], up to the rounding of
     the adjustment slope, and f is read at their clip to that box.  Requires
-    p >= 1 and f nonnegative and finite on the box.  If no polish walk
+    a finite p >= 1 and f nonnegative and finite on the box.  If no polish walk
     shrinks its step below 1e-9 the result is still returned, flagged
     converged=False.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
     opts = opts or FeOptions()
     m, G = opts.cells, opts.slope_bound
     fs = _scalar_eval(f, G)
@@ -313,6 +313,8 @@ def _profile_to_slopes(profile, m):
 
 def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
     """((f^p)** (xi))^{1/p} on the slope box, via the exact grid lower hull."""
+    if not 1.0 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
     x = np.linspace(-slope_bound, slope_bound, ORACLE_POINTS)
     fs = _scalar_eval(f, slope_bound)
     vals = fs(x)

@@ -102,7 +102,10 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self) -> None:
-        N, n = self.dims
+        try:
+            N, n = self.dims
+        except (TypeError, ValueError):
+            raise ValueError(f"dims must be a pair (N, n), got {self.dims!r}") from None
         for name, v in (("dims", N), ("dims", n), ("points_per_axis", self.points_per_axis)):
             try:
                 operator.index(v)  # an int or a numpy integer, not 2.0
@@ -606,7 +609,13 @@ def load_csv(csv_path) -> SampledFunction:
     be the sidecar grid's nodes in row-major order (within 1e-9 * radius)."""
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
-    grid = GridSpec(tuple(meta["dims"]), float(meta["radius"]), meta["points_per_axis"])
+    if not isinstance(meta, dict):
+        raise ValueError("CSV sidecar must hold a JSON object")
+    dims, radius = meta["dims"], meta["radius"]
+    if type(radius) not in (int, float):  # a bool, string or list is no radius
+        raise ValueError(f"sidecar radius must be a number, got {radius!r}")
+    grid = GridSpec(tuple(dims) if isinstance(dims, list) else dims, float(radius),
+                    meta["points_per_axis"])
     with open(csv_path) as fh:
         if len(fh.readline().split(",")) != grid.ndim + 1:
             raise ValueError("CSV header does not match grid dimension")

@@ -633,12 +633,12 @@ def check_periodic_weak_morrey(f, xi, dims, *, tol=1e-9, budget=20_000,
     return Verdict(notion, HOLDS, None, used, tol, seed)
 
 
-def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
+def search_strong_morrey_violation(f, xi, dims, *,
                                    delta_schedule=DEFAULT_DELTA_SCHEDULE,
                                    tol=1e-9, budget=20_000, seed=DEFAULT_SEED,
                                    radius=2.0, special_points=()) -> Verdict:
     """Look for a gap below f(xi) that persists as the boundary budget
-    delta shrinks, under the gradient bound K.
+    delta shrinks.
 
     Two families: scaled sawtooth laminates (their gap is delta-independent,
     since compressing layers shrinks the boundary values but not the gradient
@@ -661,8 +661,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
     lam_budget = budget // 2
     for Mp, Mm, theta in _two_gradient_candidates(xi, dims, seed=seed,
                                                   count=lam_budget, radius=radius,
-                                                  special_points=special_points,
-                                                  grad_cap=K):
+                                                  special_points=special_points):
         used += len(Mp)
         ess = np.maximum(f(Mp), f(Mm))
         ess = np.where(np.isnan(ess), np.inf, ess)
@@ -682,7 +681,7 @@ def search_strong_morrey_violation(f, xi, dims, *, K=8.0,
     affine_gaps = []
     affine_args = []
     for delta in deltas:
-        m0 = min(K, 2.0 * delta / math.sqrt(n))
+        m0 = 2.0 * delta / math.sqrt(n)
         best_gap, best_arg = -np.inf, None
         for mag in (m0, m0 / 2.0, m0 / 4.0):
             probes = xi[None] + mag * D

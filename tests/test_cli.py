@@ -308,6 +308,25 @@ def test_envelope_input_with_a_non_integer_sidecar_grid_size_exits_1(tmp_path, c
     assert not (tmp_path / "clamp1d_lslc_convex.csv").exists()
 
 
+@pytest.mark.parametrize("meta, field", [
+    (lambda m: dict(m, dims=2), "dims"), (lambda m: dict(m, dims=[1]), "dims"),
+    (lambda m: dict(m, radius=[2]), "radius"), (lambda m: [m], "sidecar")],
+    ids=["dims-2", "dims-[1]", "radius-[2]", "list"])
+def test_envelope_input_with_a_malformed_sidecar_exits_1_naming_the_field(tmp_path, capsys,
+                                                                          meta, field):
+    # dims 2, radius [2] and a top-level list died with a TypeError traceback;
+    # dims [1] printed "not enough values to unpack"
+    assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
+                   "--points", "21", "--out", str(tmp_path)) == 0
+    sidecar = tmp_path / "clamp1d_lslc.json"
+    sidecar.write_text(json.dumps(meta(json.loads(sidecar.read_text()))))
+    capsys.readouterr()
+    assert status("envelope", "--input", str(tmp_path / "clamp1d_lslc.csv"),
+                  "--kind", "convex", "--out", str(tmp_path)) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "clamp1d_lslc_convex.csv").exists()
+
+
 def test_envelope_takes_one_source_and_no_grid_with_input(tmp_path):
     assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
                    "--points", "21", "--out", str(tmp_path)) == 0

@@ -83,6 +83,16 @@ def test_mesh_and_result_validation():
             minimize_Fp(corpus_entry("abs"), 2.0, xi, OPTS)
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.5])
+def test_p_outside_one_to_infinity_rejected(p):
+    # at p = NaN minimize_Fp returned NaN flagged converged; at p = inf both
+    # returned 81.0, the largest value of f on the slope box
+    with pytest.raises(ValueError, match="p must"):
+        minimize_Fp(corpus_entry("double_well_1d"), p, 0.0, OPTS)
+    with pytest.raises(ValueError, match="p must"):
+        envelope_oracle_1d(corpus_entry("double_well_1d"), 0.0, p, slope_bound=10.0)
+
+
 def test_negative_supremand_rejected():
     def signed(arr):
         return np.asarray(arr)[..., 0, 0]

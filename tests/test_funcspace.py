@@ -134,6 +134,13 @@ def test_gridspec_validation():
     assert g.node_count == 5 and len(g.axis()) == 5
 
 
+@pytest.mark.parametrize("dims", [(2,), (1, 1, 1), 2, None])
+def test_gridspec_rejects_dims_that_are_not_a_pair(dims):
+    # (2,) failed with "not enough values to unpack", 2 and None with a TypeError
+    with pytest.raises(ValueError, match="dims"):
+        GridSpec(dims, 1.0, 5)
+
+
 def test_memory_cap(monkeypatch):
     monkeypatch.setenv("SUPCON_MEM_CAP_MB", "0.001")
     with pytest.raises(MemoryError):

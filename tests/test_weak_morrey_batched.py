@@ -1,9 +1,13 @@
 """The array form of the weak-Morrey search layer against the per-candidate
 reference loop in ``oracles.py``, the shared two-gradient candidate stream
-against the laminate generator it replaced, the field scorer against its
+against the laminate generator it replaced (and, where that generator's
+gradient cap cannot bite, the strong verdict too), the field scorer against its
 copy from before it bounded the cutoff layer by the pair of gradient values,
 and the three field searches against their copies from before the shared
 field scorer: equal bit for bit."""
+
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from supcon import laminate
+from supcon import classify, laminate
 from supcon.classify import (_best_field, _cutoff_values, _two_gradient_candidates,
                              search_weak_morrey_violation)
 from supcon.funcspace import corpus_entry, corpus_names
@@ -67,9 +71,8 @@ def test_cutoff_values_match_per_candidate_oracle(dims, kind, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(1, 1), (2, 2), (2, 3)]),
        st.sampled_from(["halton", "pairs", "corpus"]),
-       st.sampled_from([None, 0.5, 2.0, 8.0]),
        st.integers(0, 2**32 - 1))
-def test_rank_one_stream_matches_laminate_oracle(dims, kind, grad_cap, seed):
+def test_rank_one_stream_matches_laminate_oracle(dims, kind, seed):
     rng = np.random.default_rng(seed)
     xi = rng.normal(size=dims) * float(rng.choice([0.0, 0.5, 2.0]))
     special = ()
@@ -80,8 +83,7 @@ def test_rank_one_stream_matches_laminate_oracle(dims, kind, grad_cap, seed):
         special = corpus_entry(names[seed % len(names)]).special_points
         xi = np.asarray(special[seed % len(special)], dtype=float)
     kw = dict(seed=seed % 1000, count=int(rng.integers(1, 600)),
-              radius=float(rng.uniform(0.5, 3.0)), special_points=special,
-              grad_cap=grad_cap)
+              radius=float(rng.uniform(0.5, 3.0)), special_points=special)
     new = list(_two_gradient_candidates(xi, dims, **kw))
     ref = list(oracles.laminate_candidates(None, xi, dims, **kw))
     assert len(new) == len(ref)
@@ -129,10 +131,8 @@ FIELD_SEARCHES = {
        st.sampled_from(CORPUS_1x1 + CORPUS_2x2 + ("nan_double_well",)),
        st.booleans(),
        st.integers(1, 3000),
-       st.sampled_from([0.5, 2.0, 8.0]),
        st.integers(0, 2**32 - 1))
-def test_field_searches_match_their_own_loops(search, name, at_special, budget,
-                                              K, seed):
+def test_field_searches_match_their_own_loops(search, name, at_special, budget, seed):
     if name == "nan_double_well":
         f, special = _nan_double_well()
         dims = (1, 1)
@@ -146,8 +146,6 @@ def test_field_searches_match_their_own_loops(search, name, at_special, budget,
         xi = rng.normal(size=dims) * float(rng.choice([0.5, 1.0, 2.0]))
     kw = dict(tol=1e-9, budget=budget, seed=seed % 100_000,
               radius=float(rng.choice([1.0, 2.0, 3.0])), special_points=special)
-    if search == "strong":
-        kw["K"] = K
     new, ref = FIELD_SEARCHES[search]
     assert new(f, xi, dims, **kw).to_dict() == ref(f, xi, dims, **kw).to_dict()
 
@@ -221,15 +219,13 @@ def _minus_inf_at_pairs(f, xi, batches, rng):
        st.sampled_from([None, "nan", "minus_inf"]),
        st.sampled_from([None, "pairs", "corpus"]),
        st.booleans(),
-       st.sampled_from([None, 0.5, 2.0, 8.0]),
        st.one_of(st.integers(1, 600), st.integers(4000, 9000)),
        st.integers(0, 2**32 - 1))
 # a candidate before i0 whose bound ties e0; a -inf pair that decides the minimum
-@example((2, 2), "corpus", None, None, False, None, 3, 0)
-@example((2, 2), "corpus", "minus_inf", None, False, None, 4, 0)
+@example((2, 2), "corpus", None, None, False, 3, 0)
+@example((2, 2), "corpus", "minus_inf", None, False, 4, 0)
 def test_cutoff_field_scorer_matches_its_full_batch_oracle(dims, kind, hole, special,
-                                                           stop, grad_cap, count,
-                                                           seed):
+                                                           stop, count, seed):
     # scoring the cutoff layer only where the pair bound leaves a candidate
     # able to be the batch's first minimum picks the same field, bit for bit
     rng = np.random.default_rng(seed)
@@ -248,7 +244,7 @@ def test_cutoff_field_scorer_matches_its_full_batch_oracle(dims, kind, hole, spe
         points = entry.special_points
         xi = np.asarray(points[seed % len(points)], dtype=float)
     stream = dict(seed=seed % 1000, count=count, radius=float(rng.uniform(0.5, 3.0)),
-                  special_points=points, grad_cap=grad_cap)
+                  special_points=points)
     if hole == "nan":
         f = _nan_where_a00_above(f, float(rng.uniform(-1.0, 1.0)))
     elif hole == "minus_inf":
@@ -278,6 +274,38 @@ def test_strong_search_scores_its_affine_family_in_one_f_call():
         calls.append(1)
         return entry(arr)
 
-    laminate.search_strong_morrey_violation(spy, xi, entry.dims, K=8.0, budget=2000, **kw)
-    batches = list(_two_gradient_candidates(xi, entry.dims, count=1000, grad_cap=8.0, **kw))
+    laminate.search_strong_morrey_violation(spy, xi, entry.dims, budget=2000, **kw)
+    batches = list(_two_gradient_candidates(xi, entry.dims, count=1000, **kw))
     assert len(calls) == 1 + 2 * len(batches) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(corpus_names()),
+       st.booleans(),
+       st.integers(1, 3000),
+       st.floats(0.1, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_uncapped_stream_and_strong_verdict_match_the_capped_oracle(name, at_special,
+                                                                    budget, radius, seed):
+    # a gradient cap of 8 keeps every candidate here: a Halton field's slope
+    # bound is below 0.95 * 2.001 * radius < 8, and no rank-one pair of
+    # corpus special points jumps by more than 6
+    f = corpus_entry(name)
+    special, dims = f.special_points, f.dims
+    rng = np.random.default_rng(seed)
+    if at_special:
+        xi = np.asarray(special[seed % len(special)], dtype=float)
+    else:
+        xi = rng.normal(size=dims) * float(rng.choice([0.5, 1.0, 2.0]))
+    kw = dict(seed=seed % 100_000, radius=radius, special_points=special)
+    capped = functools.partial(oracles.laminate_candidates, None, grad_cap=8.0)
+    new = list(_two_gradient_candidates(xi, dims, count=budget, **kw))
+    ref = list(capped(xi, dims, count=budget, **kw))
+    assert len(new) == len(ref)
+    for got, want in zip(new, ref):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    with mock.patch.object(classify, "_two_gradient_candidates", capped):
+        want = laminate.search_strong_morrey_violation(f, xi, dims, budget=budget, **kw)
+    got = laminate.search_strong_morrey_violation(f, xi, dims, budget=budget, **kw)
+    assert got.to_dict() == want.to_dict()
