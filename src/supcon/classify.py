@@ -15,17 +15,18 @@ cross-validates the verdicts against the implication hierarchy.
 Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
 batches until the budget is exhausted.  The checkers of one report share one
-Halton draw per seed, each special-pair list, each segment-checker run (past
-its special pairs, the laminate checker reads the rank-one run) and each
-scored two-gradient pair run (the periodic search reads the weak search's).
-The Halton points are scipy's scrambled stream, bit for bit, from a numpy
-kernel: classify needs no scipy.  Every search scores its batches by one
-of two shared rules: ``_worst_gap`` takes the largest finite gap of a batch
-of segments or measures, and ``_best_field`` the least ess sup over the
-gradient values of two-gradient test fields, an ess sup of NaN or -inf
-counting as +inf.  A measure is an (atoms, weights) pair of arrays, and
-``_measure_gaps`` scores a batch of them in two f calls.  In every checker a
-gap must be finite to back a violation: a non-finite one cannot be replayed.
+dict, each key tagged by its maker: one Halton draw per seed, each
+special-pair list, each segment-checker run (past its special pairs, the
+laminate checker reads the rank-one run) and each scored two-gradient pair
+run (the periodic search reads the weak search's).  The Halton points are
+scipy's scrambled stream, bit for bit, from a numpy kernel: classify needs
+no scipy.  Every search scores its batches by one of two shared rules:
+``_worst_gap`` takes the largest finite gap of a batch of segments or
+measures, and ``_best_field`` the least ess sup over the gradient values of
+two-gradient test fields, an ess sup of NaN or -inf counting as +inf.  A
+measure is an (atoms, weights) pair of arrays, and ``_measure_gaps`` scores
+a batch of them in two f calls.  In every checker a gap must be finite to
+back a violation: a non-finite one cannot be replayed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, asdict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -223,25 +223,30 @@ def _field_witness(kind, xi, f_xi, values, ess_sup, **extra) -> dict:
 # sampling streams
 # ---------------------------------------------------------------------------
 
-class _Stores(NamedTuple):
-    """What the running ``classify_report`` computes once; ``_shared`` is None outside one."""
-    draws: dict     # seed -> the widest Halton draw asked for (``_halton``)
-    segments: dict  # segment-checker runs (``_run_segment_checker``)
-    special: dict   # special-pair lists (``_special_pairs``)
-    pairs: dict     # scored two-gradient pair runs (``_scored_pairs``)
-
-
-_shared: ContextVar[_Stores | None] = ContextVar("_shared", default=None)
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 
 
 @contextmanager
 def _shared_halton():
-    """Share one ``_Stores`` among the calls inside the block, then drop it."""
-    token = _shared.set(_Stores({}, {}, {}, {}))
+    """Share one store among the calls inside the block, then drop it."""
+    token = _shared.set({})
     try:
         yield
     finally:
         _shared.reset(token)
+
+
+def _once(key, make):
+    """``make()``, made once per key inside a ``_shared_halton`` block and
+    at every call outside one.  A key starts with its maker's tag; one that
+    holds ``id(f)`` keeps f in its value, so no other f can take that id
+    while the store lives."""
+    store = _shared.get()
+    if store is None:
+        return make()
+    if key not in store:
+        store[key] = make()
+    return store[key]
 
 
 def _points_key(points) -> tuple:
@@ -286,17 +291,17 @@ def _halton(dim: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` points, in ``dim`` coordinates, of the scrambled
     Halton sequence of ``seed``: the leading block of any longer or wider draw
     (a point depends on its index alone, a coordinate on the bases before it).
-    In a ``_shared_halton`` block a call wanting more rows or columns than the
-    seed's draw redraws at the larger of each; each gets a read-only block."""
-    shared = _shared.get()
-    if shared is None:
+    In a ``_shared_halton`` block the store holds one draw per seed, under
+    ``("halton", seed)``: a call wanting more rows or columns than it holds
+    redraws at the larger of each, and each call gets a read-only block."""
+    store, key = _shared.get(), ("halton", seed)
+    if store is None:
         return _scrambled_halton(dim, count, seed)
-    draws = shared.draws
-    rows, cols = draws[seed].shape if seed in draws else (0, 0)
+    rows, cols = store[key].shape if key in store else (0, 0)
     if rows < count or cols < dim:
-        draws[seed] = _scrambled_halton(max(dim, cols), max(count, rows), seed)
-        draws[seed].flags.writeable = False
-    return draws[seed][:count, :dim]
+        store[key] = _scrambled_halton(max(dim, cols), max(count, rows), seed)
+        store[key].flags.writeable = False
+    return store[key][:count, :dim]
 
 
 def _check_count(name, count, least=1) -> None:
@@ -333,15 +338,12 @@ def _finite(name, x) -> np.ndarray:
 
 def _special_pairs(special_points, rank_one: bool):
     """The list of pairs of distinct special points (the rank-one connected
-    ones with ``rank_one``), made once per ``_shared_halton`` block."""
-    shared = _shared.get()
-    store = {} if shared is None else shared.special
-    key = (rank_one, *_points_key(special_points))
-    if key not in store:
+    ones with ``rank_one``), listed once per report (``_once``)."""
+    def pairs():
         pts = [_finite("special_points", p) for p in special_points]
-        store[key] = [(a, b) for a, b in itertools.combinations(pts, 2) if not np.array_equal(a, b)
-                      and (not rank_one or is_rank_one_connected(a, b))]
-    return store[key]
+        return [(a, b) for a, b in itertools.combinations(pts, 2) if not np.array_equal(a, b)
+                and (not rank_one or is_rank_one_connected(a, b))]
+    return _once(("special", rank_one, *_points_key(special_points)), pairs)
 
 
 def _unit_rank_one(H, N, keep=True):
@@ -455,19 +457,14 @@ def _score_segments(f, dims, *, tol, budget, seed, radius, special_points,
 
 def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                          special_points, rank_one) -> Verdict:
-    """``notion``'s verdict from a segment-checker run; inside
-    ``_shared_halton`` one run serves every notion that passes its arguments
-    (the laminate checker reads the rank-one run), each with its own copy."""
-    shared = _shared.get()
-    runs = {} if shared is None else shared.segments
-    key = (id(f), tuple(dims), tol, budget, seed, radius, rank_one,
+    """``notion``'s verdict from a segment-checker run, made once per report
+    (``_once``): one run serves every notion that passes its arguments (the
+    laminate checker reads the rank-one run), each with its own copy."""
+    key = ("segments", id(f), tuple(dims), tol, budget, seed, radius, rank_one,
            *_points_key(special_points))
-    if key not in runs:
-        # f stays referenced by the store, so no other f can take its id
-        runs[key] = (f, *_score_segments(f, dims, tol=tol, budget=budget, seed=seed,
-                                         radius=radius, special_points=special_points,
-                                         rank_one=rank_one))
-    _, outcome, witness, used = runs[key]
+    _, outcome, witness, used = _once(key, lambda: (f, *_score_segments(
+        f, dims, tol=tol, budget=budget, seed=seed, radius=radius,
+        special_points=special_points, rank_one=rank_one)))
     return Verdict(notion, outcome, copy.deepcopy(witness), used, tol, seed)
 
 
@@ -641,25 +638,18 @@ def _cutoff_values(xi, Mp, Mm, theta):
 
 def _scored_pairs(f, xi, dims, stream):
     """The read-only batches (Mp, Mm, theta, max(f(Mp), f(Mm))) of the two-gradient candidates
-    through xi, scored as far as read; one run per f, xi, dims and stream in a report."""
-    shared = _shared.get()
-    runs = {} if shared is None else shared.pairs
-    key = (id(f), xi.tobytes(), tuple(dims), stream["seed"], stream["count"],
-           stream["radius"], *_points_key(stream["special_points"]))
-    if key not in runs:
-        # f stays referenced by the store, so no other f can take its id
-        runs[key] = (f, ((Mp, Mm, theta, np.maximum(f(Mp), f(Mm))) for Mp, Mm, theta
-                         in _two_gradient_candidates(xi, dims, **stream)), [])
-    _, source, batches = runs[key]
-    for i in itertools.count():
-        if i == len(batches):
-            batch = next(source, None)
-            if batch is None:
-                return
+    through xi, scored as far as read; one run per f, xi, dims and stream in a report
+    (``_once``).  The store keeps a tee of it that never advances; each reader's
+    copy replays what earlier readers scored, then scores on."""
+    def scored():
+        for Mp, Mm, theta in _two_gradient_candidates(xi, dims, **stream):
+            batch = (Mp, Mm, theta, np.maximum(f(Mp), f(Mm)))
             for a in batch:
                 a.flags.writeable = False
-            batches.append(batch)
-        yield batches[i]
+            yield batch
+    key = ("pairs", id(f), xi.tobytes(), tuple(dims), stream["seed"], stream["count"],
+           stream["radius"], *_points_key(stream["special_points"]))
+    return copy.copy(_once(key, lambda: (f, itertools.tee(scored(), 1)[0]))[1])
 
 
 def _best_field(f, xi, f_xi, dims, *, tol, stop, cutoff=False, **stream):

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify import _check_count
 from .envelope import level_convex_lsc_envelope, lower_hull_1d
 from .funcspace import MODE_PLUS_INFINITY, GridSpec, SampledFunction, write_json
 
@@ -65,8 +66,8 @@ class FeOptions:
     scan_points: int = 161
 
     def __post_init__(self) -> None:
-        if self.cells < 2:
-            raise ValueError(f"cells must be at least 2, got {self.cells!r}")
+        _check_count("cells", self.cells, least=2)
+        _check_count("scan_points", self.scan_points, least=2)
         if not 0.0 < self.slope_bound < np.inf:  # NaN fails too
             raise ValueError(f"slope_bound must be finite and > 0, got {self.slope_bound!r}")
 
@@ -253,19 +254,14 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     ia, ib = np.repeat(lo, len(hi)), np.tile(hi, len(lo))
     iterations += len(ia)
     q = _powers(vals, p, scale)
-    val, k, c = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale, q[ia], q[ib])
+    val = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale, q[ia], q[ib])[0]
     val, a, b = val * length_factor, S[ia], S[ib]
     # the 8 lowest of the constant profile and the scan pairs, in that order
-    # on ties; every value is finite here
+    # on ties; every value is finite here.  A scan pair below the constant
+    # starts walk 0, whose first accepted entry scores it again, bit for bit
     first = np.argsort(np.append(best_val, val), kind="stable")[:8]
     polish_starts = list(zip(np.append(xi, a)[first].tolist(),
                              np.append(xi, b)[first].tolist()))
-    # the first strict minimum in scan order
-    below = np.where(val < best_val, val, np.inf)
-    if below.min() < best_val:
-        i = int(np.argmin(below))
-        best_val = float(val[i])
-        best_profile = ("pair", float(a[i]), float(b[i]), int(k[i]), float(c[i]))
     # the envelope's supporting segment of f^p at xi is the continuum optimum
     polish_starts.append(_hull_support_slopes(fs, xi, G, p, scale))
 
@@ -273,7 +269,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     # not depend on one another, so they advance in lockstep, one batched
     # evaluation of all their speculated pairs per step, and their accepted
     # values are replayed in start order to pick the first strict minimum
-    base_step = float(S[1] - S[0]) if len(S) > 1 else 0.1
+    base_step = float(S[1] - S[0])  # S holds -G and G
     walks = [_polish(a, b, xi, G, base_step, POLISH_ROUNDS, TOL * scale)
              for a, b in polish_starts]
     results = [None] * len(walks)

@@ -611,6 +611,9 @@ def load_csv(csv_path) -> SampledFunction:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError("CSV sidecar must hold a JSON object")
+    for key in ("dims", "radius", "points_per_axis", "outside_mode"):
+        if key not in meta:
+            raise ValueError(f"CSV sidecar has no {key!r} field")
     dims, radius = meta["dims"], meta["radius"]
     if type(radius) not in (int, float):  # a bool, string or list is no radius
         raise ValueError(f"sidecar radius must be a number, got {radius!r}")

@@ -308,18 +308,30 @@ def test_envelope_input_with_a_non_integer_sidecar_grid_size_exits_1(tmp_path, c
     assert not (tmp_path / "clamp1d_lslc_convex.csv").exists()
 
 
+SIDECAR_FIELDS = ("dims", "radius", "points_per_axis", "outside_mode")
+
+
+def _without(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
 @pytest.mark.parametrize("meta, field", [
     (lambda m: dict(m, dims=2), "dims"), (lambda m: dict(m, dims=[1]), "dims"),
-    (lambda m: dict(m, radius=[2]), "radius"), (lambda m: [m], "sidecar")],
-    ids=["dims-2", "dims-[1]", "radius-[2]", "list"])
+    (lambda m: dict(m, radius=[2]), "radius"), (lambda m: [m], "sidecar"),
+    *[(_without(key), key) for key in SIDECAR_FIELDS]],
+    ids=["dims-2", "dims-[1]", "radius-[2]", "list",
+         *[f"no-{key}" for key in SIDECAR_FIELDS]])
 def test_envelope_input_with_a_malformed_sidecar_exits_1_naming_the_field(tmp_path, capsys,
                                                                           meta, field):
     # dims 2, radius [2] and a top-level list died with a TypeError traceback;
-    # dims [1] printed "not enough values to unpack"
+    # dims [1] printed "not enough values to unpack"; a missing field printed
+    # a bare KeyError, "error: 'dims'"
     assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
                    "--points", "21", "--out", str(tmp_path)) == 0
     sidecar = tmp_path / "clamp1d_lslc.json"
     sidecar.write_text(json.dumps(meta(json.loads(sidecar.read_text()))))
+    with pytest.raises(ValueError, match=field):
+        load_csv(tmp_path / "clamp1d_lslc.csv")
     capsys.readouterr()
     assert status("envelope", "--input", str(tmp_path / "clamp1d_lslc.csv"),
                   "--kind", "convex", "--out", str(tmp_path)) == 1

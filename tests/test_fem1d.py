@@ -66,6 +66,12 @@ def test_monotone_in_p():
 def test_mesh_and_result_validation():
     with pytest.raises(ValueError, match="cells"):
         FeOptions(cells=1)
+    # a count that is not an integer died inside numpy, naming no setting;
+    # a scan of fewer than two nodes ran silently
+    for name, bad in [("cells", v) for v in (64.0, 2.5, np.nan)] + \
+                     [("scan_points", v) for v in (161.0, 2.5, np.nan, 1, 0, -3)]:
+        with pytest.raises(ValueError, match=name):
+            FeOptions(**{name: bad})
     for retired in ("restarts", "seed"):  # the FE search draws no random numbers
         with pytest.raises(TypeError, match=retired):
             FeOptions(**{retired: 1})

@@ -8,6 +8,7 @@ that the weak and periodic searches both read."""
 
 import contextlib
 import dataclasses
+import itertools
 import math
 from collections import defaultdict
 from unittest import mock
@@ -262,7 +263,7 @@ def test_halton_draws_are_dropped_when_the_report_returns_or_raises(monkeypatch)
     held = {}
 
     def fail(*args, **kwargs):
-        held.update(classify._shared.get()[0])
+        held.update(classify._shared.get())
         raise RuntimeError("checker failed")
 
     monkeypatch.setattr(classify, "check_polyquasiconvex_necessary", fail)
@@ -270,6 +271,35 @@ def test_halton_draws_are_dropped_when_the_report_returns_or_raises(monkeypatch)
         classify_report(entry, cfg)
     assert held  # the two checkers before it drew into the report's cache
     assert classify._shared.get() is None
+
+
+def test_readers_that_take_turns_on_one_pair_run_equal_a_fresh_run():
+    # W_sup at xi = 0, over four Halton blocks: two readers take turns on one
+    # run, a third reads it after them, and f scores each candidate once
+    entry = corpus_entry("W_sup")
+    xi, dims = np.zeros(entry.dims), entry.dims
+    stream = dict(seed=20240817, count=3 * classify.HALTON_BLOCK + 1, radius=2.0,
+                  special_points=entry.special_points)
+    fresh = list(classify._scored_pairs(entry, xi, dims, stream))
+    assert len(fresh) >= 4
+    points = [0]
+
+    def f(arr):
+        points[0] += math.prod(arr.shape[:-2])
+        return entry(arr)
+
+    with classify._shared_halton():
+        first, second = (classify._scored_pairs(f, xi, dims, stream) for _ in range(2))
+        read = {first: [], second: []}
+        for reader, k in ((first, 1), (second, 2), (first, 2), (second, None), (first, None)):
+            read[reader] += itertools.islice(reader, k)
+        third = list(classify._scored_pairs(f, xi, dims, stream))
+    assert points[0] == 2 * sum(len(batch[0]) for batch in fresh)
+    for batches in (read[first], read[second], third):
+        assert len(batches) == len(fresh)
+        for got, want, shared in zip(batches, fresh, third):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            assert all(a is b and not a.flags.writeable for a, b in zip(got, shared))
 
 
 FIELD_SEARCHES = {
