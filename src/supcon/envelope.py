@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .funcspace import MODE_CLAMP, SampledFunction, save_csv, write_json
+from .funcspace import MODE_CLAMP, SampledFunction, _check_real, save_csv, write_json
 
 __all__ = [
     "convex_envelope",
@@ -393,8 +393,7 @@ def pasch_hausdorff(f: SampledFunction, lam: float) -> SampledFunction:
     a dense distance matrix sums them, so the result is the minimum over all
     node pairs, bit for bit.
     """
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
+    _check_real("lam", lam, 0.0)
     g = f.grid
     P, d = g.points_per_axis, g.ndim
     ax = g.axis()
@@ -622,10 +621,9 @@ def power_law_envelope(f: SampledFunction, p_schedule,
     Powers are taken after max-normalization, which is exact by positive
     homogeneity of both envelope operators.
     """
-    ps = tuple(float(p) for p in p_schedule)
-    if not ps or not all(1.0 < a < b for a, b in zip(ps, ps[1:] + (np.inf,))):
-        raise ValueError("p_schedule must be nonempty, increasing, finite and > 1, "
-                         f"got {list(ps)}")
+    ps = tuple(float(_check_real("p_schedule", p, 1.0)) for p in p_schedule)
+    if not ps or not all(a < b for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"p_schedule must be nonempty and increasing, got {list(ps)}")
     if mode not in (MODE_CONVEX_LOWER, MODE_LAMINATION_UPPER):
         raise ValueError(f"unknown mode {mode!r}")
 

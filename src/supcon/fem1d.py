@@ -37,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import _check_count
 from .envelope import level_convex_lsc_envelope, lower_hull_1d
-from .funcspace import MODE_PLUS_INFINITY, GridSpec, SampledFunction, write_json
+from .funcspace import (MODE_PLUS_INFINITY, GridSpec, SampledFunction, _check_count,
+                        _check_real, write_json)
 
 __all__ = [
     "FeOptions",
@@ -68,8 +68,7 @@ class FeOptions:
     def __post_init__(self) -> None:
         _check_count("cells", self.cells, least=2)
         _check_count("scan_points", self.scan_points, least=2)
-        if not 0.0 < self.slope_bound < np.inf:  # NaN fails too
-            raise ValueError(f"slope_bound must be finite and > 0, got {self.slope_bound!r}")
+        _check_real("slope_bound", self.slope_bound, 0.0)
 
 
 @dataclass
@@ -227,8 +226,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     shrinks its step below 1e-9 the result is still returned, flagged
     converged=False.
     """
-    if not 1.0 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    _check_real("p", p, 1.0, closed=True)
     opts = opts or FeOptions()
     m, G = opts.cells, opts.slope_bound
     fs = _scalar_eval(f, G)
@@ -309,13 +307,9 @@ def _profile_to_slopes(profile, m):
 
 def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
     """((f^p)** (xi))^{1/p} on the slope box, via the exact grid lower hull."""
-    if not 1.0 <= p < np.inf:  # NaN fails too
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    _check_real("p", p, 1.0, closed=True)
     x = np.linspace(-slope_bound, slope_bound, ORACLE_POINTS)
-    fs = _scalar_eval(f, slope_bound)
-    vals = fs(x)
-    if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails too
-        raise ValueError("f must be nonnegative and finite on the slope box")
+    vals = _nonnegative(_scalar_eval(f, slope_bound)(x))
     scale = max(float(vals.max()), 1e-300)
     hull = lower_hull_1d(x, (vals / scale) ** p)
     return scale * float(np.interp(xi, x, hull)) ** (1.0 / p)
@@ -361,10 +355,9 @@ def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = No
     residual gap decays only like log(p)/p, so push the schedule higher
     before reading much into a classification taken exactly there.
     """
-    ps = tuple(float(p) for p in p_schedule)
-    if not ps or not all(1.0 <= a < b for a, b in zip(ps, ps[1:] + (np.inf,))):
-        raise ValueError("p_schedule must be nonempty, increasing, finite and >= 1, "
-                         f"got {list(ps)}")
+    ps = tuple(float(_check_real("p_schedule", p, 1.0, closed=True)) for p in p_schedule)
+    if not ps or not all(a < b for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"p_schedule must be nonempty and increasing, got {list(ps)}")
     opts = opts or FeOptions()
     fs = _scalar_eval(f, opts.slope_bound)
     f_xi = float(fs(np.array([xi]))[0])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,15 +82,32 @@ def hierarchy_breaks(holds: dict) -> list[tuple[str, str]]:
             for weak in weaker if holds.get(weak) is False]
 
 
+def _check_count(name, value, least=1):
+    """``value`` if it is an integer (an int or a numpy integer, not a bool
+    or 2.0) of at least ``least``; else fail naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value
+
+
+def _check_real(name, value, low, closed=False):
+    """``value`` if it is a real number (not a bool), finite, and above
+    ``low`` (at least ``low`` when ``closed``); else fail naming it."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (low <= value if closed else low < value) or not value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, "
+                         f"got {value!r}")
+    return value
+
+
 def _memory_cap_bytes() -> float:
     text = os.environ.get("SUPCON_MEM_CAP_MB", "512")
     try:
-        cap_mb = float(text)
+        return _check_real("SUPCON_MEM_CAP_MB", float(text), 0.0) * 1024 * 1024
     except ValueError:
-        cap_mb = math.nan
-    if not 0.0 < cap_mb < math.inf:
-        raise ValueError(f"SUPCON_MEM_CAP_MB must be a finite number > 0, got {text!r}")
-    return cap_mb * 1024 * 1024
+        raise ValueError(f"SUPCON_MEM_CAP_MB must be a finite number > 0, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,17 +123,11 @@ class GridSpec:
             N, n = self.dims
         except (TypeError, ValueError):
             raise ValueError(f"dims must be a pair (N, n), got {self.dims!r}") from None
-        for name, v in (("dims", N), ("dims", n), ("points_per_axis", self.points_per_axis)):
-            try:
-                operator.index(v)  # an int or a numpy integer, not 2.0
-            except TypeError:
-                raise ValueError(f"{name} must be integral, got {v!r}") from None
-        if N < 1 or n < 1:
-            raise ValueError("dims must be positive")
-        if not 0.0 < self.radius < math.inf:  # NaN fails too
-            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
-        if self.points_per_axis < 3 or self.points_per_axis % 2 == 0:
-            raise ValueError("points_per_axis must be an odd integer >= 3")
+        _check_count("dims", N)
+        _check_count("dims", n)
+        _check_real("radius", self.radius, 0.0)
+        if _check_count("points_per_axis", self.points_per_axis, least=3) % 2 == 0:
+            raise ValueError(f"points_per_axis must be odd, got {self.points_per_axis!r}")
         if self.node_count * 8 > _memory_cap_bytes():
             raise MemoryError(
                 f"grid of {self.node_count} nodes exceeds SUPCON_MEM_CAP_MB"
@@ -143,10 +154,7 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         """All grid nodes, shape (node_count, N, n), row-major node order."""
-        ax = self.axis()
-        grids = np.meshgrid(*([ax] * self.ndim), indexing="ij")
-        flat = np.stack([g.ravel() for g in grids], axis=-1)
-        return flat.reshape(-1, *self.dims)
+        return _grid_nodes(self.dims, self.radius, self.points_per_axis)
 
     def node_coords(self) -> np.ndarray:
         """All grid nodes as flat coordinate vectors, shape (node_count, N*n)."""
@@ -569,13 +577,28 @@ def interpolate(f: SampledFunction, xi) -> float:
 # CSV + sidecar persistence
 # ---------------------------------------------------------------------------
 
+def _grid_nodes(dims, radius, points_per_axis) -> np.ndarray:
+    """``GridSpec(dims, radius, points_per_axis).nodes()`` without the grid's
+    checks or its SUPCON_MEM_CAP_MB cap, for a caller that sized it already."""
+    ax = np.linspace(-radius, radius, points_per_axis)
+    grids = np.meshgrid(*([ax] * (dims[0] * dims[1])), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1).reshape(-1, *dims)
+
+
+def _json_scalar(obj):
+    """A numpy scalar's value, for ``json.dump``; any other object fails."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(obj, path) -> None:
     """Write ``obj`` as indented, key-sorted JSON with a trailing newline,
-    creating the parent directory."""
+    creating the parent directory; a numpy scalar is written as its value."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_scalar)
         fh.write("\n")
 
 
@@ -614,10 +637,8 @@ def load_csv(csv_path) -> SampledFunction:
     for key in ("dims", "radius", "points_per_axis", "outside_mode"):
         if key not in meta:
             raise ValueError(f"CSV sidecar has no {key!r} field")
-    dims, radius = meta["dims"], meta["radius"]
-    if type(radius) not in (int, float):  # a bool, string or list is no radius
-        raise ValueError(f"sidecar radius must be a number, got {radius!r}")
-    grid = GridSpec(tuple(dims) if isinstance(dims, list) else dims, float(radius),
+    dims = meta["dims"]
+    grid = GridSpec(tuple(dims) if isinstance(dims, list) else dims, meta["radius"],
                     meta["points_per_axis"])
     with open(csv_path) as fh:
         if len(fh.readline().split(",")) != grid.ndim + 1:

@@ -15,7 +15,7 @@ from supcon.classify import (ClassifyConfig, _aslist, _measure_gaps, _probe_poin
                              search_weak_morrey_violation, two_atom_measures,
                              verdict_inconsistencies)
 from supcon.funcspace import (GridSpec, corpus_entry, interpolating_evaluator,
-                              sample)
+                              sample, write_json)
 
 SEED = 42
 
@@ -48,6 +48,26 @@ def test_level_convex_clamp_holds():
     v = check_level_convex(entry, entry.dims, **_checker_args(entry))
     assert not v.violated
     assert v.budget == 20_000
+
+
+def test_level_convexity_stream_counts_the_coarse_grid_before_building_it():
+    # the stream built all 5^d coarse nodes before it tested whether their
+    # pairs fit the budget: on a 4x4 matrix that was "Unable to allocate
+    # 1.11 TiB" before the first sample
+    def fro(a):
+        return np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    v = check_level_convex(fro, (4, 4), budget=100)
+    assert not v.violated and v.budget == 100
+    atoms, weights = two_atom_measures((4, 4), seed=SEED, count=100)
+    assert atoms.shape == (100, 2, 4, 4) and weights.shape == (100, 2)
+
+
+def test_the_coarse_level_convexity_grid_does_not_read_the_memory_cap(monkeypatch):
+    # the stream sizes its coarse grid against the budget; built as a GridSpec
+    # it read SUPCON_MEM_CAP_MB, and a value that does not parse failed here
+    monkeypatch.setenv("SUPCON_MEM_CAP_MB", "abc")
+    v = check_level_convex(corpus_entry("abs"), (1, 1), budget=1000)
+    assert not v.violated and v.budget == 1000
 
 
 def test_level_convex_double_well_violated():
@@ -520,8 +540,10 @@ def test_verdict_inconsistency_detection():
 
 @pytest.mark.parametrize("field, value", [("budget", 0), ("tol", -1.0), ("tol", math.nan),
                                           ("tol", math.inf), ("radius", 0.0),
-                                          ("radius", math.nan), ("radius", math.inf)])
+                                          ("radius", math.nan), ("radius", math.inf),
+                                          ("budget", True), ("tol", False), ("radius", "2")])
 def test_classify_config_rejects_bad_settings_naming_them(field, value):
+    # a bool passed as a number and a string died in a bare TypeError
     with pytest.raises(ValueError, match=field):
         ClassifyConfig(**{field: value})
 
@@ -530,6 +552,19 @@ def test_classify_config_rejects_a_budget_that_is_not_an_integer():
     # was accepted; the report then died on a slice index inside the stream
     with pytest.raises(ValueError, match="budget must be an integer"):
         ClassifyConfig(budget=2.5)
+
+
+def test_a_report_with_numpy_integer_settings_writes_plain_json(tmp_path):
+    # numpy integers pass the count check, and json.dump then failed on the
+    # report: "Object of type int64 is not JSON serializable"
+    entry = corpus_entry("abs")
+    got = classify_report(entry, ClassifyConfig(budget=np.int64(2000), seed=np.int64(3)))
+    write_json(got.to_dict(), tmp_path / "got.json")
+    write_json(classify_report(entry, ClassifyConfig(budget=2000, seed=3)).to_dict(),
+               tmp_path / "want.json")
+    got, want = (json.loads((tmp_path / name).read_text()) for name in ("got.json", "want.json"))
+    assert got["config"] == {"budget": 2000, "tol": 1e-9, "seed": 3, "radius": 2.0}
+    assert dict(got, timestamp="") == dict(want, timestamp="")
 
 
 # every public checker, called on the double well with one setting replaced
@@ -544,7 +579,8 @@ CHECKERS = {
         e, [[0.0]], e.dims, **kw),
 }
 BAD_SETTINGS = [("tol", math.nan), ("tol", math.inf), ("tol", -1.0), ("budget", 0),
-                ("budget", -5), ("radius", math.nan), ("radius", 0.0)]
+                ("budget", -5), ("radius", math.nan), ("radius", 0.0), ("budget", True),
+                ("tol", False), ("radius", True), ("radius", "2")]
 
 
 @pytest.mark.parametrize("field, value", BAD_SETTINGS)
@@ -565,7 +601,7 @@ def test_checkers_reject_a_budget_that_is_not_an_integer(checker):
         CHECKERS[checker](corpus_entry("abs"), budget=2.5)
 
 
-BAD_SEEDS = [2.5, -3, None, "7"]
+BAD_SEEDS = [2.5, -3, None, "7", False]
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS)

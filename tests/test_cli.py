@@ -318,14 +318,15 @@ def _without(key):
 @pytest.mark.parametrize("meta, field", [
     (lambda m: dict(m, dims=2), "dims"), (lambda m: dict(m, dims=[1]), "dims"),
     (lambda m: dict(m, radius=[2]), "radius"), (lambda m: [m], "sidecar"),
+    (lambda m: dict(m, dims=[True, True]), "dims"),
     *[(_without(key), key) for key in SIDECAR_FIELDS]],
-    ids=["dims-2", "dims-[1]", "radius-[2]", "list",
+    ids=["dims-2", "dims-[1]", "radius-[2]", "list", "dims-[true,true]",
          *[f"no-{key}" for key in SIDECAR_FIELDS]])
 def test_envelope_input_with_a_malformed_sidecar_exits_1_naming_the_field(tmp_path, capsys,
                                                                           meta, field):
-    # dims 2, radius [2] and a top-level list died with a TypeError traceback;
-    # dims [1] printed "not enough values to unpack"; a missing field printed
-    # a bare KeyError, "error: 'dims'"
+    # dims 2, dims [true, true], radius [2] and a top-level list died with a
+    # TypeError traceback; dims [1] printed "not enough values to unpack"; a
+    # missing field printed a bare KeyError, "error: 'dims'"
     assert run_cli("envelope", "--corpus", "clamp1d", "--kind", "lslc", "--radius", "2",
                    "--points", "21", "--out", str(tmp_path)) == 0
     sidecar = tmp_path / "clamp1d_lslc.json"

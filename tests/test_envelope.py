@@ -256,10 +256,11 @@ def test_ph_rejects_nonpositive_lam():
 
 
 def test_ph_rejects_non_finite_lam():
-    # lam = inf used to give NaN at every node (inf * 0 at the zero offset)
+    # lam = inf used to give NaN at every node (inf * 0 at the zero offset);
+    # lam = True ran at lam = 1
     f = sample(corpus_entry("abs"), GridSpec((1, 1), 1.0, 5))
-    for lam in (np.inf, np.nan):
-        with pytest.raises(ValueError):
+    for lam in (np.inf, np.nan, True, "2"):
+        with pytest.raises(ValueError, match="lam"):
             pasch_hausdorff(f, lam)
 
 
@@ -396,6 +397,8 @@ def test_power_law_schedule_validation():
         power_law_envelope(f, (4, 2))
     with pytest.raises(ValueError):
         power_law_envelope(f, (1.0, 2.0))
+    with pytest.raises(ValueError, match="p_schedule"):
+        power_law_envelope(f, ["2", "4"])  # was accepted
 
 
 def test_power_law_multid_schedule_truncated_at_precision_wall():

@@ -75,7 +75,7 @@ def test_mesh_and_result_validation():
     for retired in ("restarts", "seed"):  # the FE search draws no random numbers
         with pytest.raises(TypeError, match=retired):
             FeOptions(**{retired: 1})
-    for bound in (np.nan, np.inf, 0.0, -1.0):
+    for bound in (np.nan, np.inf, 0.0, -1.0, True, "10"):
         with pytest.raises(ValueError, match="slope_bound"):
             FeOptions(slope_bound=bound)
     with pytest.raises(ValueError):
@@ -89,10 +89,11 @@ def test_mesh_and_result_validation():
             minimize_Fp(corpus_entry("abs"), 2.0, xi, OPTS)
 
 
-@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.5])
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.5, True, "2"])
 def test_p_outside_one_to_infinity_rejected(p):
     # at p = NaN minimize_Fp returned NaN flagged converged; at p = inf both
-    # returned 81.0, the largest value of f on the slope box
+    # returned 81.0, the largest value of f on the slope box; p = True ran
+    # at p = 1
     with pytest.raises(ValueError, match="p must"):
         minimize_Fp(corpus_entry("double_well_1d"), p, 0.0, OPTS)
     with pytest.raises(ValueError, match="p must"):

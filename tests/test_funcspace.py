@@ -11,7 +11,7 @@ import oracles
 from supcon.funcspace import (GridSpec, SampledFunction, corpus_entry,
                               corpus_names, hierarchy_breaks,
                               interpolate, interpolating_evaluator, load_csv,
-                              sample, save_csv)
+                              sample, save_csv, write_json)
 from supcon.matspace import minors_batch
 
 
@@ -120,14 +120,16 @@ def test_gridspec_validation():
         GridSpec((1, 1), -1.0, 5)
     with pytest.raises(ValueError):
         GridSpec((0, 1), 1.0, 5)
-    for radius in (math.nan, math.inf):
+    for radius in (math.nan, math.inf, "2", True):  # "2" died in a bare TypeError
         with pytest.raises(ValueError, match="radius"):
             GridSpec((1, 1), radius, 5)
     # (2, 2), 2.0, 7.5 was accepted with node_count 3164.0625 and died in
-    # axis() with a TypeError; dims (2.0, 2) was accepted too
+    # axis() with a TypeError; dims (2.0, 2) was accepted too, and
+    # (True, True) died in nodes()
     for dims, points, field in (((2, 2), 7.5, "points_per_axis"),
                                 ((2, 2), 7.0, "points_per_axis"),
-                                ((2.0, 2), 5, "dims"), ((1, 1.0), 5, "dims")):
+                                ((2.0, 2), 5, "dims"), ((1, 1.0), 5, "dims"),
+                                ((True, True), 3, "dims")):
         with pytest.raises(ValueError, match=field):
             GridSpec(dims, 2.0, points)
     g = GridSpec((np.int64(1), np.int32(1)), 2.0, np.int64(5))  # numpy integers are integers
@@ -368,3 +370,15 @@ def test_load_csv_rejects_a_sidecar_grid_size_that_is_not_an_integer(tmp_path, p
     (tmp_path / "c.json").write_text(json.dumps(dict(meta, points_per_axis=points)))
     with pytest.raises(ValueError, match="points_per_axis"):
         load_csv(tmp_path / "c.csv")
+
+
+def test_save_csv_writes_numpy_integer_grid_sizes_as_plain_json(tmp_path):
+    # numpy integers pass GridSpec's checks, and the sidecar's json.dump then
+    # failed on them: "Object of type int64 is not JSON serializable"
+    grid = GridSpec((np.int64(1), np.int64(1)), 1.0, np.int64(5))
+    save_csv(sample(corpus_entry("abs"), grid), tmp_path / "g.csv")
+    meta = json.loads((tmp_path / "g.json").read_text())
+    assert (meta["dims"], meta["points_per_axis"]) == ([1, 1], 5)
+    assert np.array_equal(load_csv(tmp_path / "g.csv").values, [1.0, 0.5, 0.0, 0.5, 1.0])
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        write_json({"dims": {1}}, tmp_path / "h.json")  # other objects still fail by type

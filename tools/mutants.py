@@ -1,0 +1,153 @@
+"""Mutation check of the tier-1 oracles: each mutant must fail its named tests.
+
+Every bit-identical refactor leans on the Hypothesis oracles in
+``tests/oracles.py``.  This script checks that they still kill the mutants
+they were built to kill.  Run it from the repository root:
+
+    python tools/mutants.py
+
+It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory.  A mutant whose source text does not occur exactly once in its
+file is reported as stale and not run.  First the named tests of all mutants
+run on the unmutated copy at each Hypothesis seed in ``SEEDS``, 1 to 5 (the
+``(none)`` row); they must pass, or no kill means anything.  Then each mutant
+is applied in turn and its tests run at each of those seeds, with Hypothesis'
+example database cleared before every run.  A run that fails its tests kills the mutant.  A run that
+cannot collect or start its tests is an error: it neither kills nor spares.
+
+It prints a Markdown kill table and exits 1 if a mutant is stale, errs or
+survives a seed, or if the unmutated copy fails.  pytest does not collect this
+file: it lies outside ``testpaths`` and is not named ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 4, 5)  # Hypothesis seeds every run uses
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    origin: str  # the change whose oracle or test it checks
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, any of which may kill it
+
+
+SHARED = "tests/test_shared_samples.py"
+MUTANTS = (
+    Mutant("halton-factor-prefix", "scrambled Halton kernel", "src/supcon/classify.py",
+           "factor, k = factor / b, k + 1", "factor, k = factor * (1.0 / b), k + 1",
+           (f"{SHARED}::test_halton_kernel_equals_scipy_bit_for_bit",
+            f"{SHARED}::test_shared_halton_draws_equal_fresh_draws")),
+    Mutant("halton-factor-tail", "scrambled Halton kernel", "src/supcon/classify.py",
+           "            factor /= b\n", "            factor *= 1.0 / b\n",
+           (f"{SHARED}::test_halton_kernel_equals_scipy_bit_for_bit",
+            f"{SHARED}::test_shared_halton_draws_equal_fresh_draws")),
+    Mutant("curl-young-no-early-return", "curl-Young reads the rank-one run",
+           "src/supcon/laminate.py",
+           "    if used == budget:\n        return Verdict(notion, HOLDS, None, used, tol, seed)\n",
+           "",
+           (f"{SHARED}::test_curl_young_matches_its_spliced_oracle",)),
+    Mutant("curl-young-budget-left", "curl-Young reads the rank-one run",
+           "src/supcon/laminate.py",
+           "v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget,",
+           "v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget - used,",
+           (f"{SHARED}::test_curl_young_matches_its_spliced_oracle",)),
+    Mutant("cutoff-bound-inf", "weak-Morrey cutoff bound", "src/supcon/classify.py",
+           "bound = np.where(np.isnan(ess), np.inf, ess)",
+           "bound = np.where(np.isfinite(ess), ess, np.inf)",
+           ("tests/test_weak_morrey_batched.py::"
+            "test_cutoff_field_scorer_matches_its_full_batch_oracle",)),
+    Mutant("cutoff-tie-clause", "weak-Morrey cutoff bound", "src/supcon/classify.py",
+           "((bound == e0) & (rows <= i0))", "(rows == i0)",
+           ("tests/test_weak_morrey_batched.py::"
+            "test_cutoff_field_scorer_matches_its_full_batch_oracle",)),
+    Mutant("report-default-radius", "one settings record per report",
+           "src/supcon/classify.py",
+           "kw = dict(asdict(cfg), special_points=entry.special_points)",
+           "kw = dict(asdict(cfg), radius=2.0, special_points=entry.special_points)",
+           ("tests/test_classify.py::test_classify_report_passes_its_settings_to_every_checker",)),
+    Mutant("report-no-special-points", "one settings record per report",
+           "src/supcon/classify.py",
+           "kw = dict(asdict(cfg), special_points=entry.special_points)",
+           "kw = dict(asdict(cfg), special_points=())",
+           ("tests/test_classify.py::test_classify_report_passes_its_settings_to_every_checker",)),
+    Mutant("count-accepts-bool", "one home for setting checks", "src/supcon/funcspace.py",
+           "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
+           "not isinstance(value, numbers.Integral)",
+           ("tests/test_classify.py::test_checkers_reject_the_settings_classify_config_rejects",
+            "tests/test_cli.py::"
+            "test_envelope_input_with_a_malformed_sidecar_exits_1_naming_the_field")),
+    Mutant("coarse-grid-before-count", "one home for setting checks",
+           "src/supcon/classify.py",
+           "    if not rank_one and 5 ** d",
+           "    nodes = _grid_nodes(dims, radius, 5)\n    if not rank_one and 5 ** d",
+           ("tests/test_classify.py::"
+            "test_level_convexity_stream_counts_the_coarse_grid_before_building_it",)),
+)
+
+
+def run_tests(work: Path, tests, seed: int) -> str:
+    """'pass', 'fail' or 'error' for one pytest run of ``tests`` in ``work``."""
+    shutil.rmtree(work / ".hypothesis", ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(work / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         f"--hypothesis-seed={seed}", *tests],
+        cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return {0: "pass", 1: "fail"}.get(proc.returncode, "error")
+
+
+def main() -> int:
+    ok = True
+    print("| mutant | origin | killed | seeds |")
+    print("| --- | --- | --- | --- |")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
+        clean = [run_tests(work, every_test, seed) for seed in SEEDS]
+        passed = [s for s, r in zip(SEEDS, clean) if r == "pass"]
+        ok &= len(passed) == len(SEEDS)
+        print(f"| (none) | unmutated copy | passes on {len(passed)}/{len(SEEDS)} "
+              f"| {' '.join(f'{s}:{r}' for s, r in zip(SEEDS, clean))} |", flush=True)
+
+        for m in MUTANTS:
+            path = work / m.path
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                ok = False
+                print(f"| {m.name} | {m.origin} | stale: text found "
+                      f"{text.count(m.old)} times | |", flush=True)
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                results = [run_tests(work, m.tests, seed) for seed in SEEDS]
+            finally:
+                path.write_text(text)
+            killed = results.count("fail")
+            ok &= killed == len(SEEDS)
+            outcome = {"fail": "killed", "pass": "survived", "error": "error"}
+            print(f"| {m.name} | {m.origin} | {killed}/{len(SEEDS)} "
+                  f"| {' '.join(f'{s}:{outcome[r]}' for s, r in zip(SEEDS, results))} |",
+                  flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
