@@ -17,17 +17,21 @@ Five operators, all pointwise infima over the grid:
   order of length and stopped once no farther node can lower a value.
 * ``lamination_hull`` -- fixpoint of one-dimensional convexification sweeps
   along rank-one grid lines; an upper bracket for the quasiconvexification,
-  squeezed between the convex envelope and f.  The disjoint lines of one
-  direction are convexified together by a batched monotone chain.
+  squeezed between the convex envelope and f.  Each sweep lowers every node
+  to its least chord value (short lines) or 1-d hull value (long lines), all
+  lines of one length at once, and the loop stops after a sweep that lowers
+  none.
 * ``power_law_envelope`` -- the bracket family ``(E(f^p))^{1/p}`` for an
   increasing schedule of exponents, whose pointwise limit estimates the
   power-law (sup-of-roots) envelope.
 
-The batched d >= 2 paths reproduce the plain per-line and per-threshold
-loops, and the offset search the dense all-pairs minimum, bit for bit
-(``tests/oracles.py`` keeps those loops as references).  scipy takes about a
-second to import, so ``ConvexHull`` and ``linprog`` import it on first call:
-the 1-d operators, ``pasch_hausdorff`` and ``lamination_hull`` never do.
+The batched lsc path reproduces the plain per-threshold loop, and the
+offset search the dense all-pairs minimum, bit for bit; the lamination hull
+reaches the fixpoint of the plain per-line loop by another update order,
+so it matches that loop to rounding (``tests/oracles.py`` keeps those loops
+as references).  scipy takes about a second to import, so ``ConvexHull`` and
+``linprog`` import it on first call: the 1-d operators, ``pasch_hausdorff``
+and ``lamination_hull`` never do.
 
 Domain truncation is the central compromise: envelopes are computed on the
 box only.  For samples extended by ``plus-infinity`` the result is the exact
@@ -48,7 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .funcspace import MODE_CLAMP, SampledFunction, _check_real, save_csv, write_json
+from .funcspace import (MODE_CLAMP, SampledFunction, _check_real, _check_schedule, save_csv,
+                        write_json)
 
 __all__ = [
     "convex_envelope",
@@ -65,11 +70,14 @@ __all__ = [
 MODE_CONVEX_LOWER = "convex-lower"
 MODE_LAMINATION_UPPER = "lamination-upper"
 #: The lamination hull's rank-one directions have integer components in
-#: [-DIRECTION_SPAN, DIRECTION_SPAN]; it stops after MAX_SWEEPS sweeps or
-#: once a sweep moves no value by more than SWEEP_TOL.
+#: [-DIRECTION_SPAN, DIRECTION_SPAN].  Its lines of up to CHORD_NODES nodes
+#: take the chord kernel, longer ones the monotone chain.  MAX_SWEEPS is a
+#: safety cap only.  The corpus grids stop within 70 sweeps; where sweeps
+#: approach a fixpoint value of 0 geometrically, the exact stop waits until
+#: the values underflow to 0, about 1,250 sweeps on some small grids.
 DIRECTION_SPAN = 2
-MAX_SWEEPS = 64
-SWEEP_TOL = 1e-7
+CHORD_NODES = 7
+MAX_SWEEPS = 10_000
 GAP_TOL = 0.1  # a power-law limit this far below f somewhere is a gap
 
 
@@ -520,35 +528,71 @@ def _lower_hull_lines(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _line_groups(g) -> list[tuple]:
+    """The rank-one lines of at least three nodes of every direction, one
+    ``(propose, nodes, starts)`` group per line length m, in order of m.
+
+    ``propose(vals)`` gives the values the lines propose at their interior
+    nodes, sorted by node; ``nodes`` are those nodes and ``starts`` where
+    each node's run begins.  Lines of m <= CHORD_NODES nodes propose
+    ``w_j*v_j + w_k*v_k`` at i for every triple j < i < k, with
+    ``w_j = (k - i) / (k - j)`` and ``w_k = (i - j) / (k - j)``; longer
+    lines propose their monotone-chain 1-d hull.
+    """
+    by_length: dict[int, list[np.ndarray]] = {}
+    for step in rank_one_grid_directions(g.dims):
+        for block in _direction_lines(g.shape, step):
+            by_length.setdefault(block.shape[1], []).append(block)
+    groups = []
+    for m in sorted(by_length):
+        table = np.concatenate(by_length[m])
+        if m <= CHORD_NODES:
+            j, i, k = np.array(list(itertools.combinations(range(m), 3))).T
+        else:
+            i = np.arange(1, m - 1)
+        at = table[:, i].ravel()
+        order = np.argsort(at, kind="stable")
+        nodes, starts = np.unique(at[order], return_index=True)
+        if m <= CHORD_NODES:
+            tj, tk = (table[:, c].ravel()[order] for c in (j, k))
+            wj, wk = (np.tile(w / (k - j), len(table))[order] for w in (k - i, i - j))
+            propose = lambda v, tj=tj, tk=tk, wj=wj, wk=wk: v[tj] * wj + v[tk] * wk
+        else:
+            propose = lambda v, table=table, order=order: (
+                _lower_hull_lines(v[table])[:, 1:-1].ravel()[order])
+        groups.append((propose, nodes, starts))
+    return groups
+
+
 def lamination_hull(f: SampledFunction, full_output: bool = False):
     """Fixpoint of 1-d convexification along every rank-one grid line.
 
-    Each sweep replaces the values along every line in every direction of
-    ``rank_one_grid_directions`` by their 1-d convex envelope.  Stops when a
-    full sweep changes nothing by more than ``SWEEP_TOL``, or after
-    ``MAX_SWEEPS`` (the last iterate is then returned with
-    ``converged=False`` in the info dict).
-
-    The directions are swept one after another (Gauss-Seidel).  Within one
-    direction the lines are disjoint, so all lines of equal length are
-    stacked and convexified by one batched monotone chain; the values equal
-    those of ``lower_hull_1d`` applied line by line, bit for bit.
+    A sweep visits the line groups of ``_line_groups`` in order of length
+    and lowers every node whose least proposal (a chord value or a 1-d hull
+    value) is below its value.  Values only fall, through finitely many
+    floats, and the loop stops after the first sweep that lowers none
+    (``converged=True`` in the info dict).  On lines of at most
+    ``CHORD_NODES`` nodes that stop certifies that no node lies above any
+    chord of its rank-one lines, by the same float formula.  Every step
+    commutes with scaling by a power of two, so the hull does, bit for bit,
+    short of underflow and overflow.
+    ``MAX_SWEEPS`` is a safety cap; reaching it returns the last iterate
+    with ``converged=False``.
     """
     g = f.grid
     vals = f.values.ravel().copy()
-    dirs = rank_one_grid_directions(g.dims)
-    lines = [_direction_lines(g.shape, d) for d in dirs]
+    groups = _line_groups(g)
     sweeps = 0
     converged = False
     for sweeps in range(1, MAX_SWEEPS + 1):
-        delta = 0.0
-        for dir_lines in lines:
-            for block in dir_lines:
-                old = vals[block]
-                new = _lower_hull_lines(old)
-                delta = max(delta, float(np.max(old - new)))
-                vals[block] = new
-        if delta <= SWEEP_TOL:
+        lowered = False
+        for propose, nodes, starts in groups:
+            new = np.minimum.reduceat(propose(vals), starts)
+            lower = new < vals[nodes]
+            if lower.any():
+                vals[nodes[lower]] = new[lower]
+                lowered = True
+        if not lowered:
             converged = True
             break
     result = f.with_values(vals.reshape(g.shape))
@@ -621,9 +665,7 @@ def power_law_envelope(f: SampledFunction, p_schedule,
     Powers are taken after max-normalization, which is exact by positive
     homogeneity of both envelope operators.
     """
-    ps = tuple(float(_check_real("p_schedule", p, 1.0)) for p in p_schedule)
-    if not ps or not all(a < b for a, b in zip(ps, ps[1:])):
-        raise ValueError(f"p_schedule must be nonempty and increasing, got {list(ps)}")
+    ps = _check_schedule(p_schedule)
     if mode not in (MODE_CONVEX_LOWER, MODE_LAMINATION_UPPER):
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .envelope import level_convex_lsc_envelope, lower_hull_1d
 from .funcspace import (MODE_PLUS_INFINITY, GridSpec, SampledFunction, _check_count,
-                        _check_real, write_json)
+                        _check_real, _check_schedule, write_json)
 
 __all__ = [
     "FeOptions",
@@ -217,6 +217,13 @@ def _polish(a, b, xi, G, step, rounds, tol):
     return accepted, evaluations, False
 
 
+def _check_xi(xi, G):
+    """Fail naming ``xi`` unless it is a real boundary slope in [-G, G]."""
+    _check_real("boundary slope xi", xi, -G, closed=True)
+    if not xi <= G:
+        raise ValueError(f"boundary slope xi={xi!r} lies outside [-{G!r}, {G!r}]")
+
+
 def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMinimizeResult:
     """Minimize (sum_i h f^p(g_i))^{1/p}, h = 1/cells, over slopes g with mean xi.
 
@@ -231,8 +238,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     m, G = opts.cells, opts.slope_bound
     fs = _scalar_eval(f, G)
     h = 1.0 / m
-    if not abs(xi) <= G:  # NaN fails too
-        raise ValueError(f"boundary slope xi={xi!r} lies outside [-{G!r}, {G!r}]")
+    _check_xi(xi, G)
 
     S = np.linspace(-G, G, opts.scan_points)
     S = np.unique(np.append(S, xi))
@@ -355,10 +361,9 @@ def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = No
     residual gap decays only like log(p)/p, so push the schedule higher
     before reading much into a classification taken exactly there.
     """
-    ps = tuple(float(_check_real("p_schedule", p, 1.0, closed=True)) for p in p_schedule)
-    if not ps or not all(a < b for a, b in zip(ps, ps[1:])):
-        raise ValueError(f"p_schedule must be nonempty and increasing, got {list(ps)}")
+    ps = _check_schedule(p_schedule, closed=True)
     opts = opts or FeOptions()
+    _check_xi(xi, opts.slope_bound)
     fs = _scalar_eval(f, opts.slope_bound)
     f_xi = float(fs(np.array([xi]))[0])
 

@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -100,6 +101,18 @@ def _check_real(name, value, low, closed=False):
         raise ValueError(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, "
                          f"got {value!r}")
     return value
+
+
+def _check_schedule(p_schedule, closed=False) -> tuple[float, ...]:
+    """``p_schedule`` as a tuple of floats if it is a nonempty increasing
+    sequence of finite exponents above 1 (at least 1 when ``closed``); else
+    fail naming it."""
+    if not isinstance(p_schedule, (Sequence, np.ndarray)):
+        raise ValueError(f"p_schedule must be a sequence of exponents, got {p_schedule!r}")
+    ps = tuple(float(_check_real("p_schedule", p, 1.0, closed)) for p in p_schedule)
+    if not ps or not all(a < b for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"p_schedule must be nonempty and increasing, got {list(ps)}")
+    return ps
 
 
 def _memory_cap_bytes() -> float:

@@ -3,7 +3,10 @@
 These are the straightforward loops the d >= 2 branches of
 ``lamination_hull`` and ``level_convex_lsc_envelope`` were first written as:
 one Python monotone chain per grid line, and one Qhull hull (or one LP per
-query) per sublevel threshold.  That chain, ``lower_hull_1d``, is kept as it
+query) per sublevel threshold.  The lamination loop sweeps the directions
+one after another and lowers each line to its 1-d hull, so it reaches the
+batched hull's fixpoint by another path: the two agree to rounding, not bit
+for bit.  That chain, ``lower_hull_1d``, is kept as it
 ran on numpy-indexed scalars before ``envelope.lower_hull_1d`` moved to
 Python floats, and the lamination and FE oracles call it.  The weak-Morrey
 search layer has one more: one SVD per candidate for the cutoff-layer
@@ -61,13 +64,14 @@ from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATE
                              _cutoff_values, _ess_sup, _field_witness, _halton,
                              _measure_witness, _run_segment_checker, _segment_witness,
                              _special_pairs, _two_gradient_candidates, _worst_gap)
-from supcon.envelope import (MAX_SWEEPS, SWEEP_TOL, _points_in_flat_hull,
-                             rank_one_grid_directions)
+from supcon.envelope import _points_in_flat_hull, rank_one_grid_directions
 from supcon.fem1d import (ORACLE_POINTS, POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
                           _nonnegative, _objective, _profile_to_slopes, _scalar_eval)
 from supcon.funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, SampledFunction, _sidecar_path,
                               write_json)
 from supcon.matspace import _index_sets, tau
+
+LAMINATION_SWEEPS = 10_000  # the per-line oracle's safety cap
 
 
 def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -118,22 +122,24 @@ def sweep_lines(shape: tuple[int, ...], step: np.ndarray):
 
 
 def lamination_hull(f: SampledFunction, full_output: bool = False):
-    """Per-line Gauss-Seidel sweeps with ``lower_hull_1d`` on every line."""
+    """Per-line Gauss-Seidel sweeps: directions one after another, each line
+    replaced by ``min(old, lower_hull_1d(old))``, stopping after a sweep
+    that lowers no value."""
     g = f.grid
     vals = f.values.ravel().copy()
     dirs = rank_one_grid_directions(g.dims)
     lines = [list(sweep_lines(g.shape, d)) for d in dirs]
     sweeps = 0
     converged = False
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        delta = 0.0
+    for sweeps in range(1, LAMINATION_SWEEPS + 1):
+        lowered = False
         for dir_lines in lines:
             for line in dir_lines:
                 old = vals[line]
-                new = lower_hull_1d(np.arange(len(line), dtype=float), old)
-                delta = max(delta, float(np.max(old - new)))
-                vals[line] = new
-        if delta <= SWEEP_TOL:
+                hull = lower_hull_1d(np.arange(len(line), dtype=float), old)
+                lowered |= bool(np.any(hull < old))
+                vals[line] = np.minimum(old, hull)
+        if not lowered:
             converged = True
             break
     result = f.with_values(vals.reshape(g.shape))

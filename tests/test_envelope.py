@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from supcon.envelope import (PowerLawOverflowError, convex_envelope,
                              lamination_hull, level_convex_lsc_envelope,
                              lower_hull_1d, pasch_hausdorff,
                              power_law_envelope, rank_one_grid_directions)
-from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, sample
+from supcon.funcspace import (DEFAULT_SEED, GridSpec, SampledFunction, corpus_entry,
+                              corpus_names, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +306,57 @@ def test_lamination_two_well_midpoint():
     assert np.all(lh.values <= f.values + 1e-12)
 
 
+def _chord_excess(h: SampledFunction) -> float:
+    """The most any node lies above a chord of one of its rank-one lines, by
+    brute force over every triple j < i < k of every line and the hull's own
+    chord formula ``w_j*v_j + w_k*v_k``; -inf when the grid has no line."""
+    v = h.values.ravel()
+    by_length = {}
+    for step in rank_one_grid_directions(h.grid.dims):
+        for line in oracles.sweep_lines(h.grid.shape, step):
+            by_length.setdefault(len(line), []).append(line)
+    worst = -np.inf
+    for m, lines in by_length.items():
+        vals = v[np.array(lines)]
+        for j, i, k in itertools.combinations(range(m), 3):
+            chord = (k - i) / (k - j) * vals[:, j] + (i - j) / (k - j) * vals[:, k]
+            worst = max(worst, float(np.max(vals[:, i] - chord)))
+    return worst
+
+
+def _chord_certificate_cases():
+    """The bench's random grid, the 2x2 corpus at P = 5 and 7 (with the
+    bench's two corpus grids), and the normalized powers g^p that
+    ``power_law_envelope`` hands the hull in the lamination-upper mode, at
+    p = 32, 64 and 128 on P = 7."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    g5 = GridSpec((2, 2), 2.0, 5)
+    cases = [("random P=5", SampledFunction(g5, rng.standard_normal(g5.node_count)))]
+    names = [n for n in corpus_names() if corpus_entry(n).dims == (2, 2)]
+    for P in (5, 7):
+        cases += [(f"{n} P={P}", sample(corpus_entry(n), GridSpec((2, 2), 2.0, P)))
+                  for n in names]
+    for n in names:
+        f = sample(corpus_entry(n), GridSpec((2, 2), 2.0, 7))
+        work = f.values - min(0.0, float(f.values.min()))
+        cases += [(f"{n} P=7 g^{p}", f.with_values((work / work.max()) ** p))
+                  for p in (32, 64, 128)]
+    return cases
+
+
+CHORD_CASES = _chord_certificate_cases()
+
+
+@pytest.mark.parametrize("f", [f for _, f in CHORD_CASES], ids=[n for n, _ in CHORD_CASES])
+def test_lamination_hull_lies_on_or_below_every_rank_one_chord(f):
+    # every line of a P <= 7 grid takes the chord kernel, so the exact stop
+    # certifies the result: no node above any chord, not even by one ulp
+    h, info = lamination_hull(f, full_output=True)
+    assert info["converged"]
+    assert _chord_excess(h) <= 0.0
+    assert np.all(h.values <= f.values)
+
+
 def test_lamination_idempotent():
     f = sample(corpus_entry("double_well_1d"), GridSpec((1, 1), 3.0, 61))
     l1 = lamination_hull(f)
@@ -399,6 +452,8 @@ def test_power_law_schedule_validation():
         power_law_envelope(f, (1.0, 2.0))
     with pytest.raises(ValueError, match="p_schedule"):
         power_law_envelope(f, ["2", "4"])  # was accepted
+    with pytest.raises(ValueError, match="p_schedule"):
+        power_law_envelope(f, 2.0)  # died in iteration, naming no setting
 
 
 def test_power_law_multid_schedule_truncated_at_precision_wall():

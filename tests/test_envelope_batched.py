@@ -1,11 +1,12 @@
 """The batched d >= 2 envelope operators against their per-line and
 per-threshold reference loops in ``oracles.py``, and the offset search of
 the Pasch-Hausdorff transform against the dense all-pairs minimum: equal bit
-for bit."""
+for bit, except the lamination hull, whose batched fixpoint matches the
+per-line one to 1e-12 of the sample scale."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -48,7 +49,13 @@ def test_lower_hull_1d_matches_indexed_chain(spacing, kind, m, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         got = envelope.lower_hull_1d(x, v)
         ref = oracles.lower_hull_1d(x, v)
+        # the lamination hull's batched chain, at positions 0..m-1, on rows
+        # that pop differently
+        rows = np.stack([v, v[::-1], np.sort(v)])
+        batched = envelope._lower_hull_lines(rows)
+        per_row = [oracles.lower_hull_1d(np.arange(m, dtype=float), r) for r in rows]
     assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(batched, per_row, equal_nan=True)
 
 
 def _values(kind: str, grid: GridSpec, seed: int) -> np.ndarray:
@@ -93,12 +100,16 @@ GRIDS = st.sampled_from([((1, 2), 3), ((1, 2), 5), ((1, 2), 7),
 
 @settings(max_examples=40, deadline=None)
 @given(GRIDS, st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+@example(((1, 2), 9), "normal", 0)  # lines of 8 and 9 nodes take the chain
+@example(((2, 1), 13), "ties", 1)
 def test_lamination_hull_matches_per_line_oracle(grid, kind, seed):
+    # the batched hull updates every line of a length at once and the oracle
+    # one line after another, so the two exact fixpoints agree to rounding
     f = _sample(*grid, kind, seed)
     new, info = lamination_hull(f, full_output=True)
     ref, ref_info = oracles.lamination_hull(f, full_output=True)
-    assert np.array_equal(new.values, ref.values)
-    assert info == ref_info
+    assert info["converged"] and ref_info["converged"]
+    assert np.all(np.abs(new.values - ref.values) <= 1e-12 * np.max(np.abs(f.values)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -84,7 +84,8 @@ def test_mesh_and_result_validation():
                          iterations=0, converged=True, target_mean=0.0)
     with pytest.raises(ValueError):
         minimize_Fp(corpus_entry("abs"), 0.5, 0.0, OPTS)
-    for xi in (np.nan, 10.5, -np.inf):
+    # xi = True ran at slope 1 and xi = "0.5" died in abs(), naming no setting
+    for xi in (np.nan, 10.5, -np.inf, True, "0.5"):
         with pytest.raises(ValueError, match="boundary slope xi"):
             minimize_Fp(corpus_entry("abs"), 2.0, xi, OPTS)
 
@@ -286,3 +287,9 @@ def test_gamma_report_save(tmp_path):
 def test_schedule_validation():
     with pytest.raises(ValueError):
         gamma_limit_experiment(corpus_entry("clamp1d"), 0.0, (8, 2))
+    # a bare number died in iteration and xi = True ran and classified
+    with pytest.raises(ValueError, match="p_schedule"):
+        gamma_limit_experiment(corpus_entry("clamp1d"), 0.0, 2.0)
+    for xi in (True, "0.5"):
+        with pytest.raises(ValueError, match="boundary slope xi"):
+            gamma_limit_experiment(corpus_entry("clamp1d"), xi, (2, 4), FeOptions(cells=16))

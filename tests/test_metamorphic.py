@@ -15,6 +15,9 @@ gradient values, and t ↦ 2^k t is exact in floating point, so on 2^k f with
 tol scaled by 2^k they pick the same fields bit for bit: the same outcome,
 samples, theta and gradient values, every f value and gap times 2^k.  So
 does the strong search, whose per-delta gaps and epsilon scale with them.
+The lamination hull lowers a node to a chord value or a 1-d hull value of
+its line, and both scale exactly by 2^k, as does its stop test; so it
+commutes with 2^k scaling bit for bit, sweep for sweep.
 """
 
 import dataclasses
@@ -24,8 +27,9 @@ import pytest
 
 from supcon import laminate
 from supcon.classify import ClassifyConfig, classify_report, search_weak_morrey_violation
-from supcon.envelope import level_convex_lsc_envelope
-from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, corpus_names, sample
+from supcon.envelope import lamination_hull, level_convex_lsc_envelope
+from supcon.funcspace import (DEFAULT_SEED, GridSpec, SampledFunction, corpus_entry,
+                              corpus_names, sample)
 
 INCREASING = {
     "2t+1": lambda t: 2.0 * t + 1.0,
@@ -47,6 +51,30 @@ def test_lslc_commutes_with_increasing_maps(name, h):
     twin = level_convex_lsc_envelope(f.with_values(INCREASING[h](f.values)))
     mapped = INCREASING[h](level_convex_lsc_envelope(f).values)
     assert np.array_equal(twin.values, mapped)
+
+
+def _lamination_grids():
+    """The bench's three 2x2 grids and W_sup at P = 5."""
+    g5 = GridSpec((2, 2), 2.0, 5)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    return {"arctan_det": sample(corpus_entry("arctan_det"), GridSpec((2, 2), 2.0, 7)),
+            "exampleD": sample(corpus_entry("exampleD"), GridSpec((2, 2), 2.0, 7)),
+            "random": SampledFunction(g5, rng.standard_normal(g5.node_count)),
+            "W_sup": sample(corpus_entry("W_sup"), g5)}
+
+
+LAMINATION_GRIDS = _lamination_grids()
+
+
+@pytest.mark.parametrize("k", (-10, -3, 5, 10))
+@pytest.mark.parametrize("name", LAMINATION_GRIDS)
+def test_lamination_hull_commutes_with_power_of_two_scaling(name, k):
+    f = LAMINATION_GRIDS[name]
+    c = 2.0 ** k
+    h, info = lamination_hull(f, full_output=True)
+    twin, twin_info = lamination_hull(f.with_values(c * f.values), full_output=True)
+    assert np.array_equal(twin.values, c * h.values)
+    assert twin_info == info
 
 
 # grid symmetries ξ ↦ σ(ξ) of a 2x2 grid, acting on the (ξ11, ξ12, ξ21, ξ22)

@@ -45,6 +45,9 @@ class Mutant:
 
 
 SHARED = "tests/test_shared_samples.py"
+LAMINATION = ("tests/test_envelope.py::test_lamination_hull_lies_on_or_below_every_rank_one_chord",
+              "tests/test_metamorphic.py::test_lamination_hull_commutes_with_power_of_two_scaling",
+              "tests/test_envelope_batched.py::test_lamination_hull_matches_per_line_oracle")
 MUTANTS = (
     Mutant("halton-factor-prefix", "scrambled Halton kernel", "src/supcon/classify.py",
            "factor, k = factor / b, k + 1", "factor, k = factor * (1.0 / b), k + 1",
@@ -95,6 +98,12 @@ MUTANTS = (
            "    nodes = _grid_nodes(dims, radius, 5)\n    if not rank_one and 5 ** d",
            ("tests/test_classify.py::"
             "test_level_convexity_stream_counts_the_coarse_grid_before_building_it",)),
+    Mutant("lamination-stop-slack", "exact lamination fixpoint", "src/supcon/envelope.py",
+           "lower = new < vals[nodes]", "lower = new < vals[nodes] - 1e-9", LAMINATION),
+    Mutant("lamination-chord-weights-swapped", "exact lamination fixpoint",
+           "src/supcon/envelope.py",
+           "v[tj] * wj + v[tk] * wk", "v[tj] * wk + v[tk] * wj",
+           LAMINATION),
 )
 
 
