@@ -47,13 +47,14 @@ hull.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .funcspace import (MODE_CLAMP, SampledFunction, _check_real, _check_schedule, save_csv,
-                        write_json)
+from .funcspace import (MODE_CLAMP, SampledFunction, _check_real, _check_schedule,
+                        _memory_cap_bytes, save_csv, write_json)
 
 __all__ = [
     "convex_envelope",
@@ -132,6 +133,9 @@ def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The lifted nodes' lower hull at the nodes: a vertex of a lower facet
+    lies on it and keeps its value; every other node takes the largest lower
+    plane ``y = [x, 1] . (normal_space | offset) / (-normal_last)``, capped."""
     if np.ptp(values) == 0.0:
         return values.copy()
     # affine samples are their own envelope; they also make qhull degenerate
@@ -153,24 +157,27 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     if hull is None:
         raise RuntimeError(f"convex envelope: Qhull failed with Qt and QJ: {error}")
     eq = hull.equations  # rows: normal | offset, normal . z + offset <= 0
-    lower = eq[eq[:, -2] < -1e-12]
-    if len(lower) == 0:
+    low = eq[:, -2] < -1e-12
+    if not low.any():
         raise RuntimeError("convex envelope: the lifted hull has no lower facets")
-    # facet plane: y = (normal_space . x + offset) / (-normal_last);
-    # the envelope is the max over the lower facets, accumulated in chunks
-    # of 4M floats (32 MB) in one buffer so the nodes-by-facets product never
+    planes = np.delete(eq[low], -2, axis=1) / -eq[low, -2:-1]
+    rest = np.ones(len(coords), dtype=bool)
+    rest[hull.simplices[low]] = False
+    x1 = A[rest]
+    # the max over the lower planes, accumulated in chunks of 4M floats
+    # (32 MB) in one buffer so the nodes-by-facets product never
     # materializes at once; the max is exact, but the BLAS product's rounding
     # depends on the block width, so another chunk size moves values by ulps
-    est = np.full(len(coords), -np.inf)
-    chunk = max(1, 4_000_000 // max(1, len(coords)))
-    buf = np.empty((len(coords), min(chunk, len(lower))))
-    for lo in range(0, len(lower), chunk):
-        block = lower[lo:lo + chunk]
-        vals = np.matmul(coords, block[:, :-2].T, out=buf[:, :len(block)])
-        vals += block[:, -1]
-        vals /= -block[:, -2]
+    est = np.full(len(x1), -np.inf)
+    chunk = max(1, 4_000_000 // max(1, len(x1)))
+    buf = np.empty((len(x1), min(chunk, len(planes))))
+    for lo in range(0, len(planes), chunk):
+        block = planes[lo:lo + chunk]
+        vals = np.matmul(x1, block.T, out=buf[:, :len(block)])
         np.maximum(est, vals.max(axis=1), out=est)
-    return np.minimum(est, values)
+    out = values.copy()
+    out[rest] = np.minimum(est, values[rest])
+    return out
 
 
 def convex_envelope(f: SampledFunction) -> SampledFunction:
@@ -178,7 +185,9 @@ def convex_envelope(f: SampledFunction) -> SampledFunction:
 
     The result is below f pointwise and convex along every grid segment.
     One-dimensional grids use the exact monotone chain; higher dimensions
-    the lower facets of the lifted hull.
+    the lower facets of the lifted hull: a node that is a vertex of a lower
+    facet keeps its value, and every other node takes the largest lower
+    facet plane there.
     """
     g = f.grid
     flat = f.values.ravel()
@@ -537,12 +546,20 @@ def _line_groups(g) -> list[tuple]:
     each node's run begins.  Lines of m <= CHORD_NODES nodes propose
     ``w_j*v_j + w_k*v_k`` at i for every triple j < i < k, with
     ``w_j = (k - i) / (k - j)`` and ``w_k = (i - j) / (k - j)``; longer
-    lines propose their monotone-chain 1-d hull.
+    lines propose their monotone-chain 1-d hull.  The proposals are counted
+    from the line lengths before any table is built; at 64 bytes each (32
+    held, as much again to build or sweep) they must fit under
+    ``SUPCON_MEM_CAP_MB``, or ``MemoryError`` is raised.
     """
     by_length: dict[int, list[np.ndarray]] = {}
     for step in rank_one_grid_directions(g.dims):
         for block in _direction_lines(g.shape, step):
             by_length.setdefault(block.shape[1], []).append(block)
+    proposals = sum(sum(map(len, blocks)) * (math.comb(m, 3) if m <= CHORD_NODES else m - 2)
+                    for m, blocks in by_length.items())
+    if proposals * 64 > _memory_cap_bytes():
+        raise MemoryError(f"rank-one line tables of {proposals} proposals exceed "
+                          "SUPCON_MEM_CAP_MB")
     groups = []
     for m in sorted(by_length):
         table = np.concatenate(by_length[m])
@@ -579,11 +596,18 @@ def lamination_hull(f: SampledFunction, full_output: bool = False):
     ``MAX_SWEEPS`` is a safety cap; reaching it returns the last iterate
     with ``converged=False``.
     """
-    g = f.grid
-    vals = f.values.ravel().copy()
-    groups = _line_groups(g)
+    vals, sweeps, converged = _lamination_fixpoint(f.values.ravel(), _line_groups(f.grid))
+    result = f.with_values(vals.reshape(f.grid.shape))
+    if full_output:
+        return result, {"sweeps": sweeps, "converged": converged}
+    return result
+
+
+def _lamination_fixpoint(values: np.ndarray, groups: list[tuple]):
+    """The sweeps of ``lamination_hull`` on a copy of the flat ``values``,
+    over the line groups of ``_line_groups``: ``(vals, sweeps, converged)``."""
+    vals = values.copy()
     sweeps = 0
-    converged = False
     for sweeps in range(1, MAX_SWEEPS + 1):
         lowered = False
         for propose, nodes, starts in groups:
@@ -593,12 +617,8 @@ def lamination_hull(f: SampledFunction, full_output: bool = False):
                 vals[nodes[lower]] = new[lower]
                 lowered = True
         if not lowered:
-            converged = True
-            break
-    result = f.with_values(vals.reshape(g.shape))
-    if full_output:
-        return result, {"sweeps": sweeps, "converged": converged}
-    return result
+            return vals, sweeps, True
+    return vals, sweeps, False
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +736,8 @@ def power_law_envelope(f: SampledFunction, p_schedule,
                     "would exceed the reliable dynamic range of the multi-d hull")
                 ps = keep
 
+    # the rank-one lines depend on the grid only: one set serves every p
+    groups = _line_groups(f.grid) if mode == MODE_LAMINATION_UPPER else None
     per_p = []
     for p in ps:
         gp = g_norm ** p
@@ -724,7 +746,7 @@ def power_law_envelope(f: SampledFunction, p_schedule,
         elif mode == MODE_CONVEX_LOWER:
             env = convex_envelope(f.with_values(gp.reshape(f.grid.shape))).values.ravel()
         else:
-            env = lamination_hull(f.with_values(gp.reshape(f.grid.shape))).values.ravel()
+            env = _lamination_fixpoint(gp, groups)[0]
         est = M * np.power(np.maximum(env, 0.0), 1.0 / p) - shift
         per_p.append(f.with_values(est.reshape(f.grid.shape)))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -355,6 +356,22 @@ def test_lamination_hull_lies_on_or_below_every_rank_one_chord(f):
     assert info["converged"]
     assert _chord_excess(h) <= 0.0
     assert np.all(h.values <= f.values)
+
+
+def test_lamination_line_tables_are_counted_before_they_are_built(monkeypatch):
+    # on a 2x2 P = 5 grid every line has at most 5 nodes, so every proposal
+    # is a chord triple; at 64 bytes each the 10,808 of them need 0.66 MB
+    f = sample(corpus_entry("arctan_det"), GridSpec((2, 2), 2.0, 5))
+    expected = lamination_hull(f).values
+    triples = sum(math.comb(len(line), 3) for step in rank_one_grid_directions((2, 2))
+                  for line in oracles.sweep_lines(f.grid.shape, step))
+    monkeypatch.setenv("SUPCON_MEM_CAP_MB", str(64 * triples / 2**20 * 0.99))
+    with pytest.raises(MemoryError, match=f"{triples} proposals exceed SUPCON_MEM_CAP_MB"):
+        lamination_hull(f)
+    with pytest.raises(MemoryError, match="SUPCON_MEM_CAP_MB"):
+        power_law_envelope(f, (2.0, 4.0), mode="lamination-upper")
+    monkeypatch.setenv("SUPCON_MEM_CAP_MB", str(64 * triples / 2**20 * 1.01))
+    assert np.array_equal(lamination_hull(f).values, expected)
 
 
 def test_lamination_idempotent():

@@ -2,7 +2,10 @@
 per-threshold reference loops in ``oracles.py``, and the offset search of
 the Pasch-Hausdorff transform against the dense all-pairs minimum: equal bit
 for bit, except the lamination hull, whose batched fixpoint matches the
-per-line one to 1e-12 of the sample scale."""
+per-line one to 1e-12 of the sample scale.  The convex envelope keeps f at
+the lower facets' vertices bit for bit, lies within 1e-12 of the sample
+scale of its fresh-array reference elsewhere, and within 1e-9 of a per-node
+LP everywhere."""
 
 import numpy as np
 import pytest
@@ -121,8 +124,8 @@ def test_lslc_envelope_matches_per_threshold_oracle(grid, kind, seed):
     assert np.array_equal(new.values, ref.values)
 
 
-# exampleD at P = 7 has 15,360 lower facets in 1,665-facet blocks: nine
-# full blocks and a short last one
+# exampleD at P = 7 has 15,360 lower facets; its 368 nodes off the lower
+# facets' vertices take them in 1,665-facet blocks at the oracle's width
 FACET_CASES = [("exampleD", 7, None), ("random", 3, 1), ("random", 5, 2), ("random", 5, 3)]
 
 
@@ -133,12 +136,54 @@ def test_facet_products_in_place_match_fresh_arrays(name, points, seed):
     else:
         f = _sample((2, 2), points, "normal", seed)
     coords, flat = f.grid.node_coords(), f.values.ravel()
-    assert np.array_equal(envelope._envelope_values_nd(coords, flat),
-                          oracles.envelope_values_nd(coords, flat))
+    # a vertex of a lower facet keeps f; the other nodes take the largest
+    # plane, which the oracle sums in another order
+    got = envelope._envelope_values_nd(coords, flat)
+    hull = envelope.ConvexHull(np.hstack([coords, flat[:, None]]), qhull_options="Qt")
+    vertex = np.zeros(len(flat), dtype=bool)
+    vertex[hull.simplices[hull.equations[:, -2] < -1e-12]] = True
+    assert vertex.any() and not vertex.all()
+    assert np.array_equal(got[vertex], flat[vertex])
+    ref = oracles.envelope_values_nd(coords, flat)
+    assert np.all(np.abs(got - ref)[~vertex] <= 1e-12 * np.max(np.abs(flat)))
     eq = envelope.ConvexHull(coords[flat <= np.median(flat)]).equations
     for tol in (1e-9, -1e-9):
         assert np.array_equal(envelope._inside_facets(eq, coords, tol),
                               oracles.inside_facets(eq, coords, tol))
+
+
+def _lp_envelope(f: SampledFunction) -> np.ndarray:
+    """At each node, min sum_i lam_i f_i over the convex combinations
+    sum_i lam_i x_i of the nodes that equal it: one HiGHS LP per node."""
+    coords, flat = f.grid.node_coords(), f.values.ravel()
+    A_eq = np.vstack([coords.T, np.ones(len(flat))])
+    out = []
+    for x in coords:
+        res = envelope.linprog(flat, A_eq=A_eq, b_eq=np.append(x, 1.0), bounds=(0.0, None),
+                               method="highs")
+        assert res.success
+        out.append(res.fun)
+    return np.array(out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["normal", "ties"]), st.integers(0, 2**32 - 1))
+@example("W_sup", 0)
+@example("arctan_det", 0)
+@example("chi_det", 0)
+@example("chi_det_open", 0)
+@example("exampleD", 0)
+@example("half_space_chi", 0)
+@example("one_minus_chi_pair", 0)
+def test_convex_envelope_matches_per_node_lp(source, seed):
+    # the vertex rule and the plane values against an LP that knows neither
+    if source in ("normal", "ties"):
+        f = _sample((2, 2), 3, source, seed)
+    else:
+        f = sample(corpus_entry(source), GridSpec((2, 2), 2.0, 3))
+    got = envelope.convex_envelope(f).values.ravel()
+    scale = max(1.0, np.max(np.abs(f.values)))
+    assert np.all(np.abs(got - _lp_envelope(f)) <= 1e-9 * scale)
 
 
 def test_lslc_full_output_counts_the_paths():

@@ -17,17 +17,20 @@ samples, theta and gradient values, every f value and gap times 2^k.  So
 does the strong search, whose per-delta gaps and epsilon scale with them.
 The lamination hull lowers a node to a chord value or a 1-d hull value of
 its line, and both scale exactly by 2^k, as does its stop test; so it
-commutes with 2^k scaling bit for bit, sweep for sweep.
+commutes with 2^k scaling bit for bit, sweep for sweep.  The convex
+envelope commutes with it too, but only to rounding: Qhull's facet
+equations of 2^k f are not exactly those of f scaled.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from supcon import laminate
 from supcon.classify import ClassifyConfig, classify_report, search_weak_morrey_violation
-from supcon.envelope import lamination_hull, level_convex_lsc_envelope
+from supcon.envelope import convex_envelope, lamination_hull, level_convex_lsc_envelope
 from supcon.funcspace import (DEFAULT_SEED, GridSpec, SampledFunction, corpus_entry,
                               corpus_names, sample)
 
@@ -75,6 +78,37 @@ def test_lamination_hull_commutes_with_power_of_two_scaling(name, k):
     twin, twin_info = lamination_hull(f.with_values(c * f.values), full_output=True)
     assert np.array_equal(twin.values, c * h.values)
     assert twin_info == info
+
+
+def _convex_grids():
+    """The 2x2 corpus at P = 5 and 7 and the bench's three random P = 5 grids."""
+    grids = {f"{name}-P{P}": sample(corpus_entry(name), GridSpec((2, 2), 2.0, P))
+             for name in corpus_names() if corpus_entry(name).dims == (2, 2)
+             for P in (5, 7)}
+    g5 = GridSpec((2, 2), 2.0, 5)
+    for seed in (20240817, 12345, 7):
+        grids[f"random-{seed}"] = SampledFunction(
+            g5, np.random.default_rng(seed).standard_normal(g5.node_count))
+    return grids
+
+
+CONVEX_GRIDS = _convex_grids()
+
+
+@functools.cache
+def _convex(name):
+    return convex_envelope(CONVEX_GRIDS[name]).values
+
+
+@pytest.mark.parametrize("k", (-10, -3, 5, 10))
+@pytest.mark.parametrize("name", CONVEX_GRIDS)
+def test_convex_envelope_commutes_with_power_of_two_scaling(name, k):
+    # Qhull's facet normals do not scale exactly with the samples, so the
+    # planes read back at the nodes off the vertices move by a few ulps
+    f = CONVEX_GRIDS[name]
+    c = 2.0 ** k
+    twin = convex_envelope(f.with_values(c * f.values)).values
+    assert np.all(np.abs(twin - c * _convex(name)) <= 1e-12 * c * np.max(np.abs(f.values)))
 
 
 # grid symmetries ξ ↦ σ(ξ) of a 2x2 grid, acting on the (ξ11, ξ12, ξ21, ξ22)

@@ -48,6 +48,9 @@ SHARED = "tests/test_shared_samples.py"
 LAMINATION = ("tests/test_envelope.py::test_lamination_hull_lies_on_or_below_every_rank_one_chord",
               "tests/test_metamorphic.py::test_lamination_hull_commutes_with_power_of_two_scaling",
               "tests/test_envelope_batched.py::test_lamination_hull_matches_per_line_oracle")
+CONVEX = ("tests/test_envelope_batched.py::test_convex_envelope_matches_per_node_lp",
+          "tests/test_envelope_batched.py::test_facet_products_in_place_match_fresh_arrays",
+          "tests/test_metamorphic.py::test_convex_envelope_commutes_with_power_of_two_scaling")
 MUTANTS = (
     Mutant("halton-factor-prefix", "scrambled Halton kernel", "src/supcon/classify.py",
            "factor, k = factor / b, k + 1", "factor, k = factor * (1.0 / b), k + 1",
@@ -104,6 +107,13 @@ MUTANTS = (
            "src/supcon/envelope.py",
            "v[tj] * wj + v[tk] * wk", "v[tj] * wk + v[tk] * wj",
            LAMINATION),
+    Mutant("convex-vertex-skip-all-vertices", "convex envelope off its lower hull",
+           "src/supcon/envelope.py",
+           "rest[hull.simplices[low]] = False", "rest[hull.simplices] = False", CONVEX),
+    Mutant("convex-plane-no-division", "convex envelope off its lower hull",
+           "src/supcon/envelope.py",
+           "planes = np.delete(eq[low], -2, axis=1) / -eq[low, -2:-1]",
+           "planes = np.delete(eq[low], -2, axis=1)", CONVEX),
 )
 
 
