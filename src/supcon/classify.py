@@ -16,9 +16,9 @@ Sampling is deterministic given the seed: a battery of entry-specific
 special points runs first, then low-discrepancy (Halton) and seeded random
 batches until the budget is exhausted.  The checkers of one report share one
 dict, each key tagged by its maker: one Halton draw per seed, each
-special-pair list, each segment-checker run (past its special pairs, the
-laminate checker reads the rank-one run) and each scored two-gradient pair
-run (the periodic search reads the weak search's).  The Halton points are
+special-pair list, each segment-checker run (the laminate checker is the
+rank-one run, relabelled) and each scored two-gradient pair run (the
+periodic search reads the weak search's).  The Halton points are
 scipy's scrambled stream, bit for bit, from a numpy kernel: classify needs
 no scipy.  Every search scores its batches by one of two shared rules:
 ``_worst_gap`` takes the largest finite gap of a batch of segments or

@@ -629,9 +629,10 @@ def _lamination_fixpoint(values: np.ndarray, groups: list[tuple]):
 class PowerLawReport:
     """The family (E(f^p))^{1/p} for an increasing p schedule.
 
-    ``per_p`` is pointwise nondecreasing in p (up to 1e-7; the worst breach,
-    if any, is recorded in ``monotone_violation`` as (p, node, gap)) and the
-    last member, ``limit_estimate``, never exceeds f.
+    ``per_p`` is pointwise nondecreasing in p (up to 1e-7 of the range of
+    the samples; the worst breach, if any, is recorded in
+    ``monotone_violation`` as (p, node, gap)) and the last member,
+    ``limit_estimate``, never exceeds f.
     """
 
     mode: str
@@ -751,7 +752,7 @@ def power_law_envelope(f: SampledFunction, p_schedule,
         per_p.append(f.with_values(est.reshape(f.grid.shape)))
 
     violation = None
-    worst = 1e-7
+    worst = 1e-7 * M  # of the sample range, so it scales with f
     for (pa, fa), (pb, fb) in zip(zip(ps, per_p), zip(ps[1:], per_p[1:])):
         drop = fa.values.ravel() - fb.values.ravel()
         node = int(np.argmax(drop))

@@ -17,8 +17,8 @@ two-gradient test field.  Three checkers use them:
   (and so a finite slope bound) while their boundary values decay like
   1/layers, and small affine probes expose lower-semicontinuity failures.
 
-Past its special pairs, the first reads the classify module's rank-one
-segment run; that module's field scorer scores the sawtooth candidates of
+The first is the classify module's rank-one segment run, its witness
+relabelled; that module's field scorer scores the sawtooth candidates of
 the last two.  The searches only ever report a violation with a replayable
 witness; a clean pass means nothing more than "no counterexample within
 budget"."""
@@ -29,10 +29,10 @@ import math
 
 import numpy as np
 
-from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATED,
-                       Verdict, _backs_violation, _best_field, _check_settings,
-                       _ess_sup, _field_search, _field_witness, _finite,
-                       _measure_witness, _run_segment_checker, _special_pairs)
+from .classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, VIOLATED, Verdict,
+                       _backs_violation, _best_field, _check_settings,
+                       _field_search, _field_witness, _finite, _measure_witness,
+                       _run_segment_checker)
 from .funcspace import DEFAULT_SEED
 # perfbench/tracer.py wraps this binding by name; --trace 1 fails without it
 from .matspace import is_rank_one_connected  # noqa: F401
@@ -59,38 +59,19 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
     implications valid for every Borel supremand: infinite-order laminates,
     or their weak* closure, may need semicontinuity.
 
-    Simple laminates on special rank-one pairs run first, pair by pair at
-    the lambda grid.  With budget left, the rest is ``check_rank_one_qcx``'s
-    run (in ``classify_report``, the one it scored), whose battery finds the
-    same pairs clean; its witness segment becomes a two-atom measure.
+    So the checker is ``check_rank_one_qcx``'s run, special-pair battery
+    included (in ``classify_report``, the very run it scored), with its
+    witness segment relabelled as a two-atom measure.
     """
     _check_settings(budget, tol, radius, seed)
-    notion = "curl_young_laminates"
-    used = 0
-
-    # battery: simple laminates on special rank-one pairs, exact atoms
-    for A, B in _special_pairs(special_points, rank_one=True):
-        if used >= budget:
-            break
-        sup = _ess_sup([f(A), f(B)])
-        for lam in LAMBDA_GRID[:budget - used]:
-            used += 1
-            f_bar = float(f(lam * A + (1.0 - lam) * B))
-            if _backs_violation(f_bar - sup, tol):
-                witness = _measure_witness(np.stack([A, B]), [lam, 1.0 - lam],
-                                           f_bar, sup)
-                return Verdict(notion, VIOLATED, witness, used, tol, seed)
-    if used == budget:
-        return Verdict(notion, HOLDS, None, used, tol, seed)
-
-    v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget, seed=seed,
-                             radius=radius, special_points=special_points,
+    v = _run_segment_checker("curl_young_laminates", f, dims, tol=tol, budget=budget,
+                             seed=seed, radius=radius, special_points=special_points,
                              rank_one=True)
-    w = v.witness
     if v.violated:
-        w = _measure_witness(np.array([w["xi"], w["eta"]]), [w["lam"], 1.0 - w["lam"]],
-                             w["f_mid"], max(w["f_xi"], w["f_eta"]))
-    return Verdict(notion, v.outcome, w, v.budget, tol, seed)
+        w = v.witness
+        v.witness = _measure_witness(np.array([w["xi"], w["eta"]]), [w["lam"], 1.0 - w["lam"]],
+                                     w["f_mid"], max(w["f_xi"], w["f_eta"]))
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_periodic_search_rejects_a_nan_radius():
 
 @pytest.mark.parametrize("budget", [1, 10, 40])
 def test_curl_young_stops_at_budget(budget):
-    # the special-pair battery is cut at the budget like the segment batteries
+    # the rank-one run, special-pair battery included, is cut at the budget
     for name in corpus_names():
         entry = corpus_entry(name)
         v = check_curl_young_on_laminates(entry, entry.dims, **_args(entry, budget))

@@ -19,7 +19,11 @@ The lamination hull lowers a node to a chord value or a 1-d hull value of
 its line, and both scale exactly by 2^k, as does its stop test; so it
 commutes with 2^k scaling bit for bit, sweep for sweep.  The convex
 envelope commutes with it too, but only to rounding: Qhull's facet
-equations of 2^k f are not exactly those of f scaled.
+equations of 2^k f are not exactly those of f scaled.  The power-law family
+commutes with it bit for bit in both modes: its shift and maximum scale
+exactly, so the normalized samples, and every envelope taken of their
+powers, are the same; each member, the gap to f and the worst monotone
+breach (its tolerance a fixed fraction of the sample range) scale by 2^k.
 """
 
 import dataclasses
@@ -30,7 +34,9 @@ import pytest
 
 from supcon import laminate
 from supcon.classify import ClassifyConfig, classify_report, search_weak_morrey_violation
-from supcon.envelope import convex_envelope, lamination_hull, level_convex_lsc_envelope
+from supcon.cli import DEFAULT_P_SCHEDULE
+from supcon.envelope import (convex_envelope, lamination_hull, level_convex_lsc_envelope,
+                             power_law_envelope)
 from supcon.funcspace import (DEFAULT_SEED, GridSpec, SampledFunction, corpus_entry,
                               corpus_names, sample)
 
@@ -109,6 +115,45 @@ def test_convex_envelope_commutes_with_power_of_two_scaling(name, k):
     c = 2.0 ** k
     twin = convex_envelope(f.with_values(c * f.values)).values
     assert np.all(np.abs(twin - c * _convex(name)) <= 1e-12 * c * np.max(np.abs(f.values)))
+
+
+#: (entry, radius, points per axis, mode): the bench's two 2x2 powerlaw ops
+#: first, then smaller 2x2 and 1-d grids, two of them with a monotone breach
+POWER_LAW_CASES = [("exampleD", 10.0, 5, "convex-lower"),
+                   ("W_sup", 10.0, 5, "lamination-upper"),
+                   ("arctan_det", 10.0, 5, "lamination-upper"),
+                   ("chi_det", 2.0, 5, "convex-lower"),
+                   ("one_minus_chi_pair", 2.0, 5, "lamination-upper"),
+                   ("double_well_1d", 10.0, 41, "convex-lower"),
+                   ("double_well_1d", 4.0, 61, "lamination-upper"),
+                   ("abs", 10.0, 41, "lamination-upper"),
+                   ("exampleD_scalar", 4.0, 61, "convex-lower")]
+
+
+@functools.cache
+def _power_law(case):
+    name, radius, points, mode = case
+    entry = corpus_entry(name)
+    f = sample(entry, GridSpec(entry.dims, radius, points))
+    return f, power_law_envelope(f, DEFAULT_P_SCHEDULE, mode)
+
+
+@pytest.mark.parametrize("k", (-10, -3, 5, 10))
+@pytest.mark.parametrize("case", POWER_LAW_CASES,
+                         ids=["-".join(map(str, c)) for c in POWER_LAW_CASES])
+def test_power_law_family_commutes_with_power_of_two_scaling(case, k):
+    f, rep = _power_law(case)
+    c = 2.0 ** k
+    twin = power_law_envelope(f.with_values(c * f.values), DEFAULT_P_SCHEDULE, case[3])
+    assert twin.p_schedule == rep.p_schedule
+    for got, want in zip(twin.per_p, rep.per_p):
+        assert np.array_equal(got.values, c * want.values)
+    assert twin.sup_gap_to_f == c * rep.sup_gap_to_f
+    if rep.monotone_violation is None:
+        assert twin.monotone_violation is None
+    else:
+        p, node, gap = rep.monotone_violation
+        assert twin.monotone_violation == (p, node, c * gap)
 
 
 # grid symmetries ξ ↦ σ(ξ) of a 2x2 grid, acting on the (ξ11, ξ12, ξ21, ξ22)

@@ -60,16 +60,12 @@ MUTANTS = (
            "            factor /= b\n", "            factor *= 1.0 / b\n",
            (f"{SHARED}::test_halton_kernel_equals_scipy_bit_for_bit",
             f"{SHARED}::test_shared_halton_draws_equal_fresh_draws")),
-    Mutant("curl-young-no-early-return", "curl-Young reads the rank-one run",
+    Mutant("curl-young-weights-swapped", "curl-Young is the rank-one run, relabelled",
            "src/supcon/laminate.py",
-           "    if used == budget:\n        return Verdict(notion, HOLDS, None, used, tol, seed)\n",
-           "",
-           (f"{SHARED}::test_curl_young_matches_its_spliced_oracle",)),
-    Mutant("curl-young-budget-left", "curl-Young reads the rank-one run",
-           "src/supcon/laminate.py",
-           "v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget,",
-           "v = _run_segment_checker(notion, f, dims, tol=tol, budget=budget - used,",
-           (f"{SHARED}::test_curl_young_matches_its_spliced_oracle",)),
+           '[w["lam"], 1.0 - w["lam"]]', '[1.0 - w["lam"], w["lam"]]',
+           (f"{SHARED}::test_curl_young_equals_the_rank_one_run_relabelled",
+            "tests/test_laminate.py::"
+            "test_curl_young_segment_stream_finds_and_replays_a_violation")),
     Mutant("cutoff-bound-inf", "weak-Morrey cutoff bound", "src/supcon/classify.py",
            "bound = np.where(np.isnan(ess), np.inf, ess)",
            "bound = np.where(np.isfinite(ess), ess, np.inf)",
@@ -89,6 +85,31 @@ MUTANTS = (
            "kw = dict(asdict(cfg), special_points=entry.special_points)",
            "kw = dict(asdict(cfg), special_points=())",
            ("tests/test_classify.py::test_classify_report_passes_its_settings_to_every_checker",)),
+    Mutant("weak-search-overspends", "weak search spends at most its budget",
+           "src/supcon/classify.py",
+           "count=budget, radius=radius, special_points=special_points)",
+           "count=budget + 1, radius=radius, special_points=special_points)",
+           ("tests/test_weak_morrey_batched.py::test_weak_morrey_search_spends_exactly_its_budget",
+            "tests/test_weak_morrey_batched.py::"
+            "test_weak_field_searches_spend_at_most_their_budget")),
+    Mutant("halton-store-ignores-seed", "one Halton draw per seed", "src/supcon/classify.py",
+           'store, key = _shared.get(), ("halton", seed)',
+           'store, key = _shared.get(), ("halton",)',
+           (f"{SHARED}::test_classify_report_builds_each_halton_sequence_once_per_growth",
+            "tests/test_blind_suite.py::test_blind_reports_share_nothing_they_would_not_draw_afresh",
+            "tests/test_report_digests.py::test_every_report_matches_its_committed_digest")),
+    Mutant("pair-run-scored-per-reader", "one two-gradient pair run per report",
+           "src/supcon/classify.py",
+           "return copy.copy(_once(key, lambda: (f, itertools.tee(scored(), 1)[0]))[1])",
+           "return scored()",
+           (f"{SHARED}::test_periodic_verdict_reads_the_pairs_the_weak_search_scored",
+            f"{SHARED}::test_readers_that_take_turns_on_one_pair_run_equal_a_fresh_run")),
+    Mutant("once-makes-afresh", "one store rule per report", "src/supcon/classify.py",
+           "    if key not in store:\n        store[key] = make()\n",
+           "    store[key] = make()\n",
+           (f"{SHARED}::test_classify_report_scores_each_segment_run_once",
+            f"{SHARED}::test_classify_report_serves_curl_young_the_rank_one_run",
+            f"{SHARED}::test_periodic_verdict_reads_the_pairs_the_weak_search_scored")),
     Mutant("count-accepts-bool", "one home for setting checks", "src/supcon/funcspace.py",
            "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
            "not isinstance(value, numbers.Integral)",
