@@ -125,7 +125,7 @@ def test_convex_envelope_of_a_constant_2x2_sample_is_itself():
 
 
 def test_convex_envelope_raises_when_qhull_fails(monkeypatch):
-    # no silent fallback: a Qhull failure under both Qt and QJ, or a lifted
+    # no silent fallback: a Qhull failure under Qt Q0, Qt and QJ, or a lifted
     # hull without lower facets, is an error
     from scipy.spatial import QhullError
 
@@ -139,17 +139,90 @@ def test_convex_envelope_raises_when_qhull_fails(monkeypatch):
         raise QhullError("QH6154 simulated failure")
 
     monkeypatch.setattr(envelope, "ConvexHull", failing)
-    with pytest.raises(RuntimeError, match="Qt and QJ"):
+    with pytest.raises(RuntimeError, match="Qt Q0, Qt and QJ"):
         convex_envelope(f)
-    assert calls == ["Qt", "QJ"]
+    assert calls == ["Qt Q0", "Qt", "QJ"]
 
-    class UpperOnly:
+    class UpperOnly:  # the unmerged build fails, the merged one has no lower facet
         def __init__(self, points, qhull_options=None):
+            if "Q0" in qhull_options:
+                raise QhullError("QH6115 simulated concave ridge")
             self.equations = np.array([[0.0, 0.0, 1.0, -1.0]])
 
     monkeypatch.setattr(envelope, "ConvexHull", UpperOnly)
     with pytest.raises(RuntimeError, match="no lower facets"):
         convex_envelope(f)
+
+
+def _record_builds(monkeypatch, tamper=None):
+    """Wrap the envelope's ConvexHull: record each build's Qhull options, and
+    hand the unmerged build's hull to ``tamper`` before the envelope sees it."""
+    from supcon import envelope
+
+    calls, build = [], envelope.ConvexHull
+
+    def recording(points, qhull_options=None):
+        calls.append(qhull_options)
+        hull = build(points, qhull_options=qhull_options)
+        return tamper(hull) if tamper and qhull_options == "Qt Q0" else hull
+
+    monkeypatch.setattr(envelope, "ConvexHull", recording)
+    return calls
+
+
+def test_convex_envelope_takes_the_unmerged_build(monkeypatch):
+    # one certified Qt Q0 build on exampleD and on each kept member of the
+    # bench's power-law family; Q0 raises on the three P = 7 grids below, and
+    # the merged Qt build serves them
+    calls = _record_builds(monkeypatch)
+    convex_envelope(sample(corpus_entry("exampleD"), GridSpec((2, 2), 2.0, 7)))
+    assert calls == ["Qt Q0"]
+    calls.clear()
+    f = sample(corpus_entry("exampleD"), GridSpec((2, 2), 10.0, 5))
+    rep = power_law_envelope(f, (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0), "convex-lower")
+    assert rep.p_schedule == (2.0, 4.0, 8.0, 16.0)
+    assert calls == ["Qt Q0"] * len(rep.p_schedule)
+    for name in ("arctan_det", "chi_det"):
+        calls.clear()
+        convex_envelope(sample(corpus_entry(name), GridSpec((2, 2), 2.0, 7)))
+        assert calls == ["Qt Q0", "Qt"], name
+
+
+def test_convex_certificate_rejects_a_concave_ridge_and_falls_back(monkeypatch):
+    # the Q0 hull of exampleD with its highest vertex lifted by 0.5 is not
+    # locally convex: the envelope must come from the merged Qt build instead
+    from types import SimpleNamespace
+
+    from scipy.spatial import QhullError
+
+    from supcon import envelope
+
+    f = sample(corpus_entry("exampleD"), GridSpec((2, 2), 2.0, 7))
+    coords, flat = f.grid.node_coords(), f.values.ravel()
+    top = int(np.argmax(flat))
+    tol = 1e-12 * max(1.0, np.max(np.abs(flat)))
+
+    def lifted(hull):
+        points = hull.points.copy()
+        points[top, -1] += 0.5
+        return SimpleNamespace(points=points, equations=hull.equations,
+                               neighbors=hull.neighbors, simplices=hull.simplices)
+
+    hull = envelope.ConvexHull(np.hstack([coords, flat[:, None]]), qhull_options="Qt Q0")
+    assert top in hull.vertices
+    assert envelope._locally_convex(hull, tol)
+    assert not envelope._locally_convex(lifted(hull), tol)
+
+    calls = _record_builds(monkeypatch, lifted)
+    got = envelope._envelope_values_nd(coords, flat)
+    assert calls == ["Qt Q0", "Qt"]
+
+    def no_q0(hull):
+        raise QhullError("QH6115 simulated concave ridge")
+
+    monkeypatch.undo()
+    _record_builds(monkeypatch, no_q0)
+    assert np.array_equal(got, envelope._envelope_values_nd(coords, flat))
 
 
 def test_convex_envelope_idempotent():

@@ -16,6 +16,7 @@ import oracles
 from supcon import envelope
 from supcon.envelope import lamination_hull, level_convex_lsc_envelope, pasch_hausdorff
 from supcon.funcspace import GridSpec, SampledFunction, corpus_entry, sample
+from test_envelope import _record_builds
 
 KINDS = ("normal", "ties", "constant", "affine", "flat-sublevel")
 HULL_VALUES = ("ties", "collinear", "signed-zero", "magnitudes", "nan")
@@ -182,6 +183,18 @@ def test_convex_envelope_matches_per_node_lp(source, seed):
     else:
         f = sample(corpus_entry(source), GridSpec((2, 2), 2.0, 3))
     got = envelope.convex_envelope(f).values.ravel()
+    scale = max(1.0, np.max(np.abs(f.values)))
+    assert np.all(np.abs(got - _lp_envelope(f)) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("source", ["exampleD", "normal"])
+def test_certified_unmerged_hull_matches_per_node_lp(monkeypatch, source):
+    # at P = 5 both grids take the certified Qt Q0 build, so the LP checks it
+    f = (sample(corpus_entry(source), GridSpec((2, 2), 2.0, 5)) if source == "exampleD"
+         else _sample((2, 2), 5, source, 20240817))
+    calls = _record_builds(monkeypatch)
+    got = envelope.convex_envelope(f).values.ravel()
+    assert calls == ["Qt Q0"]
     scale = max(1.0, np.max(np.abs(f.values)))
     assert np.all(np.abs(got - _lp_envelope(f)) <= 1e-9 * scale)
 

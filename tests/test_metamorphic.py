@@ -24,6 +24,9 @@ commutes with it bit for bit in both modes: its shift and maximum scale
 exactly, so the normalized samples, and every envelope taken of their
 powers, are the same; each member, the gap to f and the worst monotone
 breach (its tolerance a fixed fraction of the sample range) scale by 2^k.
+Transposition ξ ↦ ξᵀ maps rank-one matrices, minors and the box onto
+themselves, so each classify outcome of f(ξᵀ), with the special points
+transposed, is f's.
 """
 
 import dataclasses
@@ -195,6 +198,24 @@ def test_classify_verdicts_survive_an_increasing_map(name):
     config = ClassifyConfig(budget=20_000)
     want, got = (classify_report(e, config).verdicts for e in (entry, twin))
     assert {k: _summary(v) for k, v in got.items()} == {k: _summary(v) for k, v in want.items()}
+
+
+def _transposed(entry):
+    """f(ξᵀ), its special points transposed: a twin whose every notion holds
+    or fails with f's, since rank-one directions, minors and the box map onto
+    themselves under ξ ↦ ξᵀ."""
+    return dataclasses.replace(
+        entry, evaluator=lambda a: entry.evaluator(np.swapaxes(a, -1, -2)),
+        special_points=tuple(np.asarray(p, dtype=float).T for p in entry.special_points))
+
+
+@pytest.mark.parametrize("seed", (DEFAULT_SEED, 12345, 7))
+@pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_entry(n).dims == (2, 2)])
+def test_classify_outcomes_survive_transposition(name, seed):
+    entry = corpus_entry(name)
+    config = ClassifyConfig(budget=20_000, seed=seed)
+    want, got = (classify_report(e, config).verdicts for e in (entry, _transposed(entry)))
+    assert {k: v.outcome for k, v in got.items()} == {k: v.outcome for k, v in want.items()}
 
 
 FIELD_SEARCHES = {"weak": search_weak_morrey_violation,

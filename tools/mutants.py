@@ -48,6 +48,9 @@ SHARED = "tests/test_shared_samples.py"
 LAMINATION = ("tests/test_envelope.py::test_lamination_hull_lies_on_or_below_every_rank_one_chord",
               "tests/test_metamorphic.py::test_lamination_hull_commutes_with_power_of_two_scaling",
               "tests/test_envelope_batched.py::test_lamination_hull_matches_per_line_oracle")
+CERTIFIED = ("tests/test_envelope.py::"
+             "test_convex_certificate_rejects_a_concave_ridge_and_falls_back",
+             "tests/test_envelope.py::test_convex_envelope_takes_the_unmerged_build")
 CONVEX = ("tests/test_envelope_batched.py::test_convex_envelope_matches_per_node_lp",
           "tests/test_envelope_batched.py::test_facet_products_in_place_match_fresh_arrays",
           "tests/test_metamorphic.py::test_convex_envelope_commutes_with_power_of_two_scaling")
@@ -135,6 +138,13 @@ MUTANTS = (
            "src/supcon/envelope.py",
            "planes = np.delete(eq[low], -2, axis=1) / -eq[low, -2:-1]",
            "planes = np.delete(eq[low], -2, axis=1)", CONVEX),
+    Mutant("convex-q0-uncertified", "certified unmerged lifted hull", "src/supcon/envelope.py",
+           'if opts != "Qt Q0" or _locally_convex(hull, tol):', "if True:",
+           CERTIFIED + CONVEX),
+    Mutant("convex-q0-certificate-side", "certified unmerged lifted hull",
+           "src/supcon/envelope.py",
+           'eq[:, :-1]) + eq[:, -1] > tol', 'eq[:, :-1]) + eq[:, -1] < -tol',
+           CERTIFIED + CONVEX),
 )
 
 
