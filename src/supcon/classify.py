@@ -445,7 +445,9 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                          special_points, rank_one) -> Verdict:
     """``notion``'s verdict from a segment-checker run, made once per report
     (``_once``): one run serves every notion that passes its arguments (the
-    laminate checker reads the rank-one run), each with its own copy."""
+    laminate checker reads the rank-one run; when min(N, n) = 1 every pair is
+    rank-one, so that is the level-convexity run), each with its own copy."""
+    rank_one = rank_one and min(dims) >= 2
     key = ("segments", id(f), tuple(dims), tol, budget, seed, radius, rank_one,
            *_points_key(special_points))
     _, outcome, witness, used = _once(key, lambda: (f, *_score_segments(
@@ -535,8 +537,7 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     _check_settings(budget, tol, radius, seed)
     v = _run_segment_checker("polyquasiconvex", f, dims, tol=tol, budget=budget,
                              seed=seed, radius=radius,
-                             special_points=special_points,
-                             rank_one=min(dims) >= 2)
+                             special_points=special_points, rank_one=True)
     if v.violated:
         w = v.witness
         w["kind"] = "minor-combination"
@@ -808,7 +809,7 @@ def classify_report(entry: CorpusEntry, config: ClassifyConfig | None = None) ->
 
     # each checker is read off its module when the report runs (a tracer may wrap it)
     with _shared_halton():  # one draw per seed for this report
-        rank_one = check_rank_one_qcx(f, dims, **kw)  # the widest Halton draws first
+        rank_one = check_rank_one_qcx(f, dims, **kw)  # on 2x2, the widest Halton draws first
         verdicts = {
             "level_convex": check_level_convex(f, dims, **kw),
             "rank_one": rank_one,

@@ -23,7 +23,7 @@ Five operators, all pointwise infima over the grid:
   squeezed between the convex envelope and f.  Each sweep lowers every node
   to its least chord value (short lines) or 1-d hull value (long lines), all
   lines of one length at once, and the loop stops after a sweep that lowers
-  none.
+  none.  A 1-d grid is one line: there the hull is the convex envelope.
 * ``power_law_envelope`` -- the bracket family ``(E(f^p))^{1/p}`` for an
   increasing schedule of exponents, whose pointwise limit estimates the
   power-law (sup-of-roots) envelope.
@@ -619,12 +619,14 @@ def lamination_hull(f: SampledFunction, full_output: bool = False):
     ``CHORD_NODES`` nodes that stop certifies that no node lies above any
     chord of its rank-one lines, by the same float formula.  Every step
     commutes with scaling by a power of two, so the hull does, bit for bit,
-    short of underflow and overflow.
-    ``MAX_SWEEPS`` is a safety cap; reaching it returns the last iterate
-    with ``converged=False``.
+    short of underflow and overflow.  ``MAX_SWEEPS`` is a safety cap;
+    reaching it returns the last iterate with ``converged=False``.  A 1-d
+    grid is one line, whose hull is its convex envelope: one chain pass.
     """
-    vals, sweeps, converged = _lamination_fixpoint(f.values.ravel(), _line_groups(f.grid))
-    result = f.with_values(vals.reshape(f.grid.shape))
+    g, flat = f.grid, f.values.ravel()
+    vals, sweeps, converged = ((lower_hull_1d(g.axis(), flat), 1, True) if g.ndim == 1
+                               else _lamination_fixpoint(flat, _line_groups(g)))
+    result = f.with_values(vals.reshape(g.shape))
     if full_output:
         return result, {"sweeps": sweeps, "converged": converged}
     return result
@@ -764,14 +766,16 @@ def power_law_envelope(f: SampledFunction, p_schedule,
                     "would exceed the reliable dynamic range of the multi-d hull")
                 ps = keep
 
-    # the rank-one lines depend on the grid only: one set serves every p
-    groups = _line_groups(f.grid) if mode == MODE_LAMINATION_UPPER else None
+    # the rank-one lines depend on the grid only: one set serves every p; a
+    # 1-d grid is one line, whose lamination hull is its convex envelope
+    lines = mode == MODE_LAMINATION_UPPER and f.grid.ndim >= 2
+    groups = _line_groups(f.grid) if lines else None
     per_p = []
     for p in ps:
         gp = g_norm ** p
         if clamp_collapse:
             env = np.full_like(gp, float(gp.min()))
-        elif mode == MODE_CONVEX_LOWER:
+        elif not lines:
             env = convex_envelope(f.with_values(gp.reshape(f.grid.shape))).values.ravel()
         else:
             env = _lamination_fixpoint(gp, groups)[0]

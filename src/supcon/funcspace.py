@@ -215,7 +215,6 @@ class CorpusEntry:
     basis: str = ""
     special_points: tuple = ()
     outside_mode: str = MODE_PLUS_INFINITY
-    coercivity: tuple[float, float] | None = None  # (alpha, beta): f >= alpha|xi| - beta
 
     def __call__(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr, dtype=float)
@@ -279,7 +278,6 @@ def _mk_abs(dims=(1, 1)) -> CorpusEntry:
         basis="a norm: convex, continuous, coercive, nonnegative",
         special_points=tuple(np.asarray(p, dtype=float) for p in pts),
         outside_mode=MODE_PLUS_INFINITY,
-        coercivity=(1.0, 0.0),
     )
 
 
@@ -310,7 +308,6 @@ def _mk_double_well_1d() -> CorpusEntry:
               "barrier, so every scalar notion fails at once",
         special_points=tuple(np.array([[t]]) for t in (-1.0, 0.0, 1.0, 2.0)),
         outside_mode=MODE_PLUS_INFINITY,
-        coercivity=(1.0, 2.0),
     )
 
 
@@ -326,7 +323,6 @@ def _mk_exampleD_scalar() -> CorpusEntry:
         basis="level convex, continuous, linearly coercive shelf profile",
         special_points=tuple(np.array([[t]]) for t in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)),
         outside_mode=MODE_PLUS_INFINITY,
-        coercivity=(0.5, 0.0),
     )
 
 
@@ -344,7 +340,6 @@ def _mk_exampleD(dims=(2, 2)) -> CorpusEntry:
               "not rank-one convex (flat shelf kills midpoint convexity)",
         special_points=(np.zeros(dims), e, 2.0 * e, 3.0 * e, -e),
         outside_mode=MODE_PLUS_INFINITY,
-        coercivity=(0.5, 0.0),
     )
 
 

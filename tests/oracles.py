@@ -823,6 +823,10 @@ def two_atom_measures(dims, *, seed, count, radius=2.0, special_points=()):
 
 def run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
                         special_points, rank_one) -> Verdict:
+    """The per-weight segment run.  When min(N, n) = 1 every matrix
+    difference has rank one, so a rank-one run draws the level-convexity
+    stream."""
+    rank_one = rank_one and min(dims) >= 2
     used = 0
     for xi, eta, lam in segment_batches(dims, seed=seed, budget=budget,
                                         radius=radius,

@@ -706,8 +706,9 @@ def test_special_point_users_reject_a_non_finite_point(user, bad):
 @pytest.mark.parametrize("radius", [0.0, math.nan, 1e-12])
 def test_rank_one_stream_raises_on_a_radius_that_keeps_no_pair(radius):
     # at |t| <= 1e-8 throughout, every Halton block kept nothing and the
-    # stream drew forever; a NaN radius or 0 is rejected up front
-    entry = corpus_entry("abs")
+    # stream drew forever; a NaN radius or 0 is rejected up front.  On a 1x1
+    # entry the rank-one run is the level-convexity run, so a 2x2 one
+    entry = corpus_entry("arctan_det")
     with pytest.raises(ValueError, match="radius"):
         check_rank_one_qcx(entry, entry.dims, budget=100, radius=radius)
 

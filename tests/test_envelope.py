@@ -344,11 +344,45 @@ def test_ph_rejects_non_finite_lam():
 # lamination hull
 # ---------------------------------------------------------------------------
 
-def test_lamination_equals_convex_in_1d():
-    for name in ("clamp1d", "double_well_1d", "exampleD_scalar", "abs"):
-        f = sample(corpus_entry(name), GridSpec((1, 1), 3.0, 61))
-        lh = lamination_hull(f)
-        assert np.max(np.abs(lh.values - convex_envelope(f).values)) <= 1e-9
+SCALAR = [name for name in corpus_names() if corpus_entry(name).dims == (1, 1)]
+
+
+@pytest.mark.parametrize("name, radius, points", [(name, 3.0, 61) for name in SCALAR]
+                         + [("abs", 10.0, 2001), ("exampleD_scalar", 10.0, 2001)])
+def test_lamination_equals_convex_in_1d(name, radius, points):
+    # a 1-d grid is one line, so its lamination hull is its convex envelope,
+    # in one pass; at radius 10 and 2,001 points repeated chain sweeps took
+    # 230 passes, each rounding a few nodes of the straight runs an ulp
+    # lower, and ended up to 1.8e-13 off it
+    f = sample(corpus_entry(name), GridSpec((1, 1), radius, points))
+    lh, info = lamination_hull(f, full_output=True)
+    assert info == {"sweeps": 1, "converged": True}
+    assert np.array_equal(lh.values, convex_envelope(f).values)
+
+
+@pytest.mark.parametrize("points", [41, 61])
+@pytest.mark.parametrize("name", SCALAR)
+def test_lamination_hull_in_1d_matches_the_per_line_oracle(name, points):
+    f = sample(corpus_entry(name), GridSpec((1, 1), 10.0, points))
+    ref, ref_info = oracles.lamination_hull(f, full_output=True)
+    assert ref_info["converged"]
+    scale = np.max(np.abs(f.values))
+    assert np.all(np.abs(lamination_hull(f).values - ref.values) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", [name for name in SCALAR
+                                  if corpus_entry(name).outside_mode == "plus-infinity"])
+def test_power_law_lamination_upper_in_1d_is_the_convex_lower_family(name):
+    # with no clamp collapse, the two brackets of a 1-d grid are one family
+    f = sample(corpus_entry(name), GridSpec((1, 1), 10.0, 2001))
+    hi = power_law_envelope(f, (2, 8, 32, 128), mode="lamination-upper")
+    lo = power_law_envelope(f, (2, 8, 32, 128), mode="convex-lower")
+    assert len(hi.per_p) == len(lo.per_p) == 4
+    for a, b in zip(hi.per_p, lo.per_p):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(hi.limit_estimate.values, lo.limit_estimate.values)
+    assert (hi.p_schedule, hi.shift, hi.caveats, hi.monotone_violation, hi.sup_gap_to_f) == \
+        (lo.p_schedule, lo.shift, lo.caveats, lo.monotone_violation, lo.sup_gap_to_f)
 
 
 def test_lamination_convex_input_unchanged():
@@ -502,9 +536,9 @@ def test_power_law_negative_values_shift_recorded():
 
 def test_power_law_coercivity_preserved():
     # f >= alpha|xi| - beta carries over to every per-p envelope
-    for name in ("exampleD_scalar", "abs", "double_well_1d"):
+    for name, (alpha, beta) in {"exampleD_scalar": (0.5, 0.0), "abs": (1.0, 0.0),
+                                "double_well_1d": (1.0, 2.0)}.items():
         entry = corpus_entry(name)
-        alpha, beta = entry.coercivity
         g = GridSpec((1, 1), 3.0, 121)
         f = sample(entry, g)
         rep = power_law_envelope(f, (2, 8, 32))
@@ -525,9 +559,11 @@ def test_power_law_scalar_collapse_coercive():
         assert np.max(np.abs(rep.limit_estimate.values - L.values)[inner]) <= 0.05
 
 
-def test_power_law_lamination_upper_dominates_lower():
-    g = GridSpec((1, 1), 3.0, 61)
-    f = sample(corpus_entry("double_well_1d"), g)
+@pytest.mark.parametrize("name, grid", [("double_well_1d", GridSpec((1, 1), 3.0, 61)),
+                                        ("W_sup", GridSpec((2, 2), 2.0, 5))])
+def test_power_law_lamination_upper_dominates_lower(name, grid):
+    # on a 1-d grid the two families are one, so the order is tested in 2x2 too
+    f = sample(corpus_entry(name), grid)
     lo = power_law_envelope(f, (2, 8), mode="convex-lower")
     hi = power_law_envelope(f, (2, 8), mode="lamination-upper")
     for a, b in zip(lo.per_p, hi.per_p):

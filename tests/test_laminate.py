@@ -258,13 +258,21 @@ def test_curl_young_chi_det_holds():
 
 def test_curl_young_segment_stream_finds_and_replays_a_violation():
     # no special points: the rank-one segment stream's first Halton block,
-    # 20_000 // 6 = 3_333 pairs at weight 1/4, crosses the double well's
-    # barrier between its wells; the witness is the segment's two-atom measure
-    entry = corpus_entry("double_well_1d")
-    v = check_curl_young_on_laminates(entry, entry.dims, budget=20_000)
+    # 20_000 // 6 = 3_333 pairs at weight 1/4, crosses the barrier between
+    # the rank-one connected wells +-e11 of a 2x2 double well (on a 1x1 entry
+    # the rank-one run is the level-convexity run); the witness is the
+    # segment's two-atom measure
+    A = np.zeros((2, 2))
+    A[0, 0] = 1.0
+
+    def two_well(arr):
+        return np.minimum(np.sum((arr - A) ** 2, axis=(-2, -1)),
+                          np.sum((arr + A) ** 2, axis=(-2, -1)))
+
+    v = check_curl_young_on_laminates(two_well, (2, 2), budget=20_000)
     assert v.violated and v.budget == 3_333
     assert v.witness["kind"] == "measure" and len(v.witness["atoms"]) == 2
-    assert replay_witness(entry, v.witness) == v.witness["gap"]
+    assert replay_witness(two_well, v.witness) == v.witness["gap"]
 
 
 def test_periodic_search_rejects_a_nan_radius():

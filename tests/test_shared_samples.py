@@ -342,27 +342,40 @@ def test_classify_report_scores_each_segment_run_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_classify_report_serves_curl_young_the_rank_one_run(name, monkeypatch):
-    # the curl-Young checker is the rank-one run that the report already
-    # scored, so f sees nothing more
-    points, seen = [0], []
+    # the curl-Young and polyquasiconvexity checkers read the run that the
+    # rank-one checker already scored, so f sees nothing more.  On a 1x1
+    # entry every pair is rank-one connected, so that run is the
+    # level-convexity run: the rank-one checker, which runs first, feeds f
+    # just that run, and the level-convexity checker feeds f nothing
+    points, fed = [0], {}
     entry = corpus_entry(name)
 
     def evaluator(arr):
         points[0] += math.prod(arr.shape[:-2])
         return entry.evaluator(arr)
 
-    checker = laminate.check_curl_young_on_laminates
+    def counted(notion, checker):
+        def run(*args, **kwargs):
+            before = points[0]
+            v = checker(*args, **kwargs)
+            fed[notion] = points[0] - before
+            return v
+        return run
 
-    def counted_checker(*args, **kwargs):
-        before = points[0]
-        v = checker(*args, **kwargs)
-        seen.append(points[0] - before)
-        return v
-
-    monkeypatch.setattr(laminate, "check_curl_young_on_laminates", counted_checker)
-    classify_report(dataclasses.replace(entry, evaluator=evaluator),
-                    ClassifyConfig(budget=20_000))
-    assert seen == [0]
+    for notion, checker in SEGMENT_CHECKERS.items():
+        module = laminate if notion == "curl_young_laminates" else classify
+        monkeypatch.setattr(module, checker.__name__, counted(notion, checker))
+    counted_entry = dataclasses.replace(entry, evaluator=evaluator)
+    cfg = ClassifyConfig(budget=20_000)
+    classify_report(counted_entry, cfg)
+    assert fed["curl_young_laminates"] == fed["polyquasiconvex"] == 0
+    if entry.dims == (1, 1):
+        points[0] = 0
+        check_level_convex(counted_entry, entry.dims, **dataclasses.asdict(cfg),
+                           special_points=entry.special_points)
+        assert fed["rank_one"] == points[0] > 0 and fed["level_convex"] == 0
+    else:
+        assert fed["rank_one"] > 0 and fed["level_convex"] > 0
 
 
 ONE_BY_ONE = [name for name in corpus_names() if corpus_entry(name).dims == (1, 1)]

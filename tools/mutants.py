@@ -145,6 +145,18 @@ MUTANTS = (
            "src/supcon/envelope.py",
            'eq[:, :-1]) + eq[:, -1] > tol', 'eq[:, :-1]) + eq[:, -1] < -tol',
            CERTIFIED + CONVEX),
+    Mutant("scalar-run-rank-one", "one segment run per 1x1 report", "src/supcon/classify.py",
+           "    rank_one = rank_one and min(dims) >= 2\n", "",
+           (f"{SHARED}::test_classify_report_serves_curl_young_the_rank_one_run",
+            f"{SHARED}::test_segment_checkers_match_per_weight_oracle",
+            f"{SHARED}::test_curl_young_equals_the_rank_one_run_relabelled",
+            "tests/test_report_digests.py::test_every_report_matches_its_committed_digest")),
+    Mutant("lamination-1d-sweeps", "1-d lamination hull in one chain pass",
+           "src/supcon/envelope.py",
+           "(lower_hull_1d(g.axis(), flat), 1, True) if g.ndim == 1",
+           "(lower_hull_1d(g.axis(), flat), 1, True) if False",
+           ("tests/test_envelope.py::test_lamination_equals_convex_in_1d",
+            "tests/test_envelope.py::test_lamination_hull_in_1d_matches_the_per_line_oracle")),
 )
 
 
