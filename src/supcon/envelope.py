@@ -13,8 +13,9 @@ Five operators, all pointwise infima over the grid:
   hull serves all nodes until a later node may join the sublevel set: a
   threshold whose new nodes lie strictly inside the last hull is skipped,
   one that keeps every later node 1e-6 outside a separating plane builds no
-  hull, and degenerate sublevel sets reject queries more than 1e-6 off their
-  affine hull before any LP.
+  hull, and a flat sublevel set rejects queries more than 1e-6 off its
+  affine hull and tests the rest in that hull's SVD basis (an interval or a
+  Qhull hull of lower dimension, no LP).
 * ``pasch_hausdorff`` -- the sup-norm Lipschitz regularization
   ``f_lam(x) = min_y max(f(y), lam |x - y|)``, taken over index offsets in
   order of length and stopped once no farther node can lower a value.
@@ -32,9 +33,10 @@ The batched lsc path reproduces the plain per-threshold loop, and the
 offset search the dense all-pairs minimum, bit for bit; the lamination hull
 reaches the fixpoint of the plain per-line loop by another update order,
 so it matches that loop to rounding (``tests/oracles.py`` keeps those loops
-as references).  scipy takes about a second to import, so ``ConvexHull`` and
-``linprog`` import it on first call: the 1-d operators, ``pasch_hausdorff``
-and ``lamination_hull`` never do.
+as references).  scipy takes about a second to import, so ``ConvexHull``
+imports ``scipy.spatial`` on first call: the 1-d operators,
+``pasch_hausdorff`` and ``lamination_hull`` never do, and no operator
+imports ``scipy.optimize``.
 
 Domain truncation is the central compromise: envelopes are computed on the
 box only.  For samples extended by ``plus-infinity`` the result is the exact
@@ -90,6 +92,9 @@ def ConvexHull(*args, **kwargs):
     return ConvexHull(*args, **kwargs)
 
 
+# No operator solves an LP.  The wrapper stays for its two readers: the
+# tracer binding of ``perfbench/tracer.py`` and the per-node LP oracle of the
+# convex envelope tests.
 def linprog(*args, **kwargs):
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
@@ -230,6 +235,9 @@ def convex_envelope(f: SampledFunction) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 def _facet_distances(eq: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    if len(queries) * len(eq) * 8 > _memory_cap_bytes():
+        raise MemoryError(f"distances of {len(queries)} queries to {len(eq)} facets "
+                          "exceed SUPCON_MEM_CAP_MB")
     dist = queries @ eq[:, :-1].T
     dist += eq[:, -1]
     return dist
@@ -240,52 +248,35 @@ def _inside_facets(eq: np.ndarray, queries: np.ndarray,
     return np.all(_facet_distances(eq, queries) <= tol, axis=1)
 
 
-def _points_in_flat_hull(points: np.ndarray,
-                         queries: np.ndarray) -> tuple[np.ndarray, int]:
-    """Hull membership for a degenerate or tiny point set (at least two points).
-
-    Queries more than 1e-6 off the affine hull of the points cannot be convex
-    combinations of them and are rejected outright; the others each get an LP
-    feasibility solve.  Returns the mask and the number of LPs run.
-    """
-    centre = points.mean(axis=0)
-    _, s, vt = np.linalg.svd(points - centre, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(points.shape) * np.finfo(float).eps))
-    basis = vt[:rank]
-    rel = queries - centre
-    off = rel - (rel @ basis.T) @ basis
-    near = np.flatnonzero(np.linalg.norm(off, axis=1) <= 1e-6)
-    m = len(points)
-    A_eq = np.vstack([points.T, np.ones(m)])
-    out = np.zeros(len(queries), dtype=bool)
-    for i in near:
-        res = linprog(np.zeros(m), A_eq=A_eq, b_eq=np.append(queries[i], 1.0),
-                      bounds=(0.0, None), method="highs")
-        out[i] = bool(res.success)
-    return out, len(near)
-
-
 def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     """Which queries lie in conv(points), to 1e-9.
 
-    Returns the boolean mask; when the hull is full-dimensional, the facet
-    equations (rows: normal | offset, normal . z + offset <= 0 inside), the
-    vertex points and the queries-by-facets distances, else None; and the
-    number of LPs run."""
+    The affine rank of the points, read off their SVD, picks the test.  At
+    rank d one Qhull hull serves, and the second return value is its facet
+    equations (rows: normal | offset, normal . z + offset <= 0 inside), its
+    vertex points and the queries-by-facets distances.  At a lower rank it
+    is None: the points are taken in the SVD basis of their affine hull,
+    where they are full-dimensional, queries more than 1e-6 off that hull
+    are rejected, and the rest are tested against an interval (rank 1) or
+    one Qhull hull in R^rank."""
     if len(points) == 1:
-        return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None, 0
-    if len(points) > points.shape[1]:
-        from scipy.spatial import QhullError
-        try:
-            hull = ConvexHull(points)
-        except QhullError:  # flat point set: take the affine-hull path
-            pass
-        else:
-            dist = _facet_distances(hull.equations, queries)
-            return (np.all(dist <= 1e-9, axis=1),
-                    (hull.equations, points[hull.vertices], dist), 0)
-    inside, lps = _points_in_flat_hull(points, queries)
-    return inside, None, lps
+        return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None
+    centre = points.mean(axis=0)
+    u, s, vt = np.linalg.svd(points - centre, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(points.shape) * np.finfo(float).eps))
+    if rank == points.shape[1]:
+        hull = ConvexHull(points)
+        dist = _facet_distances(hull.equations, queries)
+        return np.all(dist <= 1e-9, axis=1), (hull.equations, points[hull.vertices], dist)
+    flat = u[:, :rank] * s[:rank]
+    rel = queries - centre
+    low = rel @ vt[:rank].T
+    near = np.linalg.norm(rel - low @ vt[:rank], axis=1) <= 1e-6
+    if rank == 1:
+        inside = (low[:, 0] >= flat.min() - 1e-9) & (low[:, 0] <= flat.max() + 1e-9)
+    else:
+        inside = _inside_facets(ConvexHull(flat).equations, low, 1e-9)
+    return near & inside, None
 
 
 def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
@@ -307,20 +298,19 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
     direction from the last hull's vertex centroid to the node.  Only the
     new nodes are then assigned (their own value) and kept as pending: the
     next build takes the last hull's vertices and the pending and new nodes,
-    which span the whole sublevel hull.  Sublevel sets with at most d points
-    or of lower affine rank have no full-dimensional hull; there the queries
-    more than 1e-6 off the affine hull are rejected outright and only the
-    rest get an LP feasibility solve.  With ``full_output=True`` the return
-    value is ``(result, info)`` with the counts ``hull_builds``,
-    ``hull_points`` (the points given to those builds), ``thresholds_skipped``,
-    ``thresholds_certified`` and ``lp_queries``.
+    which span the whole sublevel hull.  A sublevel set of affine rank below
+    d has no full-dimensional hull: ``_points_in_hull`` tests it in the SVD
+    basis of its affine hull, with no LP.  With ``full_output=True`` the
+    return value is ``(result, info)`` with the counts ``hull_builds``
+    (full-dimensional hulls), ``hull_points`` (the points given to those
+    builds), ``thresholds_skipped`` and ``thresholds_certified``.
     """
     g = f.grid
     flat = f.values.ravel()
     order = np.argsort(flat, kind="stable")
     svals = flat[order]
     info = {"hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0,
-            "thresholds_certified": 0, "lp_queries": 0}
+            "thresholds_certified": 0}
     if g.ndim == 1:
         pos = g.axis()
         spos = pos[order]
@@ -367,8 +357,7 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
                     continue
             pts = coords[flat <= t] if hull is None else np.vstack([verts, *pending])
             hull = dist = None  # free the last distances before the next ones
-            inside, hull, lps = _points_in_hull(pts, coords[todo])
-            info["lp_queries"] += lps
+            inside, hull = _points_in_hull(pts, coords[todo])
             idx = np.flatnonzero(todo)[inside]
             out[idx] = t
             assigned[idx] = True

@@ -33,7 +33,9 @@ barycenter, a NaN on the support counting as +inf.  The facet products of the
 convex envelope and of the hull membership test are kept as they were before
 they were computed in place: a fresh array per sum and quotient.  So is the
 lsc loop as it ran before its separation certificates, rebuilding the hull
-from the last vertices at every threshold it does not skip.  The random
+from the last vertices at every threshold it does not skip, with the one
+LP per query near a flat sublevel set, ``points_in_flat_hull``, that the
+envelope ran before it tested those sets in their SVD basis.  The random
 rank-one splitting-tree generator is kept as the laminate and
 polyquasiconvexity tree streams drew it before those streams became the
 rank-one segment stream; the tests use it to check the finite-order
@@ -63,7 +65,7 @@ from supcon.classify import (DEFAULT_DELTA_SCHEDULE, HOLDS, LAMBDA_GRID, VIOLATE
                              _ess_sup, _field_witness, _halton, _measure_witness,
                              _segment_witness, _special_pairs, _two_gradient_candidates,
                              _worst_gap)
-from supcon.envelope import _points_in_flat_hull, rank_one_grid_directions
+from supcon.envelope import rank_one_grid_directions
 from supcon.fem1d import (ORACLE_POINTS, POLISH_ROUNDS, TOL, FeMinimizeResult, FeOptions,
                           _nonnegative, _objective, _profile_to_slopes, _scalar_eval)
 from supcon.funcspace import (DEFAULT_SEED, MODE_PLUS_INFINITY, SampledFunction, _sidecar_path,
@@ -201,6 +203,31 @@ def points_in_hull(points: np.ndarray, queries: np.ndarray,
     return out
 
 
+def points_in_flat_hull(points: np.ndarray,
+                        queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hull membership for a degenerate or tiny point set (at least two points).
+
+    Queries more than 1e-6 off the affine hull of the points cannot be convex
+    combinations of them and are rejected outright; the others each get an LP
+    feasibility solve.  Returns the mask and the number of LPs run.
+    """
+    centre = points.mean(axis=0)
+    _, s, vt = np.linalg.svd(points - centre, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(points.shape) * np.finfo(float).eps))
+    basis = vt[:rank]
+    rel = queries - centre
+    off = rel - (rel @ basis.T) @ basis
+    near = np.flatnonzero(np.linalg.norm(off, axis=1) <= 1e-6)
+    m = len(points)
+    A_eq = np.vstack([points.T, np.ones(m)])
+    out = np.zeros(len(queries), dtype=bool)
+    for i in near:
+        res = linprog(np.zeros(m), A_eq=A_eq, b_eq=np.append(queries[i], 1.0),
+                      bounds=(0.0, None), method="highs")
+        out[i] = bool(res.success)
+    return out, len(near)
+
+
 def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
     """One hull per distinct sampled threshold, for grids of dimension >= 2."""
     g = f.grid
@@ -253,7 +280,7 @@ def lsc_envelope_from_last_vertices(f: SampledFunction) -> SampledFunction:
         if len(pts) == 1:
             inside = np.linalg.norm(coords[todo] - pts[0], axis=1) <= 1e-9
         elif hull is None:
-            inside = _points_in_flat_hull(pts, coords[todo])[0]
+            inside = points_in_flat_hull(pts, coords[todo])[0]
         else:
             eq, verts = hull.equations, pts[hull.vertices]
             inside = inside_facets(eq, coords[todo], 1e-9)

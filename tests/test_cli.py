@@ -444,8 +444,8 @@ def scipy_modules_after(*commands):
 
 
 def test_commands_import_scipy_only_for_what_they_use(tmp_path):
-    # scipy is imported on first use (hulls, LPs), so the commands that use
-    # neither start without it
+    # scipy is imported on first use (hulls), so the commands that build
+    # none start without it; no command solves an LP
     assert scipy_modules_after(
         "corpus list",
         f"gamma1d --corpus clamp1d --xi 1.0 --cells 8 --p-schedule 2,4 --out {tmp_path}",
@@ -459,6 +459,7 @@ def test_commands_import_scipy_only_for_what_they_use(tmp_path):
         f"morrey-search --corpus W_sup --notion strong --xi 0,0,0,0 --budget 500 "
         f"--out {tmp_path}") == set()
     loaded = scipy_modules_after(
-        f"envelope --corpus arctan_det --kind convex --points 5 --out {tmp_path}")
+        f"envelope --corpus arctan_det --kind convex --points 5 --out {tmp_path}",
+        f"envelope --corpus arctan_det --kind lslc --points 5 --out {tmp_path}")
     assert "scipy.spatial" in loaded
     assert "scipy.optimize" not in loaded

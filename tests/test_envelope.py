@@ -275,6 +275,17 @@ def test_lslc_idempotent_and_2d():
     assert np.all(L1.values <= f.values + 1e-12)
 
 
+def test_lslc_facet_distances_are_counted_before_they_are_built(monkeypatch):
+    # on W_sup at P = 9 the largest queries-by-facets table of the sublevel
+    # hulls needs 45 MB
+    f = sample(corpus_entry("W_sup"), GridSpec((2, 2), 2.0, 9))
+    monkeypatch.setenv("SUPCON_MEM_CAP_MB", "16")
+    with pytest.raises(MemoryError, match="facets exceed SUPCON_MEM_CAP_MB"):
+        level_convex_lsc_envelope(f)
+    monkeypatch.setenv("SUPCON_MEM_CAP_MB", "64")
+    assert np.all(level_convex_lsc_envelope(f).values <= f.values)
+
+
 # ---------------------------------------------------------------------------
 # Pasch-Hausdorff
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ LP everywhere."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -125,6 +125,39 @@ def test_lslc_envelope_matches_per_threshold_oracle(grid, kind, seed):
     assert np.array_equal(new.values, ref.values)
 
 
+def _flat_node_set(grid: GridSpec, k: int, simplex: bool, seed: int) -> np.ndarray:
+    """Nodes of a random k-dimensional affine sub-lattice of the grid's index
+    lattice (a line, plane or 3-flat): k + 1 of them when ``simplex``, else
+    a random subset of at least k + 2, or all when there are fewer."""
+    rng = np.random.default_rng(seed)
+    P, d = grid.points_per_axis, grid.ndim
+    steps = rng.integers(-2, 3, size=(k, d))
+    span = np.arange(-2 * (P - 1), 2 * P - 1)
+    mults = np.stack(np.meshgrid(*[span] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    idx = rng.integers(0, P, size=d) + mults @ steps
+    idx = np.unique(idx[np.all((idx >= 0) & (idx < P), axis=1)], axis=0)
+    size = k + 1 if simplex else int(rng.integers(k + 2, max(k + 2, len(idx)) + 1))
+    idx = idx[rng.permutation(len(idx))[:size]]
+    return grid.node_coords()[np.ravel_multi_index(idx.T, grid.shape)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 2), (1, 3)]), st.sampled_from([3, 5]),
+       st.sampled_from([1.0, 2.0]), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_flat_hull_membership_matches_the_lp(dims, points, radius, k, simplex, seed):
+    # the traffic the lsc envelope sends a flat sublevel set: grid nodes on
+    # a line, plane or 3-flat, asked about every node of the grid
+    grid = GridSpec(dims, radius, points)
+    assume(k < grid.ndim)
+    pts = _flat_node_set(grid, k, simplex, seed)
+    assume(len(pts) >= 2)
+    coords = grid.node_coords()
+    inside, hull = envelope._points_in_hull(pts, coords)
+    assert hull is None
+    assert np.array_equal(inside, oracles.points_in_flat_hull(pts, coords)[0])
+
+
 # exampleD at P = 7 has 15,360 lower facets; its 368 nodes off the lower
 # facets' vertices take them in 1,665-facet blocks at the oracle's width
 FACET_CASES = [("exampleD", 7, None), ("random", 3, 1), ("random", 5, 2), ("random", 5, 3)]
@@ -201,13 +234,12 @@ def test_certified_unmerged_hull_matches_per_node_lp(monkeypatch, source):
 
 def test_lslc_full_output_counts_the_paths():
     # on the random 2x2 grid every path runs: hull builds, skipped
-    # thresholds, and LPs for the tiny first sublevel sets
+    # thresholds and certified ones
     f = _sample((2, 2), 5, "normal", 20240817)
     out, info = level_convex_lsc_envelope(f, full_output=True)
     assert np.array_equal(out.values, level_convex_lsc_envelope(f).values)
     assert info["hull_builds"] > 0
     assert info["thresholds_skipped"] > 0
-    assert info["lp_queries"] > 0
     assert info["thresholds_certified"] > 0
     assert (info["hull_builds"] + info["thresholds_skipped"] + info["thresholds_certified"]
             <= len(np.unique(f.values)))
@@ -216,11 +248,11 @@ def test_lslc_full_output_counts_the_paths():
     f = sample(corpus_entry("exampleD"), GridSpec((2, 2), 2.0, 7))
     info = level_convex_lsc_envelope(f, full_output=True)[1]
     assert info["hull_builds"] == 1 and info["thresholds_certified"] == 40
-    # 1-d grids take the prefix-interval path: no hulls, no LPs
+    # 1-d grids take the prefix-interval path: no hulls
     f1 = SampledFunction(GridSpec((1, 1), 1.0, 9), np.arange(9.0) % 3)
     assert level_convex_lsc_envelope(f1, full_output=True)[1] == {
         "hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0,
-        "thresholds_certified": 0, "lp_queries": 0}
+        "thresholds_certified": 0}
 
 
 def _bench_grids():
@@ -255,6 +287,8 @@ def test_lslc_hulls_are_built_from_the_last_vertices(monkeypatch):
 
     def recording(points, *args, **kwargs):
         hull = real(points, *args, **kwargs)
+        if points.shape[1] < coords.shape[1]:
+            return hull  # a flat sublevel set's hull in its SVD basis
         t = max(flat[node[p.tobytes()]] for p in points)
         sizes.append((len(points), int(np.sum(flat <= t))))
         return hull
@@ -266,6 +300,19 @@ def test_lslc_hulls_are_built_from_the_last_vertices(monkeypatch):
     assert len(sizes) == info["hull_builds"]
     assert info["hull_points"] == sum(given for given, _ in sizes)
     assert info["hull_points"] < sum(whole for _, whole in sizes)
+
+
+@pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in [
+    *_bench_grids(), ("flat-sublevel", _sample((2, 2), 5, "flat-sublevel", 3))]])
+def test_lslc_runs_no_lp(monkeypatch, f):
+    # every sublevel set, the flat ones too, is decided without an LP; the
+    # oracle keeps its own
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the lsc envelope solved an LP")
+
+    monkeypatch.setattr(envelope, "linprog", no_lp)
+    ref = oracles.level_convex_lsc_envelope(f)
+    assert np.array_equal(level_convex_lsc_envelope(f).values, ref.values)
 
 
 def _ph_values(kind: str, grid: GridSpec, seed: int) -> np.ndarray:

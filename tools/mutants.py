@@ -54,6 +54,11 @@ CERTIFIED = ("tests/test_envelope.py::"
 CONVEX = ("tests/test_envelope_batched.py::test_convex_envelope_matches_per_node_lp",
           "tests/test_envelope_batched.py::test_facet_products_in_place_match_fresh_arrays",
           "tests/test_metamorphic.py::test_convex_envelope_commutes_with_power_of_two_scaling")
+FLAT_HULL = ("tests/test_envelope_batched.py::test_flat_hull_membership_matches_the_lp",
+             "tests/test_envelope_batched.py::test_lslc_runs_no_lp",
+             "tests/test_envelope_batched.py::test_lslc_envelope_matches_per_threshold_oracle",
+             "tests/test_envelope_batched.py::"
+             "test_lslc_certificates_match_the_last_vertex_rebuilds")
 MUTANTS = (
     Mutant("halton-factor-prefix", "scrambled Halton kernel", "src/supcon/classify.py",
            "factor, k = factor / b, k + 1", "factor, k = factor * (1.0 / b), k + 1",
@@ -157,6 +162,13 @@ MUTANTS = (
            "(lower_hull_1d(g.axis(), flat), 1, True) if False",
            ("tests/test_envelope.py::test_lamination_equals_convex_in_1d",
             "tests/test_envelope.py::test_lamination_hull_in_1d_matches_the_per_line_oracle")),
+    Mutant("flat-hull-no-offset-test", "sublevel-hull membership by SVD rank",
+           "src/supcon/envelope.py",
+           "    return near & inside, None\n", "    return inside, None\n", FLAT_HULL),
+    Mutant("flat-hull-interval-no-tol", "sublevel-hull membership by SVD rank",
+           "src/supcon/envelope.py",
+           "(low[:, 0] >= flat.min() - 1e-9) & (low[:, 0] <= flat.max() + 1e-9)",
+           "(low[:, 0] >= flat.min()) & (low[:, 0] <= flat.max())", FLAT_HULL),
 )
 
 
