@@ -447,6 +447,7 @@ def _run_segment_checker(notion, f, dims, *, tol, budget, seed, radius,
     (``_once``): one run serves every notion that passes its arguments (the
     laminate checker reads the rank-one run; when min(N, n) = 1 every pair is
     rank-one, so that is the level-convexity run), each with its own copy."""
+    _check_settings(budget, tol, radius, seed)
     rank_one = rank_one and min(dims) >= 2
     key = ("segments", id(f), tuple(dims), tol, budget, seed, radius, rank_one,
            *_points_key(special_points))
@@ -464,7 +465,6 @@ def check_level_convex(f, dims, *, tol=1e-9, budget=100_000,
                        seed=DEFAULT_SEED, radius=2.0,
                        special_points=()) -> Verdict:
     """Search for a midpoint above the endpoint maximum on arbitrary segments."""
-    _check_settings(budget, tol, radius, seed)
     return _run_segment_checker("level_convex", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=False)
@@ -474,7 +474,6 @@ def check_rank_one_qcx(f, dims, *, tol=1e-9, budget=100_000,
                        seed=DEFAULT_SEED, radius=2.0,
                        special_points=()) -> Verdict:
     """Same search restricted to rank-one connected pairs."""
-    _check_settings(budget, tol, radius, seed)
     return _run_segment_checker("rank_one", f, dims, tol=tol, budget=budget,
                                 seed=seed, radius=radius,
                                 special_points=special_points, rank_one=True)
@@ -534,7 +533,6 @@ def check_polyquasiconvex_necessary(f, dims, *, tol=1e-9, budget=100_000,
     larger value at each level; the values fall by g over k steps).  So
     the checker tests only the combinations that laminates give.
     """
-    _check_settings(budget, tol, radius, seed)
     v = _run_segment_checker("polyquasiconvex", f, dims, tol=tol, budget=budget,
                              seed=seed, radius=radius,
                              special_points=special_points, rank_one=True)

@@ -9,13 +9,13 @@ Five operators, all pointwise infima over the grid:
   convex, and otherwise the merged ``Qt`` build, then ``QJ``, serves.
 * ``level_convex_lsc_envelope`` -- at each node, the smallest sampled
   threshold t such that the node lies in the convex hull of the sublevel
-  nodes; its sublevel sets are convex by construction.  In d >= 2 one Qhull
+  nodes; its sublevel sets are convex by construction.  A 1-d grid is two
+  prefix minima, from the left and from the right.  In d >= 2 one Qhull
   hull serves all nodes until a later node may join the sublevel set: a
-  threshold whose new nodes lie strictly inside the last hull is skipped,
-  one that keeps every later node 1e-6 outside a separating plane builds no
-  hull, and a flat sublevel set rejects queries more than 1e-6 off its
-  affine hull and tests the rest in that hull's SVD basis (an interval or a
-  Qhull hull of lower dimension, no LP).
+  threshold that keeps every later node 1e-6 outside a separating plane
+  builds no hull, and a flat sublevel set rejects queries more than 1e-6
+  off its affine hull and tests the rest in that hull's SVD basis (an
+  interval or a Qhull hull of lower dimension, no LP).
 * ``pasch_hausdorff`` -- the sup-norm Lipschitz regularization
   ``f_lam(x) = min_y max(f(y), lam |x - y|)``, taken over index offsets in
   order of length and stopped once no farther node can lower a value.
@@ -116,7 +116,9 @@ def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
     points are dropped so the hull is minimal, but the returned values are
     unaffected.  The chain runs on Python floats: indexing numpy scalars in
     the loop costs about 4x more, and the float ops are the same IEEE double
-    ops in the same order, so the hull is bit-identical.
+    ops in the same order, so the hull is bit-identical.  Interpolation can
+    round a node on a straight run above its sample, so every node is capped
+    at its sample: the result is a minorant bit for bit.
     """
     x = np.asarray(positions, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -133,7 +135,7 @@ def lower_hull_1d(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
             hv.pop()
         hx.append(px)
         hv.append(pv)
-    return np.interp(x, hx, hv)
+    return np.minimum(v, np.interp(x, hx, hv))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +168,6 @@ def _envelope_values_nd(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     ones do.  A ``Q0`` build that raises (a concave ridge or a flipped facet)
     or fails that certificate gives way to the merged ``Qt`` build, then to
     ``QJ``."""
-    if np.ptp(values) == 0.0:
-        return values.copy()
     # affine samples are their own envelope; they also make qhull degenerate
     A = np.hstack([coords, np.ones((len(coords), 1))])
     sol, *_ = np.linalg.lstsq(A, values, rcond=None)
@@ -243,22 +243,17 @@ def _facet_distances(eq: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _inside_facets(eq: np.ndarray, queries: np.ndarray,
-                   tol: float) -> np.ndarray:
-    return np.all(_facet_distances(eq, queries) <= tol, axis=1)
-
-
 def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     """Which queries lie in conv(points), to 1e-9.
 
     The affine rank of the points, read off their SVD, picks the test.  At
-    rank d one Qhull hull serves, and the second return value is its facet
-    equations (rows: normal | offset, normal . z + offset <= 0 inside), its
-    vertex points and the queries-by-facets distances.  At a lower rank it
-    is None: the points are taken in the SVD basis of their affine hull,
-    where they are full-dimensional, queries more than 1e-6 off that hull
-    are rejected, and the rest are tested against an interval (rank 1) or
-    one Qhull hull in R^rank."""
+    rank d one Qhull hull serves, and the second return value is its vertex
+    points and the queries-by-facets distances (facet rows: normal | offset,
+    normal . z + offset <= 0 inside).  At a lower rank it is None: the points
+    are taken in the SVD basis of their affine hull, where they are
+    full-dimensional, queries more than 1e-6 off that hull are rejected, and
+    the rest are tested against an interval (rank 1) or one Qhull hull in
+    R^rank."""
     if len(points) == 1:
         return np.linalg.norm(queries - points[0], axis=1) <= 1e-9, None
     centre = points.mean(axis=0)
@@ -267,7 +262,7 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     if rank == points.shape[1]:
         hull = ConvexHull(points)
         dist = _facet_distances(hull.equations, queries)
-        return np.all(dist <= 1e-9, axis=1), (hull.equations, points[hull.vertices], dist)
+        return np.all(dist <= 1e-9, axis=1), (points[hull.vertices], dist)
     flat = u[:, :rank] * s[:rank]
     rel = queries - centre
     low = rel @ vt[:rank].T
@@ -275,7 +270,7 @@ def _points_in_hull(points: np.ndarray, queries: np.ndarray):
     if rank == 1:
         inside = (low[:, 0] >= flat.min() - 1e-9) & (low[:, 0] <= flat.max() + 1e-9)
     else:
-        inside = _inside_facets(ConvexHull(flat).equations, low, 1e-9)
+        inside = np.all(_facet_distances(ConvexHull(flat).equations, low) <= 1e-9, axis=1)
     return near & inside, None
 
 
@@ -284,61 +279,46 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
 
     At each node the result is the smallest sampled value t such that the
     node lies in the convex hull of the nodes with value <= t.  Thresholds
-    are the sorted distinct sampled values; no continuous search.
+    are the sorted distinct sampled values; no continuous search.  On a 1-d
+    grid that hull is an interval, so the result is the larger of the
+    prefix minima from the left and from the right.
 
     On grids of dimension >= 2 a threshold costs at most one Qhull build,
     whose facet distances serve the membership test of the unassigned nodes
-    and the certificates of the thresholds after it.  A threshold whose new
-    nodes lie strictly inside the last full-dimensional hull (all facet
-    distances <= -1e-9) is skipped: the polytope is unchanged.  Otherwise
-    it is certified, and builds no hull, when every later unassigned node
-    lies more than 1e-6 outside the grown sublevel hull by one of two
-    separators: its witness facet (its farthest facet at the last build),
-    pushed out to the farthest node joined since that build, or the
-    direction from the last hull's vertex centroid to the node.  Only the
-    new nodes are then assigned (their own value) and kept as pending: the
-    next build takes the last hull's vertices and the pending and new nodes,
-    which span the whole sublevel hull.  A sublevel set of affine rank below
-    d has no full-dimensional hull: ``_points_in_hull`` tests it in the SVD
-    basis of its affine hull, with no LP.  With ``full_output=True`` the
-    return value is ``(result, info)`` with the counts ``hull_builds``
-    (full-dimensional hulls), ``hull_points`` (the points given to those
-    builds), ``thresholds_skipped`` and ``thresholds_certified``.
+    and the certificates of the thresholds after it.  A threshold is
+    certified, and builds no hull, when every later unassigned node lies
+    more than 1e-6 outside the grown sublevel hull by one of two separators:
+    its witness facet (its farthest facet at the last build), pushed out to
+    the farthest node joined since that build, or the direction from the
+    last hull's vertex centroid to the node.  Only the new nodes are then
+    assigned (their own value) and kept as pending: the next build takes the
+    last hull's vertices and the pending and new nodes, which span the whole
+    sublevel hull.  New nodes inside the last hull push no facet and reach
+    no farther than its vertices, so they never cost a build.  A sublevel
+    set of affine rank below d has no full-dimensional hull:
+    ``_points_in_hull`` tests it in the SVD basis of its affine hull, with
+    no LP.  With ``full_output=True`` the return value is ``(result, info)``
+    with the counts ``hull_builds`` (full-dimensional hulls), ``hull_points``
+    (the points given to those builds) and ``thresholds_certified``.
     """
     g = f.grid
     flat = f.values.ravel()
-    order = np.argsort(flat, kind="stable")
-    svals = flat[order]
-    info = {"hull_builds": 0, "hull_points": 0, "thresholds_skipped": 0,
-            "thresholds_certified": 0}
+    info = {"hull_builds": 0, "hull_points": 0, "thresholds_certified": 0}
     if g.ndim == 1:
-        pos = g.axis()
-        spos = pos[order]
-        prefix_min = np.minimum.accumulate(spos)
-        prefix_max = np.maximum.accumulate(spos)
-        # first prefix index covering x from the left / right; both monotone
-        k_max = np.searchsorted(prefix_max, pos, side="left")
-        k_min = np.searchsorted(-prefix_min, -pos, side="left")
-        k = np.maximum(k_max, k_min)
-        out = svals[np.minimum(k, len(svals) - 1)]
+        out = np.maximum(np.minimum.accumulate(flat), np.minimum.accumulate(flat[::-1])[::-1])
     else:
         coords = g.node_coords()
         out = flat.copy()
         assigned = np.zeros(len(flat), dtype=bool)
         row = np.empty(len(flat), dtype=np.intp)
         hull = None  # the last full-dimensional sublevel hull, see _points_in_hull
-        for t in np.unique(svals):
+        for t in np.unique(flat):
             todo = ~assigned
             if not todo.any():
                 break
             at_t = flat == t
-            new = coords[at_t]
             if hull is not None:
-                eq, verts, dist = hull
-                if _inside_facets(eq, new, -1e-9).all():
-                    info["thresholds_skipped"] += 1
-                    continue
-                pending.append(new)
+                pending.append(coords[at_t])
                 # push the facets past the joined nodes, then keep the later
                 # nodes that neither separator certifies
                 joined = row[at_t & measured]
@@ -367,11 +347,12 @@ def level_convex_lsc_envelope(f: SampledFunction, full_output: bool = False):
                 # rows of facet distances for the nodes unassigned before
                 # this build, their witness facets, and the pushes (the nodes
                 # assigned earlier lie within 1e-9 of this hull)
+                verts, dist = hull
                 measured, pending = todo, []
                 row[todo] = np.arange(todo.sum())
-                witness = hull[2].argmax(axis=1)
-                push = np.full(len(hull[0]), 1e-9)
-                centre = hull[1].mean(axis=0)
+                witness = dist.argmax(axis=1)
+                push = np.full(dist.shape[1], 1e-9)
+                centre = verts.mean(axis=0)
     result = f.with_values(np.minimum(out, flat).reshape(g.shape))
     if full_output:
         return result, info

@@ -63,7 +63,6 @@ def check_curl_young_on_laminates(f, dims, *, tol=1e-9, budget=20_000,
     included (in ``classify_report``, the very run it scored), with its
     witness segment relabelled as a two-atom measure.
     """
-    _check_settings(budget, tol, radius, seed)
     v = _run_segment_checker("curl_young_laminates", f, dims, tol=tol, budget=budget,
                              seed=seed, radius=radius, special_points=special_points,
                              rank_one=True)

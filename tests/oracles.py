@@ -3,7 +3,9 @@
 These are the straightforward loops the d >= 2 branches of
 ``lamination_hull`` and ``level_convex_lsc_envelope`` were first written as:
 one Python monotone chain per grid line, and one Qhull hull (or one LP per
-query) per sublevel threshold.  The lamination loop sweeps the directions
+query) per sublevel threshold.  Qhull builds no 1-d hull, so on a 1-d grid
+the lsc loop solves one LP per query and checks the operator's prefix
+minima.  The lamination loop sweeps the directions
 one after another and lowers each line to its 1-d hull, so it reaches the
 batched hull's fixpoint by another path: the two agree to rounding, not bit
 for bit.  That chain, ``lower_hull_1d``, is kept as it
@@ -187,7 +189,7 @@ def points_in_hull(points: np.ndarray, queries: np.ndarray,
     if len(points) == 1:
         return np.linalg.norm(queries - points[0], axis=1) <= tol
     d = points.shape[1]
-    if len(points) > d:
+    if 1 < d < len(points):  # Qhull needs two dimensions at least
         try:
             return inside_facets(ConvexHull(points).equations, queries, tol)
         except QhullError:
@@ -229,9 +231,8 @@ def points_in_flat_hull(points: np.ndarray,
 
 
 def level_convex_lsc_envelope(f: SampledFunction) -> SampledFunction:
-    """One hull per distinct sampled threshold, for grids of dimension >= 2."""
+    """One hull per distinct sampled threshold (LPs on 1-d grids)."""
     g = f.grid
-    assert g.ndim >= 2, "the 1-d branch is unchanged; call the operator directly"
     flat = f.values.ravel()
     order = np.argsort(flat, kind="stable")
     svals = flat[order]

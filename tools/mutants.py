@@ -59,6 +59,9 @@ FLAT_HULL = ("tests/test_envelope_batched.py::test_flat_hull_membership_matches_
              "tests/test_envelope_batched.py::test_lslc_envelope_matches_per_threshold_oracle",
              "tests/test_envelope_batched.py::"
              "test_lslc_certificates_match_the_last_vertex_rebuilds")
+LSC = ("tests/test_envelope_batched.py::test_lslc_envelope_matches_per_threshold_oracle",
+       "tests/test_envelope_batched.py::test_lslc_certificates_match_the_last_vertex_rebuilds",
+       "tests/test_envelope_batched.py::test_lslc_runs_no_lp")
 MUTANTS = (
     Mutant("halton-factor-prefix", "scrambled Halton kernel", "src/supcon/classify.py",
            "factor, k = factor / b, k + 1", "factor, k = factor * (1.0 / b), k + 1",
@@ -169,6 +172,11 @@ MUTANTS = (
            "src/supcon/envelope.py",
            "(low[:, 0] >= flat.min() - 1e-9) & (low[:, 0] <= flat.max() + 1e-9)",
            "(low[:, 0] >= flat.min()) & (low[:, 0] <= flat.max())", FLAT_HULL),
+    Mutant("lsc-1d-one-sided", "one path per lsc threshold", "src/supcon/envelope.py",
+           "np.maximum(np.minimum.accumulate(flat), np.minimum.accumulate(flat[::-1])[::-1])",
+           "np.minimum.accumulate(flat)", LSC),
+    Mutant("lsc-certify-all", "one path per lsc threshold", "src/supcon/envelope.py",
+           "                if not later.size:\n", "                if True:\n", LSC),
 )
 
 
