@@ -612,13 +612,8 @@ def _cutoff_values(xi, Mp, Mm, theta):
     # recover a as the dominant left factor
     U, S, _ = np.linalg.svd(w)
     a_vec = U[:, :, 0] * (S[:, 0] / np.maximum(wn, 1e-300))[:, None] * K[:, None]
-    extras = np.empty((len(w), 2 * n, N, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        extras[:, 2 * j] = xi + a_vec[:, :, None] * e
-        extras[:, 2 * j + 1] = xi - a_vec[:, :, None] * e
-    return extras
+    step = a_vec[:, None, :, None] * np.eye(n)[:, None, :]  # [:, j] = a (x) e_j
+    return np.stack([xi + step, xi - step], axis=2).reshape(len(w), 2 * n, N, n)
 
 
 def _scored_pairs(f, xi, dims, stream):

@@ -457,12 +457,11 @@ def _primitive_vectors(k: int) -> list[tuple[int, ...]]:
 
 def rank_one_grid_directions(dims: tuple[int, int]) -> np.ndarray:
     """Integer rank-one directions a (x) nu, components in +-DIRECTION_SPAN,
-    deduplicated up to scaling.  Shape (K, N*n)."""
+    distinct up to scaling.  Shape (K, N*n)."""
     N, n = dims
-    # a dict keeps the first of equal outer products, in order
-    dirs = dict.fromkeys(tuple(int(x) for x in np.outer(a, nu).ravel())
-                         for a in _primitive_vectors(N) for nu in _primitive_vectors(n))
-    return np.array(list(dirs), dtype=int)
+    # primitive sign-normalized factors make every outer product distinct
+    return np.array([np.outer(a, nu).ravel() for a in _primitive_vectors(N)
+                     for nu in _primitive_vectors(n)], dtype=int)
 
 
 def _direction_lines(shape: tuple[int, ...], step: np.ndarray) -> list[np.ndarray]:
@@ -697,8 +696,8 @@ def power_law_envelope(f: SampledFunction, p_schedule,
     work = vals + shift
     M = float(work.max())
     if M > 0.0:
-        positive = work[work > 0.0]
-        if positive.size and M / float(positive.min()) > 1e12:
+        least = float(work[work > 0.0].min())  # for the exponent drop too
+        if M / least > 1e12:
             raise PowerLawOverflowError(
                 "sampled values span more than 1e12 dynamic range")
 
@@ -722,8 +721,7 @@ def power_law_envelope(f: SampledFunction, p_schedule,
     # are dropped (the 1-d monotone chain is selection-based and immune).
     if (mode == MODE_CONVEX_LOWER and not clamp_collapse
             and f.grid.ndim >= 2 and M > 0.0):
-        positive = g_norm[g_norm > 0.0]
-        gmin = float(positive.min()) if positive.size else 1.0
+        gmin = least / M  # the least positive of g_norm: M / least <= 1e12
         if gmin < 1.0:
             keep = tuple(p for p in ps if gmin ** p >= 1e-12)
             if not keep:
@@ -752,14 +750,13 @@ def power_law_envelope(f: SampledFunction, p_schedule,
         est = M * np.power(np.maximum(env, 0.0), 1.0 / p) - shift
         per_p.append(f.with_values(est.reshape(f.grid.shape)))
 
-    violation = None
-    worst = 1e-7 * M  # of the sample range, so it scales with f
-    for (pa, fa), (pb, fb) in zip(zip(ps, per_p), zip(ps[1:], per_p[1:])):
-        drop = fa.values.ravel() - fb.values.ravel()
-        node = int(np.argmax(drop))
-        if drop[node] > worst:
-            worst = float(drop[node])
-            violation = (pb, node, worst)
+    # the worst drop to a member from the one before (row 0 compares member 0
+    # with itself), the first (p, node) on ties; the bound is 1e-7 of the
+    # sample range, so it scales with f
+    values = np.array([sf.values.ravel() for sf in per_p])
+    drop = values[np.r_[0, :len(ps) - 1]] - values
+    i, node = divmod(int(np.argmax(drop)), drop.shape[1])
+    violation = (ps[i], node, float(drop[i, node])) if drop[i, node] > 1e-7 * M else None
 
     sup_gap = float(np.max(vals - per_p[-1].values.ravel()))
     return PowerLawReport(

@@ -181,13 +181,12 @@ def _polish(a, b, xi, G, step, rounds, tol):
     the current pair, built as if every earlier move of it were rejected,
     without the moves that leave the box; the results after the first
     accepted move are dropped, and the next list starts at the move after
-    it.  Returns the accepted (value, profile) in order, the number of
-    neighbor evaluations the one-move-at-a-time search makes and whether the
-    step fell below 1e-9.
+    it.  Returns the walk's last (and least) accepted value and its profile,
+    the number of neighbor evaluations the one-move-at-a-time search makes
+    and whether the step fell below 1e-9.
     """
     (got,) = yield [(a, b)]
-    cur = got[0]
-    accepted = [(cur, ("pair", a, b, got[1], got[2]))]
+    cur, profile = got[0], ("pair", a, b, got[1], got[2])
     evaluations = 0
     for _ in range(rounds):
         improved = False
@@ -205,16 +204,16 @@ def _polish(a, b, xi, G, step, rounds, tol):
                 evaluations += 1
                 if got[0] < cur - tol:
                     cur, a, b = got[0], na, nb
+                    profile = ("pair", a, b, got[1], got[2])
                     improved = True
-                    accepted.append((cur, ("pair", a, b, got[1], got[2])))
                     rest = moves[j + 1:]
                     break
             moves = rest
         if not improved:
             step *= 0.5
             if step < 1e-9:
-                return accepted, evaluations, True
-    return accepted, evaluations, False
+                return cur, profile, evaluations, True
+    return cur, profile, evaluations, False
 
 
 def _check_xi(xi, G):
@@ -243,7 +242,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     S = np.linspace(-G, G, opts.scan_points)
     S = np.unique(np.append(S, xi))
     vals = _nonnegative(fs(S))
-    scale = max(float(vals.max()), float(fs(np.array([xi]))[0]), 1e-300)
+    scale = max(float(vals.max()), 1e-300)  # S holds xi
 
     iterations = 0
     length_factor = (h * m) ** (1.0 / p)
@@ -262,7 +261,7 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     val, a, b = val * length_factor, S[ia], S[ib]
     # the 8 lowest of the constant profile and the scan pairs, in that order
     # on ties; every value is finite here.  A scan pair below the constant
-    # starts walk 0, whose first accepted entry scores it again, bit for bit
+    # starts walk 0, which scores it again, bit for bit
     first = np.argsort(np.append(best_val, val), kind="stable")[:8]
     polish_starts = list(zip(np.append(xi, a)[first].tolist(),
                              np.append(xi, b)[first].tolist()))
@@ -271,8 +270,9 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
 
     # pattern-search polish of the two slopes from every start; the walks do
     # not depend on one another, so they advance in lockstep, one batched
-    # evaluation of all their speculated pairs per step, and their accepted
-    # values are replayed in start order to pick the first strict minimum
+    # evaluation of all their speculated pairs per step; a walk's accepted
+    # values fall strictly (tol > 0), so its last is its least, and the
+    # walks' last values are read in start order for the first strict minimum
     base_step = float(S[1] - S[0])  # S holds -G and G
     walks = [_polish(a, b, xi, G, base_step, POLISH_ROUNDS, TOL * scale)
              for a, b in polish_starts]
@@ -290,12 +290,11 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
                 results[i] = stop.value
         todo = advanced
     converged = False
-    for accepted, evaluations, small_step in results:
+    for val, profile, evaluations, small_step in results:
         iterations += evaluations
         converged = converged or small_step
-        for val, profile in accepted:
-            if val < best_val:
-                best_val, best_profile = val, profile
+        if val < best_val:
+            best_val, best_profile = val, profile
 
     g_best = _profile_to_slopes(best_profile, m)
     # exact mean projection, then the reported value matches the profile
@@ -314,6 +313,8 @@ def _profile_to_slopes(profile, m):
 def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
     """((f^p)** (xi))^{1/p} on the slope box, via the exact grid lower hull."""
     _check_real("p", p, 1.0, closed=True)
+    _check_real("slope_bound", slope_bound, 0.0)
+    _check_xi(xi, slope_bound)
     x = np.linspace(-slope_bound, slope_bound, ORACLE_POINTS)
     vals = _nonnegative(_scalar_eval(f, slope_bound)(x))
     scale = max(float(vals.max()), 1e-300)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from supcon import envelope
 from supcon.envelope import (PowerLawOverflowError, convex_envelope,
                              lamination_hull, level_convex_lsc_envelope,
                              lower_hull_1d, pasch_hausdorff,
@@ -527,6 +528,57 @@ def test_power_law_monotone_and_below_f():
     rep = power_law_envelope(f, (2, 4, 8, 16, 32))
     assert rep.monotone_violation is None
     assert np.all(rep.limit_estimate.values <= f.values + 1e-7)
+
+
+def _monotone_violation_loop(f, rep):
+    """``rep``'s worst breach, node by node: the (p, node, gap) of the largest
+    drop from a member to the next, the first in (p, node) order on ties,
+    or None unless it exceeds 1e-7 of the shifted samples' maximum."""
+    worst, found = 1e-7 * float(np.max(f.values + rep.shift)), None
+    for k in range(1, len(rep.per_p)):
+        before, after = rep.per_p[k - 1].values.ravel(), rep.per_p[k].values.ravel()
+        for node in range(len(before)):
+            gap = float(before[node] - after[node])
+            if gap > worst:
+                worst, found = gap, (rep.p_schedule[k], node, gap)
+    return found
+
+
+# the power-law cases of the metamorphic twins that breach monotonicity, each
+# at p = 128 by underflow: (128, 33, 8.3e-3), (128, 17, 9.9e-6) and
+# (128, 22, 4.4e-3); the injected drop below keeps the check alive once a
+# family exact at every p removes them
+@pytest.mark.parametrize("name, radius, points, mode",
+                         [("arctan_det", 10.0, 5, "lamination-upper"),
+                          ("double_well_1d", 10.0, 41, "convex-lower"),
+                          ("double_well_1d", 4.0, 61, "lamination-upper")])
+def test_power_law_monotone_violation_matches_a_plain_loop(name, radius, points, mode):
+    entry = corpus_entry(name)
+    f = sample(entry, GridSpec(entry.dims, radius, points))
+    rep = power_law_envelope(f, (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0), mode)
+    assert rep.monotone_violation == _monotone_violation_loop(f, rep)
+
+
+def test_power_law_monotone_violation_finds_an_injected_drop(monkeypatch):
+    # the p = 4 member raised to max f at node 30 drops to the p = 8 member
+    # there: a breach before the last pair of exponents, which have none
+    convex = envelope.convex_envelope
+    calls = []
+
+    def raised(g):
+        env = convex(g)
+        calls.append(g)
+        if len(calls) == 2:
+            values = env.values.copy()
+            values.flat[30] = 1.0
+            env = env.with_values(values)
+        return env
+
+    monkeypatch.setattr(envelope, "convex_envelope", raised)
+    f = sample(corpus_entry("exampleD_scalar"), GridSpec((1, 1), 4.0, 61))
+    rep = power_law_envelope(f, (2.0, 4.0, 8.0, 16.0), "convex-lower")
+    assert rep.monotone_violation[:2] == (8.0, 30)
+    assert rep.monotone_violation == _monotone_violation_loop(f, rep)
 
 
 def test_power_law_clamp_collapses_to_minimum():

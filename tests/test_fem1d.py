@@ -101,6 +101,19 @@ def test_p_outside_one_to_infinity_rejected(p):
         envelope_oracle_1d(corpus_entry("double_well_1d"), 0.0, p, slope_bound=10.0)
 
 
+def test_envelope_oracle_rejects_a_bad_slope_box_or_xi():
+    # abs at p = 2 gave 10.0 at xi = 20 on the box [-10, 10], NaN at
+    # xi = NaN, and 10.0 at xi = 1 with slope_bound = -10 (a reversed grid)
+    entry = corpus_entry("abs")
+    for bound in (np.nan, np.inf, 0.0, -10.0, True, "10"):
+        with pytest.raises(ValueError, match="slope_bound"):
+            envelope_oracle_1d(entry, 1.0, 2.0, slope_bound=bound)
+    for xi in (20.0, -10.5, np.nan, np.inf, True, "0.5"):
+        with pytest.raises(ValueError, match="boundary slope xi"):
+            envelope_oracle_1d(entry, xi, 2.0, slope_bound=10.0)
+    assert envelope_oracle_1d(entry, -10.0, 2.0, slope_bound=10.0) == 10.0
+
+
 def test_negative_supremand_rejected():
     def signed(arr):
         return np.asarray(arr)[..., 0, 0]

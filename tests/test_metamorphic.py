@@ -9,7 +9,9 @@ affine bijections, so the envelope also commutes with every symmetry σ of a
 2x2 grid: lslc(f∘σ) = lslc(f)∘σ, whatever order σ puts the nodes in.  The
 classify searches compare f values too, so on h∘f each notion keeps the
 outcome, sample count and witness kind it has on f; h(t) = 2t + 1 doubles
-every gap, and no gap these searches meet lies between tol/2 and tol.  The
+every gap, and no gap these searches meet lies between tol/2 and tol;
+h = exp stretches each gap by its own factor, and on the corpus none
+crosses tol under it either.  The
 weak and periodic field searches keep the least ess sup of a max over
 gradient values, and t ↦ 2^k t is exact in floating point, so on 2^k f with
 tol scaled by 2^k they pick the same fields bit for bit: the same outcome,
@@ -26,7 +28,11 @@ powers, are the same; each member, the gap to f and the worst monotone
 breach (its tolerance a fixed fraction of the sample range) scale by 2^k.
 Transposition ξ ↦ ξᵀ maps rank-one matrices, minors and the box onto
 themselves, so each classify outcome of f(ξᵀ), with the special points
-transposed, is f's.
+transposed, is f's.  So does every signed permutation ξ ↦ UξV (U, V
+permutation matrices with signs; on 1x1 entries ξ ↦ −ξ): it maps the box
+and the rank-one matrices onto themselves and the minors onto minors up
+to sign, so f(UξV), its special points mapped back by ξ ↦ UᵀξVᵀ, keeps
+f's outcomes.
 """
 
 import dataclasses
@@ -194,10 +200,12 @@ def _summary(verdict):
 @pytest.mark.parametrize("name", corpus_names())
 def test_classify_verdicts_survive_an_increasing_map(name):
     entry = corpus_entry(name)
-    twin = dataclasses.replace(entry, evaluator=lambda a: 2.0 * entry.evaluator(a) + 1.0)
     config = ClassifyConfig(budget=20_000)
-    want, got = (classify_report(e, config).verdicts for e in (entry, twin))
-    assert {k: _summary(v) for k, v in got.items()} == {k: _summary(v) for k, v in want.items()}
+    want = {k: _summary(v) for k, v in classify_report(entry, config).verdicts.items()}
+    for h in ("2t+1", "exp"):
+        twin = dataclasses.replace(entry, evaluator=lambda a, h=INCREASING[h]: h(entry.evaluator(a)))
+        got = classify_report(twin, config).verdicts
+        assert {k: _summary(v) for k, v in got.items()} == want, h
 
 
 def _transposed(entry):
@@ -216,6 +224,34 @@ def test_classify_outcomes_survive_transposition(name, seed):
     config = ClassifyConfig(budget=20_000, seed=seed)
     want, got = (classify_report(e, config).verdicts for e in (entry, _transposed(entry)))
     assert {k: v.outcome for k, v in got.items()} == {k: v.outcome for k, v in want.items()}
+
+
+#: signed permutations ξ ↦ UξV as (U, V): three on 2x2 entries, ξ ↦ −ξ on 1x1
+SIGNED_PERMUTATIONS = {
+    (2, 2): [(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)),
+             (np.eye(2), np.diag([-1.0, 1.0])),
+             (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))],
+    (1, 1): [(-np.eye(1), np.eye(1))],
+}
+
+
+def _permuted(entry, U, V):
+    """f(UξV), its special points mapped back by ξ ↦ UᵀξVᵀ."""
+    return dataclasses.replace(
+        entry, evaluator=lambda a: entry.evaluator(U @ a @ V),
+        special_points=tuple(U.T @ np.asarray(p, dtype=float) @ V.T
+                             for p in entry.special_points))
+
+
+@pytest.mark.parametrize("seed", (DEFAULT_SEED, 12345, 7))
+@pytest.mark.parametrize("name", corpus_names())
+def test_classify_outcomes_survive_signed_permutations(name, seed):
+    entry = corpus_entry(name)
+    config = ClassifyConfig(budget=20_000, seed=seed)
+    want = {k: v.outcome for k, v in classify_report(entry, config).verdicts.items()}
+    for U, V in SIGNED_PERMUTATIONS[entry.dims]:
+        got = classify_report(_permuted(entry, U, V), config).verdicts
+        assert {k: v.outcome for k, v in got.items()} == want, (U, V)
 
 
 FIELD_SEARCHES = {"weak": search_weak_morrey_violation,

@@ -62,6 +62,10 @@ FLAT_HULL = ("tests/test_envelope_batched.py::test_flat_hull_membership_matches_
 LSC = ("tests/test_envelope_batched.py::test_lslc_envelope_matches_per_threshold_oracle",
        "tests/test_envelope_batched.py::test_lslc_certificates_match_the_last_vertex_rebuilds",
        "tests/test_envelope_batched.py::test_lslc_runs_no_lp")
+FE = ("tests/test_fem1d.py::test_minimize_Fp_matches_per_pair_oracle",
+      "tests/test_fem1d.py::test_relaxation_identity_two_percent")
+MONOTONE = ("tests/test_envelope.py::test_power_law_monotone_violation_matches_a_plain_loop",
+            "tests/test_envelope.py::test_power_law_monotone_violation_finds_an_injected_drop")
 MUTANTS = (
     Mutant("halton-factor-prefix", "scrambled Halton kernel", "src/supcon/classify.py",
            "factor, k = factor / b, k + 1", "factor, k = factor * (1.0 / b), k + 1",
@@ -177,6 +181,12 @@ MUTANTS = (
            "np.minimum.accumulate(flat)", LSC),
     Mutant("lsc-certify-all", "one path per lsc threshold", "src/supcon/envelope.py",
            "                if not later.size:\n", "                if True:\n", LSC),
+    Mutant("polish-keeps-first-profile", "one minimum per FE polish walk", "src/supcon/fem1d.py",
+           '                    profile = ("pair", a, b, got[1], got[2])\n', "", FE),
+    Mutant("monotone-last-pair-only", "one scan for the worst monotone breach",
+           "src/supcon/envelope.py",
+           "drop = values[np.r_[0, :len(ps) - 1]] - values",
+           "drop = values[np.r_[0:len(ps) - 1, len(ps) - 2]] - values", MONOTONE),
 )
 
 
