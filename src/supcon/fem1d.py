@@ -18,21 +18,27 @@ oracle envelope is computed on the same box so both sides see the same
 relaxation.  ``FeOptions`` holds every setting, ``cells`` included, and the
 report echoes it.
 
-The scan evaluates f once per table: once on the scan grid, once at the
-adjustment slopes of every (a, b) pair.  The polish walks advance in
-lockstep, one f call per step, and each walk speculates: a step scores the
-rest of its pattern-search round as if every earlier move were rejected, and
-keeps the moves up to the first accepted one.  The powered terms
-(f/scale)^p and the 1/p root stay Python-float pows, because numpy's array
-``**`` differs from them in the last ulp for some inputs, and a near-tie
-would then pick another profile; the results are bit-identical to the
-per-pair loop.
+A whole exponent schedule is solved in one pass, and each of its minima is
+the one a run at that p alone gives, bit for bit.  The pass evaluates f once
+per table for every p: once on the scan grid, once at the adjustment slopes
+of every (a, b) pair, once on the fine slope grid of the hull supports and
+the oracles.  Only the powers (f/scale)^p, their means and the 1/p roots
+are computed per p; the scale comes from the scan grid, so it is the same
+for every p.  The polish walks of every p advance in lockstep, one f call
+per step for all of them, each pair scored at its own walk's exponent, and
+each walk speculates: a step scores the rest of its pattern-search round as
+if every earlier move were rejected, and keeps the moves up to the first
+accepted one.  The powered terms and the roots stay Python-float pows,
+because numpy's array ``**`` differs from them in the last ulp for some
+inputs, and a near-tie would then pick another profile; the results are
+bit-identical to the per-pair loop.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, asdict
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -103,15 +109,14 @@ def _objective(fs, g, p, h, scale):
     return scale * (h * len(g) * mean_p) ** (1.0 / p)
 
 
-def _hull_support_slopes(fs, xi, G, p, scale):
-    """Endpoints of the convex-envelope supporting segment of f^p at xi.
+def _hull_support_slopes(x, v, xi):
+    """Endpoints of the convex-envelope supporting segment at xi of the
+    samples v of f^p (up to a constant factor) at the slopes x.
 
     In one dimension the relaxed minimizer oscillates between at most two
     slopes: the hull's tangency points bracketing xi.  Their fine-grid
     estimates seed the discrete polish.
     """
-    x = np.linspace(-G, G, ORACLE_POINTS)
-    v = (_nonnegative(fs(x)) / scale) ** p
     hull = lower_hull_1d(x, v)
     on_hull = np.abs(v - hull) <= 1e-12 * (1.0 + np.abs(v))
     left = np.flatnonzero(on_hull & (x <= xi))
@@ -129,24 +134,25 @@ def _nonnegative(vals):
     return vals
 
 
-def _powers(vals, p, scale):
-    """(v/scale)^p per value, as Python-float pows: numpy's array ``**`` can
-    differ from them in the last ulp, and the FE minima would move with it."""
-    return np.array([(v / scale) ** p for v in vals.tolist()])
+def _powers(x, p):
+    """x^p per element, p one exponent or one per element, as Python-float
+    pows: numpy's array ``**`` can differ from them in the last ulp, and the
+    FE minima would move with it."""
+    powers = map(pow, x.tolist(), np.broadcast_to(p, x.shape).tolist())
+    return np.fromiter(powers, float, x.size)
 
 
-def _two_slope_values(fs, a, b, xi, m, G, p, scale, qa=None, qb=None):
-    """Best k-cells-at-a / rest-at-b / one-adjustment-cell profile of each
-    slope pair (a[i], b[i]), a[i] <= xi <= b[i].
+def _two_slope_cells(a, b, xi, m, G):
+    """The exponent-free part of the k-cells-at-a / rest-at-b /
+    one-adjustment-cell profiles of each slope pair (a[i], b[i]),
+    a[i] <= xi <= b[i].
 
     k is the floor or the ceiling of theta*m clamped to [0, m-1], theta the
     weight of a in xi; the adjustment slope c meets the mean exactly.  For
     the floor, c is a convex combination of a and b, so it is kept even
     where rounding puts it a few ulps past the slope box; a ceiling whose c
-    leaves the box is skipped.  Returns arrays (val, k, c): the better k per
-    pair, the floor on a tie.  f is evaluated in one call, at the c of every
-    k kept, and at its a and b too unless their (f/scale)^p come in as
-    ``qa``, ``qb``.
+    leaves the box is skipped.  Returns arrays (k, c, ok), one row per pair
+    and one column per k, ``ok`` marking the profiles kept.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # a == b is masked
         theta = np.where(a == b, 1.0, (b - xi) / (b - a))
@@ -156,18 +162,18 @@ def _two_slope_values(fs, a, b, xi, m, G, p, scale, qa=None, qb=None):
     c = m * xi - k * a[:, None] - (m - k - 1) * b[:, None]
     ok = np.abs(c) <= G + 1e-12
     ok[:, 0] = True
-    val = np.full(k.shape, np.nan)
-    pair = np.nonzero(ok)[0]
-    if qa is None:
-        nodes = np.concatenate([a[pair], b[pair], c[ok]])
-        qa, qb, qc = _powers(_nonnegative(fs(nodes)), p, scale).reshape(3, -1)
-    else:
-        qa, qb = qa[pair], qb[pair]
-        qc = _powers(_nonnegative(fs(c[ok])), p, scale)
+    return k, c, ok
+
+
+def _two_slope_values(k, c, ok, qa, qb, qc, m, p, scale):
+    """The better profile of each pair of ``_two_slope_cells``, given
+    (f/scale)^p at a, b and c of every profile kept and p, one exponent or
+    one per profile kept.  Returns arrays (val, k, c): the floor on a tie.
+    """
     kk = k[ok]
     mean_p = (kk * qa + (m - kk - 1) * qb + qc) / m
-    root = 1.0 / p
-    val[ok] = [scale * mp ** root for mp in mean_p.tolist()]
+    val = np.full(k.shape, np.nan)
+    val[ok] = scale * _powers(mean_p, 1.0 / p)
     j = (val[:, 1] < val[:, 0]).astype(int)  # False where the ceiling is NaN
     rows = np.arange(len(k))
     return val[rows, j], k[rows, j], c[rows, j]
@@ -234,54 +240,77 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
     """
     _check_real("p", p, 1.0, closed=True)
     opts = opts or FeOptions()
-    m, G = opts.cells, opts.slope_bound
-    fs = _scalar_eval(f, G)
-    h = 1.0 / m
-    _check_xi(xi, G)
+    _check_xi(xi, opts.slope_bound)
+    return _minimize_schedule(_scalar_eval(f, opts.slope_bound), (p,), xi, opts)[0][0]
 
+
+def _minimize_schedule(fs, ps, xi, opts):
+    """``minimize_Fp`` at every exponent of ``ps``, in one pass.
+
+    Returns the results, in schedule order, and the slope grid of
+    ``ORACLE_POINTS`` nodes with f on it.  Each result is the one a run at
+    its p alone gives, bit for bit: the runs share only what does not depend
+    on p, and the scan, the slope grid and each polish step call f once for
+    all of them.  If a run at some p would raise, the first such error met
+    in the pass is raised.
+    """
+    m, G = opts.cells, opts.slope_bound
+    h = 1.0 / m
     S = np.linspace(-G, G, opts.scan_points)
     S = np.unique(np.append(S, xi))
     vals = _nonnegative(fs(S))
     scale = max(float(vals.max()), 1e-300)  # S holds xi
 
-    iterations = 0
-    length_factor = (h * m) ** (1.0 / p)
-    # constant profile is always feasible
-    best_val = _objective(fs, np.full(m, xi), p, h, scale)
-    best_profile = ("pair", xi, xi, m - 1, xi)
-
     # two-slope scan with adjustment cell over every pair a <= xi <= b of scan
-    # nodes, a-major; keep several starts for the polish
+    # nodes, a-major; its profiles, and f at them, do not depend on p
     lo = np.flatnonzero(S <= xi)
     hi = np.flatnonzero(S >= xi)
     ia, ib = np.repeat(lo, len(hi)), np.tile(hi, len(lo))
-    iterations += len(ia)
-    q = _powers(vals, p, scale)
-    val = _two_slope_values(fs, S[ia], S[ib], xi, m, G, p, scale, q[ia], q[ib])[0]
-    val, a, b = val * length_factor, S[ia], S[ib]
-    # the 8 lowest of the constant profile and the scan pairs, in that order
-    # on ties; every value is finite here.  A scan pair below the constant
-    # starts walk 0, which scores it again, bit for bit
-    first = np.argsort(np.append(best_val, val), kind="stable")[:8]
-    polish_starts = list(zip(np.append(xi, a)[first].tolist(),
-                             np.append(xi, b)[first].tolist()))
-    # the envelope's supporting segment of f^p at xi is the continuum optimum
-    polish_starts.append(_hull_support_slopes(fs, xi, G, p, scale))
+    k, c, ok = _two_slope_cells(S[ia], S[ib], xi, m, G)
+    pair = np.nonzero(ok)[0]
+    fc = _nonnegative(fs(c[ok])) / scale
+    # per p: the length factor, the constant profile's value, the polish starts
+    factors, consts, starts = [], [], []
+    for p in ps:
+        factors.append((h * m) ** (1.0 / p))
+        # constant profile is always feasible
+        consts.append(_objective(fs, np.full(m, xi), p, h, scale))
+        q = _powers(vals / scale, p)
+        val = _two_slope_values(k, c, ok, q[ia[pair]], q[ib[pair]], _powers(fc, p),
+                                m, p, scale)[0] * factors[-1]
+        # the 8 lowest of the constant profile and the scan pairs, in that
+        # order on ties; every value is finite here.  A scan pair below the
+        # constant starts walk 0, which scores it again, bit for bit
+        first = np.argsort(np.append(consts[-1], val), kind="stable")[:8]
+        starts.append(list(zip(np.append(xi, S[ia])[first].tolist(),
+                               np.append(xi, S[ib])[first].tolist())))
+    x = np.linspace(-G, G, ORACLE_POINTS)
+    fx = _nonnegative(fs(x))
+    for p, run in zip(ps, starts):
+        # the envelope's supporting segment of f^p at xi is the continuum optimum
+        run.append(_hull_support_slopes(x, (fx / scale) ** p, xi))
 
-    # pattern-search polish of the two slopes from every start; the walks do
-    # not depend on one another, so they advance in lockstep, one batched
-    # evaluation of all their speculated pairs per step; a walk's accepted
-    # values fall strictly (tol > 0), so its last is its least, and the
-    # walks' last values are read in start order for the first strict minimum
+    # pattern-search polish of the two slopes from every start of every p;
+    # the walks do not depend on one another, so they advance in lockstep,
+    # one batched evaluation of all their speculated pairs per step, each
+    # pair at its walk's exponent
     base_step = float(S[1] - S[0])  # S holds -G and G
+    counts = [len(run) for run in starts]
+    walk_p, walk_lf = np.repeat(np.array(ps, dtype=float), counts), np.repeat(factors, counts)
     walks = [_polish(a, b, xi, G, base_step, POLISH_ROUNDS, TOL * scale)
-             for a, b in polish_starts]
+             for run in starts for a, b in run]
     results = [None] * len(walks)
     todo = [(i, w, next(w)) for i, w in enumerate(walks)]
     while todo:
+        row = np.repeat([i for i, _, _ in todo], [len(pairs) for _, _, pairs in todo])
         a, b = np.array([pair for t in todo for pair in t[2]]).T
-        val, k, c = _two_slope_values(fs, a, b, xi, m, G, p, scale)
-        got = zip((val * length_factor).tolist(), k.tolist(), c.tolist())
+        k, c, ok = _two_slope_cells(a, b, xi, m, G)
+        pair = np.nonzero(ok)[0]
+        fv = _nonnegative(fs(np.concatenate([a[pair], b[pair], c[ok]])))
+        p = walk_p[row][pair]
+        qa, qb, qc = _powers(fv / scale, np.tile(p, 3)).reshape(3, -1)
+        val, k, c = _two_slope_values(k, c, ok, qa, qb, qc, m, p, scale)
+        got = zip((val * walk_lf[row]).tolist(), k.tolist(), c.tolist())
         advanced = []
         for i, w, pairs in todo:
             try:
@@ -289,25 +318,38 @@ def minimize_Fp(f, p: float, xi: float, opts: FeOptions | None = None) -> FeMini
             except StopIteration as stop:
                 results[i] = stop.value
         todo = advanced
-    converged = False
-    for val, profile, evaluations, small_step in results:
-        iterations += evaluations
-        converged = converged or small_step
-        if val < best_val:
-            best_val, best_profile = val, profile
 
-    g_best = _profile_to_slopes(best_profile, m)
-    # exact mean projection, then the reported value matches the profile
-    g_best = g_best + (xi - g_best.mean())
-    best_val = _objective(fs, g_best, p, h, scale)
-    return FeMinimizeResult(p=float(p), min_value=best_val,
-                            gradient_per_cell=g_best, iterations=iterations,
-                            converged=converged, target_mean=xi)
+    # a walk's accepted values fall strictly (tol > 0), so its last is its
+    # least; each p reads its walks' last values in start order for the first
+    # strict minimum
+    out, done = [], iter(results)
+    for p, best_val, count in zip(ps, consts, counts):
+        best_profile = ("pair", xi, xi, m - 1, xi)
+        iterations, converged = len(ia), False
+        for val, profile, evaluations, small_step in islice(done, count):
+            iterations += evaluations
+            converged = converged or small_step
+            if val < best_val:
+                best_val, best_profile = val, profile
+        g_best = _profile_to_slopes(best_profile, m)
+        # exact mean projection, then the reported value matches the profile
+        g_best = g_best + (xi - g_best.mean())
+        out.append(FeMinimizeResult(p=float(p), min_value=_objective(fs, g_best, p, h, scale),
+                                    gradient_per_cell=g_best, iterations=iterations,
+                                    converged=converged, target_mean=xi))
+    return out, x, fx
 
 
 def _profile_to_slopes(profile, m):
     _, a, b, k, c = profile
     return np.array([a] * k + [b] * (m - k - 1) + [c], dtype=float)
+
+
+def _oracle_value(x, fx, xi, p):
+    """((f^p)** (xi))^{1/p} from f on the slope grid x, via its exact lower hull."""
+    scale = max(float(fx.max()), 1e-300)
+    hull = lower_hull_1d(x, (fx / scale) ** p)
+    return scale * float(np.interp(xi, x, hull)) ** (1.0 / p)
 
 
 def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
@@ -316,10 +358,7 @@ def envelope_oracle_1d(f, xi: float, p: float, *, slope_bound: float) -> float:
     _check_real("slope_bound", slope_bound, 0.0)
     _check_xi(xi, slope_bound)
     x = np.linspace(-slope_bound, slope_bound, ORACLE_POINTS)
-    vals = _nonnegative(_scalar_eval(f, slope_bound)(x))
-    scale = max(float(vals.max()), 1e-300)
-    hull = lower_hull_1d(x, (vals / scale) ** p)
-    return scale * float(np.interp(xi, x, hull)) ** (1.0 / p)
+    return _oracle_value(x, _nonnegative(_scalar_eval(f, slope_bound)(x)), xi, p)
 
 
 @dataclass
@@ -351,8 +390,8 @@ class GammaReport:
 
 def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = None,
                            name: str = "") -> GammaReport:
-    """Run minimize_Fp across the schedule and compare against the envelope
-    oracles.
+    """Minimize F_p at every p of the schedule, in one pass, and compare
+    against the envelope oracles.
 
     Each minimum is matched against the grid convex envelope of f^p on the
     slope box; the final value is classified against f(xi): within
@@ -368,10 +407,12 @@ def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = No
     fs = _scalar_eval(f, opts.slope_bound)
     f_xi = float(fs(np.array([xi]))[0])
 
+    # one table of f on the slope grid serves the solve's hull supports, the
+    # oracle rows and the lsc envelope
+    results, x, fx = _minimize_schedule(fs, ps, xi, opts)
     rows = []
-    for p in ps:
-        res = minimize_Fp(f, p, xi, opts)
-        oracle = envelope_oracle_1d(f, xi, p, slope_bound=opts.slope_bound)
+    for p, res in zip(ps, results):
+        oracle = _oracle_value(x, fx, xi, p)
         rows.append({
             "p": p,
             "min_value": res.min_value,
@@ -385,9 +426,8 @@ def gamma_limit_experiment(f, xi: float, p_schedule, opts: FeOptions | None = No
 
     # level-convex lsc envelope of f on the slope box, evaluated at xi
     grid = GridSpec((1, 1), opts.slope_bound, ORACLE_POINTS)
-    sf = SampledFunction(grid, fs(grid.axis()), MODE_PLUS_INFINITY)
-    lslc = level_convex_lsc_envelope(sf)
-    lslc_at_xi = float(np.interp(xi, grid.axis(), lslc.values))
+    lslc = level_convex_lsc_envelope(SampledFunction(grid, fx, MODE_PLUS_INFINITY))
+    lslc_at_xi = float(np.interp(xi, x, lslc.values))
 
     final = rows[-1]["min_value"]
     ctol = CONSISTENCY_TOL * max(1.0, abs(f_xi))

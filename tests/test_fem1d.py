@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from supcon.envelope import level_convex_lsc_envelope
-from supcon.fem1d import (ORACLE_POINTS, FeMinimizeResult, FeOptions, _objective,
-                          _scalar_eval, envelope_oracle_1d, gamma_limit_experiment,
-                          minimize_Fp)
+from supcon.fem1d import (ORACLE_POINTS, FeMinimizeResult, FeOptions, _minimize_schedule,
+                          _objective, _scalar_eval, envelope_oracle_1d,
+                          gamma_limit_experiment, minimize_Fp)
 from supcon.funcspace import GridSpec, corpus_entry, interpolating_evaluator, sample
 
 OPTS = FeOptions()
@@ -219,6 +219,24 @@ def _piecewise_linear(seed, G):
     return lambda arr: np.interp(np.asarray(arr)[..., 0, 0], knots, values)
 
 
+FE_CASES = (st.sampled_from(SCALAR_ENTRIES + ("piecewise-linear",)), st.integers(0, 2**32 - 1),
+            st.sampled_from([1.0, 2.5, 10.0]), st.integers(3, 41),
+            st.sampled_from(["node", "midpoint", "uniform", "bound"]), st.floats(0.0, 1.0),
+            st.integers(2, 64))
+
+
+def _fe_case(name, seed, G, P, where, u, cells):
+    """(f, xi, opts) of one drawn FE case: xi on a scan node, halfway between
+    two, anywhere, or at -G or G."""
+    step = 2.0 * G / (P - 1)
+    i = round(u * (P - 2))
+    xi = {"node": np.linspace(-G, G, P)[i], "midpoint": -G + (i + 0.5) * step,
+          "uniform": -G + 2.0 * G * u, "bound": G if u < 0.5 else -G}[where]
+    f = (_piecewise_linear(seed, G) if name == "piecewise-linear"
+         else corpus_entry(name))
+    return f, float(xi), FeOptions(cells=cells, slope_bound=G, scan_points=P)
+
+
 def _outcome(minimize, f, p, xi, opts):
     try:
         return minimize(f, p, xi, opts)
@@ -227,10 +245,7 @@ def _outcome(minimize, f, p, xi, opts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SCALAR_ENTRIES + ("piecewise-linear",)), st.integers(0, 2**32 - 1),
-       st.sampled_from([1.0, 2.5, 10.0]), st.integers(3, 41),
-       st.sampled_from(["node", "midpoint", "uniform", "bound"]), st.floats(0.0, 1.0),
-       st.integers(2, 64), st.sampled_from([1.0, 2.0, 3.3, 8.0, 128.0]))
+@given(*FE_CASES, st.sampled_from([1.0, 2.0, 3.3, 8.0, 128.0]))
 @example("clamp1d", 0, 10.0, 161, "node", 0.5535, 64, 8.0)  # the default scan, xi = 1
 # near-ties that an array ``**`` in place of the Python-float pows breaks: the
 # powers (first) and the root (second and third) move the FE minimum
@@ -242,22 +257,88 @@ def _outcome(minimize, f, p, xi, opts):
 # it are skipped within speculated batches
 @example("piecewise-linear", 3996984713, 1e4, 7, "node", 0.8749892669232, 57, 3.3)
 def test_minimize_Fp_matches_per_pair_oracle(name, seed, G, P, where, u, cells, p):
-    # xi on a scan node, halfway between two, anywhere, or at -G or G
-    step = 2.0 * G / (P - 1)
-    i = round(u * (P - 2))
-    xi = {"node": np.linspace(-G, G, P)[i], "midpoint": -G + (i + 0.5) * step,
-          "uniform": -G + 2.0 * G * u, "bound": G if u < 0.5 else -G}[where]
-    f = (_piecewise_linear(seed, G) if name == "piecewise-linear"
-         else corpus_entry(name))
-    opts = FeOptions(cells=cells, slope_bound=G, scan_points=P)
-    got = _outcome(minimize_Fp, f, p, float(xi), opts)
-    ref = _outcome(oracles.minimize_Fp, f, p, float(xi), opts)
+    f, xi, opts = _fe_case(name, seed, G, P, where, u, cells)
+    got = _outcome(minimize_Fp, f, p, xi, opts)
+    ref = _outcome(oracles.minimize_Fp, f, p, xi, opts)
     if isinstance(ref, type) or isinstance(got, type):
         assert got == ref
         return
     assert got.min_value == ref.min_value
     assert np.array_equal(got.gradient_per_cell, ref.gradient_per_cell)
     assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+
+
+def _solve_schedule(f, ps, xi, opts):
+    return _minimize_schedule(_scalar_eval(f, opts.slope_bound), ps, xi, opts)[0]
+
+
+SCHEDULES = st.lists(st.sampled_from([1.0, 2.0, 3.3, 8.0, 128.0]), min_size=1, max_size=4,
+                     unique=True).map(lambda ps: tuple(sorted(ps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*FE_CASES, SCHEDULES)
+@example("clamp1d", 0, 10.0, 161, "node", 0.5535, 64, (2.0, 8.0, 128.0))
+# the near-ties of test_minimize_Fp_matches_per_pair_oracle, each inside a
+# schedule with other exponents
+@example("exampleD_scalar", 455413639, 1.0, 19, "midpoint", 0.9462603322237104, 26,
+         (1.0, 3.3, 8.0))
+@example("exampleD_scalar", 2222323601, 1.0, 25, "midpoint", 0.7430379600974436, 43,
+         (2.0, 3.3, 128.0))
+@example("piecewise-linear", 1719417155, 10.0, 28, "node", 0.7192468659160054, 52,
+         (1.0, 2.0, 3.3, 128.0))
+@example("piecewise-linear", 3996984713, 1e4, 7, "node", 0.8749892669232, 57,
+         (2.0, 3.3, 8.0))
+def test_schedule_solve_matches_the_per_exponent_oracle(name, seed, G, P, where, u, cells, ps):
+    # one pass over the schedule gives at each p the oracle's run at that p
+    # alone; if a run at some p raises, the pass raises an error of one of them
+    f, xi, opts = _fe_case(name, seed, G, P, where, u, cells)
+    refs = [_outcome(oracles.minimize_Fp, f, p, xi, opts) for p in ps]
+    got = _outcome(_solve_schedule, f, ps, xi, opts)
+    errors = {ref for ref in refs if isinstance(ref, type)}
+    if errors or isinstance(got, type):
+        assert got in errors
+        return
+    assert [r.p for r in got] == list(ps)
+    for row, ref in zip(got, refs):
+        assert row.min_value == ref.min_value, row.p
+        assert np.array_equal(row.gradient_per_cell, ref.gradient_per_cell), row.p
+        assert (row.iterations, row.converged) == (ref.iterations, ref.converged), row.p
+
+
+def test_schedule_solve_batches_its_f_calls():
+    # 3 tables, 2 objective calls per p and one call per lockstep step: 73
+    # calls for 7 exponents, where 7 runs of one exponent each make 385
+    entry = corpus_entry("clamp1d")
+    calls = []
+
+    def counted(arr):
+        calls.append(len(arr))
+        return entry(arr)
+
+    ps = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+    res = _solve_schedule(counted, ps, 1.0, OPTS)
+    assert len(calls) <= 75
+    assert res[2].iterations == 8363
+
+
+def test_gamma_evaluates_the_slope_grid_once():
+    # the grid of ORACLE_POINTS slopes serves the hull supports of every p,
+    # the oracle rows and the lsc envelope; it was evaluated 2 times per p
+    # and once more, 9 times for this schedule
+    entry = corpus_entry("double_well_1d")
+    x = np.linspace(-OPTS.slope_bound, OPTS.slope_bound, ORACLE_POINTS)
+    seen = []
+
+    def recording(arr):
+        seen.append(np.asarray(arr)[..., 0, 0].copy())
+        return entry(arr)
+
+    rep = gamma_limit_experiment(recording, 0.0, (2, 8, 32, 128), OPTS)
+    assert sum(len(t) == len(x) and np.array_equal(t, x) for t in seen) == 1
+    for row in rep.rows:
+        assert row["oracle_value"] == envelope_oracle_1d(entry, 0.0, row["p"],
+                                                         slope_bound=OPTS.slope_bound)
 
 
 def test_gamma_exampleD_consistent():

@@ -64,6 +64,7 @@ LSC = ("tests/test_envelope_batched.py::test_lslc_envelope_matches_per_threshold
        "tests/test_envelope_batched.py::test_lslc_runs_no_lp")
 FE = ("tests/test_fem1d.py::test_minimize_Fp_matches_per_pair_oracle",
       "tests/test_fem1d.py::test_relaxation_identity_two_percent")
+SCHEDULE = ("tests/test_fem1d.py::test_schedule_solve_matches_the_per_exponent_oracle",)
 MONOTONE = ("tests/test_envelope.py::test_power_law_monotone_violation_matches_a_plain_loop",
             "tests/test_envelope.py::test_power_law_monotone_violation_finds_an_injected_drop")
 MUTANTS = (
@@ -183,6 +184,11 @@ MUTANTS = (
            "                if not later.size:\n", "                if True:\n", LSC),
     Mutant("polish-keeps-first-profile", "one minimum per FE polish walk", "src/supcon/fem1d.py",
            '                    profile = ("pair", a, b, got[1], got[2])\n', "", FE),
+    Mutant("scan-powers-first-p", "one FE scan table for every p", "src/supcon/fem1d.py",
+           "        q = _powers(vals / scale, p)\n", "        q = _powers(vals / scale, ps[0])\n",
+           SCHEDULE),
+    Mutant("lockstep-neighbour-p", "one lockstep FE polish for every p", "src/supcon/fem1d.py",
+           "        p = walk_p[row][pair]\n", "        p = walk_p[row - 1][pair]\n", SCHEDULE),
     Mutant("monotone-last-pair-only", "one scan for the worst monotone breach",
            "src/supcon/envelope.py",
            "drop = values[np.r_[0, :len(ps) - 1]] - values",
